@@ -27,7 +27,7 @@ import numpy as np
 from .core import Copula
 from .errors import NumericalError, ValidationError
 from .grids import DEFAULT_GRID
-from .properties import Status, Verdict, Witness, check_pqd, log_convexity_test
+from .properties import PROPERTIES, Status, Verdict, Witness, check_pqd, log_convexity_test
 
 __all__ = [
     "GeneratorSpec",
@@ -648,23 +648,24 @@ def _dtp2_second_difference(spec, xs, tol_eq=1e-6, tol_strict=1e-5):
     return log_convexity_test(psi_dd, xs, tol_eq, tol_strict)
 
 
-def property_verdicts(spec, grid=DEFAULT_GRID, report=None):
-    """Six-property table implied by the generator classification.
+def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):
+    """Verdicts of ``props`` implied by the generator classification.
 
     TP2 <-> LTD and MK-TP2 <-> SI are exact equivalences at generator level,
     so those entries share verdicts; PQD follows from LTD when it holds and
     otherwise falls back to a grid scan.
     """
-    report = report if report is not None else classify_archimedean(spec, grid)
-    if report.tp2_ltd.status is Status.HOLDS:
-        pqd = Verdict(Status.HOLDS, None, {"method": "analytic:ltd-implies-pqd"})
-    else:
-        pqd = check_pqd(arch_copula(spec), grid)
-    return {
-        "pqd": pqd,
+    report = classify_archimedean(spec, grid)
+    table = {
         "ltd": report.tp2_ltd,
         "si": report.mktp2_si,
         "tp2": report.tp2_ltd,
         "mktp2": report.mktp2_si,
         "dtp2": report.dtp2,
     }
+    if "pqd" in props:
+        if report.tp2_ltd.status is Status.HOLDS:
+            table["pqd"] = Verdict(Status.HOLDS, None, {"method": "analytic:ltd-implies-pqd"})
+        else:
+            table["pqd"] = check_pqd(arch_copula(spec), grid)
+    return {p: table[p] for p in props}

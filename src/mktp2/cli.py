@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +21,14 @@ from . import archimedean as arch
 from . import extreme_value as evc
 from .errors import MkTp2Error, SearchFailed, ValidationError
 from .grids import GridConfig, Rectangle
-from .properties import PROPERTIES, Status, counterexample_search, rectangle_defect, run_check
+from .properties import (
+    PROPERTIES,
+    Status,
+    _band,
+    counterexample_search,
+    property_verdicts,
+    rectangle_defect,
+)
 from .registry import build, family_names
 from .sampler import sample, write_csv
 
@@ -77,42 +82,31 @@ def _report_skeleton(family, params, grid):
     }
 
 
-def _entry_dict(prop, verdict, method):
-    out = {"property": prop, "status": verdict.status.value, "method": method}
-    out["certificate"] = verdict.certificate
-    out["witness"] = verdict.witness.describe() if verdict.witness else None
+def _entry_dict(prop, verdict):
+    name = str(verdict.certificate.get("method", "grid"))
+    out = {
+        "property": prop,
+        "status": verdict.status.value,
+        "method": "analytic" if name.startswith("analytic") else "grid",
+        "certificate": verdict.certificate,
+        "witness": verdict.witness.describe() if verdict.witness else None,
+    }
     if verdict.note:
         out["note"] = verdict.note
     return out
 
 
-def _method_of(verdict):
-    name = str(verdict.certificate.get("method", "grid"))
-    return "analytic" if name.startswith("analytic") else "grid"
+def _verdicts(entry, obj, copula, grid, props):
+    """Verdicts of ``props`` for a built family, keyed by property.
 
-
-def _worker_count():
-    raw = os.environ.get("COPULA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _classify_results(entry, obj, copula, grid):
+    Generator- and Pickands-level equivalences beat a grid scan where they
+    apply; every other family is scanned on the grid.
+    """
     if entry.kind == "archimedean":
-        table = arch.property_verdicts(obj, grid)
-    elif entry.kind == "evc":
-        table = evc.property_verdicts(obj, grid)
-    else:
-        workers = _worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {p: pool.submit(run_check, copula, p, grid) for p in PROPERTIES}
-            table = {p: futures[p].result() for p in PROPERTIES}
-        else:
-            table = {p: run_check(copula, p, grid) for p in PROPERTIES}
-    return [_entry_dict(p, table[p], _method_of(table[p])) for p in PROPERTIES]
+        return arch.property_verdicts(obj, grid, props)
+    if entry.kind == "evc":
+        return evc.property_verdicts(obj, grid, props)
+    return property_verdicts(copula, grid, props)
 
 
 def _emit(report, args):
@@ -128,7 +122,8 @@ def cmd_classify(args):
     entry, obj, copula = build(args.family, _parse_params(args.param))
     grid = _grid_from_args(args)
     report = _report_skeleton(copula.label, _parse_params(args.param), grid)
-    report["results"] = _classify_results(entry, obj, copula, grid)
+    table = _verdicts(entry, obj, copula, grid, PROPERTIES)
+    report["results"] = [_entry_dict(p, table[p]) for p in PROPERTIES]
     _emit(report, args)
     return 0
 
@@ -141,12 +136,7 @@ def cmd_check(args):
     if args.rect:
         rect = _parse_rect(args.rect)
         defect, values = rectangle_defect(copula, prop, rect)
-        if defect > grid.tol_strict:
-            status = Status.FAILS
-        elif defect > grid.tol_eq:
-            status = Status.INCONCLUSIVE
-        else:
-            status = Status.HOLDS
+        status = _band(defect, grid.tol_eq, grid.tol_strict)
         report["results"].append(
             {
                 "property": prop,
@@ -162,15 +152,8 @@ def cmd_check(args):
             }
         )
     else:
-        # single property through the same routing as classify: generator- and
-        # Pickands-level equivalences beat a grid scan where they apply
-        if entry.kind == "archimedean":
-            verdict = arch.property_verdicts(obj, grid)[prop]
-        elif entry.kind == "evc":
-            verdict = evc.property_verdicts(obj, grid)[prop]
-        else:
-            verdict = run_check(copula, prop, grid)
-        report["results"].append(_entry_dict(prop, verdict, _method_of(verdict)))
+        verdict = _verdicts(entry, obj, copula, grid, (prop,))[prop]
+        report["results"].append(_entry_dict(prop, verdict))
     _emit(report, args)
     return 0
 
@@ -213,7 +196,7 @@ def cmd_witness(args):
             )
             return WITNESS_NOT_APPLICABLE
 
-    report["results"].append(_entry_dict(prop, witness_verdict, _method_of(witness_verdict)))
+    report["results"].append(_entry_dict(prop, witness_verdict))
     _emit(report, args)
     return 0
 

@@ -30,7 +30,7 @@ import numpy as np
 from .core import Copula
 from .errors import SearchFailed, ValidationError
 from .grids import DEFAULT_GRID, Rectangle
-from .properties import Status, Verdict, Witness, check_mktp2
+from .properties import PROPERTIES, Status, Verdict, Witness, check_dtp2, check_mktp2
 
 __all__ = [
     "PickandsSpec",
@@ -954,6 +954,10 @@ _NOTE_CAP_GAP = (
 )
 
 
+def _holds_for_every_evc():
+    return Verdict(Status.HOLDS, None, {"method": "analytic:evc"}, "every EVC is TP2 and SI")
+
+
 def classify_evc(spec, grid=DEFAULT_GRID):
     """Run the MK-TP2 decision tree for an extreme-value copula.
 
@@ -961,7 +965,7 @@ def classify_evc(spec, grid=DEFAULT_GRID):
     facts; the returned report's ``branch`` names the rule that decided
     MK-TP2.
     """
-    always = Verdict(Status.HOLDS, None, {"method": "analytic:evc"}, "every EVC is TP2 and SI")
+    always = _holds_for_every_evc()
     d0 = float(spec.d_plus_A(0.0))
 
     def report(branch, mktp2):
@@ -1136,16 +1140,20 @@ def classify_evc(spec, grid=DEFAULT_GRID):
     )
 
 
-def property_verdicts(spec, grid=DEFAULT_GRID, report=None):
-    """Six-property table implied by the EVC classification."""
-    from .properties import check_dtp2
+def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):
+    """Verdicts of ``props`` implied by the EVC classification.
 
-    report = report if report is not None else classify_evc(spec, grid)
-    return {
-        "pqd": report.pqd,
-        "ltd": report.ltd,
-        "si": report.si,
-        "tp2": report.tp2,
-        "mktp2": report.mktp2,
-        "dtp2": check_dtp2(evc_copula(spec), grid),
-    }
+    Only MK-TP2 runs the decision tree and only D-TP2 scans a grid; PQD, LTD,
+    SI and TP2 hold for every EVC.
+    """
+    table = {}
+    for prop in props:
+        if prop == "mktp2":
+            table[prop] = classify_evc(spec, grid).mktp2
+        elif prop == "dtp2":
+            table[prop] = check_dtp2(evc_copula(spec), grid)
+        elif prop in PROPERTIES:
+            table[prop] = _holds_for_every_evc()
+        else:
+            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    return table

@@ -7,13 +7,14 @@ both); only the analytic classifiers in :mod:`mktp2.archimedean` and
 ``fails`` verdict carries a witness whose defect, recomputed from the copula
 alone, exceeds the strict tolerance; defects inside the band
 ``(tol_eq, tol_strict]`` are reported as inconclusive, never as failures.
+A grid holding a non-finite value is not scanned and reads as inconclusive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "log_concavity_test",
     "two_increasing_test",
     "counterexample_search",
+    "property_verdicts",
     "run_check",
     "rectangle_defect",
 ]
@@ -108,17 +110,21 @@ class Verdict:
 PROPERTIES = ("pqd", "ltd", "si", "tp2", "mktp2", "dtp2")
 
 
-def _classify(defect, witness, grid, certificate, note=""):
-    if defect > grid.tol_strict:
-        return Verdict(Status.FAILS, witness, certificate, note)
-    if defect > grid.tol_eq:
-        return Verdict(
-            Status.INCONCLUSIVE,
-            witness,
-            certificate,
-            note or "defect inside the tolerance band (tol_eq, tol_strict]",
-        )
-    return Verdict(Status.HOLDS, None, certificate, note)
+def _band(defect, tol_eq, tol_strict):
+    """The tolerance-banding rule: above ``tol_strict`` fails, inside the band is inconclusive."""
+    if defect > tol_strict:
+        return Status.FAILS
+    if defect > tol_eq:
+        return Status.INCONCLUSIVE
+    return Status.HOLDS
+
+
+def _classify(defect, witness, grid, certificate):
+    status = _band(defect, grid.tol_eq, grid.tol_strict)
+    if status is Status.INCONCLUSIVE:
+        note = "defect inside the tolerance band (tol_eq, tol_strict]"
+        return Verdict(status, witness, certificate, note)
+    return Verdict(status, witness if status is Status.FAILS else None, certificate)
 
 
 def _axes(grid, region):
@@ -141,12 +147,11 @@ def _certificate(method, grid, region=None, **extra):
 
 
 # ---------------------------------------------------------------------------
-# pointwise and per-line scans
+# scans of one evaluated grid: each returns (defect, witness) of the worst cell
 # ---------------------------------------------------------------------------
 
 
-def _scan_pqd(copula, us, vs):
-    cdf = _grid_eval(copula.cdf, us, vs)
+def _scan_pqd(cdf, us, vs, grid):
     defect = np.outer(us, vs) - cdf
     i, j = np.unravel_index(np.argmax(defect), defect.shape)
     w = Witness(
@@ -158,17 +163,9 @@ def _scan_pqd(copula, us, vs):
     return float(defect[i, j]), w
 
 
-def check_pqd(copula, grid=DEFAULT_GRID, region=None):
-    """C(u,v) >= uv on the interior grid."""
-    us, vs = _axes(grid, region)
-    defect, witness = _scan_pqd(copula, us, vs)
-    return _classify(defect, witness, grid, _certificate("grid:pqd", grid, region))
-
-
-def _scan_line_monotone(values, us, vs, decreasing=True):
-    """Worst forward-difference violation of u-monotonicity per v-line."""
-    diff = values[1:, :] - values[:-1, :]
-    defect = diff if decreasing else -diff
+def _scan_line_monotone(values, us, vs, grid):
+    """Worst forward-difference violation of u -> values non-increasing per v-line."""
+    defect = values[1:, :] - values[:-1, :]
     i, j = np.unravel_index(np.argmax(defect), defect.shape)
     w = Witness(
         points=(float(us[i]), float(us[i + 1]), float(vs[j])),
@@ -179,45 +176,17 @@ def _scan_line_monotone(values, us, vs, decreasing=True):
     return float(defect[i, j]), w
 
 
-def _scan_ltd(copula, us, vs):
-    cdf = _grid_eval(copula.cdf, us, vs)
-    ratio = cdf / us[:, None]
-    return _scan_line_monotone(ratio, us, vs, decreasing=True)
+def _scan_ltd(cdf, us, vs, grid):
+    return _scan_line_monotone(cdf / us[:, None], us, vs, grid)
 
 
-def check_ltd(copula, grid=DEFAULT_GRID, region=None):
-    """u -> C(u,v)/u non-increasing for every grid v."""
-    us, vs = _axes(grid, region)
-    defect, witness = _scan_ltd(copula, us, vs)
-    return _classify(defect, witness, grid, _certificate("grid:ltd", grid, region))
-
-
-def _scan_si(copula, us, vs):
-    ker = _grid_eval(copula.kernel, us, vs)
-    return _scan_line_monotone(ker, us, vs, decreasing=True)
-
-
-def check_si(copula, grid=DEFAULT_GRID, region=None):
-    """u -> K(u,[0,v]) non-increasing for every grid v."""
-    us, vs = _axes(grid, region)
-    defect, witness = _scan_si(copula, us, vs)
-    return _classify(defect, witness, grid, _certificate("grid:si", grid, region))
-
-
-# ---------------------------------------------------------------------------
-# rectangle scans (TP2 family)
-# ---------------------------------------------------------------------------
-
-
-def _adjacent_cross_defect(values, us, vs, gate=None):
+def _adjacent_cross_defect(values, us, vs, grid):
     """Worst adjacent-cell violation of f11*f22 - f12*f21 >= 0."""
     f11 = values[:-1, :-1]
     f22 = values[1:, 1:]
     f12 = values[:-1, 1:]
     f21 = values[1:, :-1]
     defect = f12 * f21 - f11 * f22
-    if gate is not None:
-        defect = np.where(gate, defect, -np.inf)
     i, j = np.unravel_index(np.argmax(defect), defect.shape)
     w = Witness(
         points=(float(us[i]), float(us[i + 1]), float(vs[j]), float(vs[j + 1])),
@@ -235,23 +204,23 @@ def _dyadic_spans(n):
     return spans
 
 
-def _spanned_cross_defect(values, us, vs, spans_u, spans_v, gate_min):
+def _spanned_cross_defect(values, us, vs, grid):
     """Worst violation over rectangles with dyadic index spans.
 
-    Rectangles whose lower-right value K(u2, v1) is at most ``gate_min`` are
-    skipped: those lie in the kernel's zero region where the TP2 inequality
-    holds trivially.
+    Rectangles whose lower-right value K(u2, v1) is at most ``grid.tol_eq``
+    are skipped: those lie in the kernel's zero region where the TP2
+    inequality holds trivially.
     """
     best = -np.inf
     best_w = None
-    for su in spans_u:
-        for sv in spans_v:
+    for su in _dyadic_spans(len(us)):
+        for sv in _dyadic_spans(len(vs)):
             f11 = values[:-su, :-sv]
             f22 = values[su:, sv:]
             f12 = values[:-su, sv:]
             f21 = values[su:, :-sv]
             defect = f12 * f21 - f11 * f22
-            defect = np.where(f21 > gate_min, defect, -np.inf)
+            defect = np.where(f21 > grid.tol_eq, defect, -np.inf)
             i, j = np.unravel_index(np.argmax(defect), defect.shape)
             d = float(defect[i, j])
             if d > best:
@@ -270,6 +239,115 @@ def _spanned_cross_defect(values, us, vs, spans_u, spans_v, gate_min):
     return best, best_w
 
 
+# ---------------------------------------------------------------------------
+# the property table and its one evaluation site
+# ---------------------------------------------------------------------------
+
+
+class _Check(NamedTuple):
+    quantity: str  # the Copula callable the scan reads: "cdf", "kernel" or "density"
+    scan: Callable  # (values, us, vs, grid) -> (defect, witness)
+    method: str  # certificate method
+    extra: dict = {}  # further certificate entries
+
+
+_TABLE = {
+    "pqd": _Check("cdf", _scan_pqd, "grid:pqd"),
+    "ltd": _Check("cdf", _scan_ltd, "grid:ltd"),
+    "si": _Check("kernel", _scan_line_monotone, "grid:si"),
+    "tp2": _Check("cdf", _adjacent_cross_defect, "grid:tp2:direct"),
+    "mktp2": _Check("kernel", _spanned_cross_defect, "grid:mktp2", {"spans": "adjacent+dyadic"}),
+    "dtp2": _Check("density", _adjacent_cross_defect, "grid:dtp2"),
+}
+
+
+def _scan(copula, prop, us, vs, grid, evaluated):
+    """``(defect, witness, note)`` of one property's scan on the axes ``us`` x ``vs``.
+
+    ``evaluated`` holds the quantity grids already evaluated on these axes,
+    so properties that read the same quantity share one evaluation.  A
+    non-finite value would win the argmax and compare as no violation, so a
+    grid holding one is not scanned: the result is ``(None, None, note)``
+    with a note naming the first offending point.
+    """
+    quantity = _TABLE[prop].quantity
+    if quantity not in evaluated:
+        evaluated[quantity] = _grid_eval(getattr(copula, quantity), us, vs)
+    values = evaluated[quantity]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        return None, None, f"non-finite {quantity} value at (u, v) = ({us[i]:.6g}, {vs[j]:.6g})"
+    return (*_TABLE[prop].scan(values, us, vs, grid), "")
+
+
+def _refine_rectangle(copula, witness, grid, n_local=64):
+    """Re-scan MK-TP2 on a small window around a violating rectangle at finer resolution."""
+    u1, u2, v1, v2 = witness.points
+    du = max(u2 - u1, 1e-6)
+    dv = max(v2 - v1, 1e-6)
+    lo_u = max(u1 - du, 1e-9)
+    hi_u = min(u2 + du, 1.0 - 1e-9)
+    lo_v = max(v1 - dv, 1e-9)
+    hi_v = min(v2 + dv, 1.0 - 1e-9)
+    us = np.linspace(lo_u, hi_u, n_local)
+    vs = np.linspace(lo_v, hi_v, n_local)
+    return _scan(copula, "mktp2", us, vs, grid, {})
+
+
+def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
+    """Grid verdicts of ``props`` for one copula, keyed by property.
+
+    Each grid quantity (``cdf``, ``kernel``, ``density``) is evaluated once
+    and shared by every property that reads it, in the order
+    :data:`PROPERTIES` first needs it.  ``region`` restricts the scan to a
+    rectangle.  A ``fails`` MK-TP2 witness is refined on a finer local
+    window.  A quantity with a non-finite grid value makes the properties
+    reading it ``inconclusive``; a copula without a density makes ``dtp2``
+    not applicable.
+    """
+    for prop in props:
+        if prop not in _TABLE:
+            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    us, vs = _axes(grid, region)
+    evaluated = {}
+    out = {}
+    for prop in PROPERTIES:
+        if prop not in props:
+            continue
+        check = _TABLE[prop]
+        cert = _certificate(check.method, grid, region, **check.extra)
+        if getattr(copula, check.quantity) is None:
+            note = f"{copula.label} exposes no density (not absolutely continuous)"
+            out[prop] = Verdict(Status.NOT_APPLICABLE, None, cert, note=note)
+            continue
+        defect, witness, note = _scan(copula, prop, us, vs, grid, evaluated)
+        if note:
+            out[prop] = Verdict(Status.INCONCLUSIVE, None, cert, note)
+            continue
+        if prop == "mktp2" and defect > grid.tol_strict:
+            refined_defect, refined_witness, refined_note = _refine_rectangle(copula, witness, grid)
+            if not refined_note and refined_defect > defect:
+                defect, witness = refined_defect, refined_witness
+        out[prop] = _classify(defect, witness, grid, cert)
+    return out
+
+
+def check_pqd(copula, grid=DEFAULT_GRID, region=None):
+    """C(u,v) >= uv on the interior grid."""
+    return property_verdicts(copula, grid, ("pqd",), region)["pqd"]
+
+
+def check_ltd(copula, grid=DEFAULT_GRID, region=None):
+    """u -> C(u,v)/u non-increasing for every grid v."""
+    return property_verdicts(copula, grid, ("ltd",), region)["ltd"]
+
+
+def check_si(copula, grid=DEFAULT_GRID, region=None):
+    """u -> K(u,[0,v]) non-increasing for every grid v."""
+    return property_verdicts(copula, grid, ("si",), region)["si"]
+
+
 def check_tp2(copula, grid=DEFAULT_GRID, method="direct", region=None):
     """TP2 of the copula itself.
 
@@ -278,12 +356,10 @@ def check_tp2(copula, grid=DEFAULT_GRID, method="direct", region=None):
     ``kernel-ratio`` checks that v -> K(u,[0,v]) / C(u,v) is non-decreasing,
     and rejects copulas whose CDF vanishes on the interior grid.
     """
-    us, vs = _axes(grid, region)
     if method == "direct":
-        cdf = _grid_eval(copula.cdf, us, vs)
-        defect, witness = _adjacent_cross_defect(cdf, us, vs)
-        return _classify(defect, witness, grid, _certificate("grid:tp2:direct", grid, region))
+        return property_verdicts(copula, grid, ("tp2",), region)["tp2"]
     if method == "kernel-ratio":
+        us, vs = _axes(grid, region)
         cdf = _grid_eval(copula.cdf, us, vs)
         if np.any(cdf <= 0.0):
             i, j = np.argwhere(cdf <= 0.0)[0]
@@ -306,27 +382,6 @@ def check_tp2(copula, grid=DEFAULT_GRID, method="direct", region=None):
     raise ValidationError(f"unknown tp2 method {method!r}")
 
 
-def _scan_mktp2(copula, us, vs, grid):
-    ker = _grid_eval(copula.kernel, us, vs)
-    spans_u = _dyadic_spans(len(us))
-    spans_v = _dyadic_spans(len(vs))
-    return _spanned_cross_defect(ker, us, vs, spans_u, spans_v, grid.tol_eq)
-
-
-def _refine_rectangle(copula, scan, witness, grid, n_local=64):
-    """Re-scan a small window around a violating rectangle at finer resolution."""
-    u1, u2, v1, v2 = witness.points
-    du = max(u2 - u1, 1e-6)
-    dv = max(v2 - v1, 1e-6)
-    lo_u = max(u1 - du, 1e-9)
-    hi_u = min(u2 + du, 1.0 - 1e-9)
-    lo_v = max(v1 - dv, 1e-9)
-    hi_v = min(v2 + dv, 1.0 - 1e-9)
-    us = np.linspace(lo_u, hi_u, n_local)
-    vs = np.linspace(lo_v, hi_v, n_local)
-    return scan(copula, us, vs, grid)
-
-
 def check_mktp2(copula, grid=DEFAULT_GRID, region=None):
     """TP2 of the Markov kernel over adjacent cells and dyadic index spans.
 
@@ -334,30 +389,12 @@ def check_mktp2(copula, grid=DEFAULT_GRID, region=None):
     invisible to adjacent quadruples alone.  Rectangles with
     K(u2,[0,v1]) ~ 0 are skipped (zero-region reduction).
     """
-    us, vs = _axes(grid, region)
-    defect, witness = _scan_mktp2(copula, us, vs, grid)
-    cert = _certificate("grid:mktp2", grid, region, spans="adjacent+dyadic")
-    if defect > grid.tol_strict:
-        refined_defect, refined_witness = _refine_rectangle(copula, _scan_mktp2, witness, grid)
-        if refined_defect > defect:
-            defect, witness = refined_defect, refined_witness
-        return Verdict(Status.FAILS, witness, cert)
-    return _classify(defect, witness, grid, cert)
+    return property_verdicts(copula, grid, ("mktp2",), region)["mktp2"]
 
 
 def check_dtp2(copula, grid=DEFAULT_GRID, region=None):
     """TP2 of the density; not applicable when the family has no density."""
-    if copula.density is None:
-        return Verdict(
-            Status.NOT_APPLICABLE,
-            None,
-            _certificate("grid:dtp2", grid, region),
-            note=f"{copula.label} exposes no density (not absolutely continuous)",
-        )
-    us, vs = _axes(grid, region)
-    dens = _grid_eval(copula.density, us, vs)
-    defect, witness = _adjacent_cross_defect(dens, us, vs)
-    return _classify(defect, witness, grid, _certificate("grid:dtp2", grid, region))
+    return property_verdicts(copula, grid, ("dtp2",), region)["dtp2"]
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +425,16 @@ def _midpoint_scan(f, points, orient, tol_eq, tol_strict):
         defect=float(defect[k]),
         kind="triple",
     )
-    d = float(defect[k])
     cert = {
         "method": "midpoint-chord",
         "n_points": int(len(xs)),
         "tol_eq": tol_eq,
         "tol_strict": tol_strict,
     }
-    if d > tol_strict:
-        return Verdict(Status.FAILS, witness, cert)
-    if d > tol_eq:
-        return Verdict(Status.INCONCLUSIVE, witness, cert, "defect inside the tolerance band")
-    return Verdict(Status.HOLDS, None, cert)
+    status = _band(float(defect[k]), tol_eq, tol_strict)
+    if status is Status.INCONCLUSIVE:
+        return Verdict(status, witness, cert, "defect inside the tolerance band")
+    return Verdict(status, witness if status is Status.FAILS else None, cert)
 
 
 def log_convexity_test(f, points, tol_eq=1e-12, tol_strict=1e-9):
@@ -450,15 +485,6 @@ def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
 # coarse-to-fine falsification
 # ---------------------------------------------------------------------------
 
-_SCANNERS = {
-    "pqd": lambda cop, us, vs, grid: _scan_pqd(cop, us, vs),
-    "ltd": lambda cop, us, vs, grid: _scan_ltd(cop, us, vs),
-    "si": lambda cop, us, vs, grid: _scan_si(cop, us, vs),
-    "tp2": lambda cop, us, vs, grid: _adjacent_cross_defect(_grid_eval(cop.cdf, us, vs), us, vs),
-    "mktp2": _scan_mktp2,
-    "dtp2": lambda cop, us, vs, grid: _adjacent_cross_defect(_grid_eval(cop.density, us, vs), us, vs),
-}
-
 
 def _window_axes(witness, n, pad_factor=2.0, floor=1e-6):
     pts = witness.points
@@ -493,45 +519,38 @@ def counterexample_search(copula, prop, grid=DEFAULT_GRID, stages=(64, 256, 1024
             {"method": "search:dtp2"},
             note=f"{copula.label} exposes no density",
         )
-    scan = _SCANNERS[prop]
-    us, vs = grid.axis(stages[0]), grid.axis(stages[0])
-    best_defect, best_witness = scan(copula, us, vs, grid)
-    for n in stages[1:]:
-        us, vs = _window_axes(best_witness, n)
-        d, w = scan(copula, us, vs, grid)
-        if d > best_defect:
-            best_defect, best_witness = d, w
     cert = {
         "method": f"search:{prop}",
         "stages": list(stages),
         "grid": grid.describe(),
     }
-    if best_defect > grid.tol_strict:
-        return Verdict(Status.FAILS, best_witness, cert)
-    if best_defect > grid.tol_eq:
-        return Verdict(Status.INCONCLUSIVE, best_witness, cert, "defect inside the tolerance band")
-    return Verdict(Status.HOLDS, None, cert, "no violation within the search budget")
+    us = vs = grid.axis(stages[0])
+    best_defect, best_witness, note = _scan(copula, prop, us, vs, grid, {})
+    for n in stages[1:]:
+        if note:
+            break
+        us, vs = _window_axes(best_witness, n)
+        d, w, note = _scan(copula, prop, us, vs, grid, {})
+        if not note and d > best_defect:
+            best_defect, best_witness = d, w
+    if note:
+        return Verdict(Status.INCONCLUSIVE, None, cert, note)
+    status = _band(best_defect, grid.tol_eq, grid.tol_strict)
+    if status is Status.HOLDS:
+        return Verdict(status, None, cert, "no violation within the search budget")
+    if status is Status.INCONCLUSIVE:
+        return Verdict(status, best_witness, cert, "defect inside the tolerance band")
+    return Verdict(status, best_witness, cert)
 
 
 # ---------------------------------------------------------------------------
 # dispatch and witness re-evaluation
 # ---------------------------------------------------------------------------
 
-_CHECKS = {
-    "pqd": check_pqd,
-    "ltd": check_ltd,
-    "si": check_si,
-    "tp2": check_tp2,
-    "mktp2": check_mktp2,
-    "dtp2": check_dtp2,
-}
-
 
 def run_check(copula, prop, grid=DEFAULT_GRID, region=None):
     """Run a single named property check on a copula."""
-    if prop not in _CHECKS:
-        raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    return _CHECKS[prop](copula, grid, region=region)
+    return property_verdicts(copula, grid, (prop,), region)[prop]
 
 
 def rectangle_defect(copula, prop, rect):
@@ -555,14 +574,9 @@ def rectangle_defect(copula, prop, rect):
         k2 = float(copula.kernel(u2, v1))
         return k2 - k1, (k1, k2)
     if prop in ("tp2", "mktp2", "dtp2"):
-        if prop == "tp2":
-            fn = copula.cdf
-        elif prop == "mktp2":
-            fn = copula.kernel
-        else:
-            if copula.density is None:
-                raise DomainError(f"{copula.label} exposes no density")
-            fn = copula.density
+        fn = getattr(copula, _TABLE[prop].quantity)
+        if fn is None:
+            raise DomainError(f"{copula.label} exposes no density")
         f11 = float(fn(u1, v1))
         f12 = float(fn(u1, v2))
         f21 = float(fn(u2, v1))

@@ -164,12 +164,3 @@ def test_reports_are_deterministic(tmp_path, capsys):
     first = run_cli(capsys, *argv)[1]
     second = run_cli(capsys, *argv)[1]
     assert first == second
-
-
-def test_thread_cap_does_not_change_output(capsys, monkeypatch):
-    argv = ["classify", "--family", "fgm", "--param", "theta=0.7", "--grid", "64"]
-    monkeypatch.delenv("COPULA_THREADS", raising=False)
-    serial = run_cli(capsys, *argv)[1]
-    monkeypatch.setenv("COPULA_THREADS", "4")
-    threaded = run_cli(capsys, *argv)[1]
-    assert serial == threaded

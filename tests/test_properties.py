@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from mktp2.properties import (
     counterexample_search,
     log_concavity_test,
     log_convexity_test,
+    property_verdicts,
     rectangle_defect,
     run_check,
     two_increasing_test,
@@ -186,6 +190,49 @@ def test_tolerance_band_yields_inconclusive():
     grid = GridConfig(n_u=32, n_v=32, tol_eq=1e-12, tol_strict=1.0)
     verdict = check_pqd(make_baseline("w"), grid)
     assert verdict.status is Status.INCONCLUSIVE
+
+
+def test_property_verdicts_evaluate_each_quantity_once():
+    copula = make_fgm(0.7)
+    calls = []
+
+    def counted(quantity):
+        fn = getattr(copula, quantity)
+        return lambda u, v: calls.append(quantity) or fn(u, v)
+
+    traced = dataclasses.replace(copula, **{q: counted(q) for q in ("cdf", "kernel", "density")})
+    grid = GridConfig(n_u=64, n_v=64)
+    verdicts = property_verdicts(traced, grid, props=("dtp2", "mktp2", "tp2", "si", "ltd", "pqd"))
+    assert calls == ["cdf", "kernel", "density"]
+    assert verdicts == {p: run_check(copula, p, grid) for p in verdicts}
+
+
+_READS = {"cdf": ("pqd", "ltd", "tp2"), "kernel": ("si", "mktp2"), "density": ("dtp2",)}
+
+
+@pytest.mark.parametrize("quantity", sorted(_READS))
+def test_non_finite_grid_value_is_inconclusive(quantity):
+    grid = GridConfig(n_u=64, n_v=64)
+    copula = make_fgm(-0.5)
+    u0, v0 = grid.u_axis()[10], grid.v_axis()[20]
+    fn = getattr(copula, quantity)
+
+    def poisoned(u, v):
+        out = np.array(fn(u, v), dtype=float)
+        out[(u == u0) & (v == v0)] = np.nan
+        return out
+
+    bad = dataclasses.replace(copula, **{quantity: poisoned})
+    for prop in ("pqd", "ltd", "si", "tp2", "mktp2", "dtp2"):
+        verdicts = [run_check(bad, prop, grid), counterexample_search(bad, prop, grid, stages=(64,))]
+        for verdict in verdicts:
+            if prop not in _READS[quantity]:
+                assert verdict.status is Status.FAILS, prop
+                continue
+            assert verdict.status is Status.INCONCLUSIVE, prop
+            assert verdict.witness is None
+            assert f"non-finite {quantity} value at (u, v) = ({u0:.6g}, {v0:.6g})" in verdict.note
+            json.dumps(verdict.describe(), allow_nan=False)
 
 
 def test_counterexample_search_cases():
