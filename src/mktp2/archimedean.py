@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Copula
 from .errors import NumericalError, ValidationError
-from .grids import DEFAULT_GRID
+from .grids import DEFAULT_GRID, JUMP_DELTAS, bisect, persistent_jumps
 from .properties import PROPERTIES, Status, Verdict, Witness, check_pqd, log_convexity_test
 
 __all__ = [
@@ -115,16 +115,10 @@ def _fd_d_minus(psi):
 
 
 def _bisect_increasing(fn, target, lo, hi, tol=1e-12, iters=200):
-    """Vectorized bisection for fn non-decreasing with fn(lo) <= target <= fn(hi)."""
-    lo = np.full_like(target, lo, dtype=float)
-    hi = np.full_like(np.asarray(target, dtype=float), hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        take = np.asarray(fn(mid), dtype=float) >= target
-        hi = np.where(take, mid, hi)
-        lo = np.where(take, lo, mid)
-        if np.max(hi - lo) <= tol:
-            break
+    """Solve fn(t) = target, fn non-decreasing with fn(lo) <= target <= fn(hi), by bisection."""
+    target = np.asarray(target, dtype=float)
+    take = lambda mid: np.asarray(fn(mid), dtype=float) >= target
+    lo, hi = bisect(take, np.full_like(target, lo), np.full_like(target, hi), tol, iters)
     return 0.5 * (lo + hi)
 
 
@@ -511,7 +505,7 @@ def generator_x_sample(spec, grid=DEFAULT_GRID, n_points=2001):
 
 def scan_dminus_psi_continuity(spec, grid=DEFAULT_GRID, tol_jump=1e-3):
     """Holds unless D-psi jumps; declared metadata short-circuits the scan."""
-    cert = {"method": "dminus-psi-continuity", "deltas": [1e-3, 1e-4, 1e-5]}
+    cert = {"method": "dminus-psi-continuity", "deltas": list(JUMP_DELTAS)}
     if spec.d_minus_psi_jumps is not None:
         if spec.d_minus_psi_jumps:
             x_star = float(spec.d_minus_psi_jumps[0])
@@ -523,22 +517,19 @@ def scan_dminus_psi_continuity(spec, grid=DEFAULT_GRID, tol_jump=1e-3):
     ts = np.linspace(1e-6, 1.0 - 1e-6, 513)
     xs = np.asarray(spec.phi(ts), dtype=float)
     xs = np.unique(np.sort(xs[np.isfinite(xs) & (xs > 0.0)]))
-    deltas = (1e-3, 1e-4, 1e-5)
-    persistent = None
-    for x in xs:
-        gaps = []
-        for d in deltas:
-            if x - d <= 0.0:
-                break
-            left = float(spec.d_minus_psi(x - d))
-            right = float(spec.d_minus_psi(x + d))
-            gaps.append(abs(right - left))
-        if len(gaps) == len(deltas) and all(g > tol_jump for g in gaps):
-            persistent = (float(x), gaps[-1])
-            break
-    if persistent is not None:
-        x_star, gap = persistent
-        w = Witness(points=(x_star,), values=(gap,), defect=gap, kind="jump")
+    # every probe x - d must stay inside the domain
+    xs = xs[xs > JUMP_DELTAS[0]]
+
+    def gap(d):
+        left = np.asarray(spec.d_minus_psi(xs - d), dtype=float)
+        right = np.asarray(spec.d_minus_psi(xs + d), dtype=float)
+        return np.abs(right - left)
+
+    gaps, persistent = persistent_jumps(gap, tol_jump)
+    if persistent.any():
+        k = int(np.argmax(persistent))
+        x_star, jump = float(xs[k]), float(gaps[-1, k])
+        w = Witness(points=(x_star,), values=(jump,), defect=jump, kind="jump")
         return Verdict(Status.FAILS, w, cert)
     return Verdict(Status.HOLDS, None, cert)
 

@@ -1,10 +1,12 @@
 """Command-line front end: classify, check, witness, sample, grid-export.
 
 Reports are JSON on stdout (or ``--out``); a verdict of "fails" is a result,
-not a process failure.  Exit codes: 0 success, 2 usage error, 3 witness not
-applicable (the property holds, nothing to construct).  Reports contain no
-wall-clock data (elapsed time goes to stderr) so identical invocations are
-byte-identical.
+not a process failure.  Exit codes: 0 success, 2 usage error (including a
+grid above :data:`~mktp2.grids.MAX_GRID` points per axis), 3 witness not
+applicable (the property holds, nothing to construct), 4 numerical failure
+(an evaluation degenerated, or a constructive search ran out of budget).
+Reports contain no wall-clock data (elapsed time goes to stderr) so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from . import archimedean as arch
 from . import extreme_value as evc
-from .errors import MkTp2Error, SearchFailed, ValidationError
+from .errors import MkTp2Error, NumericalError, SearchFailed, ValidationError
 from .grids import GridConfig, Rectangle
 from .properties import (
     PROPERTIES,
     Status,
     _band,
+    _grid_eval,
     counterexample_search,
     property_verdicts,
     rectangle_defect,
@@ -34,6 +35,7 @@ from .sampler import sample, write_csv
 
 USAGE_ERROR = 2
 WITNESS_NOT_APPLICABLE = 3
+NUMERICAL_FAILURE = 4
 
 
 def _parse_params(text):
@@ -202,16 +204,18 @@ def cmd_witness(args):
 
 
 def cmd_sample(args):
-    entry, obj, copula = build(args.family, _parse_params(args.param))
-    batch = sample(copula, args.n, args.seed)
     if not args.out:
         raise ValidationError("sample requires --out PATH for the CSV")
+    entry, obj, copula = build(args.family, _parse_params(args.param))
+    batch = sample(copula, args.n, args.seed)
     write_csv(batch, args.out)
     sys.stderr.write(f"wrote {batch.n} samples from {copula.label} to {args.out}\n")
     return 0
 
 
 def cmd_grid_export(args):
+    if not args.out:
+        raise ValidationError("grid-export requires --out PATH for the CSV")
     entry, obj, copula = build(args.family, _parse_params(args.param))
     grid = _grid_from_args(args)
     quantity = args.quantity
@@ -221,18 +225,10 @@ def cmd_grid_export(args):
         raise ValidationError("quantity FA is defined only for extreme-value families")
     us = grid.u_axis()
     vs = grid.v_axis()
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    if quantity == "cdf":
-        vals = np.asarray(copula.cdf(uu, vv), dtype=float)
-    elif quantity == "kernel":
-        vals = np.asarray(copula.kernel(uu, vv), dtype=float)
-    elif quantity == "density":
-        vals = np.asarray(copula.density(uu, vv), dtype=float)
+    if quantity == "FA":
+        vals = _grid_eval(lambda u, v: evc.cap_function(obj, evc.h_map(u, v)), us, vs)
     else:
-        lu, lv = np.log(uu), np.log(vv)
-        vals = np.asarray(evc.cap_function(obj, lu / (lu + lv)), dtype=float)
-    if not args.out:
-        raise ValidationError("grid-export requires --out PATH for the CSV")
+        vals = _grid_eval(getattr(copula, quantity), us, vs)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("u,v,value\n")
         for i, u in enumerate(us):
@@ -300,12 +296,10 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except (ValidationError, SearchFailed) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
     except MkTp2Error as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
+        numerical = isinstance(exc, (NumericalError, SearchFailed))
+        return NUMERICAL_FAILURE if numerical else USAGE_ERROR
     sys.stderr.write(f"# elapsed {time.perf_counter() - started:.3f}s\n")
     return code
 

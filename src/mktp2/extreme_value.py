@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import Copula
 from .errors import SearchFailed, ValidationError
-from .grids import DEFAULT_GRID, Rectangle
+from .grids import DEFAULT_GRID, Rectangle, bisect, corners, persistent_jumps, runs
 from .properties import PROPERTIES, Status, Verdict, Witness, check_dtp2, check_mktp2
 
 __all__ = [
@@ -548,16 +548,17 @@ def evc_copula(spec):
     )
 
 
-def kernel_cross_ratio(spec, rect):
-    """K11*K22 / (K12*K21) evaluated through the kernel alone; < 1 refutes MK-TP2."""
-    u1, u2, v1, v2 = rect.as_tuple()
-    k11 = float(evc_kernel(spec, u1, v1))
-    k12 = float(evc_kernel(spec, u1, v2))
-    k21 = float(evc_kernel(spec, u2, v1))
-    k22 = float(evc_kernel(spec, u2, v2))
+def _cross_ratio(spec, rect):
+    """The kernel values at the corners of ``rect`` and their cross ratio."""
+    k11, k12, k21, k22 = k = corners(lambda u, v: evc_kernel(spec, u, v), rect)
     if k12 * k21 <= 0.0:
         raise ValidationError("cross ratio undefined: a denominator kernel value vanishes")
-    return (k11 * k22) / (k12 * k21)
+    return k, (k11 * k22) / (k12 * k21)
+
+
+def kernel_cross_ratio(spec, rect):
+    """K11*K22 / (K12*K21) evaluated through the kernel alone; < 1 refutes MK-TP2."""
+    return _cross_ratio(spec, rect)[1]
 
 
 def cross_ratio_identity_check(a, rect):
@@ -567,10 +568,7 @@ def cross_ratio_identity_check(a, rect):
     u1^{a(h11-h12)} v1^{a(h11-h21)} u2^{a(h22-h21)} v2^{a(h22-h12)} == 1.
     """
     u1, u2, v1, v2 = rect.as_tuple()
-    h11 = h_map(u1, v1)
-    h12 = h_map(u1, v2)
-    h21 = h_map(u2, v1)
-    h22 = h_map(u2, v2)
+    h11, h12, h21, h22 = corners(h_map, rect)
     log_product = a * (
         (h11 - h12) * np.log(u1)
         + (h11 - h21) * np.log(v1)
@@ -586,17 +584,15 @@ def cross_ratio_identity_check(a, rect):
 
 
 def _witness_from_rect(spec, rect):
-    u1, u2, v1, v2 = rect.as_tuple()
-    k11 = float(evc_kernel(spec, u1, v1))
-    k12 = float(evc_kernel(spec, u1, v2))
-    k21 = float(evc_kernel(spec, u2, v1))
-    k22 = float(evc_kernel(spec, u2, v2))
-    return Witness(
-        points=(u1, u2, v1, v2),
+    """``(witness, cross ratio)`` of a rectangle from one evaluation of its kernel corners."""
+    (k11, k12, k21, k22), ratio = _cross_ratio(spec, rect)
+    witness = Witness(
+        points=rect.as_tuple(),
         values=(k11, k12, k21, k22),
         defect=k12 * k21 - k11 * k22,
         kind="rectangle",
     )
+    return witness, ratio
 
 
 def beta_sup_argmin(spec, tol=1e-12):
@@ -673,10 +669,9 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID, max_doublings=40):
         if u2 <= u1 or u2 >= 1.0:
             n *= 2
             continue
-        rect = Rectangle(u1, u2, v1, v2)
-        last_ratio = kernel_cross_ratio(spec, rect)
+        witness, last_ratio = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
         if last_ratio < 1.0 - grid.tol_strict:
-            return _witness_from_rect(spec, rect)
+            return witness
         n *= 2
     raise SearchFailed(
         "no violating rectangle within the doubling budget",
@@ -706,13 +701,8 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID, u1=0.5, max_shrink
         lo = max(t_l, t_r - width)
         hi = min(1.0 - 1e-9, t_r + width)
         level = 0.5 * (float(cap_function(spec, lo)) + float(cap_function(spec, hi)))
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if float(cap_function(spec, mid)) >= level:
-                hi = mid
-            else:
-                lo = mid
-        t_r = hi
+        _, hi = bisect(lambda t: float(cap_function(spec, t)) >= level, lo, hi, 0.0, 120)
+        t_r = float(hi)
     if not 0.0 < t_l < t_r < 1.0:
         raise ValidationError(f"need 0 < t_l < t_r < 1, got ({t_l}, {t_r})")
     y = float(cap_function(spec, t_r - 1e-9))
@@ -727,17 +717,10 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID, u1=0.5, max_shrink
     eps = 0.5 * delta * y / (delta + y)
 
     # smallest t with F >= y - eps (F non-decreasing and continuous there)
-    lo, hi = t_l, t_r - 1e-9
-    if float(cap_function(spec, lo)) < y - eps:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(cap_function(spec, mid)) >= y - eps:
-                hi = mid
-            else:
-                lo = mid
-        t_band = hi
-    else:
-        t_band = lo
+    t_band = t_l
+    if float(cap_function(spec, t_l)) < y - eps:
+        _, hi = bisect(lambda t: float(cap_function(spec, t)) >= y - eps, t_l, t_r - 1e-9, 0.0, 200)
+        t_band = float(hi)
 
     v2 = float(contour(t_r, u1))
     u_star = v_star = None
@@ -756,10 +739,9 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID, u1=0.5, max_shrink
         v1 = v2 - (v2 - v_star) * 0.5**j
         if not v_star < v1 < v2:
             continue
-        rect = Rectangle(u1, u2, v1, v2)
-        last_ratio = kernel_cross_ratio(spec, rect)
+        witness, last_ratio = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
         if last_ratio < 1.0 - grid.tol_strict:
-            return _witness_from_rect(spec, rect)
+            return witness
     raise SearchFailed(
         "jump data appear inconsistent: no violating rectangle found",
         t_r=t_r,
@@ -804,31 +786,22 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
         raise ValidationError("plateau is inconsistent with a linear dependence function stretch")
 
     # full plateau: largest t with F(t) <= c (F is non-decreasing)
-    lo, hi = t2, 1.0 - 1e-12
-    if float(cap_function(spec, hi)) > c + grid.tol_eq:
-        for _ in range(200):
-            midt = 0.5 * (lo + hi)
-            if float(cap_function(spec, midt)) <= c + grid.tol_eq:
-                lo = midt
-            else:
-                hi = midt
-        t2 = lo
+    if float(cap_function(spec, 1.0 - 1e-12)) > c + grid.tol_eq:
+        lo, _ = bisect(
+            lambda t: not float(cap_function(spec, t)) <= c + grid.tol_eq, t2, 1.0 - 1e-12, 0.0, 200
+        )
+        t2 = float(lo)
 
     # bullet (ii): admissible s upper bound from the contour-slope inequality
     q = (1.0 - t2) / t2 * t1 / (1.0 - t1)
     s_ii = 1.0 / (1.0 + q * (1.0 - t2) / t2)
     # bullet (iii): A(s) - (a s + b) <= 1/2, monotone in s beyond the plateau
-    lo, hi = t2, 1.0 - 1e-12
-    if float(spec.A(hi)) - (a_slope * hi + b_icept) > 0.5:
-        for _ in range(200):
-            midt = 0.5 * (lo + hi)
-            if float(spec.A(midt)) - (a_slope * midt + b_icept) <= 0.5:
-                lo = midt
-            else:
-                hi = midt
-        s_iii = lo
-    else:
-        s_iii = hi
+    s_iii = 1.0 - 1e-12
+    if float(spec.A(s_iii)) - (a_slope * s_iii + b_icept) > 0.5:
+        lo, _ = bisect(
+            lambda t: not float(spec.A(t)) - (a_slope * t + b_icept) <= 0.5, t2, s_iii, 0.0, 200
+        )
+        s_iii = float(lo)
     s = 0.5 * (t2 + min(s_ii, s_iii))
     if not t2 < s < 1.0:
         raise SearchFailed("no admissible extension point", t2=t2, s_ii=s_ii, s_iii=s_iii)
@@ -845,11 +818,10 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
     u2 = float(np.power(u1, 0.5 * (e_lo + e_hi)))
     v1 = float(contour(t1, u2))
     v2 = float(contour(s, u1))
-    rect = Rectangle(u1, u2, v1, v2)
-    ratio = kernel_cross_ratio(spec, rect)
+    witness, ratio = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
     if not ratio < 1.0 - grid.tol_strict:
         raise SearchFailed("constructed rectangle does not violate", ratio=ratio, s=s, u1=u1)
-    return _witness_from_rect(spec, rect)
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -860,35 +832,22 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
 def detect_derivative_jumps(A, tol_jump=1e-3, n_points=2001):
     """Numeric discontinuity scan of D+A via symmetric difference quotients.
 
-    A point is flagged only when the quotient gap exceeds ``tol_jump`` for
-    every probe width in {1e-3, 1e-4, 1e-5}; contiguous flags merge into the
-    location of the widest gap.
+    A point is flagged by the jump-persistence rule of
+    :func:`~mktp2.grids.persistent_jumps`: the quotient gap exceeds
+    ``tol_jump`` at every probe width in {1e-3, 1e-4, 1e-5} and does not
+    shrink with the width.  Contiguous flags merge into the location of the
+    widest gap.
     """
-    deltas = (1e-3, 1e-4, 1e-5)
     ts = np.linspace(2e-3, 1.0 - 2e-3, n_points)
-    persistent = np.ones_like(ts, dtype=bool)
-    widest = np.zeros_like(ts)
-    for d in deltas:
+
+    def gap(d):
         up = (np.asarray(A(ts + d), dtype=float) - np.asarray(A(ts), dtype=float)) / d
         dn = (np.asarray(A(ts), dtype=float) - np.asarray(A(ts - d), dtype=float)) / d
-        gap = up - dn
-        persistent &= gap > tol_jump
-        widest = np.maximum(widest, gap)
-    if not np.any(persistent):
-        return ()
-    jumps = []
-    idx = np.flatnonzero(persistent)
-    start = idx[0]
-    prev = idx[0]
-    for k in idx[1:]:
-        if k != prev + 1:
-            block = np.arange(start, prev + 1)
-            jumps.append(float(ts[block[np.argmax(widest[block])]]))
-            start = k
-        prev = k
-    block = np.arange(start, prev + 1)
-    jumps.append(float(ts[block[np.argmax(widest[block])]]))
-    return tuple(jumps)
+        return up - dn
+
+    gaps, persistent = persistent_jumps(gap, tol_jump)
+    widest = gaps.max(axis=0)
+    return tuple(float(ts[i0 + np.argmax(widest[i0:i1])]) for i0, i1 in runs(persistent))
 
 
 def _find_plateau(spec, t_star, grid, n_points=4001):
@@ -899,19 +858,7 @@ def _find_plateau(spec, t_star, grid, n_points=4001):
     fs = np.asarray(cap_function(spec, ts), dtype=float)
     flat = np.abs(np.diff(fs)) <= 1e-11 * (1.0 + np.abs(fs[:-1]))
     min_len = 1.0 / float(min(grid.n_u, grid.n_v))
-    idx = np.flatnonzero(flat)
-    if len(idx) == 0:
-        return None
-    start = idx[0]
-    prev = idx[0]
-    runs = []
-    for k in idx[1:]:
-        if k != prev + 1:
-            runs.append((start, prev + 1))
-            start = k
-        prev = k
-    runs.append((start, prev + 1))
-    for i0, i1 in runs:
+    for i0, i1 in runs(flat):
         t_a, t_b = float(ts[i0]), float(ts[i1])
         level = float(np.median(fs[i0 : i1 + 1]))
         if t_b - t_a >= min_len and grid.tol_strict < level < 1.0 - grid.tol_strict:

@@ -1,4 +1,4 @@
-"""Shared geometric types: rectangles in the open unit square and scan grids."""
+"""Rectangles in the open unit square, scan grids, and the numeric primitives all modules share."""
 
 from __future__ import annotations
 
@@ -7,6 +7,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
+
+# twice the largest grid any search stage uses; at this size the Gaussian
+# CDF quadrature's (n, n, nodes) temporaries already take 1.6 GB each
+MAX_GRID = 2048
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,10 @@ class GridConfig:
     def __post_init__(self):
         if self.n_u < 2 or self.n_v < 2:
             raise ValidationError(f"grid needs at least 2 points per axis, got {self.n_u}x{self.n_v}")
+        if self.n_u > MAX_GRID or self.n_v > MAX_GRID:
+            raise ValidationError(
+                f"grid allows at most {MAX_GRID} points per axis, got {self.n_u}x{self.n_v}"
+            )
         if not (0.0 < self.margin < 0.5):
             raise ValidationError(f"margin must lie in (0, 0.5), got {self.margin}")
         if self.tol_eq < 0.0 or self.tol_strict < self.tol_eq:
@@ -98,3 +106,50 @@ def _logit(p):
 
 
 DEFAULT_GRID = GridConfig()
+
+
+def bisect(pred, lo, hi, tol, iters):
+    """Vectorized bisection of a monotone predicate; returns the final ``(lo, hi)``.
+
+    Where ``pred(mid)`` is true ``hi`` moves to the midpoint, elsewhere ``lo``
+    does; the loop stops when every bracket is at most ``tol`` wide (with
+    ``tol = 0``: collapsed, so further steps would change nothing) or after
+    ``iters`` steps.
+    """
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        take = pred(mid)
+        hi = np.where(take, mid, hi)
+        lo = np.where(take, lo, mid)
+        if np.max(hi - lo) <= tol:
+            break
+    return lo, hi
+
+
+def corners(fn, rect):
+    """``(f11, f12, f21, f22)``: ``fn`` at (u1,v1), (u1,v2), (u2,v1), (u2,v2) of ``rect``."""
+    u1, u2, v1, v2 = rect.as_tuple()
+    return tuple(float(fn(u, v)) for u, v in ((u1, v1), (u1, v2), (u2, v1), (u2, v2)))
+
+
+def runs(mask):
+    """``[(start, stop), ...]`` of the maximal runs of True in a 1-D mask; ``stop`` is exclusive."""
+    padded = np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))
+    edges = np.flatnonzero(np.diff(padded))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
+JUMP_DELTAS = (1e-3, 1e-4, 1e-5)
+
+
+def persistent_jumps(gap, tol):
+    """``(gaps, mask)``: ``gaps`` stacks ``gap(d)`` for each width of :data:`JUMP_DELTAS`.
+
+    A point is a jump where its gap exceeds ``tol`` at every width and the
+    gap at the smallest width is at least a tenth of that at the largest: a
+    jump's gap stays put as the width shrinks, while a smooth but steep
+    function's gap shrinks with it, 100-fold over the three widths.
+    """
+    gaps = np.array([gap(d) for d in JUMP_DELTAS])
+    mask = np.all(gaps > tol, axis=0) & (gaps[-1] >= 0.1 * gaps[0])
+    return gaps, mask

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grids import DEFAULT_GRID, Rectangle
+from .grids import DEFAULT_GRID, Rectangle, corners
 
 __all__ = [
     "Status",
@@ -136,6 +136,15 @@ def _axes(grid, region):
 def _grid_eval(fn, us, vs):
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     return np.asarray(fn(uu, vv), dtype=float)
+
+
+def _non_finite_note(name, values, us, vs):
+    """A note naming the first non-finite grid value, or "" when every value is finite."""
+    bad = ~np.isfinite(values)
+    if not bad.any():
+        return ""
+    i, j = np.argwhere(bad)[0]
+    return f"non-finite {name} value at (u, v) = ({us[i]:.6g}, {vs[j]:.6g})"
 
 
 def _certificate(method, grid, region=None, **extra):
@@ -274,24 +283,15 @@ def _scan(copula, prop, us, vs, grid, evaluated):
     if quantity not in evaluated:
         evaluated[quantity] = _grid_eval(getattr(copula, quantity), us, vs)
     values = evaluated[quantity]
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        return None, None, f"non-finite {quantity} value at (u, v) = ({us[i]:.6g}, {vs[j]:.6g})"
+    note = _non_finite_note(quantity, values, us, vs)
+    if note:
+        return None, None, note
     return (*_TABLE[prop].scan(values, us, vs, grid), "")
 
 
 def _refine_rectangle(copula, witness, grid, n_local=64):
     """Re-scan MK-TP2 on a small window around a violating rectangle at finer resolution."""
-    u1, u2, v1, v2 = witness.points
-    du = max(u2 - u1, 1e-6)
-    dv = max(v2 - v1, 1e-6)
-    lo_u = max(u1 - du, 1e-9)
-    hi_u = min(u2 + du, 1.0 - 1e-9)
-    lo_v = max(v1 - dv, 1e-9)
-    hi_v = min(v2 + dv, 1.0 - 1e-9)
-    us = np.linspace(lo_u, hi_u, n_local)
-    vs = np.linspace(lo_v, hi_v, n_local)
+    us, vs = _window_axes(witness, n_local, 1.0, 1e-6, 1e-9)
     return _scan(copula, "mktp2", us, vs, grid, {})
 
 
@@ -451,7 +451,8 @@ def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
     """Adjacent-quadruple check that g has non-negative rectangle increments.
 
     ``mask``, when given, marks grid nodes that belong to the test region;
-    only quadruples with all four corners inside count.
+    only quadruples with all four corners inside count.  A non-finite value
+    at a node inside the region makes the result inconclusive.
     """
     us = np.asarray(u_axis, dtype=float)
     vs = np.asarray(v_axis, dtype=float)
@@ -459,6 +460,10 @@ def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
         vals = np.where(m, vals, 0.0)  # excluded nodes may hold -inf/nan
+    cert = {"method": "two-increasing", "grid": grid.describe()}
+    note = _non_finite_note("g", vals, us, vs)
+    if note:
+        return Verdict(Status.INCONCLUSIVE, None, cert, note)
     inc = vals[1:, 1:] + vals[:-1, :-1] - vals[:-1, 1:] - vals[1:, :-1]
     defect = -inc
     if mask is not None:
@@ -476,9 +481,7 @@ def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
         defect=float(defect[i, j]),
         kind="rectangle",
     )
-    return _classify(
-        float(defect[i, j]), witness, grid, {"method": "two-increasing", "grid": grid.describe()}
-    )
+    return _classify(float(defect[i, j]), witness, grid, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +489,9 @@ def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
 # ---------------------------------------------------------------------------
 
 
-def _window_axes(witness, n, pad_factor=2.0, floor=1e-6):
+def _window_axes(witness, n, pad_factor=2.0, min_pad=0.02, floor=1e-6):
+    """Axes of ``n`` points on the witness's extent padded by ``pad_factor`` times
+    its width (at least ``min_pad``) on each side, clipped to ``[floor, 1 - floor]``."""
     pts = witness.points
     if witness.kind == "point":
         u_lo = u_hi = pts[0]
@@ -496,8 +501,8 @@ def _window_axes(witness, n, pad_factor=2.0, floor=1e-6):
         v_lo = v_hi = pts[2]
     else:
         u_lo, u_hi, v_lo, v_hi = pts
-    du = max((u_hi - u_lo) * pad_factor, 0.02)
-    dv = max((v_hi - v_lo) * pad_factor, 0.02)
+    du = max((u_hi - u_lo) * pad_factor, min_pad)
+    dv = max((v_hi - v_lo) * pad_factor, min_pad)
     us = np.linspace(max(u_lo - du, floor), min(u_hi + du, 1.0 - floor), n)
     vs = np.linspace(max(v_lo - dv, floor), min(v_hi + dv, 1.0 - floor), n)
     return us, vs
@@ -577,9 +582,6 @@ def rectangle_defect(copula, prop, rect):
         fn = getattr(copula, _TABLE[prop].quantity)
         if fn is None:
             raise DomainError(f"{copula.label} exposes no density")
-        f11 = float(fn(u1, v1))
-        f12 = float(fn(u1, v2))
-        f21 = float(fn(u2, v1))
-        f22 = float(fn(u2, v2))
-        return f12 * f21 - f11 * f22, (f11, f12, f21, f22)
+        f11, f12, f21, f22 = values = corners(fn, rect)
+        return f12 * f21 - f11 * f22, values
     raise ValidationError(f"unknown property {prop!r}")

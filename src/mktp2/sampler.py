@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import DEFAULT_GRID
+from .grids import DEFAULT_GRID, bisect
 
 __all__ = ["SampleBatch", "sample", "empirical_cdf_distance", "write_csv", "marginal_ks"]
 
@@ -49,15 +49,8 @@ def sample(copula, n, seed):
     u = draws[:, 0]
     w = draws[:, 1]
 
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        take = np.asarray(copula.kernel(u, mid), dtype=float) >= w
-        hi = np.where(take, mid, hi)
-        lo = np.where(take, lo, mid)
-        if float(np.max(hi - lo)) <= _BISECT_TOL:
-            break
+    take = lambda mid: np.asarray(copula.kernel(u, mid), dtype=float) >= w
+    _, hi = bisect(take, np.zeros(n), np.ones(n), _BISECT_TOL, _BISECT_CAP)
     points = np.column_stack([u, hi])
     return SampleBatch(points=points, seed=int(seed), n=n, label=copula.label)
 

@@ -164,6 +164,62 @@ def test_continuity_scan_declared_and_numeric():
     assert verdict.witness.points[0] == pytest.approx(1.0, abs=5e-3)
 
 
+def _frank_psi_only(theta):
+    c = -np.expm1(-theta)
+    psi = lambda x: -np.log1p(-c * np.exp(-np.asarray(x, dtype=float))) / theta
+    return make_generator(psi=psi, phi_at_zero=np.inf, strict=True, label=f"frank({theta:g})")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _frank_psi_only(3.0),
+        replace(builtin_archimedean("gumbel", alpha=4.0), d_minus_psi_jumps=None),
+    ],
+    ids=["frank-psi-theta3", "gumbel-alpha4-undeclared"],
+)
+def test_steep_smooth_dminus_psi_is_not_a_jump(spec):
+    # the D-psi gap shrinks 100-fold over the probe widths: steep, not discontinuous
+    assert scan_dminus_psi_continuity(spec).status is Status.HOLDS
+    table = property_verdicts(spec, GRID, ("si", "mktp2"))
+    assert table["si"].status is Status.HOLDS
+    assert table["mktp2"].status is Status.HOLDS
+
+
+def _pointwise_continuity_scan(spec, tol_jump=1e-3):
+    """Reference: the jump-persistence rule applied one x at a time."""
+    ts = np.linspace(1e-6, 1.0 - 1e-6, 513)
+    xs = np.asarray(spec.phi(ts), dtype=float)
+    for x in np.unique(np.sort(xs[np.isfinite(xs) & (xs > 0.0)])):
+        if x - 1e-3 <= 0.0:
+            continue
+        gaps = [abs(float(spec.d_minus_psi(x + d)) - float(spec.d_minus_psi(x - d))) for d in (1e-3, 1e-4, 1e-5)]
+        if all(g > tol_jump for g in gaps) and gaps[-1] >= 0.1 * gaps[0]:
+            return float(x), gaps[-1]
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        replace(builtin_archimedean("w"), d_minus_psi_jumps=None),
+        replace(builtin_archimedean("gumbel", alpha=2.0), d_minus_psi_jumps=None),
+        _frank_psi_only(1.0),
+        _frank_psi_only(5.0),
+    ],
+    ids=["w", "gumbel", "frank1", "frank5"],
+)
+def test_continuity_scan_matches_pointwise_reference(spec):
+    verdict = scan_dminus_psi_continuity(spec)
+    expected = _pointwise_continuity_scan(spec)
+    if expected is None:
+        assert verdict.status is Status.HOLDS
+    else:
+        assert verdict.status is Status.FAILS
+        assert verdict.witness.points[0] == expected[0]
+        assert verdict.witness.defect == pytest.approx(expected[1], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from mktp2 import cli
 from mktp2.cli import main
+from mktp2.errors import NumericalError, SearchFailed
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
 
@@ -109,6 +111,33 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "classify", "--family", "gumbel", "--param", "alpha=0.5")[0] == 2
     assert run_cli(capsys, "classify", "--family", "fgm", "--param", "theta=oops")[0] == 2
     assert run_cli(capsys, "check", "--family", "pi", "--property", "zzz")[0] == 2
+    assert run_cli(capsys, "classify", "--family", "pi", "--grid", "2049")[0] == 2
+
+
+@pytest.mark.parametrize("error", [NumericalError("degenerate"), SearchFailed("out of budget")])
+def test_numerical_failures_exit_four(capsys, monkeypatch, error):
+    def build(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "build", build)
+    code, out, err = run_cli(capsys, "classify", "--family", "pi")
+    assert code == 4
+    assert out == ""
+    assert str(error) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sample", "--family", "pi", "--n", "10"), ("grid-export", "--family", "pi", "--quantity", "cdf")],
+)
+def test_missing_out_is_rejected_before_any_work(capsys, monkeypatch, argv):
+    def build(*args):
+        raise AssertionError("built a copula before checking --out")
+
+    monkeypatch.setattr(cli, "build", build)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "--out" in err
 
 
 def test_sample_csv(tmp_path, capsys):

@@ -143,6 +143,22 @@ def test_two_increasing_cases():
     assert verdict.status is Status.FAILS
 
 
+def test_two_increasing_non_finite_value_is_inconclusive():
+    axis = np.linspace(0.05, 0.95, 21)
+    g = lambda u, v: np.minimum(u + v - 1.0, 0.0) - u * v  # not 2-increasing: fails
+    assert two_increasing_test(g, axis, axis, GRID).status is Status.FAILS
+
+    def poisoned(u, v):
+        out = np.array(g(u, v), dtype=float)
+        out[(u == axis[3]) & (v == axis[7])] = np.nan
+        return out
+
+    verdict = two_increasing_test(poisoned, axis, axis, GRID)
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.witness is None
+    assert f"({axis[3]:.6g}, {axis[7]:.6g})" in verdict.note
+
+
 # ---------------------------------------------------------------------------
 # engine-level guarantees
 # ---------------------------------------------------------------------------
@@ -274,6 +290,10 @@ def test_grid_config_validation():
         GridConfig(tol_eq=1e-6, tol_strict=1e-9)
     with pytest.raises(ValidationError):
         GridConfig(spacing="chebyshev")
+    with pytest.raises(ValidationError):
+        GridConfig(n_u=2049)
+    with pytest.raises(ValidationError):
+        GridConfig(n_v=2049)
     with pytest.raises(ValidationError):
         Rectangle(0.4, 0.2, 0.1, 0.3)
     with pytest.raises(ValidationError):
