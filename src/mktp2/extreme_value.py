@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import Copula
 from .errors import SearchFailed, ValidationError
-from .grids import DEFAULT_GRID, Rectangle, bisect, corners, persistent_jumps, runs
+from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, corners, persistent_jumps, runs
 from .properties import PROPERTIES, Status, Verdict, Witness, check_dtp2, check_mktp2
 
 __all__ = [
@@ -695,8 +695,8 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID, u1=0.5, max_shrink
         if all(abs(t_r - t) > 1e-12 for t in spec.declared_jumps):
             raise ValidationError(f"t_r={t_r:.6g} is not a declared jump of the cap function")
     else:
-        # numerically located jumps carry grid-resolution error: pin the
-        # discontinuity by bisection on the non-decreasing cap
+        # a numerically located jump may sit just left of the discontinuity:
+        # pin it by bisection on the non-decreasing cap
         width = 2e-3
         lo = max(t_l, t_r - width)
         hi = min(1.0 - 1e-9, t_r + width)
@@ -723,6 +723,9 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID, u1=0.5, max_shrink
         t_band = float(hi)
 
     v2 = float(contour(t_r, u1))
+    # rounding can leave the contour point just left of the jump (t_r = 0.45)
+    while h_map(u1, v2) < t_r:
+        v2 = float(np.nextafter(v2, 1.0))
     u_star = v_star = None
     for k in range(2, max_shrink):
         cand_u = u1 + (1.0 - u1) * 0.5**k
@@ -832,22 +835,36 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
 def detect_derivative_jumps(A, tol_jump=1e-3, n_points=2001):
     """Numeric discontinuity scan of D+A via symmetric difference quotients.
 
-    A point is flagged by the jump-persistence rule of
-    :func:`~mktp2.grids.persistent_jumps`: the quotient gap exceeds
-    ``tol_jump`` at every probe width in {1e-3, 1e-4, 1e-5} and does not
-    shrink with the width.  Contiguous flags merge into the location of the
-    widest gap.
+    Each run of grid points whose quotient gap at the widest probe width
+    exceeds ``tol_jump`` brackets a candidate.  Since A is convex its slope
+    is non-decreasing, so bisection pins the candidate where the slope
+    crosses the midpoint of its values at the bracket ends; a jump between
+    grid points is found as well as one on a grid point.  A pinned point is
+    kept by the jump-persistence rule of :func:`~mktp2.grids.persistent_jumps`:
+    the gap exceeds ``tol_jump`` at every probe width in {1e-3, 1e-4, 1e-5}
+    and does not shrink with the width.
     """
     ts = np.linspace(2e-3, 1.0 - 2e-3, n_points)
+    d = JUMP_DELTAS[0]
 
-    def gap(d):
-        up = (np.asarray(A(ts + d), dtype=float) - np.asarray(A(ts), dtype=float)) / d
-        dn = (np.asarray(A(ts), dtype=float) - np.asarray(A(ts - d), dtype=float)) / d
-        return up - dn
+    def gap_at(t):
+        A_t = np.asarray(A(t), dtype=float)
+        return lambda w: (np.asarray(A(t + w), dtype=float) - 2.0 * A_t + np.asarray(A(t - w), dtype=float)) / w
 
-    gaps, persistent = persistent_jumps(gap, tol_jump)
-    widest = gaps.max(axis=0)
-    return tuple(float(ts[i0 + np.argmax(widest[i0:i1])]) for i0, i1 in runs(persistent))
+    def slope(t, w=1e-9):
+        return (np.asarray(A(t + 0.5 * w), dtype=float) - np.asarray(A(t - 0.5 * w), dtype=float)) / w
+
+    candidates = runs(gap_at(ts)(d) > tol_jump)
+    if not candidates:
+        return ()
+    # every point of a run lies within d of its jump
+    i0, i1 = np.array(candidates).T
+    lo, hi = ts[i0] - d, ts[i1 - 1] + d
+    level = 0.5 * (slope(lo) + slope(hi))
+    lo, hi = bisect(lambda t: slope(t) >= level, lo, hi, 1e-10, 60)
+    pinned = 0.5 * (lo + hi)
+    _, persistent = persistent_jumps(gap_at(pinned), tol_jump)
+    return tuple(pinned[persistent].tolist())
 
 
 def _find_plateau(spec, t_star, grid, n_points=4001):
@@ -942,7 +959,7 @@ def classify_evc(spec, grid=DEFAULT_GRID):
     jumps_are_declared = declared is not None
 
     # probing the left limit of the cap: declared jump locations are exact,
-    # detected ones only accurate to the detection grid
+    # detected ones carry the error of their difference-quotient pinning
     left_probe = 1e-9 if jumps_are_declared else 2e-3
 
     if d0 > -1.0 + _D0_TOL:

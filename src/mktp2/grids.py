@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-# twice the largest grid any search stage uses; at this size the Gaussian
-# CDF quadrature's (n, n, nodes) temporaries already take 1.6 GB each
+# twice the largest grid any search stage uses; one (n, n) float64 array
+# then takes 32 MB, and a property scan holds several of them at once
 MAX_GRID = 2048
 
 
@@ -85,9 +85,6 @@ class GridConfig:
 
     def v_axis(self, lo=None, hi=None):
         return self.axis(self.n_v, lo, hi)
-
-    def with_resolution(self, n):
-        return replace(self, n_u=n, n_v=n)
 
     def describe(self):
         """JSON-ready summary, embedded in verdict certificates."""

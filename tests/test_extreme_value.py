@@ -388,6 +388,30 @@ def test_detect_derivative_jumps_numeric():
     assert detect_derivative_jumps(builtin_pickands("gumbel", alpha=2.0).A) == ()
 
 
+@pytest.mark.parametrize("alpha,beta", [(0.3, 0.8), (0.7, 0.9), (0.45, 0.55)])
+def test_detect_derivative_jumps_between_grid_points(alpha, beta):
+    # none of these jumps lies within 1e-5 of one of the 2001 scan points
+    jumps = detect_derivative_jumps(builtin_pickands("marshall-olkin", alpha=alpha, beta=beta).A)
+    assert len(jumps) == 1
+    assert jumps[0] == pytest.approx(alpha / (alpha + beta), abs=1e-6)
+
+
+@pytest.mark.parametrize("declared", [True, False])
+def test_jump_witness_when_the_contour_rounds_left_of_the_jump(declared):
+    from dataclasses import replace
+
+    # h(0.5, contour(t, 0.5)) can round one ulp below t, e.g. at t = 0.45, 0.1, 5/6 and 0.625
+    for alpha in (0.1, 0.3, 0.45, 0.5, 0.7, 0.9):
+        for beta in (0.1, 0.3, 0.5, 0.55, 0.7, 0.9):
+            spec = builtin_pickands("marshall-olkin", alpha=alpha, beta=beta)
+            if not declared:
+                spec = replace(spec, declared_jumps=None)
+            report = classify_evc(spec, GRID)
+            assert report.branch == "2"
+            assert report.mktp2.status is Status.FAILS, (alpha, beta)
+            assert kernel_cross_ratio(spec, report.mktp2.witness.rectangle()) < 1.0 - GRID.tol_strict
+
+
 def test_property_table_contains_dtp2():
     table = property_verdicts(builtin_pickands("marshall-olkin", alpha=0.5, beta=0.5), GRID)
     assert table["dtp2"].status is Status.NOT_APPLICABLE

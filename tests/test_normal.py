@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from mktp2.errors import ValidationError
 from mktp2.normal import bivariate_normal_cdf, std_normal_cdf, std_normal_quantile
@@ -80,3 +82,60 @@ def test_degenerate_infinite_arguments():
 def test_rejects_unit_correlation():
     with pytest.raises(ValidationError):
         bivariate_normal_cdf(0.0, 0.0, 1.0)
+
+
+TAIL_PROBS = (1e-6, 1e-4, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-4)
+
+
+def _quad_reference(h, k, rho):
+    """Phi2(h, k; rho) as the integral of a positive integrand over (-inf, h]: no cancellation."""
+    s = math.sqrt(1.0 - rho * rho)
+
+    def integrand(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * std_normal_cdf((k - rho * x) / s)
+
+    value, _ = integrate.quad(integrand, -np.inf, h, epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.5, 0.9, -0.9])
+def test_tail_values_keep_relative_accuracy(rho):
+    # LTD divides C(u, v) by u, so the error must stay small against min(u, v), not only in absolute terms
+    worst = 0.0
+    for u in TAIL_PROBS:
+        for v in TAIL_PROBS:
+            h, k = std_normal_quantile(u), std_normal_quantile(v)
+            err = abs(bivariate_normal_cdf(h, k, rho) - _quad_reference(h, k, rho))
+            worst = max(worst, err / min(u, v))
+    assert worst <= 1e-12
+
+
+def _mp_reference(h, k, rho):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    s = mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
+    integrand = lambda x: mpmath.npdf(x) * mpmath.ncdf((k - rho * x) / s)
+    return float(mpmath.quad(integrand, [-mpmath.inf, h]))
+
+
+@pytest.mark.parametrize("rho", [-0.95, -0.5, 0.3, 0.9])
+@pytest.mark.parametrize("x", [-3.0, -0.4, 0.7, 2.5])
+def test_zero_argument_limits(x, rho):
+    # one array call: the copula feeds quantile 0 for every boundary point, mixed with interior points
+    got = bivariate_normal_cdf(np.array([0.0, x, 0.0]), np.array([x, 0.0, 0.0]), rho)
+    want = [_mp_reference(0.0, x, rho), _mp_reference(x, 0.0, rho), _mp_reference(0.0, 0.0, rho)]
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, -0.9])
+def test_grid_evaluation_memory_is_bounded(rho):
+    axis = std_normal_quantile(np.linspace(0.005, 0.995, 512))
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    tracemalloc.start()
+    try:
+        bivariate_normal_cdf(x, y, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 512 x 512 float64 array is 2 MB; a quadrature node axis would multiply that by its node count
+    assert peak <= 32 * 2**20
