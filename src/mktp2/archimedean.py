@@ -26,8 +26,8 @@ import numpy as np
 
 from .core import Copula
 from .errors import NumericalError, ValidationError
-from .grids import DEFAULT_GRID, JUMP_DELTAS, bisect, persistent_jumps
-from .properties import PROPERTIES, Status, Verdict, Witness, check_pqd, log_convexity_test
+from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, persistent_jumps
+from .properties import PROPERTIES, Status, Verdict, Witness, check_pqd, log_convexity_test, rectangle_defect
 
 __all__ = [
     "GeneratorSpec",
@@ -388,7 +388,7 @@ def builtin_archimedean(name, **params):
         alpha = float(params.pop("alpha", 1.0))
         if params:
             raise ValidationError(f"gumbel takes only alpha, got extras {sorted(params)}")
-        if alpha < 1.0:
+        if not alpha >= 1.0:
             raise ValidationError(f"gumbel needs alpha >= 1, got {alpha}")
         return _gumbel_spec(alpha, f"gumbel(alpha={alpha:g})")
     if params:
@@ -534,27 +534,40 @@ def scan_dminus_psi_continuity(spec, grid=DEFAULT_GRID, tol_jump=1e-3):
     return Verdict(Status.HOLDS, None, cert)
 
 
-def _nonstrict_zero_witness(spec):
-    u0 = float(spec.psi(0.5 * spec.phi_at_zero))
-    c = float(arch_cdf(spec, u0, u0))
-    return Witness(points=(u0, u0), values=(c, u0 * u0), defect=u0 * u0 - c, kind="point")
+def _nonstrict_witnesses(spec):
+    """TP2 (CDF) and MK-TP2 (kernel) witnesses on [a, c]^2, a = psi(3/4 phi(0)), c = psi(1/8 phi(0)).
+
+    2 phi(a) lies beyond phi(0), so C and K vanish at (a, a) but not at the
+    other three corners; at v = a the rectangle also breaks LTD and SI.
+    """
+    a = float(spec.psi(0.75 * spec.phi_at_zero))
+    c = float(spec.psi(0.125 * spec.phi_at_zero))
+    rect = Rectangle(a, c, a, c)
+    copula = arch_copula(spec)
+    witnesses = []
+    for prop in ("tp2", "mktp2"):
+        defect, values = rectangle_defect(copula, prop, rect)
+        witnesses.append(Witness(points=rect.as_tuple(), values=values, defect=defect, kind="rectangle"))
+    return witnesses
 
 
 def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
     """Generator-level dependence classification.
 
     Non-strict generators short-circuit: their copulas vanish on an interior
-    region, which already refutes LTD/TP2/SI/MK-TP2.  Strict generators run
-    the two log-convexity scans; the second-derivative criterion for d-TP2
-    runs only under a declared twice-differentiable (or completely monotone)
-    co-generator, as a central-second-difference test with widened
+    region, which already refutes LTD/TP2/SI/MK-TP2 on one rectangle.  Strict
+    generators run the two log-convexity scans; the d-TP2 criterion runs only
+    under a declared twice-differentiable (or completely monotone)
+    co-generator, on the declared ``psi_second`` at the grid tolerances or,
+    without one, on central second differences of psi with widened
     tolerances matching the differentiation noise.
     """
     continuity = scan_dminus_psi_continuity(spec, grid)
     if not spec.strict:
-        w = _nonstrict_zero_witness(spec)
+        cdf_witness, kernel_witness = _nonstrict_witnesses(spec)
         note = "non-strict generator: copula vanishes on an interior region"
-        fails = Verdict(Status.FAILS, w, {"method": "analytic:non-strict"}, note)
+        tp2_ltd = Verdict(Status.FAILS, cdf_witness, {"method": "analytic:non-strict"}, note)
+        mktp2_si = Verdict(Status.FAILS, kernel_witness, {"method": "analytic:non-strict"}, note)
         dtp2 = Verdict(
             Status.NOT_APPLICABLE,
             None,
@@ -565,8 +578,8 @@ def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
             label=spec.label,
             strict=False,
             d_minus_psi_continuous=continuity,
-            tp2_ltd=fails,
-            mktp2_si=fails,
+            tp2_ltd=tp2_ltd,
+            mktp2_si=mktp2_si,
             dtp2=dtp2,
         )
 
@@ -595,7 +608,7 @@ def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
         )
 
     if spec.smoothness in ("twice-differentiable", "completely-monotone"):
-        dtp2 = _tag_analytic(_dtp2_second_difference(spec, xs), "psi-second-log-convexity")
+        dtp2 = _tag_analytic(_dtp2_second_difference(spec, xs, grid), "psi-second-log-convexity")
     else:
         dtp2 = Verdict(
             Status.NOT_APPLICABLE,
@@ -621,7 +634,10 @@ def _tag_analytic(verdict, name):
     )
 
 
-def _dtp2_second_difference(spec, xs, tol_eq=1e-6, tol_strict=1e-5):
+def _dtp2_second_difference(spec, xs, grid, tol_eq=1e-6, tol_strict=1e-5):
+    """Log-convexity of psi'' on ``xs``: declared ``psi_second``, else second differences."""
+    if spec.psi_second is not None:
+        return log_convexity_test(spec.psi_second, xs, grid.tol_eq, grid.tol_strict)
     xs = xs[xs >= _SECOND_DIFF_X_MIN]
     if len(xs) < 3:
         return Verdict(

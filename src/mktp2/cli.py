@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -39,7 +40,7 @@ NUMERICAL_FAILURE = 4
 
 
 def _parse_params(text):
-    """--param key=value[,key=value]; decimal-point floats only."""
+    """--param key=value[,key=value]; finite decimal-point floats only."""
     if not text:
         return {}
     out = {}
@@ -48,9 +49,12 @@ def _parse_params(text):
             raise ValidationError(f"malformed --param entry {chunk!r}; expected key=value")
         key, _, raw = chunk.partition("=")
         try:
-            out[key.strip()] = float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ValidationError(f"parameter {key!r} has non-numeric value {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ValidationError(f"parameter {key!r} has non-finite value {raw!r}")
+        out[key.strip()] = value
     return out
 
 
@@ -160,13 +164,6 @@ def cmd_check(args):
     return 0
 
 
-def _construct_evc_witness(spec, grid):
-    report = evc.classify_evc(spec, grid)
-    if report.mktp2.status is Status.HOLDS:
-        return None, report
-    return report.mktp2.witness, report
-
-
 def cmd_witness(args):
     entry, obj, copula = build(args.family, _parse_params(args.param))
     grid = _grid_from_args(args)
@@ -176,8 +173,8 @@ def cmd_witness(args):
     analytic_note = None
     witness_verdict = None
     if prop == "mktp2" and entry.kind == "evc":
-        witness, evc_report = _construct_evc_witness(obj, grid)
-        if witness is None:
+        evc_report = evc.classify_evc(obj, grid)
+        if evc_report.mktp2.status is Status.HOLDS:
             analytic_note = f"MK-TP2 holds (branch {evc_report.branch}); nothing to construct"
         else:
             witness_verdict = evc_report.mktp2

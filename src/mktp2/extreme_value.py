@@ -201,6 +201,8 @@ def _independence_pickands(label, params):
 
 def _gumbel_pickands(alpha):
     a = float(alpha)
+    if not a >= 1.0:
+        raise ValidationError(f"gumbel needs alpha >= 1, got {a}")
     if a == 1.0:
         return _independence_pickands("evc-gumbel(alpha=1)", {"alpha": 1.0})
 
@@ -400,6 +402,21 @@ def _jump_pickands():
     )
 
 
+# name -> (factory, default parameters); the factory checks the parameter region
+_PICKANDS = {
+    "gumbel": (_gumbel_pickands, {"alpha": 1.0}),
+    "marshall-olkin": (_mo_pickands, {"alpha": 1.0, "beta": 1.0}),
+    "tawn-symmetric": (_tawn_symmetric_pickands, {"theta": 0.0}),
+    "tawn-asym-mixed": (_tawn_mixed_pickands, {"theta": 0.0, "kappa": 0.0}),
+    "log-example": (_log_pickands, {}),
+    "jump-example": (_jump_pickands, {}),
+}
+_PICKANDS_ALIASES = {
+    "evc-gumbel": "gumbel", "mo": "marshall-olkin", "tawn-sym": "tawn-symmetric",
+    "tawn-mix": "tawn-asym-mixed", "evc-log": "log-example", "evc-jump": "jump-example",
+}
+
+
 def builtin_pickands(name, **params):
     """Exact built-in Pickands families.
 
@@ -407,38 +424,14 @@ def builtin_pickands(name, **params):
     (theta), tawn-asym-mixed(theta, kappa), log-example, jump-example.
     """
     key = name.lower()
-    if key in ("gumbel", "evc-gumbel"):
-        alpha = float(params.pop("alpha", 1.0))
-        if alpha < 1.0:
-            raise ValidationError(f"gumbel needs alpha >= 1, got {alpha}")
-        _reject_extras(key, params)
-        return _gumbel_pickands(alpha)
-    if key in ("marshall-olkin", "mo"):
-        alpha = float(params.pop("alpha", 1.0))
-        beta = float(params.pop("beta", 1.0))
-        _reject_extras(key, params)
-        return _mo_pickands(alpha, beta)
-    if key in ("tawn-symmetric", "tawn-sym"):
-        theta = float(params.pop("theta", 0.0))
-        _reject_extras(key, params)
-        return _tawn_symmetric_pickands(theta)
-    if key in ("tawn-asym-mixed", "tawn-mix"):
-        theta = float(params.pop("theta", 0.0))
-        kappa = float(params.pop("kappa", 0.0))
-        _reject_extras(key, params)
-        return _tawn_mixed_pickands(theta, kappa)
-    if key in ("log-example", "evc-log"):
-        _reject_extras(key, params)
-        return _log_pickands()
-    if key in ("jump-example", "evc-jump"):
-        _reject_extras(key, params)
-        return _jump_pickands()
-    raise ValidationError(f"unknown pickands family {name!r}")
-
-
-def _reject_extras(name, params):
+    canonical = _PICKANDS_ALIASES.get(key, key)
+    if canonical not in _PICKANDS:
+        raise ValidationError(f"unknown pickands family {name!r}")
+    factory, defaults = _PICKANDS[canonical]
+    values = [float(params.pop(p, d)) for p, d in defaults.items()]
     if params:
-        raise ValidationError(f"{name} got unexpected parameters {sorted(params)}")
+        raise ValidationError(f"{key} got unexpected parameters {sorted(params)}")
+    return factory(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -479,37 +472,34 @@ def cap_function(spec, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _log_coords(u, v):
+    """Broadcast ``u, v``; return them with the interior masks of u and v, log u,
+    log v and h, whose logs are taken at 0.5 off the open square's interior."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    u_int = (u > 0.0) & (u < 1.0)
+    v_int = (v > 0.0) & (v < 1.0)
+    inside = u_int & v_int
+    lu = np.log(np.where(inside, u, 0.5))
+    lv = np.log(np.where(inside, v, 0.5))
+    return u, v, u_int, v_int, lu, lv, lu / (lu + lv)
+
+
 def evc_cdf(spec, u, v):
     """(uv)^{A(h(u,v))} on the interior, copula boundary values elsewhere."""
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    inside = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
-    uu = np.where(inside, u, 0.5)
-    vv = np.where(inside, v, 0.5)
-    lu, lv = np.log(uu), np.log(vv)
-    h = lu / (lu + lv)
+    u, v, u_int, v_int, lu, lv, h = _log_coords(u, v)
     a = np.asarray(spec.A(h), dtype=float)
-    out = np.where(inside, np.exp(a * (lu + lv)), np.minimum(u, v))
+    out = np.where(u_int & v_int, np.exp(a * (lu + lv)), np.minimum(u, v))
     return float(out) if scalar else out
 
 
 def evc_kernel(spec, u, v):
     """Markov kernel (C(u,v)/u) F(h(u,v)); 1 at u in {0,1}, v at v in {0,1}."""
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    u_int = (u > 0.0) & (u < 1.0)
-    v_int = (v > 0.0) & (v < 1.0)
-    inside = u_int & v_int
-    uu = np.where(inside, u, 0.5)
-    vv = np.where(inside, v, 0.5)
-    lu, lv = np.log(uu), np.log(vv)
-    h = lu / (lu + lv)
+    u, v, u_int, v_int, lu, lv, h = _log_coords(u, v)
     a = np.asarray(spec.A(h), dtype=float)
     base = np.exp(a * (lu + lv) - lu) * np.asarray(cap_function(spec, h), dtype=float)
-    out = np.where(inside, base, 0.0)
-    out = np.where(u_int & ~v_int, v, out)
-    out = np.where(~u_int, 1.0, out)
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(np.where(u_int, np.where(v_int, base, v), 1.0), 0.0, 1.0)
     return float(out) if scalar else out
 
 
@@ -908,7 +898,7 @@ def _ratio_test(spec, t_star, grid, n_points=2001):
         defect=defect,
         kind="ratio-pair",
     )
-    return defect <= 0.0, witness, rs
+    return defect <= 0.0, witness
 
 
 _NOTE_CAP_GAP = (
@@ -916,102 +906,67 @@ _NOTE_CAP_GAP = (
     "sufficient only above it; the certificate uses the monotone-ratio "
     "criterion on the whole interval instead"
 )
+_NOTE_NUMERIC_JUMPS = "numeric jump evidence without a verified witness"
 
 
 def _holds_for_every_evc():
     return Verdict(Status.HOLDS, None, {"method": "analytic:evc"}, "every EVC is TP2 and SI")
 
 
-def classify_evc(spec, grid=DEFAULT_GRID):
-    """Run the MK-TP2 decision tree for an extreme-value copula.
+def _witness_verdict(construct, method, note, failed_note, failed_method=None, reraise=False):
+    """``fails`` with the witness ``construct()`` returns, under ``method`` and ``note``.
 
-    TP2, SI (hence LTD, PQD) hold for every EVC and are reported as analytic
-    facts; the returned report's ``branch`` names the rule that decided
-    MK-TP2.
+    If it raises :class:`SearchFailed` or :class:`ValidationError`: ``inconclusive``
+    under ``failed_method`` (default ``method``) with ``failed_note: <error>``,
+    or, with ``reraise``, the error propagates.
     """
-    always = _holds_for_every_evc()
-    d0 = float(spec.d_plus_A(0.0))
+    try:
+        witness = construct()
+    except (SearchFailed, ValidationError) as exc:
+        if reraise:
+            raise
+        return Verdict(Status.INCONCLUSIVE, None, {"method": failed_method or method}, f"{failed_note}: {exc}")
+    return Verdict(Status.FAILS, witness, {"method": method}, note)
 
-    def report(branch, mktp2):
-        return EvcReport(
-            label=spec.label,
-            branch=branch,
-            d_plus_A_at_zero=d0,
-            t_star=spec.t_star,
-            mktp2=mktp2,
-            tp2=always,
-            si=always,
-            ltd=always,
-            pqd=always,
-        )
 
+def _mktp2_rule(spec, d0, grid):
+    """``(branch, verdict)`` of the first rule of the D+A(0) tree that applies.
+
+    Branches 1 (holds), 2, 3a, 3b and 3c (fails through a witness), 3d (the
+    monotone-ratio criterion, holds) and 3e (a grid scan).  A witness for
+    declared jumps that cannot be built contradicts A, so that error
+    propagates; any other failed construction reads as inconclusive.
+    """
     if abs(d0) <= _D0_TOL:
-        verdict = Verdict(
-            Status.HOLDS,
-            None,
-            {"method": "analytic:flat-at-zero"},
-            "D+A(0) = 0 forces A == 1: the independence copula",
-        )
-        return report("1", verdict)
+        note = "D+A(0) = 0 forces A == 1: the independence copula"
+        return "1", Verdict(Status.HOLDS, None, {"method": "analytic:flat-at-zero"}, note)
 
-    declared = spec.declared_jumps
-    jumps = declared if declared is not None else detect_derivative_jumps(spec.A)
-    jumps_are_declared = declared is not None
-
+    declared = spec.declared_jumps is not None
+    jumps = spec.declared_jumps if declared else detect_derivative_jumps(spec.A)
     # probing the left limit of the cap: declared jump locations are exact,
     # detected ones carry the error of their difference-quotient pinning
-    left_probe = 1e-9 if jumps_are_declared else 2e-3
+    left_probe = 1e-9 if declared else 2e-3
 
     if d0 > -1.0 + _D0_TOL:
-        jump_candidates = [t for t in jumps if float(cap_function(spec, t - left_probe)) > grid.tol_strict]
-        try:
-            if jump_candidates:
-                t_r = jump_candidates[0]
-                witness = construct_witness_jump(spec, 0.5 * t_r, t_r, grid)
-            else:
-                witness = construct_witness_gradient(spec, grid)
-        except SearchFailed as exc:
-            return report(
-                "2",
-                Verdict(
-                    Status.INCONCLUSIVE,
-                    None,
-                    {"method": "analytic:slope-at-zero"},
-                    f"D+A(0) = {d0:.6g} rules out MK-TP2 but no witness was realized: {exc}",
-                ),
-            )
-        verdict = Verdict(
-            Status.FAILS,
-            witness,
-            {"method": "analytic:slope-at-zero"},
-            f"D+A(0) = {d0:.6g} lies strictly inside (-1, 0)",
+        capped = [t for t in jumps if float(cap_function(spec, t - left_probe)) > grid.tol_strict]
+        if capped:
+            construct = lambda: construct_witness_jump(spec, 0.5 * capped[0], capped[0], grid)
+        else:
+            construct = lambda: construct_witness_gradient(spec, grid)
+        return "2", _witness_verdict(
+            construct,
+            "analytic:slope-at-zero", f"D+A(0) = {d0:.6g} lies strictly inside (-1, 0)",
+            f"D+A(0) = {d0:.6g} rules out MK-TP2 but no witness was realized",
         )
-        return report("2", verdict)
 
     # D+A(0) = -1 from here on
     if len(jumps) >= 2:
         t_l, t_r = jumps[0], jumps[1]
-        try:
-            witness = construct_witness_jump(spec, 0.5 * (t_l + t_r), t_r, grid)
-            verdict = Verdict(
-                Status.FAILS,
-                witness,
-                {"method": "analytic:two-jumps"},
-                "the derivative of A has at least two discontinuities",
-            )
-            return report("3a", verdict)
-        except (SearchFailed, ValidationError) as exc:
-            if jumps_are_declared:
-                raise
-            return report(
-                "3a",
-                Verdict(
-                    Status.INCONCLUSIVE,
-                    None,
-                    {"method": "numeric:two-jumps"},
-                    f"numeric jump evidence without a verified witness: {exc}",
-                ),
-            )
+        return "3a", _witness_verdict(
+            lambda: construct_witness_jump(spec, 0.5 * (t_l + t_r), t_r, grid),
+            "analytic:two-jumps", "the derivative of A has at least two discontinuities",
+            _NOTE_NUMERIC_JUMPS, "numeric:two-jumps", reraise=declared,
+        )
 
     if len(jumps) == 1:
         t_jump = float(jumps[0])
@@ -1021,87 +976,52 @@ def classify_evc(spec, grid=DEFAULT_GRID):
             fs = np.asarray(cap_function(spec, ts), dtype=float)
             pos = np.flatnonzero(fs > grid.tol_strict)
             t_l = float(ts[pos[0]]) if len(pos) else 0.5 * t_jump
-            try:
-                witness = construct_witness_jump(spec, t_l, t_jump, grid)
-                verdict = Verdict(
-                    Status.FAILS,
-                    witness,
-                    {"method": "analytic:one-jump-curved"},
-                    "A bends away from 1-t before the single derivative jump",
-                )
-                return report("3b", verdict)
-            except (SearchFailed, ValidationError) as exc:
-                if jumps_are_declared:
-                    raise
-                return report(
-                    "3b",
-                    Verdict(
-                        Status.INCONCLUSIVE,
-                        None,
-                        {"method": "numeric:one-jump-curved"},
-                        f"numeric jump evidence without a verified witness: {exc}",
-                    ),
-                )
+            return "3b", _witness_verdict(
+                lambda: construct_witness_jump(spec, t_l, t_jump, grid),
+                "analytic:one-jump-curved", "A bends away from 1-t before the single derivative jump",
+                _NOTE_NUMERIC_JUMPS, "numeric:one-jump-curved", reraise=declared,
+            )
 
     plateau = _find_plateau(spec, spec.t_star, grid)
     if plateau is not None:
         t_a, t_b, level = plateau
-        try:
-            witness = construct_witness_constant(spec, t_a, t_b, level, grid)
-            verdict = Verdict(
-                Status.FAILS,
-                witness,
-                {"method": "analytic:cap-plateau"},
-                f"the cap function is constant at {level:.6g} on [{t_a:.6g}, {t_b:.6g}]",
-            )
-            return report("3c", verdict)
-        except (SearchFailed, ValidationError) as exc:
-            return report(
-                "3c",
-                Verdict(
-                    Status.INCONCLUSIVE,
-                    None,
-                    {"method": "analytic:cap-plateau"},
-                    f"plateau detected but no witness was realized: {exc}",
-                ),
-            )
-
-    if spec.smoothness == "C3-on-interior":
-        ok, ratio_witness, _ = _ratio_test(spec, spec.t_star, grid)
-        if ok:
-            verdict = Verdict(
-                Status.HOLDS,
-                None,
-                {"method": "analytic:monotone-ratio", "n_points": 2001},
-                _NOTE_CAP_GAP,
-            )
-            return report("3d", verdict)
-        grid_verdict = check_mktp2(evc_copula(spec), grid)
-        if grid_verdict.status is Status.FAILS:
-            return report("3e", grid_verdict)
-        return report(
-            "3e",
-            Verdict(
-                Status.INCONCLUSIVE,
-                ratio_witness,
-                grid_verdict.certificate,
-                "the monotone-ratio criterion fails at the witness pair, but it is "
-                "only sufficient; no violating rectangle surfaced at this budget",
-            ),
+        return "3c", _witness_verdict(
+            lambda: construct_witness_constant(spec, t_a, t_b, level, grid),
+            "analytic:cap-plateau",
+            f"the cap function is constant at {level:.6g} on [{t_a:.6g}, {t_b:.6g}]",
+            "plateau detected but no witness was realized",
         )
+
+    ratio_witness = None
+    if spec.smoothness == "C3-on-interior":
+        ok, ratio_witness = _ratio_test(spec, spec.t_star, grid)
+        if ok:
+            certificate = {"method": "analytic:monotone-ratio", "n_points": 2001}
+            return "3d", Verdict(Status.HOLDS, None, certificate, _NOTE_CAP_GAP)
 
     grid_verdict = check_mktp2(evc_copula(spec), grid)
     if grid_verdict.status is Status.FAILS:
-        return report("3e", grid_verdict)
-    return report(
-        "3e",
-        Verdict(
-            Status.INCONCLUSIVE,
-            grid_verdict.witness,
-            grid_verdict.certificate,
-            "no analytic rule applies and the grid scan found no violation",
-        ),
-    )
+        return "3e", grid_verdict
+    witness, note = grid_verdict.witness, "no analytic rule applies and the grid scan found no violation"
+    if ratio_witness is not None:
+        witness, note = ratio_witness, (
+            "the monotone-ratio criterion fails at the witness pair, but it is "
+            "only sufficient; no violating rectangle surfaced at this budget"
+        )
+    return "3e", Verdict(Status.INCONCLUSIVE, witness, grid_verdict.certificate, note)
+
+
+def classify_evc(spec, grid=DEFAULT_GRID):
+    """Run the MK-TP2 decision tree for an extreme-value copula.
+
+    TP2, SI (hence LTD, PQD) hold for every EVC and are reported as analytic
+    facts; the returned report's ``branch`` names the rule that decided
+    MK-TP2.
+    """
+    d0 = float(spec.d_plus_A(0.0))
+    branch, mktp2 = _mktp2_rule(spec, d0, grid)
+    always = _holds_for_every_evc()
+    return EvcReport(spec.label, branch, d0, spec.t_star, mktp2, tp2=always, si=always, ltd=always, pqd=always)
 
 
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):

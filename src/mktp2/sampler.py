@@ -19,12 +19,16 @@ import numpy as np
 from .errors import ValidationError
 from .grids import DEFAULT_GRID, bisect
 
-__all__ = ["SampleBatch", "sample", "empirical_cdf_distance", "write_csv", "marginal_ks"]
+__all__ = ["MAX_SAMPLES", "SampleBatch", "sample", "empirical_cdf_distance", "write_csv", "marginal_ks"]
 
 # bisection of [0, 1] halves the bracket exactly, so it reaches the tolerance
 # after 34 steps, well inside the cap
 _BISECT_TOL = 1e-10
 _BISECT_CAP = 200
+
+# peak memory grows linearly with n (about 190 MB at n = 10^6 for an EVC kernel),
+# so the bound keeps a batch near 2 GB
+MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,8 @@ def sample(copula, n, seed):
     n = int(n)
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValidationError(f"sample allows at most {MAX_SAMPLES} points, got {n}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     draws = rng.random((n, 2))
     u = draws[:, 0]

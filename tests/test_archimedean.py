@@ -19,7 +19,7 @@ from mktp2.archimedean import (
 from mktp2.errors import NumericalError, ValidationError
 from mktp2.extreme_value import builtin_pickands, evc_kernel
 from mktp2.grids import GridConfig
-from mktp2.properties import Status, check_mktp2, check_si
+from mktp2.properties import Status, check_mktp2, check_si, rectangle_defect
 
 GRID = GridConfig()
 
@@ -248,6 +248,55 @@ def test_classify_nonstrict_short_circuit():
     assert report.tp2_ltd.status is Status.FAILS
     assert report.mktp2_si.status is Status.FAILS
     assert report.dtp2.status is Status.NOT_APPLICABLE
+
+
+def _clayton_nonstrict(theta):
+    """Clayton co-generator for theta in (-1, 0): psi vanishes beyond -1/theta."""
+
+    def psi(x):
+        return np.power(np.maximum(1.0 + theta * np.asarray(x, dtype=float), 0.0), -1.0 / theta)
+
+    return make_generator(psi=psi, label=f"clayton(theta={theta})")
+
+
+@pytest.mark.parametrize("theta", [None, -0.3, -0.5, -0.9], ids=lambda t: "w" if t is None else f"clayton{t}")
+def test_nonstrict_fails_witnesses_reevaluate(theta):
+    spec = builtin_archimedean("w") if theta is None else _clayton_nonstrict(theta)
+    assert not spec.strict
+    copula = arch_copula(spec)
+    table = property_verdicts(spec, GRID)
+    for prop in ("ltd", "si", "tp2", "mktp2"):
+        verdict = table[prop]
+        assert verdict.status is Status.FAILS
+        defect, _ = rectangle_defect(copula, prop, verdict.witness.rectangle())
+        assert defect > GRID.tol_strict, prop
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_dtp2_uses_declared_psi_second_at_grid_tolerances(alpha):
+    spec = builtin_archimedean("gumbel", alpha=alpha)
+    dtp2 = classify_archimedean(spec, GRID).dtp2
+    assert dtp2.status is Status.HOLDS
+    scan = dtp2.certificate["scan"]
+    assert (scan["tol_eq"], scan["tol_strict"]) == (GRID.tol_eq, GRID.tol_strict)
+    # no second-difference floor on x: the whole sample is tested
+    assert scan["n_points"] == len(generator_x_sample(spec, GRID))
+
+
+def test_dtp2_falls_back_to_second_differences_without_psi_second():
+    spec = replace(builtin_archimedean("gumbel", alpha=3.0), psi_second=None)
+    dtp2 = classify_archimedean(spec, GRID).dtp2
+    assert dtp2.status is Status.HOLDS
+    scan = dtp2.certificate["scan"]
+    assert (scan["tol_eq"], scan["tol_strict"]) == (1e-6, 1e-5)
+    assert scan["n_points"] < len(generator_x_sample(spec, GRID))
+    spreeuw = replace(builtin_archimedean("spreeuw"), psi_second=None)
+    assert classify_archimedean(spreeuw, GRID).dtp2.status is Status.FAILS
+
+
+def test_gumbel_rejects_nan_alpha():
+    with pytest.raises(ValidationError, match="alpha >= 1"):
+        builtin_archimedean("gumbel", alpha=float("nan"))
 
 
 def test_report_implication_chain():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mktp2 import cli
+from mktp2 import cli, extreme_value
 from mktp2.cli import main
 from mktp2.errors import NumericalError, SearchFailed
 
@@ -106,12 +106,56 @@ def test_witness_not_applicable_exit_code(capsys):
     assert "nothing to construct" in err
 
 
+def test_witness_searches_when_the_evc_construction_fails(capsys, monkeypatch):
+    def construct(*args, **kwargs):
+        raise SearchFailed("out of budget")
+
+    # branch 2 then reads inconclusive without a witness, which is not "holds"
+    monkeypatch.setattr(extreme_value, "construct_witness_gradient", construct)
+    code, out, err = run_cli(
+        capsys, "witness", "--family", "tawn-sym", "--param", "theta=0.2", "--grid", "64"
+    )
+    assert code == 0
+    assert "holds" not in err
+    entry = json.loads(out)["results"][0]
+    assert entry["status"] == "fails"
+    assert entry["certificate"]["method"] == "search:mktp2"
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "classify", "--family", "nosuch")[0] == 2
     assert run_cli(capsys, "classify", "--family", "gumbel", "--param", "alpha=0.5")[0] == 2
     assert run_cli(capsys, "classify", "--family", "fgm", "--param", "theta=oops")[0] == 2
     assert run_cli(capsys, "check", "--family", "pi", "--property", "zzz")[0] == 2
     assert run_cli(capsys, "classify", "--family", "pi", "--grid", "2049")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--family", "evc-gumbel", "--param", "alpha=nan"),
+        ("classify", "--family", "evc-gumbel", "--param", "alpha=inf"),
+        ("classify", "--family", "gumbel", "--param", "alpha=nan"),
+        ("classify", "--family", "fgm", "--param", "theta=-inf"),
+        ("sample", "--family", "gumbel", "--param", "alpha=nan", "--n", "10", "--out"),
+    ],
+)
+def test_non_finite_parameters_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "s.csv"
+    code, stdout, err = run_cli(capsys, *argv, *((str(out),) if argv[-1] == "--out" else ()))
+    assert code == 2
+    assert stdout == ""
+    assert "non-finite value" in err
+    assert argv[4].split("=")[0] in err
+    assert not out.exists()
+
+
+def test_sample_size_above_bound_exits_two(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli(capsys, "sample", "--family", "pi", "--n", "10000001", "--out", str(out))
+    assert code == 2
+    assert "at most 10000000" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [NumericalError("degenerate"), SearchFailed("out of budget")])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mktp2 import extreme_value
 from mktp2.archimedean import arch_kernel, builtin_archimedean
-from mktp2.errors import ValidationError
+from mktp2.errors import SearchFailed, ValidationError
 from mktp2.extreme_value import (
     beta_sup_argmin,
     builtin_pickands,
@@ -113,6 +114,15 @@ def test_log_example_cap_value():
     want = (2.0 / 3.0) * math.log(s_half) + math.sqrt(0.5) / s_half
     assert cap_function(spec, 0.5) == pytest.approx(want, abs=1e-14)
     assert want == pytest.approx(0.768951, abs=1e-6)
+
+
+def test_builtin_pickands_rejects_bad_names_and_parameters():
+    with pytest.raises(ValidationError, match="alpha >= 1"):
+        builtin_pickands("evc-gumbel", alpha=float("nan"))
+    with pytest.raises(ValidationError, match="unknown pickands family 'nosuch'"):
+        builtin_pickands("nosuch")
+    with pytest.raises(ValidationError, match=r"tawn-mix got unexpected parameters \['alpha'\]"):
+        builtin_pickands("tawn-mix", theta=0.5, alpha=2.0)
 
 
 def test_gumbel_cap_symmetry_point():
@@ -268,8 +278,9 @@ def test_classification_tree(name, kw, branch, status):
         assert ratio < 1.0 - GRID.tol_strict
 
 
-def test_two_jump_pickands_fails():
-    # piecewise linear with derivative jumps at 0.2 and 0.5
+def two_kink_spec(declared_jumps=(0.2, 0.5)):
+    """Piecewise linear A with derivative jumps at 0.2 and 0.5 (branch 3a)."""
+
     def A(t):
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.2, 1.0 - t, np.where(t < 0.5, 0.9 - 0.5 * t, 0.3 + 0.7 * t))
@@ -278,16 +289,13 @@ def test_two_jump_pickands_fails():
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.2, -1.0, np.where(t < 0.5, -0.5, 0.7))
 
-    spec = validate_pickands(
-        A, d_plus_A=dA, declared_jumps=(0.2, 0.5), smoothness="generic", t_star=0.2
+    return validate_pickands(
+        A, d_plus_A=dA, declared_jumps=declared_jumps, smoothness="generic", t_star=0.2
     )
-    report = classify_evc(spec, GRID)
-    assert report.branch == "3a"
-    assert report.mktp2.status is Status.FAILS
 
 
-def test_one_jump_with_curvature_fails():
-    # smooth curvature before the single derivative jump at 0.4
+def curved_kink_spec(declared_jumps=(0.4,)):
+    """Smooth curvature before the single derivative jump at 0.4 (branch 3b)."""
     slope = 0.32 / 0.6
 
     def A(t):
@@ -298,10 +306,83 @@ def test_one_jump_with_curvature_fails():
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.4, -1.0 + t, slope)
 
-    spec = validate_pickands(A, d_plus_A=dA, declared_jumps=(0.4,), smoothness="generic", t_star=0.0)
-    report = classify_evc(spec, GRID)
+    return validate_pickands(
+        A, d_plus_A=dA, declared_jumps=declared_jumps, smoothness="generic", t_star=0.0
+    )
+
+
+def test_two_jump_pickands_fails():
+    report = classify_evc(two_kink_spec(), GRID)
+    assert report.branch == "3a"
+    assert report.mktp2.status is Status.FAILS
+
+
+def test_one_jump_with_curvature_fails():
+    report = classify_evc(curved_kink_spec(), GRID)
     assert report.branch == "3b"
     assert report.mktp2.status is Status.FAILS
+
+
+# ---------------------------------------------------------------------------
+# witness-failure policy: a failed construction reads as inconclusive, except
+# for declared jumps, where it contradicts A and propagates
+# ---------------------------------------------------------------------------
+
+FAILURES = [SearchFailed("out of budget", last_ratio=1.0), ValidationError("cap does not jump upward")]
+
+
+def _raise(error):
+    def construct(*args, **kwargs):
+        raise error
+
+    return construct
+
+
+def _assert_inconclusive(report, branch, method, note_prefix, error):
+    assert report.branch == branch
+    assert report.mktp2.status is Status.INCONCLUSIVE
+    assert report.mktp2.witness is None
+    assert report.mktp2.certificate == {"method": method}
+    assert report.mktp2.note == f"{note_prefix}: {error}"
+
+
+@pytest.mark.parametrize("error", FAILURES, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize(
+    "name,kw",
+    [("tawn-symmetric", {"theta": 0.2}), ("marshall-olkin", {"alpha": 0.5, "beta": 0.5})],
+    ids=["gradient", "jump"],
+)
+def test_failed_slope_at_zero_witness_is_inconclusive(monkeypatch, error, name, kw):
+    monkeypatch.setattr(extreme_value, "construct_witness_gradient", _raise(error))
+    monkeypatch.setattr(extreme_value, "construct_witness_jump", _raise(error))
+    spec = builtin_pickands(name, **kw)
+    d0 = float(spec.d_plus_A(0.0))
+    report = classify_evc(spec, GRID)
+    prefix = f"D+A(0) = {d0:.6g} rules out MK-TP2 but no witness was realized"
+    _assert_inconclusive(report, "2", "analytic:slope-at-zero", prefix, error)
+
+
+@pytest.mark.parametrize("error", FAILURES, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize(
+    "make_spec,branch,method",
+    [(two_kink_spec, "3a", "numeric:two-jumps"), (curved_kink_spec, "3b", "numeric:one-jump-curved")],
+    ids=["3a", "3b"],
+)
+def test_failed_jump_witness_policy(monkeypatch, error, make_spec, branch, method):
+    monkeypatch.setattr(extreme_value, "construct_witness_jump", _raise(error))
+    with pytest.raises(type(error)):
+        classify_evc(make_spec(), GRID)
+    report = classify_evc(make_spec(declared_jumps=None), GRID)
+    prefix = "numeric jump evidence without a verified witness"
+    _assert_inconclusive(report, branch, method, prefix, error)
+
+
+@pytest.mark.parametrize("error", FAILURES, ids=lambda e: type(e).__name__)
+def test_failed_plateau_witness_is_inconclusive(monkeypatch, error):
+    monkeypatch.setattr(extreme_value, "construct_witness_constant", _raise(error))
+    report = classify_evc(builtin_pickands("jump-example"), GRID)
+    prefix = "plateau detected but no witness was realized"
+    _assert_inconclusive(report, "3c", "analytic:cap-plateau", prefix, error)
 
 
 # ---------------------------------------------------------------------------

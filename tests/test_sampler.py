@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mktp2.core import make_baseline
 from mktp2.errors import ValidationError
 from mktp2.grids import GridConfig
 from mktp2.registry import build
-from mktp2.sampler import empirical_cdf_distance, marginal_ks, sample, write_csv
+from mktp2.sampler import MAX_SAMPLES, empirical_cdf_distance, marginal_ks, sample, write_csv
 
 GRID = GridConfig()
 
@@ -67,6 +69,15 @@ def test_perfect_comonotone_batch_distance():
 def test_rejects_empty_batch_request():
     with pytest.raises(ValidationError):
         sample(make_baseline("pi"), 0, 1)
+
+
+def test_rejects_batch_above_bound_before_evaluating():
+    def kernel(u, v):
+        raise AssertionError("evaluated the kernel before checking n")
+
+    copula = replace(make_baseline("pi"), kernel=kernel)
+    with pytest.raises(ValidationError, match="at most"):
+        sample(copula, MAX_SAMPLES + 1, 1)
 
 
 def test_csv_format(tmp_path):
