@@ -390,6 +390,8 @@ def builtin_archimedean(name, **params):
             raise ValidationError(f"gumbel takes only alpha, got extras {sorted(params)}")
         if not alpha >= 1.0:
             raise ValidationError(f"gumbel needs alpha >= 1, got {alpha}")
+        if not np.isfinite(alpha):
+            raise ValidationError(f"gumbel parameter 'alpha' must be finite, got {alpha}")
         return _gumbel_spec(alpha, f"gumbel(alpha={alpha:g})")
     if params:
         raise ValidationError(f"{name} takes no parameters, got {sorted(params)}")
@@ -455,7 +457,8 @@ def arch_kernel(spec, u, v):
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(den < 0.0, num / np.where(den < 0.0, den, -1.0), 0.0)
-    out = np.where(interior, np.clip(ratio, 0.0, 1.0), 1.0)
+    # adding +0.0 turns the -0.0 of 0 / D-psi(phi(u)) < 0 into +0.0
+    out = np.where(interior, np.clip(ratio, 0.0, 1.0) + 0.0, 1.0)
     return float(out) if scalar else out
 
 

@@ -431,6 +431,10 @@ def builtin_pickands(name, **params):
     values = [float(params.pop(p, d)) for p, d in defaults.items()]
     if params:
         raise ValidationError(f"{key} got unexpected parameters {sorted(params)}")
+    # a NaN fails each factory's own range check
+    for p, value in zip(defaults, values):
+        if np.isinf(value):
+            raise ValidationError(f"{key} parameter {p!r} must be finite, got {value}")
     return factory(*values)
 
 

@@ -218,19 +218,43 @@ def _spanned_cross_defect(values, us, vs, grid):
 
     Rectangles whose lower-right value K(u2, v1) is at most ``grid.tol_eq``
     are skipped: those lie in the kernel's zero region where the TP2
-    inequality holds trivially.
+    inequality holds trivially.  Each span pair works in a contiguous
+    prefix of three buffers allocated once per call; a span pair replaces
+    the best witness only when its defect is strictly larger, and within a
+    span pair the first cell in row-major order wins a tie.
+
+    :func:`property_verdicts` skips the sweep when
+    :func:`_kernel_tp2_certified` proves its maximum is at most 0; it falls
+    back here on a non-staircase zero pattern, on an adjacent cell whose
+    exact cross product exceeds its direct one (even at rounding level) and
+    on positive values outside [2**-450, 2**500].  The refine step and
+    :func:`counterexample_search` always sweep: the search zooms on each
+    stage's argmax witness, even one with a negative defect.
     """
+    n_u, n_v = values.shape
+    size = (n_u - 1) * (n_v - 1)
+    defect_buf = np.empty(size)
+    product_buf = np.empty(size)
+    keep_buf = np.empty(size, dtype=bool)
     best = -np.inf
     best_w = None
-    for su in _dyadic_spans(len(us)):
-        for sv in _dyadic_spans(len(vs)):
+    for su in _dyadic_spans(n_u):
+        for sv in _dyadic_spans(n_v):
+            shape = (n_u - su, n_v - sv)
+            cells = shape[0] * shape[1]
+            defect = defect_buf[:cells].reshape(shape)
+            product = product_buf[:cells].reshape(shape)
+            keep = keep_buf[:cells].reshape(shape)
             f11 = values[:-su, :-sv]
             f22 = values[su:, sv:]
             f12 = values[:-su, sv:]
             f21 = values[su:, :-sv]
-            defect = f12 * f21 - f11 * f22
-            defect = np.where(f21 > grid.tol_eq, defect, -np.inf)
-            i, j = np.unravel_index(np.argmax(defect), defect.shape)
+            np.multiply(f12, f21, out=defect)
+            np.multiply(f11, f22, out=product)
+            np.subtract(defect, product, out=defect)
+            np.greater(f21, grid.tol_eq, out=keep)
+            np.copyto(defect, -np.inf, where=np.logical_not(keep, out=keep))
+            i, j = divmod(int(np.argmax(defect)), shape[1])
             d = float(defect[i, j])
             if d > best:
                 best = d
@@ -246,6 +270,80 @@ def _spanned_cross_defect(values, us, vs, grid):
                     kind="rectangle",
                 )
     return best, best_w
+
+
+# Veltkamp's splitter for binary64: 2**27 + 1 cuts a double into two halves
+# whose pairwise products are exact
+_SPLIT = 134217729.0
+# positive kernel values the certificate accepts: inside these bounds no
+# product, split or product error term can overflow or lose bits to underflow
+_CERTIFIED_MIN = 2.0**-450
+_CERTIFIED_MAX = 2.0**500
+
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product_error(a, b, p):
+    """Exact ``a*b - p`` where ``p = fl(a*b)`` (Dekker's two-product)."""
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _kernel_tp2_certified(values):
+    """True when no rectangle :func:`_spanned_cross_defect` keeps can have a positive defect.
+
+    TP2 is local-to-global (Karlin 1968): where K > 0, the cross ratio
+    K12*K21 / (K11*K22) of a rectangle is the product of the adjacent-cell
+    ratios inside it.  The certificate needs three things:
+
+    * the positive cells form a staircase: each row is positive on a suffix
+      ``j >= z_i`` with ``z_i`` non-decreasing in i, so every rectangle with
+      K21 > 0 (the sweep keeps only those, as ``tol_eq >= 0``) has a fully
+      positive index box;
+    * every adjacent cell with four positive corners has K12*K21 <= K11*K22
+      exactly on the float values: where the rounded products differ their
+      order is exact, since round-to-nearest is monotone; where they tie,
+      the product error terms decide;
+    * every positive value lies in [2**-450, 2**500], so the error terms
+      are exact.
+
+    Then every kept rectangle's exact ratio is at most 1, its rounded
+    products keep that order, and its defect is at most 0 <= ``tol_eq``:
+    the sweep would read ``holds``.  False means only "not proven"; the
+    sweep then decides.
+    """
+    positive = values > 0.0
+    if np.any(positive[:, :-1] > positive[:, 1:]) or np.any(positive[1:] > positive[:-1]):
+        return False
+    if values.max() > _CERTIFIED_MAX or values.min(where=positive, initial=np.inf) < _CERTIFIED_MIN:
+        return False
+    # on a staircase a cell's four corners are positive iff its K21 corner is
+    cell = positive[1:, :-1]
+    f11 = values[:-1, :-1]
+    f22 = values[1:, 1:]
+    f12 = values[:-1, 1:]
+    f21 = values[1:, :-1]
+    cross = f12 * f21
+    direct = f11 * f22
+    if np.any((cross > direct) & cell):
+        return False
+    tie = cross == direct
+    del cross, direct
+    tie &= cell
+    # products of the same two factors are equal exactly (Pi and M tie on
+    # every cell this way), so only the other ties need error terms
+    tie &= ~(((f12 == f11) & (f21 == f22)) | ((f12 == f22) & (f21 == f11)))
+    i, j = np.nonzero(tie)
+    if i.size == 0:
+        return True
+    a, b, c, d = values[i, j + 1], values[i + 1, j], values[i, j], values[i + 1, j + 1]
+    p = a * b
+    return not np.any(_product_error(a, b, p) > _product_error(c, d, p))
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +368,25 @@ _TABLE = {
 }
 
 
-def _scan(copula, prop, us, vs, grid, evaluated):
-    """``(defect, witness, note)`` of one property's scan on the axes ``us`` x ``vs``.
+def _evaluate(copula, quantity, us, vs, evaluated):
+    """``(values, note)`` of one quantity on the axes ``us`` x ``vs``.
 
     ``evaluated`` holds the quantity grids already evaluated on these axes,
     so properties that read the same quantity share one evaluation.  A
-    non-finite value would win the argmax and compare as no violation, so a
-    grid holding one is not scanned: the result is ``(None, None, note)``
-    with a note naming the first offending point.
+    non-finite value would win a scan's argmax and compare as no violation,
+    so a grid holding one must not be scanned: ``note`` then names the first
+    offending point, and is "" otherwise.
     """
-    quantity = _TABLE[prop].quantity
     if quantity not in evaluated:
         evaluated[quantity] = _grid_eval(getattr(copula, quantity), us, vs)
     values = evaluated[quantity]
-    note = _non_finite_note(quantity, values, us, vs)
+    return values, _non_finite_note(quantity, values, us, vs)
+
+
+def _scan(copula, prop, us, vs, grid, evaluated):
+    """``(defect, witness, note)`` of one property's scan on the axes ``us`` x ``vs``;
+    ``(None, None, note)`` when the quantity grid holds a non-finite value."""
+    values, note = _evaluate(copula, _TABLE[prop].quantity, us, vs, evaluated)
     if note:
         return None, None, note
     return (*_TABLE[prop].scan(values, us, vs, grid), "")
@@ -302,9 +405,11 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
     and shared by every property that reads it, in the order
     :data:`PROPERTIES` first needs it.  ``region`` restricts the scan to a
     rectangle.  A ``fails`` MK-TP2 witness is refined on a finer local
-    window.  A quantity with a non-finite grid value makes the properties
-    reading it ``inconclusive``; a copula without a density makes ``dtp2``
-    not applicable.
+    window.  MK-TP2 first tries :func:`_kernel_tp2_certified` on the kernel
+    grid and runs the span sweep only when that does not prove ``holds``.
+    A quantity with a non-finite grid value makes the properties reading it
+    ``inconclusive``; a copula without a density makes ``dtp2`` not
+    applicable.
     """
     for prop in props:
         if prop not in _TABLE:
@@ -321,10 +426,14 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
             note = f"{copula.label} exposes no density (not absolutely continuous)"
             out[prop] = Verdict(Status.NOT_APPLICABLE, None, cert, note=note)
             continue
-        defect, witness, note = _scan(copula, prop, us, vs, grid, evaluated)
+        values, note = _evaluate(copula, check.quantity, us, vs, evaluated)
         if note:
             out[prop] = Verdict(Status.INCONCLUSIVE, None, cert, note)
             continue
+        if prop == "mktp2" and _kernel_tp2_certified(values):
+            out[prop] = Verdict(Status.HOLDS, None, cert)
+            continue
+        defect, witness = check.scan(values, us, vs, grid)
         if prop == "mktp2" and defect > grid.tol_strict:
             refined_defect, refined_witness, refined_note = _refine_rectangle(copula, witness, grid)
             if not refined_note and refined_defect > defect:
@@ -388,6 +497,15 @@ def check_mktp2(copula, grid=DEFAULT_GRID, region=None):
     Wide spans matter here: kernels may jump, and jump-driven violations are
     invisible to adjacent quadruples alone.  Rectangles with
     K(u2,[0,v1]) ~ 0 are skipped (zero-region reduction).
+
+    The span sweep runs only when :func:`_kernel_tp2_certified` cannot prove
+    ``holds`` first: that needs a staircase of positive cells, an exact
+    K12*K21 <= K11*K22 on every positive adjacent cell and positive values in
+    [2**-450, 2**500]; a rounding-level positive cell difference, such as
+    Marshall-Olkin (0.7, 1) has, falls back to the sweep.  Either way the
+    report is the same.  :func:`counterexample_search` never uses the
+    certificate, because each stage's worst rectangle steers the next zoom
+    window even when its defect is negative.
     """
     return property_verdicts(copula, grid, ("mktp2",), region)["mktp2"]
 

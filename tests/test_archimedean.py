@@ -299,6 +299,19 @@ def test_gumbel_rejects_nan_alpha():
         builtin_archimedean("gumbel", alpha=float("nan"))
 
 
+def test_gumbel_rejects_infinite_alpha():
+    with pytest.raises(ValidationError, match="parameter 'alpha' must be finite, got inf"):
+        builtin_archimedean("gumbel", alpha=float("inf"))
+
+
+def test_w_kernel_zero_is_positive_zero():
+    # 0 / D-psi(phi(u)) < 0 is -0.0; the kernel must not report it
+    spec = builtin_archimedean("w")
+    assert np.copysign(1.0, arch_kernel(spec, 0.3, 0.5)) == 1.0
+    grid = arch_kernel(spec, np.linspace(0.05, 0.95, 19)[:, None], np.linspace(0.05, 0.95, 19)[None, :])
+    assert np.any(grid == 0.0) and not np.any(np.signbit(grid))
+
+
 def test_report_implication_chain():
     for name, kw in [("gumbel", {"alpha": 2.0}), ("gumbel", {"alpha": 1.0}), ("spreeuw", {}), ("w", {})]:
         report = classify_archimedean(builtin_archimedean(name, **kw), GRID)

@@ -121,6 +121,9 @@ def test_builtin_pickands_rejects_bad_names_and_parameters():
         builtin_pickands("evc-gumbel", alpha=float("nan"))
     with pytest.raises(ValidationError, match="unknown pickands family 'nosuch'"):
         builtin_pickands("nosuch")
+    for name, params in [("evc-gumbel", {"alpha": float("inf")}), ("tawn-mix", {"kappa": -float("inf")})]:
+        with pytest.raises(ValidationError, match=f"parameter '{next(iter(params))}' must be finite"):
+            builtin_pickands(name, **params)
     with pytest.raises(ValidationError, match=r"tawn-mix got unexpected parameters \['alpha'\]"):
         builtin_pickands("tawn-mix", theta=0.5, alpha=2.0)
 
