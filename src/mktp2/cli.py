@@ -32,7 +32,7 @@ from .properties import (
     rectangle_defect,
 )
 from .registry import build, family_names
-from .sampler import sample, write_csv
+from .sampler import sample, write_csv, write_grid_csv
 
 USAGE_ERROR = 2
 WITNESS_NOT_APPLICABLE = 3
@@ -226,11 +226,7 @@ def cmd_grid_export(args):
         vals = _grid_eval(lambda u, v: evc.cap_function(obj, evc.h_map(u, v)), us, vs)
     else:
         vals = _grid_eval(getattr(copula, quantity), us, vs)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("u,v,value\n")
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                fh.write(f"{u:.17g},{v:.17g},{vals[i, j]:.17g}\n")
+    write_grid_csv(us, vs, vals, args.out)
     sys.stderr.write(f"wrote {quantity} grid for {copula.label} to {args.out}\n")
     return 0
 

@@ -19,16 +19,33 @@ import numpy as np
 from .errors import ValidationError
 from .grids import DEFAULT_GRID, bisect
 
-__all__ = ["MAX_SAMPLES", "SampleBatch", "sample", "empirical_cdf_distance", "write_csv", "marginal_ks"]
+__all__ = [
+    "MAX_SAMPLES",
+    "SampleBatch",
+    "sample",
+    "empirical_cdf_distance",
+    "write_csv",
+    "write_grid_csv",
+    "marginal_ks",
+]
 
 # bisection of [0, 1] halves the bracket exactly, so it reaches the tolerance
 # after 34 steps, well inside the cap
 _BISECT_TOL = 1e-10
 _BISECT_CAP = 200
 
-# peak memory grows linearly with n (about 190 MB at n = 10^6 for an EVC kernel),
-# so the bound keeps a batch near 2 GB
+# memory grows linearly with n: a million samples add about 130 MB for an EVC
+# kernel (the most; 55-125 MB for the others), so the bound keeps a batch
+# near 1.4 GB
 MAX_SAMPLES = 10_000_000
+
+# Philox takes a 128-bit key
+_SEED_BOUND = 2**128
+
+# values formatted per '%' operation by the CSV writer: one block's text and
+# tuple of floats stay well under 1 MB, where all rows of a large batch at
+# once would hold them for every value
+_BLOCK_VALUES = 8192
 
 
 @dataclass(frozen=True)
@@ -50,7 +67,10 @@ def sample(copula, n, seed):
         raise ValidationError(f"need n >= 1, got {n}")
     if n > MAX_SAMPLES:
         raise ValidationError(f"sample allows at most {MAX_SAMPLES} points, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = int(seed)
+    if not 0 <= seed < _SEED_BOUND:
+        raise ValidationError(f"need 0 <= seed < 2**128, got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.random((n, 2))
     u = draws[:, 0]
     w = draws[:, 1]
@@ -58,7 +78,7 @@ def sample(copula, n, seed):
     take = lambda mid: np.asarray(copula.kernel(u, mid), dtype=float) >= w
     _, hi = bisect(take, np.zeros(n), np.ones(n), _BISECT_TOL, _BISECT_CAP)
     points = np.column_stack([u, hi])
-    return SampleBatch(points=points, seed=int(seed), n=n, label=copula.label)
+    return SampleBatch(points=points, seed=seed, n=n, label=copula.label)
 
 
 def empirical_cdf_distance(batch, copula, grid=DEFAULT_GRID):
@@ -90,9 +110,37 @@ def marginal_ks(batch):
     return tuple(out)
 
 
+def _write_blocks(path, header, values, template):
+    """Write ``header``, then the rows of the 2-D float array ``values`` through ``template``.
+
+    ``template(start, stop)`` is the text of rows ``start:stop`` with one
+    ``%.17g`` per value, in row-major order.  Each block of rows is formatted
+    by one ``%`` operation; ``"%.17g" % x`` gives the bytes of
+    ``f"{x:.17g}"`` (17 significant digits, ``1`` for 1.0, the same exponent
+    forms, ``inf`` and ``nan``).  Lines end in LF on every platform.
+    """
+    n_rows, per_row = values.shape
+    step = _BLOCK_VALUES // per_row  # rows are at most MAX_GRID = 2048 values wide
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header)
+        for start in range(0, n_rows, step):
+            stop = min(start + step, n_rows)
+            fh.write(template(start, stop) % tuple(values[start:stop].ravel().tolist()))
+
+
 def write_csv(batch, path):
     """CSV export: header u,v then one pair per line, 17 significant digits, LF endings."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("u,v\n")
-        for u, v in batch.points:
-            fh.write(f"{u:.17g},{v:.17g}\n")
+    _write_blocks(path, "u,v\n", batch.points, lambda start, stop: "%.17g,%.17g\n" * (stop - start))
+
+
+def write_grid_csv(us, vs, values, path):
+    """CSV export of ``values[i, j]`` at (us[i], vs[j]): header u,v,value, then u-major lines.
+
+    Each u and v is formatted once: the text of grid row i is u_i joined
+    between the per-v pieces, so no meshgrid of u and v is built.
+    """
+    u_text = ["%.17g" % u for u in us.tolist()]
+    row = [""] + [",%.17g,%%.17g\n" % v for v in vs.tolist()]
+    _write_blocks(
+        path, "u,v,value\n", values, lambda start, stop: "".join(t.join(row) for t in u_text[start:stop])
+    )

@@ -204,6 +204,17 @@ def test_sample_csv(tmp_path, capsys):
     assert len(lines) == 10_001
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_sample_out_of_range_seed_is_usage_error(tmp_path, capsys, seed):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "sample", "--family", "pi", "--n", "3", "--seed", seed, "--out", str(out)
+    )
+    assert code == 2
+    assert "seed" in err
+    assert not out.exists()
+
+
 def test_grid_export(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code, _, _ = run_cli(

@@ -80,6 +80,23 @@ def test_rejects_batch_above_bound_before_evaluating():
         sample(copula, MAX_SAMPLES + 1, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_rejects_seed_outside_philox_key_range_before_evaluating(seed):
+    def kernel(u, v):
+        raise AssertionError("evaluated the kernel before checking the seed")
+
+    copula = replace(make_baseline("pi"), kernel=kernel)
+    with pytest.raises(ValidationError, match="seed"):
+        sample(copula, 3, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1])
+def test_samples_at_both_ends_of_seed_range(seed):
+    batch = sample(make_baseline("pi"), 3, seed)
+    assert batch.seed == seed
+    assert batch.points.shape == (3, 2)
+
+
 def test_csv_format(tmp_path):
     batch = sample(make_baseline("pi"), 5, 123)
     path = tmp_path / "batch.csv"
