@@ -220,15 +220,17 @@ def make_generator(
                 return np.where(t >= 1.0, 0.0, out)
 
         else:
-            # strict co-generator: invert in log space, expanding the bracket
-            # until psi is below the smallest requested level
+            # strict co-generator: invert in log space, expanding each point's
+            # bracket until psi is below its own level, so that phi at a point
+            # does not depend on the other points of the call
             def phi(t, _psi=psi):
                 t = np.asarray(t, dtype=float)
                 tt = np.clip(t, 1e-300, 1.0)
-                hi = 1.0
-                t_min = float(np.min(tt))
-                while float(_psi(hi)) > t_min and hi < 1e290:
-                    hi *= 16.0
+                hi = np.ones_like(tt)
+                grow = np.asarray(_psi(hi), dtype=float) > tt
+                while np.any(grow):
+                    hi = np.where(grow, 16.0 * hi, hi)
+                    grow &= (np.asarray(_psi(hi), dtype=float) > tt) & (hi < 1e290)
                 s = _bisect_increasing(
                     lambda y: -np.asarray(_psi(np.exp(y)), dtype=float),
                     -tt,

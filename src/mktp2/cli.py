@@ -54,16 +54,25 @@ def _parse_params(text):
             raise ValidationError(f"parameter {key!r} has non-numeric value {raw!r}") from exc
         if not math.isfinite(value):
             raise ValidationError(f"parameter {key!r} has non-finite value {raw!r}")
-        out[key.strip()] = value
+        key = key.strip()
+        if key in out:
+            raise ValidationError(f"parameter {key!r} is given more than once")
+        out[key] = value
     return out
 
 
 def _parse_rect(text):
+    """--rect u1,u2,v1,v2; each part a decimal-point float."""
     parts = text.split(",")
     if len(parts) != 4:
         raise ValidationError(f"--rect needs u1,u2,v1,v2, got {text!r}")
-    u1, u2, v1, v2 = (float(p) for p in parts)
-    return Rectangle(u1, u2, v1, v2)
+    coords = []
+    for name, raw in zip(("u1", "u2", "v1", "v2"), parts):
+        try:
+            coords.append(float(raw))
+        except ValueError as exc:
+            raise ValidationError(f"--rect {name} has non-numeric value {raw!r}") from exc
+    return Rectangle(*coords)
 
 
 def _grid_from_args(args):

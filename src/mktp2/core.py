@@ -228,7 +228,8 @@ def make_gaussian(rho):
 
 
 # ---------------------------------------------------------------------------
-# diagnostic oracles shared by the test suite and the CLI
+# diagnostic oracles of the kernel, for library users and the test suite (no
+# command calls them)
 # ---------------------------------------------------------------------------
 
 

@@ -9,7 +9,9 @@ import numpy as np
 from .errors import ValidationError
 
 # twice the largest grid any search stage uses; one (n, n) float64 array
-# then takes 32 MB, and a property scan holds several of them at once
+# then takes 32 MB.  Grids are evaluated and swept in row blocks, so a
+# scan holds its quantity grids plus a few full-grid temporaries of the
+# cheap scans, never a full meshgrid or an evaluation's temporaries
 MAX_GRID = 2048
 
 
@@ -109,16 +111,21 @@ def bisect(pred, lo, hi, tol, iters):
     """Vectorized bisection of a monotone predicate; returns the final ``(lo, hi)``.
 
     Where ``pred(mid)`` is true ``hi`` moves to the midpoint, elsewhere ``lo``
-    does; the loop stops when every bracket is at most ``tol`` wide (with
-    ``tol = 0``: collapsed, so further steps would change nothing) or after
-    ``iters`` steps.
+    does.  A bracket stops moving once it is at most ``tol`` wide (with
+    ``tol = 0``: collapsed, so further steps would change nothing), so each
+    bracket's result depends only on its own point, never on the others
+    bisected with it; the loop stops when every bracket has stopped or after
+    ``iters`` steps.  Brackets of one common width, such as ``[0, 1]``,
+    halve in lockstep and stop at the same step.
     """
+    moving = True
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         take = pred(mid)
-        hi = np.where(take, mid, hi)
-        lo = np.where(take, lo, mid)
-        if np.max(hi - lo) <= tol:
+        hi = np.where(moving & take, mid, hi)
+        lo = np.where(moving & np.logical_not(take), mid, lo)
+        moving = hi - lo > tol
+        if not np.any(moving):
             break
     return lo, hi
 

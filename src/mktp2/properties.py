@@ -133,9 +133,31 @@ def _axes(grid, region):
     return grid.u_axis(region.u1, region.u2), grid.v_axis(region.v1, region.v2)
 
 
+# points per row block of the grid layer: 256 KB of float64, so a block's
+# meshgrid and an evaluation's temporaries stay cache-sized at any grid
+BLOCK_POINTS = 32768
+
+
+def _row_blocks(n_rows, row_len):
+    """``(start, stop)`` row ranges, in order, of blocks of about :data:`BLOCK_POINTS` points."""
+    step = max(1, BLOCK_POINTS // max(1, row_len))
+    return [(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+
+
 def _grid_eval(fn, us, vs):
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    return np.asarray(fn(uu, vv), dtype=float)
+    """``fn`` on the grid ``us`` x ``vs`` as a float ``(len(us), len(vs))`` array.
+
+    The grid is filled one row block at a time, so only a block's meshgrid
+    and ``fn``'s temporaries for that block are ever alive.  Every family's
+    quantities are elementwise, so the result is bit for bit that of one
+    call on the full meshgrid; blocks run in row-major order, so an error
+    raised for some point names the same first offending point.
+    """
+    out = np.empty((len(us), len(vs)))
+    for r0, r1 in _row_blocks(len(us), len(vs)):
+        uu, vv = np.meshgrid(us[r0:r1], vs, indexing="ij")
+        out[r0:r1] = fn(uu, vv)
+    return out
 
 
 def _non_finite_note(name, values, us, vs):
@@ -216,12 +238,16 @@ def _dyadic_spans(n):
 def _spanned_cross_defect(values, us, vs, grid):
     """Worst violation over rectangles with dyadic index spans.
 
-    Rectangles whose lower-right value K(u2, v1) is at most ``grid.tol_eq``
+    Rectangles whose lower-right value K(u2, v1) is not above ``grid.tol_eq``
     are skipped: those lie in the kernel's zero region where the TP2
-    inequality holds trivially.  Each span pair works in a contiguous
-    prefix of three buffers allocated once per call; a span pair replaces
-    the best witness only when its defect is strictly larger, and within a
-    span pair the first cell in row-major order wins a tie.
+    inequality holds trivially.  That zero-region mask is computed once per
+    grid.  Each span pair walks its rectangles in the row blocks of
+    :func:`_row_blocks`, in two block-sized buffers allocated once per call,
+    so the sweep never holds a full-grid temporary besides the mask.  The
+    best rectangle is the first strict maximum in span-pair-then-row-major
+    order: a later block or span pair replaces it only with a strictly
+    larger defect, and within a block the first cell wins a tie.  Its
+    witness is built once, at the end.
 
     :func:`property_verdicts` skips the sweep when
     :func:`_kernel_tp2_certified` proves its maximum is at most 0; it falls
@@ -232,44 +258,46 @@ def _spanned_cross_defect(values, us, vs, grid):
     stage's argmax witness, even one with a negative defect.
     """
     n_u, n_v = values.shape
-    size = (n_u - 1) * (n_v - 1)
+    skip = ~(values > grid.tol_eq)
+    size = min((n_u - 1) * (n_v - 1), max(BLOCK_POINTS, n_v))
     defect_buf = np.empty(size)
     product_buf = np.empty(size)
-    keep_buf = np.empty(size, dtype=bool)
     best = -np.inf
-    best_w = None
+    best_at = None
     for su in _dyadic_spans(n_u):
         for sv in _dyadic_spans(n_v):
-            shape = (n_u - su, n_v - sv)
-            cells = shape[0] * shape[1]
-            defect = defect_buf[:cells].reshape(shape)
-            product = product_buf[:cells].reshape(shape)
-            keep = keep_buf[:cells].reshape(shape)
-            f11 = values[:-su, :-sv]
-            f22 = values[su:, sv:]
-            f12 = values[:-su, sv:]
-            f21 = values[su:, :-sv]
-            np.multiply(f12, f21, out=defect)
-            np.multiply(f11, f22, out=product)
-            np.subtract(defect, product, out=defect)
-            np.greater(f21, grid.tol_eq, out=keep)
-            np.copyto(defect, -np.inf, where=np.logical_not(keep, out=keep))
-            i, j = divmod(int(np.argmax(defect)), shape[1])
-            d = float(defect[i, j])
-            if d > best:
-                best = d
-                best_w = Witness(
-                    points=(float(us[i]), float(us[i + su]), float(vs[j]), float(vs[j + sv])),
-                    values=(
-                        float(f11[i, j]),
-                        float(f12[i, j]),
-                        float(f21[i, j]),
-                        float(f22[i, j]),
-                    ),
-                    defect=d,
-                    kind="rectangle",
-                )
-    return best, best_w
+            width = n_v - sv
+            for r0, r1 in _row_blocks(n_u - su, width):
+                cells = (r1 - r0) * width
+                defect = defect_buf[:cells].reshape(r1 - r0, width)
+                product = product_buf[:cells].reshape(r1 - r0, width)
+                upper, lower = values[r0:r1], values[r0 + su : r1 + su]
+                f11, f12 = upper[:, :-sv], upper[:, sv:]
+                f21, f22 = lower[:, :-sv], lower[:, sv:]
+                np.multiply(f12, f21, out=defect)
+                np.multiply(f11, f22, out=product)
+                np.subtract(defect, product, out=defect)
+                np.copyto(defect, -np.inf, where=skip[r0 + su : r1 + su, :-sv])
+                k = int(np.argmax(defect))
+                d = float(defect_buf[k])
+                if d > best:
+                    best = d
+                    best_at = (r0 + k // width, k % width, su, sv)
+    if best_at is None:
+        return best, None
+    i, j, su, sv = best_at
+    witness = Witness(
+        points=(float(us[i]), float(us[i + su]), float(vs[j]), float(vs[j + sv])),
+        values=(
+            float(values[i, j]),
+            float(values[i, j + sv]),
+            float(values[i + su, j]),
+            float(values[i + su, j + sv]),
+        ),
+        defect=best,
+        kind="rectangle",
+    )
+    return best, witness
 
 
 # Veltkamp's splitter for binary64: 2**27 + 1 cuts a double into two halves

@@ -150,6 +150,25 @@ def test_non_finite_parameters_exit_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rect, bad",
+    [("0.1,0.2,x,0.4", "v1 has non-numeric value 'x'"), ("0.1,,0.3,0.4", "u2 has non-numeric value ''")],
+)
+def test_non_numeric_rect_part_exits_two(capsys, rect, bad):
+    code, stdout, err = run_cli(capsys, "check", "--family", "pi", "--property", "pqd", "--rect", rect)
+    assert code == 2
+    assert stdout == ""
+    assert bad in err
+    assert "Traceback" not in err
+
+
+def test_repeated_parameter_exits_two(capsys):
+    code, stdout, err = run_cli(capsys, "classify", "--family", "gaussian", "--param", "rho=0.5,rho=0.6")
+    assert code == 2
+    assert stdout == ""
+    assert "parameter 'rho' is given more than once" in err
+
+
 def test_sample_size_above_bound_exits_two(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, _, err = run_cli(capsys, "sample", "--family", "pi", "--n", "10000001", "--out", str(out))

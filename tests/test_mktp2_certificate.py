@@ -5,7 +5,8 @@
 positive defect.  These tests pin that the certificate never certifies a
 grid the sweep would not read as ``holds``, that it declines the hand-built
 grids it must decline, that the coarse-to-fine search never uses it, and
-that the buffered sweep gives the bits and witness of its ``np.where`` form.
+that the row-blocked sweep gives the bits and witness of its full-grid
+``np.where`` form, on grids of one and of several row blocks.
 """
 
 from fractions import Fraction
@@ -25,6 +26,7 @@ from mktp2.properties import (
     _grid_eval,
     _kernel_tp2_certified,
     _product_error,
+    _row_blocks,
     _spanned_cross_defect,
     check_mktp2,
     counterexample_search,
@@ -183,12 +185,13 @@ def test_property_verdicts_use_the_certificate_and_the_search_does_not(monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the buffered sweep against its np.where form
+# the row-blocked sweep against its full-grid np.where form
 # ---------------------------------------------------------------------------
 
 
 def _reference_sweep(values, us, vs, grid):
-    """The span sweep as written before its buffers: one np.where per span pair."""
+    """The span sweep as written before its buffers and row blocks: one
+    full-grid np.where and one argmax per span pair."""
     best = -np.inf
     best_w = None
     for su in _dyadic_spans(len(us)):
@@ -212,9 +215,38 @@ def _reference_sweep(values, us, vs, grid):
     return best, best_w
 
 
+def _planted(shape, rects):
+    """A zero grid holding one violating rectangle (i, i + su, j, j + sv) per entry.
+
+    Each has K12 = K21 = 1 and K11 = K22 = 0, so all have defect 1; every other
+    rectangle is skipped (K21 = 0) or has defect at most 0, given positions
+    whose cross pairings span no dyadic index range.
+    """
+    values = np.zeros(shape)
+    for i, j, su, sv in rects:
+        values[i, j + sv] = 1.0
+        values[i + su, j] = 1.0
+    return values
+
+
+# (i, j, su, sv); on a 600 x 100 grid the adjacent span pair's row blocks
+# are rows 0-329 and 330-598
+LATE_BLOCK_FIRST_PAIR = (400, 10, 1, 1)
+EARLY_BLOCK_LATER_PAIR = (5, 50, 2, 1)
+EARLY_BLOCK_FIRST_PAIR = (100, 70, 1, 1)
+PLANTED = [
+    # an earlier span pair beats an earlier block of a later span pair
+    ([LATE_BLOCK_FIRST_PAIR, EARLY_BLOCK_LATER_PAIR], LATE_BLOCK_FIRST_PAIR),
+    # within a span pair the earlier block wins the tie
+    ([LATE_BLOCK_FIRST_PAIR, EARLY_BLOCK_LATER_PAIR, EARLY_BLOCK_FIRST_PAIR], EARLY_BLOCK_FIRST_PAIR),
+]
+
+
 def _sweep_grids():
     rng = np.random.default_rng(11)
     shapes = [(2, 2), (2, 7), (7, 2), (3, 5), (17, 9), (33, 64), (40, 40), (65, 31)]
+    # several row blocks per span pair, some ending on a partial block
+    shapes += [(600, 100), (40, 2048), (300, 300), (129, 257)]
     for shape in shapes:
         yield rng.uniform(0.0, 1.0, shape)
         # few levels: ties within and across span pairs
@@ -226,6 +258,8 @@ def _sweep_grids():
         yield grid
         yield np.full(shape, 0.5)
         yield np.zeros(shape)
+    for rects, _ in PLANTED:
+        yield _planted((600, 100), rects)
 
 
 @pytest.mark.parametrize("tol_eq", [1e-12, 0.25])
@@ -238,3 +272,15 @@ def test_buffered_sweep_matches_np_where_form(tol_eq):
         want = _reference_sweep(values, us, vs, grid)
         assert float(got[0]).hex() == float(want[0]).hex()
         assert repr(got[1]) == repr(want[1])
+
+
+@pytest.mark.parametrize("rects, winner", PLANTED)
+def test_first_strict_maximum_wins_across_blocks_and_span_pairs(rects, winner):
+    us = np.linspace(0.1, 0.9, 600)
+    vs = np.linspace(0.05, 0.95, 100)
+    assert len(_row_blocks(599, 99)) == 2
+    defect, witness = _spanned_cross_defect(_planted((600, 100), rects), us, vs, GridConfig())
+    i, j, su, sv = winner
+    assert defect == 1.0
+    assert witness.points == (us[i], us[i + su], vs[j], vs[j + sv])
+    assert witness.values == (0.0, 1.0, 1.0, 0.0)
