@@ -17,7 +17,6 @@ from .properties import (
     counterexample_search,
     log_concavity_test,
     log_convexity_test,
-    run_check,
     two_increasing_test,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "make_fgm",
     "make_frechet",
     "make_gaussian",
-    "run_check",
     "two_increasing_test",
     "__version__",
 ]

@@ -56,7 +56,10 @@ class GeneratorSpec:
     ``d_minus_psi_jumps`` declares the discontinuity set of D-psi: an empty
     tuple declares continuity, None leaves it unknown (numeric scans decide).
     ``smoothness`` is a declaration, never inferred: "generic",
-    "twice-differentiable" or "completely-monotone".
+    "twice-differentiable" or "completely-monotone".  ``exact_derivative``
+    is False when D-psi was not supplied but derived by finite differences;
+    the SI and MK-TP2 certificates then carry ``"derivative":
+    "finite-difference"``.
     """
 
     label: str
@@ -114,6 +117,38 @@ def _fd_d_minus(psi):
     return d_minus
 
 
+def _inverse_d_minus(phi, psi, cap):
+    """D-psi(x) = 1 / phi'(psi(x)) by the inverse-function rule, for a psi bisected from phi.
+
+    phi' is a central difference of the given phi with step 1e-6 t, so each
+    point costs one bisection of psi.  D-psi is 0 at x >= phi(0) and wherever
+    psi(x) = 0, which keeps the jump of a non-strict generator at phi(0).
+    """
+
+    def d_minus(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        inside = (x > 0.0) & (x < cap)
+        t = np.asarray(psi(x[inside]), dtype=float)
+        h = 1e-6 * t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rise = np.asarray(phi(t + h), dtype=float) - np.asarray(phi(t - h), dtype=float)
+            out[inside] = np.where(t > 0.0, 1.0 / (rise / (2.0 * h)), 0.0)
+        return out
+
+    return d_minus
+
+
+def _unique_levels(solve, t):
+    """``solve`` on the distinct values of ``t``, scattered back to ``t``'s shape.
+
+    Each point's bracket is its own, so this gives the bits of solving every
+    point, at one bisection per distinct u of a meshgrid.
+    """
+    levels, back = np.unique(t, return_inverse=True)
+    return solve(levels)[back].reshape(t.shape)
+
+
 def _bisect_increasing(fn, target, lo, hi, tol=1e-12, iters=200):
     """Solve fn(t) = target, fn non-decreasing with fn(lo) <= target <= fn(hi), by bisection."""
     target = np.asarray(target, dtype=float)
@@ -161,9 +196,10 @@ def make_generator(
     """Build a :class:`GeneratorSpec` from closed forms of phi and/or psi.
 
     Whichever of the pair is missing is produced by monotone bisection
-    inversion (tolerance 1e-12); a missing D-psi falls back to one-sided
-    finite differences.  The supplied function is validated for convexity
-    and strict monotonicity on a 1000-point grid.  Declared metadata
+    inversion (tolerance 1e-12).  A missing D-psi is 1 / phi'(psi(x)) when
+    psi is the bisected one, else a one-sided finite difference of psi.  The
+    supplied function is validated for convexity and strict monotonicity on
+    a 1000-point grid.  Declared metadata
     (``strict``, ``phi_at_zero``) overrides detection, which matters for
     co-generators that underflow to zero in floating point.
     """
@@ -199,6 +235,7 @@ def make_generator(
     if strict and np.isfinite(phi_at_zero):
         raise ValidationError("declared strict but phi(0) is finite")
 
+    psi_bisected = psi is None
     if psi is None:
         cap = phi_at_zero
 
@@ -215,7 +252,8 @@ def make_generator(
             def phi(t, _psi=psi, _hi=phi_at_zero):
                 t = np.asarray(t, dtype=float)
                 tt = np.clip(t, 1e-300, 1.0)
-                x = _bisect_increasing(lambda s: -np.asarray(_psi(s), dtype=float), -tt, 0.0, _hi)
+                neg_psi = lambda s: -np.asarray(_psi(s), dtype=float)
+                x = _unique_levels(lambda lv: _bisect_increasing(neg_psi, -lv, 0.0, _hi), tt)
                 out = np.where(t <= 0.0, phi_at_zero, x)
                 return np.where(t >= 1.0, 0.0, out)
 
@@ -223,9 +261,7 @@ def make_generator(
             # strict co-generator: invert in log space, expanding each point's
             # bracket until psi is below its own level, so that phi at a point
             # does not depend on the other points of the call
-            def phi(t, _psi=psi):
-                t = np.asarray(t, dtype=float)
-                tt = np.clip(t, 1e-300, 1.0)
+            def solve(tt, _psi=psi):
                 hi = np.ones_like(tt)
                 grow = np.asarray(_psi(hi), dtype=float) > tt
                 while np.any(grow):
@@ -239,12 +275,16 @@ def make_generator(
                     tol=1e-13,
                     iters=300,
                 )
-                out = np.where(t <= 0.0, np.inf, np.exp(s))
+                return np.exp(s)
+
+            def phi(t):
+                t = np.asarray(t, dtype=float)
+                out = np.where(t <= 0.0, np.inf, _unique_levels(solve, np.clip(t, 1e-300, 1.0)))
                 return np.where(t >= 1.0, 0.0, out)
 
     exact = d_minus_psi is not None
     if d_minus_psi is None:
-        d_minus_psi = _fd_d_minus(psi)
+        d_minus_psi = _inverse_d_minus(phi, psi, phi_at_zero) if psi_bisected else _fd_d_minus(psi)
 
     normalized = abs(float(phi(0.5)) - 1.0) <= 1e-10
     return GeneratorSpec(
@@ -579,52 +619,45 @@ def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
             {"method": "analytic:non-strict"},
             "non-strict copulas carry a singular part",
         )
-        return ArchReport(
-            label=spec.label,
-            strict=False,
-            d_minus_psi_continuous=continuity,
-            tp2_ltd=tp2_ltd,
-            mktp2_si=mktp2_si,
-            dtp2=dtp2,
-        )
-
-    xs = generator_x_sample(spec, grid, n_points)
-    tp2_ltd = _tag_analytic(
-        log_convexity_test(spec.psi, xs, grid.tol_eq, grid.tol_strict),
-        "psi-log-convexity",
-    )
-
-    if continuity.status is Status.FAILS:
-        mktp2_si = Verdict(
-            Status.FAILS,
-            continuity.witness,
-            {"method": "analytic:dminus-psi-discontinuity"},
-            "a discontinuous D-psi rules out SI",
-        )
     else:
-        mktp2_si = _tag_analytic(
-            log_convexity_test(
-                lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float),
-                xs,
-                grid.tol_eq,
-                grid.tol_strict,
-            ),
-            "neg-dminus-psi-log-convexity",
+        xs = generator_x_sample(spec, grid, n_points)
+        tp2_ltd = _tag_analytic(
+            log_convexity_test(spec.psi, xs, grid.tol_eq, grid.tol_strict),
+            "psi-log-convexity",
         )
-
-    if spec.smoothness in ("twice-differentiable", "completely-monotone"):
-        dtp2 = _tag_analytic(_dtp2_second_difference(spec, xs, grid), "psi-second-log-convexity")
-    else:
-        dtp2 = Verdict(
-            Status.NOT_APPLICABLE,
-            None,
-            {"method": "psi-second-log-convexity"},
-            "co-generator not declared twice-differentiable",
-        )
-
+        if continuity.status is Status.FAILS:
+            mktp2_si = Verdict(
+                Status.FAILS,
+                continuity.witness,
+                {"method": "analytic:dminus-psi-discontinuity"},
+                "a discontinuous D-psi rules out SI",
+            )
+        else:
+            mktp2_si = _tag_analytic(
+                log_convexity_test(
+                    lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float),
+                    xs,
+                    grid.tol_eq,
+                    grid.tol_strict,
+                ),
+                "neg-dminus-psi-log-convexity",
+            )
+        if spec.smoothness in ("twice-differentiable", "completely-monotone"):
+            dtp2 = _tag_analytic(_dtp2_second_difference(spec, xs, grid), "psi-second-log-convexity")
+        else:
+            dtp2 = Verdict(
+                Status.NOT_APPLICABLE,
+                None,
+                {"method": "psi-second-log-convexity"},
+                "co-generator not declared twice-differentiable",
+            )
+    if not spec.exact_derivative:
+        # the verdict read D-psi, and D-psi was derived, not declared
+        derived = {**mktp2_si.certificate, "derivative": "finite-difference"}
+        mktp2_si = replace(mktp2_si, certificate=derived)
     return ArchReport(
         label=spec.label,
-        strict=True,
+        strict=spec.strict,
         d_minus_psi_continuous=continuity,
         tp2_ltd=tp2_ltd,
         mktp2_si=mktp2_si,

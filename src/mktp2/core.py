@@ -49,23 +49,13 @@ class Copula:
         return f"Copula({self.label})"
 
 
-def _asarrays(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.broadcast_arrays(u, v)
-
-
-def _maybe_scalar(x, want_scalar):
-    return float(x) if want_scalar else x
-
-
 def _wrap(fn):
     """Lift an array-in/array-out bivariate function to accept scalars."""
 
     def wrapped(u, v):
-        want_scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        uu, vv = _asarrays(u, v)
-        return _maybe_scalar(fn(uu, vv), want_scalar)
+        uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        out = fn(uu, vv)
+        return float(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
     return wrapped
 
@@ -225,83 +215,3 @@ def make_gaussian(rho):
         density=_wrap(density),
         params={"rho": rho},
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostic oracles of the kernel, for library users and the test suite (no
-# command calls them)
-# ---------------------------------------------------------------------------
-
-
-def _simpson(fn, a, b, panels):
-    xs, step = np.linspace(a, b, 2 * panels + 1, retstep=True)
-    ys = fn(xs)
-    return (step / 3.0) * (
-        ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2]) + 2.0 * np.sum(ys[2:-2:2])
-    )
-
-
-def _graded_simpson(fn, a, b, panels, levels=30):
-    """Composite Simpson on [a, b] with geometric grading toward both ends.
-
-    Kernels can have unbounded u-derivatives at the domain boundary (e.g.
-    the Gaussian family); grading restores full quadrature accuracy there
-    without raising the panel budget.
-    """
-    fracs = np.concatenate(
-        [0.5 ** np.arange(levels, 0, -1), 1.0 - 0.5 ** np.arange(1, levels + 1), [0.0, 1.0]]
-    )
-    breaks = a + (b - a) * np.unique(fracs)
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        seg_panels = max(4, int(round(panels * (hi - lo) / (b - a))))
-        total += _simpson(fn, lo, hi, seg_panels)
-    return total
-
-
-def disintegration_gap(copula, v, panels=10_000):
-    """|integral over u of K(u,[0,v]) - v|, by piecewise composite Simpson.
-
-    The kernel is integrated between its jump locations in u (one smooth
-    piece per segment, endpoints nudged inward), so step-function kernels
-    integrate at full quadrature accuracy rather than O(panel width).
-    """
-    v = float(v)
-    cuts = []
-    if copula.kernel_u_jumps is not None:
-        cuts = [float(x) for x in copula.kernel_u_jumps(v) if 0.0 < x < 1.0]
-    edges = [0.0] + sorted(set(cuts)) + [1.0]
-    total = 0.0
-    nudge = 1e-12
-    for a, b in zip(edges[:-1], edges[1:]):
-        width = b - a
-        if width <= 2 * nudge:
-            continue
-        seg_panels = max(16, int(round(panels * width)))
-        total += _graded_simpson(
-            lambda u: np.asarray(copula.kernel(u, v), dtype=float),
-            a + nudge,
-            b - nudge,
-            seg_panels,
-        )
-    return abs(total - v)
-
-
-def max_kernel_fd_mismatch(copula, n=101, margin=0.01, h=1e-6, exclusion=1e-3):
-    """Worst |kernel - central u-difference of the CDF| on an interior grid.
-
-    Points within ``exclusion`` of a kernel jump in u are skipped: there the
-    CDF has a kink and the kernel value is a one-sided version.
-    """
-    us = np.linspace(margin, 1.0 - margin, n)
-    vs = np.linspace(margin, 1.0 - margin, n)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    ker = np.asarray(copula.kernel(uu, vv), dtype=float)
-    fd = (np.asarray(copula.cdf(uu + h, vv), dtype=float)
-          - np.asarray(copula.cdf(uu - h, vv), dtype=float)) / (2.0 * h)
-    gap = np.abs(ker - fd)
-    if copula.kernel_u_jumps is not None:
-        for j, v in enumerate(vs):
-            for x in copula.kernel_u_jumps(v):
-                gap[np.abs(us - x) <= exclusion, j] = 0.0
-    return float(np.max(gap))

@@ -16,7 +16,8 @@ class DomainError(MkTp2Error, ValueError):
     """A tester was fed values outside its mathematical domain.
 
     Raised e.g. when a log-convexity test meets a non-positive sample, or
-    when the kernel-ratio TP2 method meets a copula with interior zeros.
+    when a rectangle re-evaluation asks for the density of a copula that
+    has none.
     """
 
 

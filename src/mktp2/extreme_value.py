@@ -48,7 +48,6 @@ __all__ = [
     "construct_witness_gradient",
     "construct_witness_jump",
     "construct_witness_constant",
-    "cross_ratio_identity_check",
     "beta_sup_argmin",
     "property_verdicts",
 ]
@@ -553,23 +552,6 @@ def _cross_ratio(spec, rect):
 def kernel_cross_ratio(spec, rect):
     """K11*K22 / (K12*K21) evaluated through the kernel alone; < 1 refutes MK-TP2."""
     return _cross_ratio(spec, rect)[1]
-
-
-def cross_ratio_identity_check(a, rect):
-    """Telescoping product that must equal 1 for every exponent a and rectangle.
-
-    Regression check for the h/contour arithmetic: with h_ij = h(u_i, v_j),
-    u1^{a(h11-h12)} v1^{a(h11-h21)} u2^{a(h22-h21)} v2^{a(h22-h12)} == 1.
-    """
-    u1, u2, v1, v2 = rect.as_tuple()
-    h11, h12, h21, h22 = corners(h_map, rect)
-    log_product = a * (
-        (h11 - h12) * np.log(u1)
-        + (h11 - h21) * np.log(v1)
-        + (h22 - h21) * np.log(u2)
-        + (h22 - h12) * np.log(v2)
-    )
-    return float(np.exp(log_product))
 
 
 # ---------------------------------------------------------------------------

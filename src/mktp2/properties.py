@@ -37,7 +37,6 @@ __all__ = [
     "two_increasing_test",
     "counterexample_search",
     "property_verdicts",
-    "run_check",
     "rectangle_defect",
 ]
 
@@ -53,10 +52,13 @@ class Status(str, Enum):
 class Witness:
     """Location and evaluated values of the worst defect found by a scan.
 
-    ``points`` is the coordinate tuple appropriate to the check: a single
-    (u, v) for pointwise tests, (u1, u2, v) for per-line monotonicity tests,
-    (u1, u2, v1, v2) for rectangle tests, (x0, x1, x2) for midpoint tests.
-    ``defect`` is oriented so that positive means violation.
+    ``kind`` names the form of ``points``: ``point`` (u, v) for pointwise
+    tests, ``line`` (u1, u2, v) for per-line monotonicity tests,
+    ``rectangle`` (u1, u2, v1, v2) for rectangle tests, ``triple``
+    (x0, x1, x2) for midpoint tests, ``jump`` (x,) for a D-psi jump and
+    ``ratio-pair`` (t1, t2) for the extreme-value monotone-ratio test.  Only
+    the first three have a :meth:`rectangle` form.  ``defect`` is oriented
+    so that positive means violation.
     """
 
     points: tuple
@@ -119,12 +121,20 @@ def _band(defect, tol_eq, tol_strict):
     return Status.HOLDS
 
 
-def _classify(defect, witness, grid, certificate):
-    status = _band(defect, grid.tol_eq, grid.tol_strict)
+_GRID_BAND_NOTE = "defect inside the tolerance band (tol_eq, tol_strict]"
+
+
+def _verdict(
+    defect, witness, certificate, tol_eq, tol_strict, band_note=_GRID_BAND_NOTE, holds_note=""
+):
+    """The :class:`Verdict` of :func:`_band`: ``fails`` keeps the witness, the band
+    keeps it with ``band_note``, and ``holds`` drops it and carries ``holds_note``."""
+    status = _band(defect, tol_eq, tol_strict)
+    if status is Status.HOLDS:
+        return Verdict(status, None, certificate, holds_note)
     if status is Status.INCONCLUSIVE:
-        note = "defect inside the tolerance band (tol_eq, tol_strict]"
-        return Verdict(status, witness, certificate, note)
-    return Verdict(status, witness if status is Status.FAILS else None, certificate)
+        return Verdict(status, witness, certificate, band_note)
+    return Verdict(status, witness, certificate)
 
 
 def _axes(grid, region):
@@ -211,6 +221,22 @@ def _scan_ltd(cdf, us, vs, grid):
     return _scan_line_monotone(cdf / us[:, None], us, vs, grid)
 
 
+def _rectangle_witness(values, us, vs, i, j, su, sv, defect):
+    """Witness of the grid rectangle [us[i], us[i+su]] x [vs[j], vs[j+sv]] with
+    its corner values (f11, f12, f21, f22)."""
+    return Witness(
+        points=(float(us[i]), float(us[i + su]), float(vs[j]), float(vs[j + sv])),
+        values=(
+            float(values[i, j]),
+            float(values[i, j + sv]),
+            float(values[i + su, j]),
+            float(values[i + su, j + sv]),
+        ),
+        defect=float(defect),
+        kind="rectangle",
+    )
+
+
 def _adjacent_cross_defect(values, us, vs, grid):
     """Worst adjacent-cell violation of f11*f22 - f12*f21 >= 0."""
     f11 = values[:-1, :-1]
@@ -219,13 +245,7 @@ def _adjacent_cross_defect(values, us, vs, grid):
     f21 = values[1:, :-1]
     defect = f12 * f21 - f11 * f22
     i, j = np.unravel_index(np.argmax(defect), defect.shape)
-    w = Witness(
-        points=(float(us[i]), float(us[i + 1]), float(vs[j]), float(vs[j + 1])),
-        values=(float(f11[i, j]), float(f12[i, j]), float(f21[i, j]), float(f22[i, j])),
-        defect=float(defect[i, j]),
-        kind="rectangle",
-    )
-    return float(defect[i, j]), w
+    return float(defect[i, j]), _rectangle_witness(values, us, vs, i, j, 1, 1, defect[i, j])
 
 
 def _dyadic_spans(n):
@@ -250,12 +270,9 @@ def _spanned_cross_defect(values, us, vs, grid):
     witness is built once, at the end.
 
     :func:`property_verdicts` skips the sweep when
-    :func:`_kernel_tp2_certified` proves its maximum is at most 0; it falls
-    back here on a non-staircase zero pattern, on an adjacent cell whose
-    exact cross product exceeds its direct one (even at rounding level) and
-    on positive values outside [2**-450, 2**500].  The refine step and
-    :func:`counterexample_search` always sweep: the search zooms on each
-    stage's argmax witness, even one with a negative defect.
+    :func:`_kernel_tp2_certified` proves its maximum is at most 0.  The
+    refine step and :func:`counterexample_search` always sweep: the search
+    zooms on each stage's argmax witness, even one with a negative defect.
     """
     n_u, n_v = values.shape
     skip = ~(values > grid.tol_eq)
@@ -285,19 +302,7 @@ def _spanned_cross_defect(values, us, vs, grid):
                     best_at = (r0 + k // width, k % width, su, sv)
     if best_at is None:
         return best, None
-    i, j, su, sv = best_at
-    witness = Witness(
-        points=(float(us[i]), float(us[i + su]), float(vs[j]), float(vs[j + sv])),
-        values=(
-            float(values[i, j]),
-            float(values[i, j + sv]),
-            float(values[i + su, j]),
-            float(values[i + su, j + sv]),
-        ),
-        defect=best,
-        kind="rectangle",
-    )
-    return best, witness
+    return best, _rectangle_witness(values, us, vs, *best_at, best)
 
 
 # Veltkamp's splitter for binary64: 2**27 + 1 cuts a double into two halves
@@ -466,7 +471,7 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
             refined_defect, refined_witness, refined_note = _refine_rectangle(copula, witness, grid)
             if not refined_note and refined_defect > defect:
                 defect, witness = refined_defect, refined_witness
-        out[prop] = _classify(defect, witness, grid, cert)
+        out[prop] = _verdict(defect, witness, cert, grid.tol_eq, grid.tol_strict)
     return out
 
 
@@ -485,38 +490,11 @@ def check_si(copula, grid=DEFAULT_GRID, region=None):
     return property_verdicts(copula, grid, ("si",), region)["si"]
 
 
-def check_tp2(copula, grid=DEFAULT_GRID, method="direct", region=None):
-    """TP2 of the copula itself.
-
-    ``direct`` scans adjacent-cell cross products of the CDF (adjacent
-    quadruples generate grid TP2 for these smooth, a.e.-positive surfaces);
-    ``kernel-ratio`` checks that v -> K(u,[0,v]) / C(u,v) is non-decreasing,
-    and rejects copulas whose CDF vanishes on the interior grid.
-    """
-    if method == "direct":
-        return property_verdicts(copula, grid, ("tp2",), region)["tp2"]
-    if method == "kernel-ratio":
-        us, vs = _axes(grid, region)
-        cdf = _grid_eval(copula.cdf, us, vs)
-        if np.any(cdf <= 0.0):
-            i, j = np.argwhere(cdf <= 0.0)[0]
-            raise DomainError(
-                f"kernel-ratio method needs C > 0 on the grid; C({us[i]:.6g},{vs[j]:.6g}) = {cdf[i, j]:.3g}"
-            )
-        ker = _grid_eval(copula.kernel, us, vs)
-        ratio = ker / cdf
-        diff = ratio[:, :-1] - ratio[:, 1:]
-        i, j = np.unravel_index(np.argmax(diff), diff.shape)
-        witness = Witness(
-            points=(float(us[i]), float(vs[j]), float(vs[j + 1])),
-            values=(float(ratio[i, j]), float(ratio[i, j + 1])),
-            defect=float(diff[i, j]),
-            kind="ratio-line",
-        )
-        return _classify(
-            float(diff[i, j]), witness, grid, _certificate("grid:tp2:kernel-ratio", grid, region)
-        )
-    raise ValidationError(f"unknown tp2 method {method!r}")
+def check_tp2(copula, grid=DEFAULT_GRID, region=None):
+    """TP2 of the copula itself: adjacent-cell cross products of the CDF
+    (adjacent quadruples generate grid TP2 for these smooth, a.e.-positive
+    surfaces)."""
+    return property_verdicts(copula, grid, ("tp2",), region)["tp2"]
 
 
 def check_mktp2(copula, grid=DEFAULT_GRID, region=None):
@@ -527,13 +505,7 @@ def check_mktp2(copula, grid=DEFAULT_GRID, region=None):
     K(u2,[0,v1]) ~ 0 are skipped (zero-region reduction).
 
     The span sweep runs only when :func:`_kernel_tp2_certified` cannot prove
-    ``holds`` first: that needs a staircase of positive cells, an exact
-    K12*K21 <= K11*K22 on every positive adjacent cell and positive values in
-    [2**-450, 2**500]; a rounding-level positive cell difference, such as
-    Marshall-Olkin (0.7, 1) has, falls back to the sweep.  Either way the
-    report is the same.  :func:`counterexample_search` never uses the
-    certificate, because each stage's worst rectangle steers the next zoom
-    window even when its defect is negative.
+    ``holds`` first; either way the report is the same.
     """
     return property_verdicts(copula, grid, ("mktp2",), region)["mktp2"]
 
@@ -577,10 +549,8 @@ def _midpoint_scan(f, points, orient, tol_eq, tol_strict):
         "tol_eq": tol_eq,
         "tol_strict": tol_strict,
     }
-    status = _band(float(defect[k]), tol_eq, tol_strict)
-    if status is Status.INCONCLUSIVE:
-        return Verdict(status, witness, cert, "defect inside the tolerance band")
-    return Verdict(status, witness if status is Status.FAILS else None, cert)
+    band_note = "defect inside the tolerance band"
+    return _verdict(float(defect[k]), witness, cert, tol_eq, tol_strict, band_note)
 
 
 def log_convexity_test(f, points, tol_eq=1e-12, tol_strict=1e-9):
@@ -616,18 +586,8 @@ def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
         ok = m[1:, 1:] & m[:-1, :-1] & m[:-1, 1:] & m[1:, :-1]
         defect = np.where(ok, defect, -np.inf)
     i, j = np.unravel_index(np.argmax(defect), defect.shape)
-    witness = Witness(
-        points=(float(us[i]), float(us[i + 1]), float(vs[j]), float(vs[j + 1])),
-        values=(
-            float(vals[i, j]),
-            float(vals[i, j + 1]),
-            float(vals[i + 1, j]),
-            float(vals[i + 1, j + 1]),
-        ),
-        defect=float(defect[i, j]),
-        kind="rectangle",
-    )
-    return _classify(float(defect[i, j]), witness, grid, cert)
+    witness = _rectangle_witness(vals, us, vs, i, j, 1, 1, defect[i, j])
+    return _verdict(float(defect[i, j]), witness, cert, grid.tol_eq, grid.tol_strict)
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +598,7 @@ def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
 def _window_axes(witness, n, pad_factor=2.0, min_pad=0.02, floor=1e-6):
     """Axes of ``n`` points on the witness's extent padded by ``pad_factor`` times
     its width (at least ``min_pad``) on each side, clipped to ``[floor, 1 - floor]``."""
-    pts = witness.points
-    if witness.kind == "point":
-        u_lo = u_hi = pts[0]
-        v_lo = v_hi = pts[1]
-    elif witness.kind == "line":
-        u_lo, u_hi = pts[0], pts[1]
-        v_lo = v_hi = pts[2]
-    else:
-        u_lo, u_hi, v_lo, v_hi = pts
+    u_lo, u_hi, v_lo, v_hi = witness.rectangle().as_tuple()
     du = max((u_hi - u_lo) * pad_factor, min_pad)
     dv = max((v_hi - v_lo) * pad_factor, min_pad)
     us = np.linspace(max(u_lo - du, floor), min(u_hi + du, 1.0 - floor), n)
@@ -686,22 +638,20 @@ def counterexample_search(copula, prop, grid=DEFAULT_GRID, stages=(64, 256, 1024
             best_defect, best_witness = d, w
     if note:
         return Verdict(Status.INCONCLUSIVE, None, cert, note)
-    status = _band(best_defect, grid.tol_eq, grid.tol_strict)
-    if status is Status.HOLDS:
-        return Verdict(status, None, cert, "no violation within the search budget")
-    if status is Status.INCONCLUSIVE:
-        return Verdict(status, best_witness, cert, "defect inside the tolerance band")
-    return Verdict(status, best_witness, cert)
+    return _verdict(
+        best_defect,
+        best_witness,
+        cert,
+        grid.tol_eq,
+        grid.tol_strict,
+        "defect inside the tolerance band",
+        "no violation within the search budget",
+    )
 
 
 # ---------------------------------------------------------------------------
 # dispatch and witness re-evaluation
 # ---------------------------------------------------------------------------
-
-
-def run_check(copula, prop, grid=DEFAULT_GRID, region=None):
-    """Run a single named property check on a copula."""
-    return property_verdicts(copula, grid, (prop,), region)[prop]
 
 
 def rectangle_defect(copula, prop, rect):

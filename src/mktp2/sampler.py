@@ -17,16 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grids import DEFAULT_GRID, bisect
+from .grids import bisect
 
 __all__ = [
     "MAX_SAMPLES",
     "SampleBatch",
     "sample",
-    "empirical_cdf_distance",
     "write_csv",
     "write_grid_csv",
-    "marginal_ks",
 ]
 
 # bisection of [0, 1] halves the bracket exactly, so it reaches the tolerance
@@ -79,35 +77,6 @@ def sample(copula, n, seed):
     _, hi = bisect(take, np.zeros(n), np.ones(n), _BISECT_TOL, _BISECT_CAP)
     points = np.column_stack([u, hi])
     return SampleBatch(points=points, seed=seed, n=n, label=copula.label)
-
-
-def empirical_cdf_distance(batch, copula, grid=DEFAULT_GRID):
-    """Sup distance between the batch's empirical CDF and the copula CDF on a grid."""
-    if batch.n < 1:
-        raise ValidationError("empty batch")
-    us = grid.u_axis()
-    vs = grid.v_axis()
-    edges_u = np.concatenate([[0.0], us, [1.0 + 1e-12]])
-    edges_v = np.concatenate([[0.0], vs, [1.0 + 1e-12]])
-    hist, _, _ = np.histogram2d(batch.points[:, 0], batch.points[:, 1], bins=[edges_u, edges_v])
-    # cumulative counts at (us[i], vs[j]): points with u <= us[i], v <= vs[j]
-    cum = hist.cumsum(axis=0).cumsum(axis=1)[: len(us), : len(vs)]
-    emp = cum / batch.n
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    model = np.asarray(copula.cdf(uu, vv), dtype=float)
-    return float(np.max(np.abs(emp - model)))
-
-
-def marginal_ks(batch):
-    """One-sample Kolmogorov sup distances of the two coordinates against uniform."""
-    out = []
-    for col in range(2):
-        x = np.sort(batch.points[:, col])
-        k = np.arange(1, batch.n + 1)
-        d_plus = np.max(k / batch.n - x)
-        d_minus = np.max(x - (k - 1) / batch.n)
-        out.append(float(max(d_plus, d_minus)))
-    return tuple(out)
 
 
 def _write_blocks(path, header, values, template):

@@ -16,7 +16,6 @@ from mktp2.archimedean import (
     generator_x_sample,
 )
 from mktp2.cli import main as cli_main
-from mktp2.core import disintegration_gap, max_kernel_fd_mismatch
 from mktp2.extreme_value import (
     builtin_pickands,
     cap_function,
@@ -24,14 +23,19 @@ from mktp2.extreme_value import (
     construct_witness_constant,
     construct_witness_gradient,
     construct_witness_jump,
-    cross_ratio_identity_check,
     evc_kernel,
     kernel_cross_ratio,
 )
 from mktp2.grids import GridConfig, Rectangle
-from mktp2.properties import Status, check_mktp2, log_convexity_test, run_check
+from mktp2.properties import Status, check_mktp2, check_tp2, log_convexity_test, property_verdicts
 from mktp2.registry import build
-from mktp2.sampler import empirical_cdf_distance, sample
+from mktp2.sampler import sample
+from oracles import (
+    cross_ratio_identity_check,
+    disintegration_gap,
+    empirical_cdf_distance,
+    max_kernel_fd_mismatch,
+)
 
 GRID = GridConfig()
 CHAIN_GRID = GridConfig(n_u=64, n_v=64)
@@ -52,7 +56,7 @@ def fails(verdict):
 
 def ladder(name, params, grid=GRID):
     _, _, copula = build(name, params)
-    return {p: run_check(copula, p, grid) for p in ("pqd", "ltd", "si", "tp2", "mktp2", "dtp2")}
+    return property_verdicts(copula, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +130,7 @@ def test_criterion_02_archimedean_equivalence():
     neg = lambda x: -np.asarray(spreeuw.d_minus_psi(x), dtype=float)
     verdict = log_convexity_test(neg, xs, GRID.tol_eq, 1e-9)
     ok &= fails(verdict) and verdict.witness is not None and len(verdict.witness.points) == 3
-    ok &= holds(run_check(arch_copula(spreeuw), "tp2", GRID))
+    ok &= holds(check_tp2(arch_copula(spreeuw), GRID))
 
     record(2, "MK-TP2 <-> SI <-> log-convex -D-psi at generator level", ok)
 

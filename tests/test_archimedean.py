@@ -343,6 +343,38 @@ def test_classification_invariant_under_generator_scaling():
     assert r1.mktp2_si.status == r2.mktp2_si.status
 
 
+@pytest.mark.parametrize("theta", [0.5, 2.0, 8.0])
+def test_phi_only_clayton_is_si_and_mktp2(theta):
+    # D-psi of the bisected psi is 1 / phi'(psi(x)); Clayton theta > 0 is SI,
+    # and SI <-> MK-TP2 for Archimedean copulas
+    spec = make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -theta) - 1.0) / theta)
+    assert spec.strict and not spec.exact_derivative
+    xs = generator_x_sample(spec, GRID)
+    exact = -np.power(1.0 + theta * xs, -1.0 / theta - 1.0)
+    assert np.max(np.abs(spec.d_minus_psi(xs) / exact - 1.0)) <= 1e-8
+    table = property_verdicts(spec, GRID, ("si", "mktp2"))
+    for prop in ("si", "mktp2"):
+        assert table[prop].status is Status.HOLDS, prop
+        assert table[prop].certificate["derivative"] == "finite-difference", prop
+
+
+def test_phi_only_nonstrict_keeps_its_dminus_psi_jump():
+    spec = make_generator(phi=lambda t: 1.0 - np.asarray(t, dtype=float))
+    assert not spec.strict and spec.phi_at_zero == 1.0
+    # D-psi is -1 on (0, phi(0)) and 0 from phi(0) on
+    assert np.allclose(spec.d_minus_psi(np.array([0.25, 0.5, 0.999])), -1.0, rtol=1e-6, atol=0.0)
+    assert np.array_equal(spec.d_minus_psi(np.array([0.0, 1.0, 1.5, np.inf])), np.zeros(4))
+    assert scan_dminus_psi_continuity(spec).status is Status.FAILS
+    copula = arch_copula(spec)
+    table = property_verdicts(spec, GRID, ("si", "mktp2"))
+    for prop in ("si", "mktp2"):
+        verdict = table[prop]
+        assert verdict.status is Status.FAILS, prop
+        assert verdict.certificate["derivative"] == "finite-difference", prop
+        defect, _ = rectangle_defect(copula, prop, verdict.witness.rectangle())
+        assert defect > GRID.tol_strict, prop
+
+
 def test_x_sample_is_sorted_positive():
     xs = generator_x_sample(builtin_archimedean("gumbel", alpha=4.0), GRID, 501)
     assert np.all(xs > 0.0)

@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rectangles
-from mktp2.core import (
-    disintegration_gap,
-    make_baseline,
-    make_fgm,
-    make_frechet,
-    make_gaussian,
-    max_kernel_fd_mismatch,
-)
+from mktp2.core import make_baseline, make_fgm, make_frechet, make_gaussian
 from mktp2.errors import ValidationError
+from oracles import disintegration_gap, max_kernel_fd_mismatch
 
 
 def test_baselines_spot_values():

@@ -15,7 +15,6 @@ from mktp2.extreme_value import (
     construct_witness_gradient,
     construct_witness_jump,
     contour,
-    cross_ratio_identity_check,
     detect_derivative_jumps,
     evc_cdf,
     evc_copula,
@@ -27,6 +26,7 @@ from mktp2.extreme_value import (
 )
 from mktp2.grids import GridConfig, Rectangle
 from mktp2.properties import Status
+from oracles import cross_ratio_identity_check
 
 GRID = GridConfig()
 

@@ -22,7 +22,6 @@ from mktp2.properties import (
     log_convexity_test,
     property_verdicts,
     rectangle_defect,
-    run_check,
     two_increasing_test,
 )
 
@@ -60,16 +59,11 @@ def test_si_verdicts():
 # ---------------------------------------------------------------------------
 
 
-def test_tp2_direct_and_kernel_ratio():
+def test_tp2_direct():
     assert check_tp2(make_baseline("pi"), GRID).status is Status.HOLDS
     assert check_tp2(make_gaussian(0.5), GRID).status is Status.HOLDS
     spreeuw = arch_copula(builtin_archimedean("spreeuw"))
-    assert check_tp2(spreeuw, GRID, method="direct").status is Status.HOLDS
-    assert check_tp2(spreeuw, GRID, method="kernel-ratio").status is Status.HOLDS
-    with pytest.raises(DomainError):
-        check_tp2(make_baseline("w"), GRID, method="kernel-ratio")
-    with pytest.raises(ValidationError):
-        check_tp2(make_baseline("pi"), GRID, method="nope")
+    assert check_tp2(spreeuw, GRID).status is Status.HOLDS
 
 
 def test_mktp2_verdicts():
@@ -175,7 +169,7 @@ _FAILING = [
 
 @pytest.mark.parametrize("prop,copula", _FAILING, ids=[p for p, _ in _FAILING])
 def test_fails_witnesses_are_sound(prop, copula):
-    verdict = run_check(copula, prop, GRID)
+    verdict = property_verdicts(copula, GRID, (prop,))[prop]
     assert verdict.status is Status.FAILS
     defect, _ = rectangle_defect(copula, prop, verdict.witness.rectangle())
     assert defect > GRID.tol_strict
@@ -184,9 +178,9 @@ def test_fails_witnesses_are_sound(prop, copula):
 
 @pytest.mark.parametrize("prop,copula", _FAILING, ids=[p for p, _ in _FAILING])
 def test_fails_persist_at_finer_resolution(prop, copula):
-    coarse = run_check(copula, prop, GridConfig(n_u=128, n_v=128))
+    coarse = property_verdicts(copula, GridConfig(n_u=128, n_v=128), (prop,))[prop]
     assert coarse.status is Status.FAILS
-    fine = run_check(copula, prop, GridConfig(n_u=512, n_v=512))
+    fine = property_verdicts(copula, GridConfig(n_u=512, n_v=512), (prop,))[prop]
     assert fine.status is Status.FAILS
     defect, _ = rectangle_defect(copula, prop, coarse.witness.rectangle())
     assert defect == pytest.approx(coarse.witness.defect, rel=1e-9, abs=1e-15)
@@ -194,8 +188,8 @@ def test_fails_persist_at_finer_resolution(prop, copula):
 
 def test_determinism():
     copula = make_frechet(0.5, 0.25)
-    first = run_check(copula, "mktp2", GRID)
-    second = run_check(copula, "mktp2", GRID)
+    first = check_mktp2(copula, GRID)
+    second = check_mktp2(copula, GRID)
     assert first == second
     s1 = counterexample_search(copula, "mktp2", GRID)
     s2 = counterexample_search(copula, "mktp2", GRID)
@@ -220,7 +214,7 @@ def test_property_verdicts_evaluate_each_quantity_once():
     grid = GridConfig(n_u=64, n_v=64)
     verdicts = property_verdicts(traced, grid, props=("dtp2", "mktp2", "tp2", "si", "ltd", "pqd"))
     assert calls == ["cdf", "kernel", "density"]
-    assert verdicts == {p: run_check(copula, p, grid) for p in verdicts}
+    assert verdicts == {p: property_verdicts(copula, grid, (p,))[p] for p in verdicts}
 
 
 _READS = {"cdf": ("pqd", "ltd", "tp2"), "kernel": ("si", "mktp2"), "density": ("dtp2",)}
@@ -240,7 +234,10 @@ def test_non_finite_grid_value_is_inconclusive(quantity):
 
     bad = dataclasses.replace(copula, **{quantity: poisoned})
     for prop in ("pqd", "ltd", "si", "tp2", "mktp2", "dtp2"):
-        verdicts = [run_check(bad, prop, grid), counterexample_search(bad, prop, grid, stages=(64,))]
+        verdicts = [
+            property_verdicts(bad, grid, (prop,))[prop],
+            counterexample_search(bad, prop, grid, stages=(64,)),
+        ]
         for verdict in verdicts:
             if prop not in _READS[quantity]:
                 assert verdict.status is Status.FAILS, prop
@@ -271,7 +268,7 @@ def test_counterexample_search_cases():
 
 def test_check_rejects_unknown_property():
     with pytest.raises(ValidationError):
-        run_check(make_baseline("pi"), "rti", GRID)
+        property_verdicts(make_baseline("pi"), GRID, ("rti",))
 
 
 def test_rectangle_defect_matches_direct_evaluation():

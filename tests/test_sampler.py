@@ -7,7 +7,8 @@ from mktp2.core import make_baseline
 from mktp2.errors import ValidationError
 from mktp2.grids import GridConfig
 from mktp2.registry import build
-from mktp2.sampler import MAX_SAMPLES, empirical_cdf_distance, marginal_ks, sample, write_csv
+from mktp2.sampler import MAX_SAMPLES, sample, write_csv
+from oracles import empirical_cdf_distance, marginal_ks
 
 GRID = GridConfig()
 
