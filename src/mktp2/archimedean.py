@@ -34,7 +34,6 @@ __all__ = [
     "ArchReport",
     "make_generator",
     "builtin_archimedean",
-    "zero_level",
     "arch_cdf",
     "arch_kernel",
     "arch_copula",
@@ -139,16 +138,6 @@ def _inverse_d_minus(phi, psi, cap):
     return d_minus
 
 
-def _unique_levels(solve, t):
-    """``solve`` on the distinct values of ``t``, scattered back to ``t``'s shape.
-
-    Each point's bracket is its own, so this gives the bits of solving every
-    point, at one bisection per distinct u of a meshgrid.
-    """
-    levels, back = np.unique(t, return_inverse=True)
-    return solve(levels)[back].reshape(t.shape)
-
-
 def _bisect_increasing(fn, target, lo, hi, tol=1e-12, iters=200):
     """Solve fn(t) = target, fn non-decreasing with fn(lo) <= target <= fn(hi), by bisection."""
     target = np.asarray(target, dtype=float)
@@ -235,7 +224,7 @@ def make_generator(
     if strict and np.isfinite(phi_at_zero):
         raise ValidationError("declared strict but phi(0) is finite")
 
-    psi_bisected = psi is None
+    exact = d_minus_psi is not None
     if psi is None:
         cap = phi_at_zero
 
@@ -246,14 +235,16 @@ def make_generator(
             out = np.where(x >= _cap, 0.0, t)
             return np.where(x <= 0.0, 1.0, out)
 
+        if d_minus_psi is None:
+            d_minus_psi = _inverse_d_minus(phi, psi, cap)
+
     if phi is None:
         if np.isfinite(phi_at_zero):
 
             def phi(t, _psi=psi, _hi=phi_at_zero):
                 t = np.asarray(t, dtype=float)
                 tt = np.clip(t, 1e-300, 1.0)
-                neg_psi = lambda s: -np.asarray(_psi(s), dtype=float)
-                x = _unique_levels(lambda lv: _bisect_increasing(neg_psi, -lv, 0.0, _hi), tt)
+                x = _bisect_increasing(lambda s: -np.asarray(_psi(s), dtype=float), -tt, 0.0, _hi)
                 out = np.where(t <= 0.0, phi_at_zero, x)
                 return np.where(t >= 1.0, 0.0, out)
 
@@ -261,7 +252,9 @@ def make_generator(
             # strict co-generator: invert in log space, expanding each point's
             # bracket until psi is below its own level, so that phi at a point
             # does not depend on the other points of the call
-            def solve(tt, _psi=psi):
+            def phi(t, _psi=psi):
+                t = np.asarray(t, dtype=float)
+                tt = np.clip(t, 1e-300, 1.0)
                 hi = np.ones_like(tt)
                 grow = np.asarray(_psi(hi), dtype=float) > tt
                 while np.any(grow):
@@ -275,16 +268,11 @@ def make_generator(
                     tol=1e-13,
                     iters=300,
                 )
-                return np.exp(s)
-
-            def phi(t):
-                t = np.asarray(t, dtype=float)
-                out = np.where(t <= 0.0, np.inf, _unique_levels(solve, np.clip(t, 1e-300, 1.0)))
+                out = np.where(t <= 0.0, np.inf, np.exp(s))
                 return np.where(t >= 1.0, 0.0, out)
 
-    exact = d_minus_psi is not None
     if d_minus_psi is None:
-        d_minus_psi = _inverse_d_minus(phi, psi, phi_at_zero) if psi_bisected else _fd_d_minus(psi)
+        d_minus_psi = _fd_d_minus(psi)
 
     normalized = abs(float(phi(0.5)) - 1.0) <= 1e-10
     return GeneratorSpec(
@@ -451,16 +439,6 @@ def builtin_archimedean(name, **params):
 # ---------------------------------------------------------------------------
 
 
-def zero_level(spec, u):
-    """The zero-curve f0(u) = psi(phi(0) - phi(u)); 0 for strict generators."""
-    u = np.asarray(u, dtype=float)
-    if spec.strict:
-        out = np.zeros_like(u)
-        return float(out) if out.ndim == 0 else out
-    out = np.asarray(spec.psi(spec.phi_at_zero - np.asarray(spec.phi(u), dtype=float)), dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
 def arch_cdf(spec, u, v):
     """C(u,v) = psi(phi(u) + phi(v))."""
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
@@ -520,18 +498,11 @@ def arch_copula(spec):
                 * np.asarray(_s.d_minus_psi(y), dtype=float)
             )
 
-    jumps = None
-    if not spec.strict:
-
-        def jumps(v, _s=spec):
-            return (float(zero_level(_s, v)),)
-
     return Copula(
         label=spec.label,
         cdf=lambda u, v: arch_cdf(spec, u, v),
         kernel=lambda u, v: arch_kernel(spec, u, v),
         density=density,
-        kernel_u_jumps=jumps,
     )
 
 

@@ -31,18 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Copula:
-    """A bivariate copula exposed through its CDF and Markov kernel.
-
-    ``kernel_u_jumps`` maps a fixed v to the u-locations where ``u -> K(u,[0,v])``
-    jumps; scans that differentiate or integrate in u split there.  Families
-    with smooth kernels leave it as None.
-    """
+    """A bivariate copula exposed through its CDF and Markov kernel."""
 
     label: str
     cdf: Callable
     kernel: Callable
     density: Optional[Callable] = None
-    kernel_u_jumps: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
     def __repr__(self):
@@ -80,14 +74,12 @@ def make_baseline(name):
             label="M",
             cdf=_wrap(np.minimum),
             kernel=_wrap(lambda u, v: np.where(v >= u, 1.0, 0.0)),
-            kernel_u_jumps=lambda v: (float(v),),
         )
     if key == "w":
         return Copula(
             label="W",
             cdf=_wrap(lambda u, v: np.maximum(u + v - 1.0, 0.0)),
             kernel=_wrap(lambda u, v: np.where(v >= 1.0 - u, 1.0, 0.0)),
-            kernel_u_jumps=lambda v: (float(1.0 - v),),
         )
     raise ValidationError(f"unknown baseline {name!r}; expected one of Pi, M, W")
 
@@ -117,21 +109,12 @@ def make_frechet(alpha, beta, tol_eq=1e-12):
             + beta * np.where(v >= 1.0 - u, 1.0, 0.0)
         )
 
-    def jumps(v):
-        out = []
-        if alpha > 0.0:
-            out.append(float(v))
-        if beta > 0.0:
-            out.append(float(1.0 - v))
-        return tuple(sorted(out))
-
     density = _wrap(lambda u, v: np.full_like(u, mid)) if alpha == 0.0 and beta == 0.0 else None
     return Copula(
         label=f"frechet(alpha={alpha:g}, beta={beta:g})",
         cdf=_wrap(cdf),
         kernel=_wrap(kernel),
         density=density,
-        kernel_u_jumps=jumps if (alpha > 0.0 or beta > 0.0) else None,
         params={"alpha": alpha, "beta": beta},
     )
 

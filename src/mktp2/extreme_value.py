@@ -524,19 +524,11 @@ def evc_copula(spec):
             dd = np.asarray(_s.second(h), dtype=float)
             return np.exp(a * ell - lu - lv) * (f * g + h * (1.0 - h) * dd / (-ell))
 
-    jumps = None
-    jump_ts = tuple(spec.declared_jumps or ())
-    if jump_ts:
-
-        def jumps(v, _ts=jump_ts):
-            return tuple(sorted(float(v) ** (t / (1.0 - t)) for t in _ts))
-
     return Copula(
         label=spec.label,
         cdf=lambda u, v: evc_cdf(spec, u, v),
         kernel=lambda u, v: evc_kernel(spec, u, v),
         density=density,
-        kernel_u_jumps=jumps,
         params=dict(spec.params),
     )
 

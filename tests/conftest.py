@@ -54,6 +54,14 @@ def any_copula(request):
     return copula
 
 
+@pytest.fixture(scope="session", params=ALL_FAMILIES, ids=lambda fp: f"{fp[0]}-{fp[1]}")
+def any_family(request):
+    """(spec-or-copula, copula) of every built-in family, as ``registry.build`` gives them."""
+    name, params = request.param
+    _, spec, copula = build(name, params)
+    return spec, copula
+
+
 def random_rectangles(rng, n, lo=0.001, hi=0.999):
     u = np.sort(rng.uniform(lo, hi, size=(n, 2)), axis=1)
     v = np.sort(rng.uniform(lo, hi, size=(n, 2)), axis=1)

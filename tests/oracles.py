@@ -8,9 +8,56 @@ tests can bound the library's answer by it.
 
 import numpy as np
 
+from mktp2.archimedean import GeneratorSpec
 from mktp2.errors import ValidationError
-from mktp2.extreme_value import h_map
+from mktp2.extreme_value import PickandsSpec, h_map
 from mktp2.grids import DEFAULT_GRID, corners
+
+# ---------------------------------------------------------------------------
+# where the Markov kernel jumps in u
+# ---------------------------------------------------------------------------
+
+
+def zero_level(spec, u):
+    """The zero-curve f0(u) = psi(phi(0) - phi(u)); 0 for strict generators."""
+    u = np.asarray(u, dtype=float)
+    if spec.strict:
+        out = np.zeros_like(u)
+        return float(out) if out.ndim == 0 else out
+    out = np.asarray(spec.psi(spec.phi_at_zero - np.asarray(spec.phi(u), dtype=float)), dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+def kernel_u_jumps(spec):
+    """v -> the u-locations where ``u -> K(u,[0,v])`` jumps, or None for a smooth kernel.
+
+    ``spec`` is what ``registry.build`` returns second: a generator, a
+    Pickands spec, or the copula itself for the core families.
+    """
+    if isinstance(spec, GeneratorSpec):
+        return None if spec.strict else (lambda v: (float(zero_level(spec, v)),))
+    if isinstance(spec, PickandsSpec):
+        ts = tuple(spec.declared_jumps or ())
+        if not ts:
+            return None
+        return lambda v: tuple(sorted(float(v) ** (t / (1.0 - t)) for t in ts))
+    # a Frechet mixture's M part jumps at u = v, its W part at u = 1 - v
+    alpha, beta = {"M": (1.0, 0.0), "W": (0.0, 1.0)}.get(
+        spec.label, (spec.params.get("alpha", 0.0), spec.params.get("beta", 0.0))
+    )
+    if alpha == 0.0 and beta == 0.0:
+        return None
+
+    def jumps(v):
+        out = []
+        if alpha > 0.0:
+            out.append(float(v))
+        if beta > 0.0:
+            out.append(float(1.0 - v))
+        return tuple(sorted(out))
+
+    return jumps
+
 
 # ---------------------------------------------------------------------------
 # the Markov kernel against its defining properties
@@ -43,17 +90,17 @@ def _graded_simpson(fn, a, b, panels, levels=30):
     return total
 
 
-def disintegration_gap(copula, v, panels=10_000):
+def disintegration_gap(copula, v, jumps=None, panels=10_000):
     """|integral over u of K(u,[0,v]) - v|, by piecewise composite Simpson.
 
-    The kernel is integrated between its jump locations in u (one smooth
-    piece per segment, endpoints nudged inward), so step-function kernels
-    integrate at full quadrature accuracy rather than O(panel width).
+    The kernel is integrated between its jump locations in u, ``jumps(v)``
+    (one smooth piece per segment, endpoints nudged inward), so step-function
+    kernels integrate at full quadrature accuracy rather than O(panel width).
     """
     v = float(v)
     cuts = []
-    if copula.kernel_u_jumps is not None:
-        cuts = [float(x) for x in copula.kernel_u_jumps(v) if 0.0 < x < 1.0]
+    if jumps is not None:
+        cuts = [float(x) for x in jumps(v) if 0.0 < x < 1.0]
     edges = [0.0] + sorted(set(cuts)) + [1.0]
     total = 0.0
     nudge = 1e-12
@@ -71,11 +118,12 @@ def disintegration_gap(copula, v, panels=10_000):
     return abs(total - v)
 
 
-def max_kernel_fd_mismatch(copula, n=101, margin=0.01, h=1e-6, exclusion=1e-3):
+def max_kernel_fd_mismatch(copula, jumps=None, n=101, margin=0.01, h=1e-6, exclusion=1e-3):
     """Worst |kernel - central u-difference of the CDF| on an interior grid.
 
-    Points within ``exclusion`` of a kernel jump in u are skipped: there the
-    CDF has a kink and the kernel value is a one-sided version.
+    Points within ``exclusion`` of a kernel jump in u, ``jumps(v)``, are
+    skipped: there the CDF has a kink and the kernel value is a one-sided
+    version.
     """
     us = np.linspace(margin, 1.0 - margin, n)
     vs = np.linspace(margin, 1.0 - margin, n)
@@ -84,9 +132,9 @@ def max_kernel_fd_mismatch(copula, n=101, margin=0.01, h=1e-6, exclusion=1e-3):
     fd = (np.asarray(copula.cdf(uu + h, vv), dtype=float)
           - np.asarray(copula.cdf(uu - h, vv), dtype=float)) / (2.0 * h)
     gap = np.abs(ker - fd)
-    if copula.kernel_u_jumps is not None:
+    if jumps is not None:
         for j, v in enumerate(vs):
-            for x in copula.kernel_u_jumps(v):
+            for x in jumps(v):
                 gap[np.abs(us - x) <= exclusion, j] = 0.0
     return float(np.max(gap))
 

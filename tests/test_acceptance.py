@@ -6,13 +6,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import json
 
 import numpy as np
-import pytest
 
 from conftest import ALL_FAMILIES
 from mktp2.archimedean import (
     arch_copula,
     builtin_archimedean,
-    classify_archimedean,
     generator_x_sample,
 )
 from mktp2.cli import main as cli_main
@@ -34,6 +32,7 @@ from oracles import (
     cross_ratio_identity_check,
     disintegration_gap,
     empirical_cdf_distance,
+    kernel_u_jumps,
     max_kernel_fd_mismatch,
 )
 
@@ -179,8 +178,8 @@ def test_criterion_04_kernel_oracles():
         ok &= float(np.max(gap)) <= 1e-10
 
     for name, params in ALL_FAMILIES:
-        _, _, copula = build(name, params)
-        ok &= max_kernel_fd_mismatch(copula) <= 1e-5
+        _, spec, copula = build(name, params)
+        ok &= max_kernel_fd_mismatch(copula, kernel_u_jumps(spec)) <= 1e-5
 
     record(4, "cross-module and finite-difference kernel oracles", ok)
 
@@ -193,8 +192,9 @@ def test_criterion_04_kernel_oracles():
 def test_criterion_05_disintegration():
     ok = True
     for name, params in ALL_FAMILIES:
-        _, _, copula = build(name, params)
-        worst = max(disintegration_gap(copula, v) for v in np.arange(0.1, 0.95, 0.1))
+        _, spec, copula = build(name, params)
+        jumps = kernel_u_jumps(spec)
+        worst = max(disintegration_gap(copula, v, jumps) for v in np.arange(0.1, 0.95, 0.1))
         ok &= worst <= 1e-6
     record(5, "kernel integrates back to the uniform marginal (1e-6)", ok)
 

@@ -14,12 +14,12 @@ from mktp2.archimedean import (
     make_generator,
     property_verdicts,
     scan_dminus_psi_continuity,
-    zero_level,
 )
 from mktp2.errors import NumericalError, ValidationError
 from mktp2.extreme_value import builtin_pickands, evc_kernel
 from mktp2.grids import GridConfig
 from mktp2.properties import Status, check_mktp2, check_si, rectangle_defect
+from oracles import zero_level
 
 GRID = GridConfig()
 

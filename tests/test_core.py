@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_rectangles
 from mktp2.core import make_baseline, make_fgm, make_frechet, make_gaussian
 from mktp2.errors import ValidationError
-from oracles import disintegration_gap, max_kernel_fd_mismatch
+from oracles import disintegration_gap, kernel_u_jumps, max_kernel_fd_mismatch
 
 
 def test_baselines_spot_values():
@@ -111,12 +111,15 @@ def test_kernel_monotone_in_v(any_copula):
     assert np.allclose(ker[:, -1], 1.0, atol=1e-12)
 
 
-def test_kernel_matches_cdf_derivative(any_copula):
-    assert max_kernel_fd_mismatch(any_copula) <= 1e-5
+def test_kernel_matches_cdf_derivative(any_family):
+    spec, copula = any_family
+    assert max_kernel_fd_mismatch(copula, kernel_u_jumps(spec)) <= 1e-5
 
 
-def test_disintegration(any_copula):
-    worst = max(disintegration_gap(any_copula, v) for v in np.arange(0.1, 0.95, 0.1))
+def test_disintegration(any_family):
+    spec, copula = any_family
+    jumps = kernel_u_jumps(spec)
+    worst = max(disintegration_gap(copula, v, jumps) for v in np.arange(0.1, 0.95, 0.1))
     assert worst <= 1e-6
 
 

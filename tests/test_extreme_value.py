@@ -17,7 +17,6 @@ from mktp2.extreme_value import (
     contour,
     detect_derivative_jumps,
     evc_cdf,
-    evc_copula,
     evc_kernel,
     h_map,
     kernel_cross_ratio,
