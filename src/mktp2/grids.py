@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,12 @@ class GridConfig:
             )
         if not (0.0 < self.margin < 0.5):
             raise ValidationError(f"margin must lie in (0, 0.5), got {self.margin}")
-        if self.tol_eq < 0.0 or self.tol_strict < self.tol_eq:
+        # a NaN tolerance compares false against every defect, and an infinite
+        # one bands every defect away, so either would read as "holds"
+        for name in ("tol_eq", "tol_strict"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (0.0 <= self.tol_eq <= self.tol_strict):
             raise ValidationError(
                 f"need tol_strict >= tol_eq >= 0, got tol_eq={self.tol_eq}, tol_strict={self.tol_strict}"
             )

@@ -2,8 +2,9 @@
 
 No command or classifier runs these; they re-derive a quantity by an
 independent route (quadrature of the kernel, finite differences of the CDF,
-a telescoping product of the h-map, empirical distributions of a sample) so
-tests can bound the library's answer by it.
+a telescoping product of the h-map, empirical distributions of a sample,
+every rectangle of the MK-TP2 span sweep) so tests can bound or match the
+library's answer by it.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from mktp2.archimedean import GeneratorSpec
 from mktp2.errors import ValidationError
 from mktp2.extreme_value import PickandsSpec, h_map
 from mktp2.grids import DEFAULT_GRID, corners
+from mktp2.properties import Witness, _dyadic_spans
 
 # ---------------------------------------------------------------------------
 # where the Markov kernel jumps in u
@@ -137,6 +139,41 @@ def max_kernel_fd_mismatch(copula, jumps=None, n=101, margin=0.01, h=1e-6, exclu
             for x in jumps(v):
                 gap[np.abs(us - x) <= exclusion, j] = 0.0
     return float(np.max(gap))
+
+
+# ---------------------------------------------------------------------------
+# the MK-TP2 span sweep
+# ---------------------------------------------------------------------------
+
+
+def reference_sweep(values, us, vs, grid):
+    """The dyadic span sweep with no tiles, buffers or row blocks: one full-grid
+    np.where and one argmax per span pair, the pairs in their canonical order.
+
+    On a grid whose defects hold no NaN it gives the defect and witness of
+    ``properties._spanned_cross_defect`` bit for bit.
+    """
+    best = -np.inf
+    best_w = None
+    for su in _dyadic_spans(len(us)):
+        for sv in _dyadic_spans(len(vs)):
+            f11 = values[:-su, :-sv]
+            f22 = values[su:, sv:]
+            f12 = values[:-su, sv:]
+            f21 = values[su:, :-sv]
+            defect = f12 * f21 - f11 * f22
+            defect = np.where(f21 > grid.tol_eq, defect, -np.inf)
+            i, j = np.unravel_index(np.argmax(defect), defect.shape)
+            d = float(defect[i, j])
+            if d > best:
+                best = d
+                best_w = Witness(
+                    points=(float(us[i]), float(us[i + su]), float(vs[j]), float(vs[j + sv])),
+                    values=(float(f11[i, j]), float(f12[i, j]), float(f21[i, j]), float(f22[i, j])),
+                    defect=d,
+                    kind="rectangle",
+                )
+    return best, best_w
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,37 @@ def test_non_finite_parameters_exit_two(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "tolerances, field",
+    [
+        (("--tol-eq", "nan"), "tol_eq"),
+        (("--tol-eq", "inf", "--tol-strict", "inf"), "tol_eq"),
+        (("--tol-strict", "nan"), "tol_strict"),
+        (("--tol-strict", "inf"), "tol_strict"),
+    ],
+)
+def test_non_finite_tolerances_exit_two(capsys, tolerances, field):
+    # a NaN tol_eq would skip every MK-TP2 rectangle and inf would band every
+    # defect away: W's grid properties would all read holds
+    code, stdout, err = run_cli(capsys, "classify", "--family", "w", "--grid", "32", *tolerances)
+    assert code == 2
+    assert stdout == ""
+    assert f"{field} must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_witness_without_a_kept_rectangle_exits_three(capsys):
+    code, stdout, err = run_cli(
+        capsys,
+        "witness", "--family", "fgm", "--param", "theta=-0.5", "--property", "mktp2",
+        "--tol-eq", "2", "--tol-strict", "2",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "no witness found: mktp2 holds at the search budget" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "rect, bad",
     [("0.1,0.2,x,0.4", "v1 has non-numeric value 'x'"), ("0.1,,0.3,0.4", "u2 has non-numeric value ''")],
 )

@@ -3,7 +3,8 @@ of the blocked grid layer.
 
 ``_grid_eval`` fills a quantity grid one row block at a time; it must give,
 bit for bit, what one call on the full meshgrid gives.  The blocked span
-sweep is compared with its full-grid form in ``test_mktp2_certificate.py``.
+sweep is compared with its full-grid form in ``test_mktp2_certificate.py``;
+here it is held near the memory of its mask and buffers.
 """
 
 import tracemalloc
@@ -165,6 +166,16 @@ def test_grid_evaluation_peaks_within_two_grids(family, params, quantity):
     values, peak = _traced_peak(lambda: _grid_eval(fn, us, vs))
     assert values.nbytes == 8 * MB
     assert peak <= 16 * MB, peak / MB
+
+
+@pytest.mark.parametrize("family, params", [("w", None), ("fgm", {"theta": -0.5}), ("pi", None)])
+def test_span_sweep_peak_stays_near_its_mask_and_buffers(family, params):
+    # the zero-region mask (1 MB) and the two block buffers (256 KB each) take
+    # 1.5 MB; the tile extremes and one span pair's tile bounds add tens of KB
+    us, vs = GRID_1024.u_axis(), GRID_1024.v_axis()
+    values = _grid_eval(build(family, params)[2].kernel, us, vs)
+    _, peak = _traced_peak(lambda: _spanned_cross_defect(values, us, vs, GRID_1024))
+    assert peak <= 1.7 * MB, peak / MB
 
 
 def test_span_sweep_allocates_within_four_mb():

@@ -1,12 +1,14 @@
-"""The MK-TP2 adjacent-cell certificate and the buffered dyadic span sweep.
+"""The MK-TP2 adjacent-cell certificate and the branch-and-bound dyadic span sweep.
 
 ``property_verdicts`` reads MK-TP2 as ``holds`` without the span sweep when
 ``_kernel_tp2_certified`` proves that no rectangle the sweep keeps has a
 positive defect.  These tests pin that the certificate never certifies a
 grid the sweep would not read as ``holds``, that it declines the hand-built
-grids it must decline, that the coarse-to-fine search never uses it, and
-that the row-blocked sweep gives the bits and witness of its full-grid
-``np.where`` form, on grids of one and of several row blocks.
+grids it must decline, that the coarse-to-fine search never uses it, that
+each tile bound is at least every kept defect of its tile bit for bit, and
+that the sweep, which skips tiles by those bounds, gives the bits and
+witness of its full-grid ``np.where`` form, on grids of one and of several
+row blocks and tiles.
 """
 
 from fractions import Fraction
@@ -15,19 +17,22 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES
+from oracles import reference_sweep
 from mktp2 import properties
 from mktp2.core import make_baseline, make_fgm, make_frechet, make_gaussian
 from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
 from mktp2.properties import (
+    TILE,
     Status,
-    Witness,
     _dyadic_spans,
     _grid_eval,
     _kernel_tp2_certified,
     _product_error,
     _row_blocks,
     _spanned_cross_defect,
+    _tile_bounds,
+    _tile_extremes,
     check_mktp2,
     counterexample_search,
     property_verdicts,
@@ -185,47 +190,90 @@ def test_property_verdicts_use_the_certificate_and_the_search_does_not(monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the row-blocked sweep against its full-grid np.where form
+# the tile bounds of the branch-and-bound sweep
 # ---------------------------------------------------------------------------
 
 
-def _reference_sweep(values, us, vs, grid):
-    """The span sweep as written before its buffers and row blocks: one
-    full-grid np.where and one argmax per span pair."""
-    best = -np.inf
-    best_w = None
-    for su in _dyadic_spans(len(us)):
-        for sv in _dyadic_spans(len(vs)):
-            f11 = values[:-su, :-sv]
-            f22 = values[su:, sv:]
-            f12 = values[:-su, sv:]
-            f21 = values[su:, :-sv]
-            defect = f12 * f21 - f11 * f22
-            defect = np.where(f21 > grid.tol_eq, defect, -np.inf)
-            i, j = np.unravel_index(np.argmax(defect), defect.shape)
-            d = float(defect[i, j])
-            if d > best:
-                best = d
-                best_w = Witness(
-                    points=(float(us[i]), float(us[i + su]), float(vs[j]), float(vs[j + sv])),
-                    values=(float(f11[i, j]), float(f12[i, j]), float(f21[i, j]), float(f22[i, j])),
-                    defect=d,
-                    kind="rectangle",
-                )
-    return best, best_w
+def _bound_grids():
+    """Non-negative grids on which the tile bound must hold bit for bit."""
+    rng = np.random.default_rng(5)
+    shapes = [(2, 2), (5, 40), (TILE - 1, TILE + 1), (TILE, TILE), (2 * TILE + 3, 3 * TILE - 5), (97, 70)]
+    for shape in shapes:
+        yield rng.uniform(0.0, 1.0, shape)
+        # subnormals, down to the smallest one
+        yield np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1074, -1000, shape))
+        # near 1e155, where K12*K21 and K11*K22 overflow to inf
+        yield rng.uniform(0.5, 2.0, shape) * 1e155
+        # magnitudes from subnormal to overflow in one grid
+        yield np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1074, 520, shape))
+        # signed zeros and ties
+        yield rng.choice([0.0, -0.0, 0.25, 1.0], size=shape)
+        yield _tile_growth(rng, shape)
+
+
+def _tile_growth(rng, shape):
+    """Values that double from each tile to the next along both axes, so the
+    largest values of a region that straddles two tiles lie in the second."""
+    i, j = np.indices(shape) // TILE
+    return np.ldexp(rng.uniform(0.5, 1.0, shape), i + j)
+
+
+def _kept_defects(values, su, sv, tol_eq):
+    """The defect of every rectangle of span pair (su, sv), NaN where the sweep skips it."""
+    f11, f22 = values[:-su, :-sv], values[su:, sv:]
+    f12, f21 = values[:-su, sv:], values[su:, :-sv]
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = f12 * f21 - f11 * f22
+    return np.where(f21 > tol_eq, defect, np.nan), f21 > tol_eq
+
+
+@pytest.mark.parametrize("tol_eq", [0.0, 1e-12])
+def test_tile_bound_is_at_least_every_kept_defect(tol_eq):
+    for values in _bound_grids():
+        hi, lo = _tile_extremes(values)
+        spans_u, spans_v = _dyadic_spans(values.shape[0]), _dyadic_spans(values.shape[1])
+        bounds = _tile_bounds(hi, lo, values.shape, spans_u, spans_v)
+        for iu, su in enumerate(spans_u):
+            for iv, sv in enumerate(spans_v):
+                bound = bounds[iu, :, iv]
+                defect, kept = _kept_defects(values, su, sv, tol_eq)
+                rows, cols = defect.shape
+                # a tile reads NaN exactly when it holds no rectangle of the pair
+                holds_cells = np.zeros(bound.shape, dtype=bool)
+                holds_cells[: -(-rows // TILE), : -(-cols // TILE)] = True
+                assert np.array_equal(np.isnan(bound), ~holds_cells)
+                cell_bound = np.repeat(np.repeat(bound, TILE, axis=0), TILE, axis=1)[:rows, :cols]
+                # a NaN defect (inf - inf) lies only under a bound of +inf
+                assert np.all(cell_bound[kept & np.isnan(defect)] == np.inf)
+                assert not np.any(defect > cell_bound), (values.shape, su, sv)
+
+
+@pytest.mark.parametrize("bad", [-0.25, -np.inf, np.inf, np.nan])
+def test_tile_bounds_are_infinite_unless_every_value_is_finite_and_non_negative(bad):
+    values = np.random.default_rng(3).uniform(0.0, 1.0, (70, 40))
+    values[50, 10] = bad
+    hi, lo = _tile_extremes(values)
+    bounds = _tile_bounds(hi, lo, values.shape, _dyadic_spans(70), _dyadic_spans(40))
+    assert np.all(bounds[~np.isnan(bounds)] == np.inf)
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound sweep against its full-grid np.where form
+# ---------------------------------------------------------------------------
 
 
 def _planted(shape, rects):
     """A zero grid holding one violating rectangle (i, i + su, j, j + sv) per entry.
 
-    Each has K12 = K21 = 1 and K11 = K22 = 0, so all have defect 1; every other
-    rectangle is skipped (K21 = 0) or has defect at most 0, given positions
-    whose cross pairings span no dyadic index range.
+    By default each has K12 = K21 = 1 and K11 = K22 = 0, so defect 1; an
+    entry may carry its own corner values (f11, f12, f21, f22) as a fifth
+    item.  Every other rectangle is skipped (K21 = 0) or has defect at most
+    0, given positions whose cross pairings span no dyadic index range.
     """
     values = np.zeros(shape)
-    for i, j, su, sv in rects:
-        values[i, j + sv] = 1.0
-        values[i + su, j] = 1.0
+    for i, j, su, sv, *corner_values in rects:
+        f11, f12, f21, f22 = corner_values[0] if corner_values else (0.0, 1.0, 1.0, 0.0)
+        values[i, j], values[i, j + sv], values[i + su, j], values[i + su, j + sv] = f11, f12, f21, f22
     return values
 
 
@@ -234,17 +282,26 @@ def _planted(shape, rects):
 LATE_BLOCK_FIRST_PAIR = (400, 10, 1, 1)
 EARLY_BLOCK_LATER_PAIR = (5, 50, 2, 1)
 EARLY_BLOCK_FIRST_PAIR = (100, 70, 1, 1)
+# pair (1, 32) comes before (2, 1), but its largest tile bound is 1 while the
+# corner values 4 and 2 give (2, 1) a larger one, so the sweep takes (2, 1)
+# first and finds the same defect 1 = 1*4 - 1.5*2 there
+SMALL_BOUND_FIRST_PAIR = (100, 20, 1, 32)
+LARGE_BOUND_LATER_PAIR = (300, 10, 2, 1, (1.5, 1.0, 4.0, 2.0))
 PLANTED = [
     # an earlier span pair beats an earlier block of a later span pair
     ([LATE_BLOCK_FIRST_PAIR, EARLY_BLOCK_LATER_PAIR], LATE_BLOCK_FIRST_PAIR),
     # within a span pair the earlier block wins the tie
     ([LATE_BLOCK_FIRST_PAIR, EARLY_BLOCK_LATER_PAIR, EARLY_BLOCK_FIRST_PAIR], EARLY_BLOCK_FIRST_PAIR),
+    # the canonical order, not the order of the bounds, breaks the tie
+    ([LARGE_BOUND_LATER_PAIR, SMALL_BOUND_FIRST_PAIR], SMALL_BOUND_FIRST_PAIR),
 ]
 
 
 def _sweep_grids():
     rng = np.random.default_rng(11)
     shapes = [(2, 2), (2, 7), (7, 2), (3, 5), (17, 9), (33, 64), (40, 40), (65, 31)]
+    # sides below, at and off a multiple of the tile side, n_u != n_v
+    shapes += [(TILE - 1, 3 * TILE), (TILE, TILE), (2 * TILE + 5, TILE - 3), (97, 31)]
     # several row blocks per span pair, some ending on a partial block
     shapes += [(600, 100), (40, 2048), (300, 300), (129, 257)]
     for shape in shapes:
@@ -256,6 +313,12 @@ def _sweep_grids():
         zero = np.arange(shape[1])[None, :] < np.linspace(0, shape[1], shape[0])[:, None]
         grid[zero] = rng.choice([0.0, -0.0, 1e-12], size=int(zero.sum()))
         yield grid
+        # negative values: no tile bound, every rectangle is evaluated
+        yield rng.uniform(-0.5, 1.0, shape)
+        yield rng.integers(-2, 3, shape) / 2.0
+        # subnormals, whose products underflow to zeros of either sign
+        yield np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1074, -1000, shape))
+        yield _tile_growth(rng, shape)
         yield np.full(shape, 0.5)
         yield np.zeros(shape)
     for rects, _ in PLANTED:
@@ -269,9 +332,19 @@ def test_buffered_sweep_matches_np_where_form(tol_eq):
         us = np.linspace(0.1, 0.9, values.shape[0])
         vs = np.linspace(0.05, 0.95, values.shape[1])
         got = _spanned_cross_defect(values, us, vs, grid)
-        want = _reference_sweep(values, us, vs, grid)
+        want = reference_sweep(values, us, vs, grid)
         assert float(got[0]).hex() == float(want[0]).hex()
         assert repr(got[1]) == repr(want[1])
+
+
+def test_planted_pairs_have_the_bounds_their_cases_need():
+    values = _planted((600, 100), [LARGE_BOUND_LATER_PAIR, SMALL_BOUND_FIRST_PAIR])
+    hi, lo = _tile_extremes(values)
+
+    def top(su, sv):
+        return np.nanmax(_tile_bounds(hi, lo, values.shape, [su], [sv]))
+
+    assert top(1, 32) == 1.0 < top(2, 1)
 
 
 @pytest.mark.parametrize("rects, winner", PLANTED)
@@ -284,3 +357,12 @@ def test_first_strict_maximum_wins_across_blocks_and_span_pairs(rects, winner):
     assert defect == 1.0
     assert witness.points == (us[i], us[i + su], vs[j], vs[j + sv])
     assert witness.values == (0.0, 1.0, 1.0, 0.0)
+
+
+def test_search_without_a_kept_rectangle_reads_holds():
+    # every kernel value is at most 1 < tol_eq, so no stage keeps a rectangle
+    grid = GridConfig(tol_eq=2.0, tol_strict=2.0)
+    verdict = counterexample_search(make_fgm(-0.5), "mktp2", grid)
+    assert verdict.status is Status.HOLDS
+    assert verdict.witness is None
+    assert verdict.note == "no violation within the search budget"

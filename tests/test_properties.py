@@ -285,6 +285,12 @@ def test_grid_config_validation():
         GridConfig(margin=0.6)
     with pytest.raises(ValidationError):
         GridConfig(tol_eq=1e-6, tol_strict=1e-9)
+    for field in ("tol_eq", "tol_strict"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match=f"{field} must be finite"):
+                GridConfig(**{field: bad})
+    with pytest.raises(ValidationError, match="tol_eq must be finite"):
+        GridConfig(tol_eq=float("inf"), tol_strict=float("inf"))
     with pytest.raises(ValidationError):
         GridConfig(spacing="chebyshev")
     with pytest.raises(ValidationError):
