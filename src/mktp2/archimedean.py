@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Copula
+from .core import Copula, Form
 from .errors import NumericalError, ValidationError
 from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, persistent_jumps
 from .properties import PROPERTIES, Status, Verdict, Witness, check_pqd, log_convexity_test, rectangle_defect
@@ -441,15 +441,7 @@ def builtin_archimedean(name, **params):
 
 def arch_cdf(spec, u, v):
     """C(u,v) = psi(phi(u) + phi(v))."""
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    with np.errstate(invalid="ignore"):
-        x = np.asarray(spec.phi(np.clip(u, 0.0, 1.0)), dtype=float)
-        y = np.asarray(spec.phi(np.clip(v, 0.0, 1.0)), dtype=float)
-        total = x + y
-        out = np.asarray(spec.psi(np.where(np.isnan(total), np.inf, total)), dtype=float)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if scalar else out
+    return arch_copula(spec).cdf(u, v)
 
 
 def arch_kernel(spec, u, v):
@@ -459,51 +451,63 @@ def arch_kernel(spec, u, v):
     and non-strict cases uniformly (D-psi vanishes beyond phi(0), which
     zeroes the kernel below the zero-level curve).
     """
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    interior = (u > 0.0) & (u < 1.0)
-    x = np.asarray(spec.phi(np.clip(np.where(interior, u, 0.5), 0.0, 1.0)), dtype=float)
-    y = np.asarray(spec.phi(np.clip(v, 0.0, 1.0)), dtype=float)
-    with np.errstate(invalid="ignore"):
-        total = x + y
-        num = np.asarray(spec.d_minus_psi(np.where(np.isnan(total), np.inf, total)), dtype=float)
-    den = np.asarray(spec.d_minus_psi(x), dtype=float)
-    bad = interior & (den == 0.0)
-    if spec.strict and np.any(bad):
-        offender = float(np.atleast_1d(u)[np.atleast_1d(bad)][0])
-        raise NumericalError(
-            f"{spec.label}: D-psi(phi(u)) evaluated to 0 at u={offender:.6g} "
-            "although the generator is declared strict"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(den < 0.0, num / np.where(den < 0.0, den, -1.0), 0.0)
-    # adding +0.0 turns the -0.0 of 0 / D-psi(phi(u)) < 0 into +0.0
-    out = np.where(interior, np.clip(ratio, 0.0, 1.0) + 0.0, 1.0)
-    return float(out) if scalar else out
+    return arch_copula(spec).kernel(u, v)
 
 
 def arch_copula(spec):
-    """Wrap a generator as a :class:`~mktp2.core.Copula`."""
+    """Wrap a generator as a :class:`~mktp2.core.Copula` of per-axis forms, each axis
+    prepped with phi; the kernel's u-prep also holds D-psi(phi(u)), taken at u = 0.5
+    off (0, 1), where the kernel is 1, and raises for a strict generator where it is 0."""
+
+    def phi_of(p):
+        with np.errstate(invalid="ignore"):
+            return np.asarray(spec.phi(np.clip(p, 0.0, 1.0)), dtype=float)
+
+    def cdf(x, y):
+        with np.errstate(invalid="ignore"):
+            total = x + y
+            out = np.asarray(spec.psi(np.where(np.isnan(total), np.inf, total)), dtype=float)
+        return np.clip(out, 0.0, 1.0)
+
+    def kernel_u(u):
+        interior = (u > 0.0) & (u < 1.0)
+        x = phi_of(np.where(interior, u, 0.5))
+        den = np.asarray(spec.d_minus_psi(x), dtype=float)
+        bad = interior & (den == 0.0)
+        if spec.strict and np.any(bad):
+            offender = float(np.atleast_1d(u)[np.atleast_1d(bad)][0])
+            raise NumericalError(
+                f"{spec.label}: D-psi(phi(u)) evaluated to 0 at u={offender:.6g} "
+                "although the generator is declared strict"
+            )
+        negative = den < 0.0
+        return interior, x, negative, np.where(negative, den, -1.0)
+
+    def kernel(pu, y):
+        interior, x, negative, den = pu
+        with np.errstate(invalid="ignore"):
+            total = x + y
+            num = np.asarray(spec.d_minus_psi(np.where(np.isnan(total), np.inf, total)), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(negative, num / den, 0.0)
+        # adding +0.0 turns the -0.0 of 0 / D-psi(phi(u)) < 0 into +0.0
+        return np.where(interior, np.clip(ratio, 0.0, 1.0) + 0.0, 1.0)
+
     density = None
     if spec.strict and spec.psi_second is not None:
 
-        def density(u, v, _s=spec):
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            x = np.asarray(_s.phi(u), dtype=float)
-            y = np.asarray(_s.phi(v), dtype=float)
-            num = np.asarray(_s.psi_second(x + y), dtype=float)
-            return num / (
-                np.asarray(_s.d_minus_psi(x), dtype=float)
-                * np.asarray(_s.d_minus_psi(y), dtype=float)
-            )
+        def density_prep(p):
+            x = np.asarray(spec.phi(p), dtype=float)
+            return x, np.asarray(spec.d_minus_psi(x), dtype=float)
 
-    return Copula(
-        label=spec.label,
-        cdf=lambda u, v: arch_cdf(spec, u, v),
-        kernel=lambda u, v: arch_kernel(spec, u, v),
-        density=density,
-    )
+        def density_combine(pu, pv):
+            (x, dx), (y, dy) = pu, pv
+            return np.asarray(spec.psi_second(x + y), dtype=float) / (dx * dy)
+
+        density = Form(density_combine, density_prep, density_prep)
+
+    cdf, kernel = Form(cdf, phi_of, phi_of), Form(kernel, kernel_u, phi_of)
+    return Copula(label=spec.label, cdf=cdf, kernel=kernel, density=density)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -84,6 +85,13 @@ def _grid_from_args(args):
         tol_strict=args.tol_strict,
         spacing=args.spacing,
     )
+
+
+def _check_out(path):
+    """Reject an ``--out`` path that cannot be written, before any work is done."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValidationError(f"cannot write --out {path!r}")
 
 
 def _report_skeleton(family, params, grid):
@@ -297,6 +305,8 @@ def main(argv=None):
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        if args.out:
+            _check_out(args.out)
         code = args.func(args)
     except MkTp2Error as exc:
         sys.stderr.write(f"error: {exc}\n")

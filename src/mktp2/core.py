@@ -3,7 +3,9 @@
 A :class:`Copula` bundles the joint CDF ``C(u,v)``, a version of the Markov
 kernel ``K(u, [0,v])`` (the conditional distribution of V given U = u), an
 optional density for absolutely continuous families, and metadata used by
-the scanners.  All callables are vectorized over numpy arrays and pure.
+the scanners.  All callables are vectorized over numpy arrays and pure; the
+built-in families give each as a per-axis :class:`Form`, and any other
+callable is run as one with identity preps (:func:`as_form`).
 
 Kernel versions at null sets follow the right-continuous convention: at a
 jump point in v (e.g. v = u for the comonotonicity copula), the kernel takes
@@ -22,6 +24,8 @@ from .normal import bivariate_normal_cdf, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "Copula",
+    "Form",
+    "as_form",
     "make_baseline",
     "make_frechet",
     "make_fgm",
@@ -43,15 +47,30 @@ class Copula:
         return f"Copula({self.label})"
 
 
-def _wrap(fn):
-    """Lift an array-in/array-out bivariate function to accept scalars."""
+@dataclass(frozen=True)
+class Form:
+    """A bivariate quantity in per-axis form: ``combine(prep_u(u), prep_v(v))``.
 
-    def wrapped(u, v):
+    The preps compute what depends on one coordinate alone, and ``combine``
+    broadcasts, so a grid or the sampler can prep an axis once.  Calling a
+    form broadcasts u and v, preps and combines (a float for scalar input).
+    Each combine does the pointwise formula's float operations in its order,
+    so every path gives the same bits.
+    """
+
+    combine: Callable
+    prep_u: Callable = lambda p: p
+    prep_v: Callable = lambda p: p
+
+    def __call__(self, u, v):
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        out = fn(uu, vv)
+        out = self.combine(self.prep_u(uu), self.prep_v(vv))
         return float(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
-    return wrapped
+
+def as_form(fn):
+    """``fn`` if it is a :class:`Form`, else the identity-prep form calling ``fn`` on broadcast u, v."""
+    return fn if isinstance(fn, Form) else Form(lambda u, v: fn(*np.broadcast_arrays(u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +84,21 @@ def make_baseline(name):
     if key == "pi":
         return Copula(
             label="Pi",
-            cdf=_wrap(lambda u, v: u * v),
-            kernel=_wrap(lambda u, v: v + 0.0 * u),
-            density=_wrap(lambda u, v: np.ones_like(u)),
+            cdf=Form(lambda u, v: u * v),
+            kernel=Form(lambda u, v: v + 0.0 * u),
+            density=Form(lambda u, v: np.ones_like(u * v)),
         )
     if key == "m":
         return Copula(
             label="M",
-            cdf=_wrap(np.minimum),
-            kernel=_wrap(lambda u, v: np.where(v >= u, 1.0, 0.0)),
+            cdf=Form(np.minimum),
+            kernel=Form(lambda u, v: np.where(v >= u, 1.0, 0.0)),
         )
     if key == "w":
         return Copula(
             label="W",
-            cdf=_wrap(lambda u, v: np.maximum(u + v - 1.0, 0.0)),
-            kernel=_wrap(lambda u, v: np.where(v >= 1.0 - u, 1.0, 0.0)),
+            cdf=Form(lambda u, v: np.maximum(u + v - 1.0, 0.0)),
+            kernel=Form(lambda u, v: np.where(v >= 1.0 - u, 1.0, 0.0)),
         )
     raise ValidationError(f"unknown baseline {name!r}; expected one of Pi, M, W")
 
@@ -109,11 +128,11 @@ def make_frechet(alpha, beta, tol_eq=1e-12):
             + beta * np.where(v >= 1.0 - u, 1.0, 0.0)
         )
 
-    density = _wrap(lambda u, v: np.full_like(u, mid)) if alpha == 0.0 and beta == 0.0 else None
+    density = Form(lambda u, v: np.full_like(u * v, mid)) if alpha == 0.0 and beta == 0.0 else None
     return Copula(
         label=f"frechet(alpha={alpha:g}, beta={beta:g})",
-        cdf=_wrap(cdf),
-        kernel=_wrap(kernel),
+        cdf=Form(cdf),
+        kernel=Form(kernel),
         density=density,
         params={"alpha": alpha, "beta": beta},
     )
@@ -141,9 +160,9 @@ def make_fgm(theta):
 
     return Copula(
         label=f"fgm(theta={theta:g})",
-        cdf=_wrap(cdf),
-        kernel=_wrap(kernel),
-        density=_wrap(density),
+        cdf=Form(cdf),
+        kernel=Form(kernel),
+        density=Form(density),
         params={"theta": theta},
     )
 
@@ -166,35 +185,38 @@ def make_gaussian(rho):
         # interior evaluation only; boundary handled by masks below
         return std_normal_quantile(np.clip(p, 1e-300, 1.0 - 1e-16))
 
-    def cdf(u, v):
-        inside = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
-        x = quantile_clipped(np.where(inside, u, 0.5))
-        y = quantile_clipped(np.where(inside, v, 0.5))
-        base = bivariate_normal_cdf(x, y, rho)
-        return np.where(inside, base, np.minimum(u, v))
+    def prep(p):
+        # off (0, 1) the quantile is taken at 0.5, and the masks below overwrite it
+        inside = (p > 0.0) & (p < 1.0)
+        return p, inside, quantile_clipped(np.where(inside, p, 0.5))
 
-    def kernel(u, v):
-        u_int = (u > 0.0) & (u < 1.0)
-        v_int = (v > 0.0) & (v < 1.0)
-        inside = u_int & v_int
-        x = quantile_clipped(np.where(inside, u, 0.5))
-        y = quantile_clipped(np.where(inside, v, 0.5))
-        base = std_normal_cdf((y - rho * x) / s)
-        out = np.where(inside, base, 0.0)
-        out = np.where(u_int & ~v_int, v, out)     # K(u, 0) = 0, K(u, 1) = 1
-        out = np.where(~u_int, 1.0, out)           # boundary convention in u
-        return out
+    def cdf(pu, pv):
+        (u, u_int, x), (v, v_int, y) = pu, pv
+        return np.where(u_int & v_int, bivariate_normal_cdf(x, y, rho), np.minimum(u, v))
 
-    def density(u, v):
-        x = quantile_clipped(u)
-        y = quantile_clipped(v)
-        expo = (2.0 * rho * x * y - rho * rho * (x * x + y * y)) / (2.0 * s * s)
+    def kernel_u(u):
+        _, u_int, x = prep(u)
+        return u_int, rho * x
+
+    def kernel(pu, pv):
+        (u_int, rho_x), (v, v_int, y) = pu, pv
+        base = std_normal_cdf((y - rho_x) / s)
+        # K(u, 0) = 0 and K(u, 1) = 1; 1 at u off (0, 1) by convention
+        return np.where(u_int, np.where(v_int, base, v), 1.0)
+
+    def density_prep(p):
+        x = quantile_clipped(p)
+        return x, 2.0 * rho * x, x * x
+
+    def density(pu, pv):
+        (_, two_rho_x, xx), (y, _, yy) = pu, pv
+        expo = (two_rho_x * y - rho * rho * (xx + yy)) / (2.0 * s * s)
         return np.exp(expo) / s
 
     return Copula(
         label=f"gaussian(rho={rho:g})",
-        cdf=_wrap(cdf),
-        kernel=_wrap(kernel),
-        density=_wrap(density),
+        cdf=Form(cdf, prep, prep),
+        kernel=Form(kernel, kernel_u, prep),
+        density=Form(density, density_prep, density_prep),
         params={"rho": rho},
     )

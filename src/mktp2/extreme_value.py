@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Copula
+from .core import Copula, Form
 from .errors import SearchFailed, ValidationError
 from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, corners, persistent_jumps, runs
 from .properties import PROPERTIES, Status, Verdict, Witness, check_dtp2, check_mktp2
@@ -352,7 +352,8 @@ def _log_pickands():
 
     def cap(t):
         t = np.asarray(t, dtype=float)
-        return (2.0 / 3.0) * np.log(S(t)) + np.sqrt(t) / S(t)
+        s = S(t)
+        return (2.0 / 3.0) * np.log(s) + np.sqrt(t) / s
 
     return PickandsSpec(
         label="evc-log",
@@ -475,59 +476,63 @@ def cap_function(spec, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_coords(u, v):
-    """Broadcast ``u, v``; return them with the interior masks of u and v, log u,
-    log v and h, whose logs are taken at 0.5 off the open square's interior."""
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    u_int = (u > 0.0) & (u < 1.0)
-    v_int = (v > 0.0) & (v < 1.0)
-    inside = u_int & v_int
-    lu = np.log(np.where(inside, u, 0.5))
-    lv = np.log(np.where(inside, v, 0.5))
-    return u, v, u_int, v_int, lu, lv, lu / (lu + lv)
+def _log_prep(p):
+    # off (0, 1) the log is taken at 0.5; the boundary values overwrite every result it enters
+    inside = (p > 0.0) & (p < 1.0)
+    return p, inside, np.log(np.where(inside, p, 0.5))
+
+
+def _kernel_form(spec):
+    def combine(pu, pv):
+        (_, u_int, lu), (v, v_int, lv) = pu, pv
+        ell = lu + lv
+        h = lu / ell
+        a = np.asarray(spec.A(h), dtype=float)
+        base = np.exp(a * ell - lu) * np.asarray(cap_function(spec, h), dtype=float)
+        return np.clip(np.where(u_int, np.where(v_int, base, v), 1.0), 0.0, 1.0)
+
+    return Form(combine, _log_prep, _log_prep)
 
 
 def evc_cdf(spec, u, v):
     """(uv)^{A(h(u,v))} on the interior, copula boundary values elsewhere."""
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v, u_int, v_int, lu, lv, h = _log_coords(u, v)
-    a = np.asarray(spec.A(h), dtype=float)
-    out = np.where(u_int & v_int, np.exp(a * (lu + lv)), np.minimum(u, v))
-    return float(out) if scalar else out
+    return evc_copula(spec).cdf(u, v)
 
 
 def evc_kernel(spec, u, v):
     """Markov kernel (C(u,v)/u) F(h(u,v)); 1 at u in {0,1}, v at v in {0,1}."""
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v, u_int, v_int, lu, lv, h = _log_coords(u, v)
-    a = np.asarray(spec.A(h), dtype=float)
-    base = np.exp(a * (lu + lv) - lu) * np.asarray(cap_function(spec, h), dtype=float)
-    out = np.clip(np.where(u_int, np.where(v_int, base, v), 1.0), 0.0, 1.0)
-    return float(out) if scalar else out
+    return _kernel_form(spec)(u, v)
 
 
 def evc_copula(spec):
-    """Wrap a Pickands spec as a :class:`~mktp2.core.Copula`."""
+    """Wrap a Pickands spec as a :class:`~mktp2.core.Copula` of per-axis forms,
+    each axis prepped with its interior mask and log (the density's: its log)."""
+
+    def cdf(pu, pv):
+        (u, u_int, lu), (v, v_int, lv) = pu, pv
+        ell = lu + lv
+        a = np.asarray(spec.A(lu / ell), dtype=float)
+        return np.where(u_int & v_int, np.exp(a * ell), np.minimum(u, v))
+
     density = None
     if spec.absolutely_continuous and spec.second is not None:
 
-        def density(u, v, _s=spec):
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            lu, lv = np.log(u), np.log(v)
+        def density_combine(lu, lv):
             ell = lu + lv
             h = lu / ell
-            a = np.asarray(_s.A(h), dtype=float)
-            da = np.asarray(_s.d_plus_A(h), dtype=float)
+            a = np.asarray(spec.A(h), dtype=float)
+            da = np.asarray(spec.d_plus_A(h), dtype=float)
             f = a + (1.0 - h) * da
             g = a - h * da
-            dd = np.asarray(_s.second(h), dtype=float)
+            dd = np.asarray(spec.second(h), dtype=float)
             return np.exp(a * ell - lu - lv) * (f * g + h * (1.0 - h) * dd / (-ell))
+
+        density = Form(density_combine, np.log, np.log)
 
     return Copula(
         label=spec.label,
-        cdf=lambda u, v: evc_cdf(spec, u, v),
-        kernel=lambda u, v: evc_kernel(spec, u, v),
+        cdf=Form(cdf, _log_prep, _log_prep),
+        kernel=_kernel_form(spec),
         density=density,
         params=dict(spec.params),
     )
@@ -535,7 +540,7 @@ def evc_copula(spec):
 
 def _cross_ratio(spec, rect):
     """The kernel values at the corners of ``rect`` and their cross ratio."""
-    k11, k12, k21, k22 = k = corners(lambda u, v: evc_kernel(spec, u, v), rect)
+    k11, k12, k21, k22 = k = corners(_kernel_form(spec), rect)
     if k12 * k21 <= 0.0:
         raise ValidationError("cross ratio undefined: a denominator kernel value vanishes")
     return k, (k11 * k22) / (k12 * k21)

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .core import as_form
 from .errors import DomainError, ValidationError
 from .grids import DEFAULT_GRID, Rectangle, corners
 
@@ -143,8 +144,8 @@ def _axes(grid, region):
     return grid.u_axis(region.u1, region.u2), grid.v_axis(region.v1, region.v2)
 
 
-# points per row block of the grid layer: 256 KB of float64, so a block's
-# meshgrid and an evaluation's temporaries stay cache-sized at any grid
+# points per row block of the grid layer: 256 KB of float64, so an
+# evaluation's temporaries for a block stay cache-sized at any grid
 BLOCK_POINTS = 32768
 # side of the square tiles whose bounds let the MK-TP2 span sweep skip cells.
 # Measured against sweeping every cell: at 1024^2, tiles of 64 prune far less
@@ -167,16 +168,19 @@ def _row_blocks(n_rows, row_len):
 def _grid_eval(fn, us, vs):
     """``fn`` on the grid ``us`` x ``vs`` as a float ``(len(us), len(vs))`` array.
 
-    The grid is filled one row block at a time, so only a block's meshgrid
-    and ``fn``'s temporaries for that block are ever alive.  Every family's
-    quantities are elementwise, so the result is bit for bit that of one
-    call on the full meshgrid; blocks run in row-major order, so an error
-    raised for some point names the same first offending point.
+    ``fn`` runs in its per-axis form (:func:`~mktp2.core.as_form`): the u
+    column and the v row are prepped once, and each row block combines its
+    prepped u rows with the v row, so no meshgrid is built.  Each combine is
+    elementwise, so the result is bit for bit that of ``fn`` on the full
+    meshgrid, and an error names the same first offending point.
     """
+    form = as_form(fn)
+    pu = form.prep_u(np.asarray(us, dtype=float)[:, None])
+    pv = form.prep_v(np.asarray(vs, dtype=float)[None, :])
     out = np.empty((len(us), len(vs)))
     for r0, r1 in _row_blocks(len(us), len(vs)):
-        uu, vv = np.meshgrid(us[r0:r1], vs, indexing="ij")
-        out[r0:r1] = fn(uu, vv)
+        rows = pu[r0:r1] if isinstance(pu, np.ndarray) else tuple(p[r0:r1] for p in pu)
+        out[r0:r1] = form.combine(rows, pv)
     return out
 
 
@@ -365,10 +369,12 @@ def _spanned_cross_defect(values, us, vs, grid):
     is not below ``best``, and is skipped when it has none.  Only a U
     strictly below ``best`` skips a tile, so every rectangle with the final
     defect is evaluated.  Each pair records its own first strict maximum in
-    row-major order; at the end the pairs are merged in the order above, a
-    later pair winning only with a strictly larger defect.  So the defect,
-    the witness and the sign of a zero defect are those of sweeping every
-    rectangle in that order.  The witness is built once, at the end.
+    row-major order among the defects that are not NaN (both products
+    overflow), whatever the row blocks; at the end the pairs are merged in
+    the order above, a later pair winning only with a strictly larger
+    defect.  So the defect, the witness and the sign of a zero defect are
+    those of sweeping every rectangle in that order.  The witness is built
+    once, at the end.
 
     The bounds of all span pairs are computed first, before the mask and the
     buffers, in chunks of at most :data:`BOUND_CHUNK` tiles.  A grid whose
@@ -438,6 +444,10 @@ def _spanned_cross_defect(values, us, vs, grid):
             np.subtract(defect, product, out=defect)
             np.copyto(defect, -np.inf, where=skip[r0 + su : r1 + su, c0:c1])
             m = int(defect.argmax())
+            if np.isnan(defect_buf[m]):
+                # argmax stops at the first NaN; the block's maximum may lie past it
+                np.copyto(defect, -np.inf, where=np.isnan(defect))
+                m = int(defect.argmax())
             d = float(defect_buf[m])
             if d > pair_best:
                 pair_best = d

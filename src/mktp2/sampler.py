@@ -4,7 +4,9 @@ Each draw takes u uniform and solves K(u, [0, v]) = w for a second uniform w
 by monotone bisection.  Because v -> K(u, [0, v]) is non-decreasing and
 right-continuous, the bisection limit is the generalized inverse: atoms of
 the conditional law (kernels with jumps, e.g. Marshall-Olkin) receive their
-mass exactly, and flat stretches resolve to their left endpoint.
+mass exactly, and flat stretches resolve to their left endpoint.  The kernel
+runs in its per-axis form (:class:`~mktp2.core.Form`): u is prepped once per
+batch, and each of the 34 bisection steps preps only its midpoints in v.
 
 The generator is Philox (counter-based, 64-bit, stream-stable across
 platforms), so a (seed, copula, n) triple reproduces a batch bit for bit.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_form
 from .errors import ValidationError
 from .grids import bisect
 
@@ -32,9 +35,9 @@ __all__ = [
 _BISECT_TOL = 1e-10
 _BISECT_CAP = 200
 
-# memory grows linearly with n: a million samples add about 130 MB for an EVC
-# kernel (the most; 55-125 MB for the others), so the bound keeps a batch
-# near 1.4 GB
+# memory grows linearly with n: a million samples add 115-135 MB for an
+# Archimedean or EVC kernel (the most; 50-90 MB for the others), so the
+# bound keeps a batch near 1.4 GB
 MAX_SAMPLES = 10_000_000
 
 # Philox takes a 128-bit key
@@ -73,7 +76,9 @@ def sample(copula, n, seed):
     u = draws[:, 0]
     w = draws[:, 1]
 
-    take = lambda mid: np.asarray(copula.kernel(u, mid), dtype=float) >= w
+    kernel = as_form(copula.kernel)
+    pu = kernel.prep_u(u)
+    take = lambda mid: np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
     _, hi = bisect(take, np.zeros(n), np.ones(n), _BISECT_TOL, _BISECT_CAP)
     points = np.column_stack([u, hi])
     return SampleBatch(points=points, seed=seed, n=n, label=copula.label)

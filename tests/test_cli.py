@@ -234,6 +234,26 @@ def test_missing_out_is_rejected_before_any_work(capsys, monkeypatch, argv):
     assert "--out" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--family", "gaussian", "--param", "rho=0.5", "--n", "10", "--seed", "1"),
+        ("grid-export", "--family", "gaussian", "--param", "rho=0.5", "--quantity", "cdf"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
+def test_unwritable_out_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, argv, where):
+    def build(*args):
+        raise AssertionError("built a copula before checking --out")
+
+    monkeypatch.setattr(cli, "build", build)
+    out = tmp_path / where
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: cannot write --out ")
+    assert str(out) in err
+
+
 def test_sample_csv(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, _, err = run_cli(

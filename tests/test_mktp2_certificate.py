@@ -359,6 +359,24 @@ def test_first_strict_maximum_wins_across_blocks_and_span_pairs(rects, winner):
     assert witness.values == (0.0, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("violation", [EARLY_BLOCK_FIRST_PAIR, LATE_BLOCK_FIRST_PAIR])
+@pytest.mark.parametrize("block_points", [100, 4096, properties.BLOCK_POINTS, 10**6])
+def test_nan_defect_in_a_block_keeps_its_finite_maximum(monkeypatch, violation, block_points):
+    # a 2 x 2 patch of 1e155 at rows 200-201: K12*K21 and K11*K22 overflow,
+    # so their adjacent rectangle's defect is inf - inf = NaN, in the first
+    # of the default row blocks, with the violation at row 100, or in the
+    # second, with it at row 400; one block holds all rows at 10**6 points
+    values = _planted((600, 100), [violation])
+    values[200:202, 40:42] = 1e155
+    us = np.linspace(0.1, 0.9, 600)
+    vs = np.linspace(0.05, 0.95, 100)
+    monkeypatch.setattr(properties, "BLOCK_POINTS", block_points)
+    defect, witness = _spanned_cross_defect(values, us, vs, GridConfig())
+    i, j, su, sv = violation
+    assert defect == 1.0
+    assert witness.points == (us[i], us[i + su], vs[j], vs[j + sv])
+
+
 def test_search_without_a_kept_rectangle_reads_holds():
     # every kernel value is at most 1 < tol_eq, so no stage keeps a rectangle
     grid = GridConfig(tol_eq=2.0, tol_strict=2.0)
