@@ -15,9 +15,7 @@ from .properties import (
     check_si,
     check_tp2,
     counterexample_search,
-    log_concavity_test,
     log_convexity_test,
-    two_increasing_test,
 )
 
 __version__ = "0.1.0"
@@ -43,12 +41,10 @@ __all__ = [
     "check_si",
     "check_tp2",
     "counterexample_search",
-    "log_concavity_test",
     "log_convexity_test",
     "make_baseline",
     "make_fgm",
     "make_frechet",
     "make_gaussian",
-    "two_increasing_test",
     "__version__",
 ]

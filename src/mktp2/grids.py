@@ -10,9 +10,10 @@ import numpy as np
 from .errors import ValidationError
 
 # twice the largest grid any search stage uses; one (n, n) float64 array
-# then takes 32 MB.  Grids are evaluated and swept in row blocks, so a
-# scan holds its quantity grids plus a few full-grid temporaries of the
-# cheap scans, never a full meshgrid or an evaluation's temporaries
+# then takes 32 MB.  Grids are evaluated and scanned in row blocks: the cdf
+# and the density are never held whole, so only MK-TP2 holds a grid, its
+# kernel grid for the span sweep, with the sweep's one-byte-per-point mask
+# and block-sized temporaries (9-10 MB traced at 1024^2, 8 MB of it the grid)
 MAX_GRID = 2048
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "check_mktp2",
     "check_dtp2",
     "log_convexity_test",
-    "log_concavity_test",
-    "two_increasing_test",
     "counterexample_search",
     "property_verdicts",
     "rectangle_defect",
@@ -126,26 +124,26 @@ _GRID_BAND_NOTE = "defect inside the tolerance band (tol_eq, tol_strict]"
 
 
 def _verdict(
-    defect, witness, certificate, tol_eq, tol_strict, band_note=_GRID_BAND_NOTE, holds_note=""
+    defect, witness, certificate, tol_eq, tol_strict, band_note=_GRID_BAND_NOTE, holds_note="", note=""
 ):
     """The :class:`Verdict` of :func:`_band`: ``fails`` keeps the witness, the band
-    keeps it with ``band_note``, and ``holds`` drops it and carries ``holds_note``."""
-    status = _band(defect, tol_eq, tol_strict)
+    keeps it with ``band_note``, and ``holds`` drops it and carries ``holds_note``.
+    A scan's ``note`` (a non-finite grid value, with ``defect`` None, or a NaN
+    defect) makes any other verdict inconclusive, with no witness."""
+    status = Status.INCONCLUSIVE if defect is None else _band(defect, tol_eq, tol_strict)
+    if status is Status.FAILS:
+        return Verdict(status, witness, certificate)
+    if note:
+        return Verdict(Status.INCONCLUSIVE, None, certificate, note)
     if status is Status.HOLDS:
         return Verdict(status, None, certificate, holds_note)
-    if status is Status.INCONCLUSIVE:
-        return Verdict(status, witness, certificate, band_note)
-    return Verdict(status, witness, certificate)
-
-
-def _axes(grid, region):
-    if region is None:
-        return grid.u_axis(), grid.v_axis()
-    return grid.u_axis(region.u1, region.u2), grid.v_axis(region.v1, region.v2)
+    return Verdict(status, witness, certificate, band_note)
 
 
 # points per row block of the grid layer: 256 KB of float64, so an
-# evaluation's temporaries for a block stay cache-sized at any grid
+# evaluation's temporaries and a scan's defects for a block stay cache-sized
+# at any grid; the cdf and the density are scanned block by block and never
+# held whole, so a scan's memory does not grow with the grid
 BLOCK_POINTS = 32768
 # side of the square tiles whose bounds let the MK-TP2 span sweep skip cells.
 # Measured against sweeping every cell: at 1024^2, tiles of 64 prune far less
@@ -165,22 +163,43 @@ def _row_blocks(n_rows, row_len):
     return [(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
-def _grid_eval(fn, us, vs):
-    """``fn`` on the grid ``us`` x ``vs`` as a float ``(len(us), len(vs))`` array.
+def _row_stream(fn, us, vs, whole=None):
+    """Yield ``(start, fresh, block)``: ``fn`` on the grid ``us`` x ``vs``, one row block
+    of :func:`_row_blocks` at a time, as grid rows ``start`` onwards.  Row 0
+    repeats the previous block's last row when ``fresh`` is 1, so every pair
+    of adjacent rows lies in one block.  ``block`` is a view of a buffer the
+    next block overwrites, or of ``whole``, which then holds the full grid.
 
-    ``fn`` runs in its per-axis form (:func:`~mktp2.core.as_form`): the u
-    column and the v row are prepped once, and each row block combines its
-    prepped u rows with the v row, so no meshgrid is built.  Each combine is
-    elementwise, so the result is bit for bit that of ``fn`` on the full
-    meshgrid, and an error names the same first offending point.
+    ``fn`` runs in its per-axis form (:func:`~mktp2.core.as_form`): the u column
+    and the v row are prepped once and each block combines its u rows with the
+    v row, elementwise, so no meshgrid is built, every value is bit for bit
+    that of ``fn`` on the full meshgrid and an error names the same point.
     """
     form = as_form(fn)
     pu = form.prep_u(np.asarray(us, dtype=float)[:, None])
     pv = form.prep_v(np.asarray(vs, dtype=float)[None, :])
-    out = np.empty((len(us), len(vs)))
+    buf, last = None, 0
     for r0, r1 in _row_blocks(len(us), len(vs)):
         rows = pu[r0:r1] if isinstance(pu, np.ndarray) else tuple(p[r0:r1] for p in pu)
-        out[r0:r1] = form.combine(rows, pv)
+        fresh = 1 if r0 else 0
+        if whole is not None:
+            whole[r0:r1] = form.combine(rows, pv)
+            yield r0 - fresh, fresh, whole[r0 - fresh : r1]
+            continue
+        if buf is None:
+            buf = np.empty((r1 - r0 + 1, len(vs)))
+        buf[0] = buf[last]
+        last = r1 - r0
+        buf[1 : 1 + last] = form.combine(rows, pv)
+        yield r0 - fresh, fresh, buf[1 - fresh : 1 + last]
+
+
+def _grid_eval(fn, us, vs):
+    """``fn`` on the grid ``us`` x ``vs`` as a float ``(len(us), len(vs))`` array, filled
+    block by block by :func:`_row_stream`."""
+    out = np.empty((len(us), len(vs)))
+    for _ in _row_stream(fn, us, vs, out):
+        pass
     return out
 
 
@@ -194,72 +213,99 @@ def _non_finite_note(name, values, us, vs):
 
 
 def _certificate(method, grid, region=None, **extra):
-    cert = {"method": method, "grid": grid.describe()}
-    if region is not None:
-        cert["region"] = list(region.as_tuple())
-    cert.update(extra)
-    return cert
+    region = {} if region is None else {"region": list(region.as_tuple())}
+    return {"method": method, "grid": grid.describe(), **region, **extra}
 
 
 # ---------------------------------------------------------------------------
-# scans of one evaluated grid: each returns (defect, witness) of the worst cell
+# block scans: each returns the defects of one row block and their witnesses
 # ---------------------------------------------------------------------------
 
 
-def _scan_pqd(cdf, us, vs, grid):
+class _Max:
+    """The first strict maximum of a scan's defects in scan order, among those that
+    are not NaN (both products of a cross defect overflow), with its witness
+    (None while no defect is above -inf), and a note naming the first NaN.
+
+    Scan order is that of ``rank``, then that of the blocks :meth:`add`
+    merges under one rank: a block's maximum wins when it is strictly larger
+    than the kept one, or equal to it under a smaller rank.  So the result
+    depends neither on the blocks nor on the order in which ranks come.
+    """
+
+    __slots__ = ("defect", "witness", "rank", "nan_note", "nan_rank")
+
+    def __init__(self):
+        self.defect, self.witness, self.rank = -np.inf, None, np.inf
+        self.nan_note, self.nan_rank = "", np.inf
+
+    def add(self, defect, witness_at, rank=0):
+        """Merge one block's ``defect`` array, read in row-major order;
+        ``witness_at(m, d)`` is the witness of its flat index ``m`` with defect ``d``."""
+        if defect.size == 0:
+            return
+        m = int(defect.argmax())
+        d = float(defect.flat[m])
+        if d != d:
+            # argmax stops at the first NaN; the block's maximum may lie past it
+            if rank < self.nan_rank:
+                w = witness_at(m, d)
+                self.nan_note = f"NaN defect at {w.kind} ({', '.join(f'{p:.6g}' for p in w.points)})"
+                self.nan_rank = rank
+            np.copyto(defect, -np.inf, where=np.isnan(defect))
+            m = int(defect.argmax())
+            d = float(defect.flat[m])
+        if d > self.defect or (d == self.defect > -np.inf and rank < self.rank):
+            self.defect, self.witness, self.rank = d, witness_at(m, d), rank
+
+    def result(self):
+        return self.defect, self.witness, self.nan_note
+
+
+def _scan_pqd(cdf, fresh, us, vs):
+    cdf, us = cdf[fresh:], us[fresh:]
     defect = np.outer(us, vs) - cdf
-    i, j = np.unravel_index(np.argmax(defect), defect.shape)
-    w = Witness(
-        points=(float(us[i]), float(vs[j])),
-        values=(float(cdf[i, j]), float(us[i] * vs[j])),
-        defect=float(defect[i, j]),
-        kind="point",
-    )
-    return float(defect[i, j]), w
+
+    def witness_at(m, d):
+        i, j = divmod(m, len(vs))
+        values = (float(cdf[i, j]), float(us[i] * vs[j]))
+        return Witness((float(us[i]), float(vs[j])), values, d, "point")
+
+    return defect, witness_at
 
 
-def _scan_line_monotone(values, us, vs, grid):
-    """Worst forward-difference violation of u -> values non-increasing per v-line."""
-    defect = values[1:, :] - values[:-1, :]
-    i, j = np.unravel_index(np.argmax(defect), defect.shape)
-    w = Witness(
-        points=(float(us[i]), float(us[i + 1]), float(vs[j])),
-        values=(float(values[i, j]), float(values[i + 1, j])),
-        defect=float(defect[i, j]),
-        kind="line",
-    )
-    return float(defect[i, j]), w
+def _scan_line_monotone(values, fresh, us, vs):
+    """Forward-difference violations of u -> values non-increasing per v-line."""
+    defect = values[1:] - values[:-1]
+
+    def witness_at(m, d):
+        i, j = divmod(m, len(vs))
+        points = (float(us[i]), float(us[i + 1]), float(vs[j]))
+        return Witness(points, (float(values[i, j]), float(values[i + 1, j])), d, "line")
+
+    return defect, witness_at
 
 
-def _scan_ltd(cdf, us, vs, grid):
-    return _scan_line_monotone(cdf / us[:, None], us, vs, grid)
+def _scan_ltd(cdf, fresh, us, vs):
+    return _scan_line_monotone(cdf / us[:, None], fresh, us, vs)
 
 
 def _rectangle_witness(values, us, vs, i, j, su, sv, defect):
     """Witness of the grid rectangle [us[i], us[i+su]] x [vs[j], vs[j+sv]] with
     its corner values (f11, f12, f21, f22)."""
-    return Witness(
-        points=(float(us[i]), float(us[i + su]), float(vs[j]), float(vs[j + sv])),
-        values=(
-            float(values[i, j]),
-            float(values[i, j + sv]),
-            float(values[i + su, j]),
-            float(values[i + su, j + sv]),
-        ),
-        defect=float(defect),
-        kind="rectangle",
-    )
+    points = (float(us[i]), float(us[i + su]), float(vs[j]), float(vs[j + sv]))
+    corner_values = (values[i, j], values[i, j + sv], values[i + su, j], values[i + su, j + sv])
+    return Witness(points, tuple(float(x) for x in corner_values), float(defect), "rectangle")
 
 
-def _adjacent_cross_defect(values, us, vs, grid):
-    """Worst adjacent-cell violation of f11*f22 - f12*f21 >= 0."""
-    f11 = values[:-1, :-1]
-    f22 = values[1:, 1:]
-    f12 = values[:-1, 1:]
-    f21 = values[1:, :-1]
-    defect = f12 * f21 - f11 * f22
-    i, j = np.unravel_index(np.argmax(defect), defect.shape)
-    return float(defect[i, j]), _rectangle_witness(values, us, vs, i, j, 1, 1, defect[i, j])
+def _adjacent_cross_defect(values, fresh, us, vs):
+    """Adjacent-cell violations of f11*f22 - f12*f21 >= 0."""
+    defect = values[:-1, 1:] * values[1:, :-1] - values[:-1, :-1] * values[1:, 1:]
+
+    def witness_at(m, d):
+        return _rectangle_witness(values, us, vs, *divmod(m, len(vs) - 1), 1, 1, d)
+
+    return defect, witness_at
 
 
 def _dyadic_spans(n):
@@ -346,8 +392,10 @@ def _live_columns(bound, best):
     return first.tolist(), last.tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _spanned_cross_defect(values, us, vs, grid):
-    """Worst violation over rectangles with dyadic index spans.
+    """``(defect, witness, nan_note)`` of the worst violation over rectangles with
+    dyadic index spans.
 
     Rectangles whose lower-right value K(u2, v1) is not above ``grid.tol_eq``
     are skipped: those lie in the kernel's zero region where the TP2
@@ -368,13 +416,13 @@ def _spanned_cross_defect(values, us, vs, grid):
     once per call, over the columns from its first to its last tile whose U
     is not below ``best``, and is skipped when it has none.  Only a U
     strictly below ``best`` skips a tile, so every rectangle with the final
-    defect is evaluated.  Each pair records its own first strict maximum in
-    row-major order among the defects that are not NaN (both products
-    overflow), whatever the row blocks; at the end the pairs are merged in
-    the order above, a later pair winning only with a strictly larger
-    defect.  So the defect, the witness and the sign of a zero defect are
-    those of sweeping every rectangle in that order.  The witness is built
-    once, at the end.
+    defect is evaluated.  One :class:`_Max`, ranked by the pairs' order
+    above, keeps the first strict maximum among the defects that are not NaN
+    (both products overflow), whatever the row blocks and whatever the order
+    in which the pairs are visited.  So the defect, the witness and the sign
+    of a zero defect are those of sweeping every rectangle in that order.
+    ``nan_note`` names the first NaN defect in that order: a NaN defect's
+    tile bound is +inf, so no NaN rectangle is ever skipped.
 
     The bounds of all span pairs are computed first, before the mask and the
     buffers, in chunks of at most :data:`BOUND_CHUNK` tiles.  A grid whose
@@ -403,19 +451,19 @@ def _spanned_cross_defect(values, us, vs, grid):
     if su_step < len(spans_u) or sv_step < len(spans_v):
         bounds = None
     tops, floors = tops.ravel().tolist(), floors.ravel().tolist()
-    skip = ~(values > grid.tol_eq)
+    skip = values > grid.tol_eq
+    np.logical_not(skip, out=skip)
     size = min((n_u - 1) * (n_v - 1), max(BLOCK_POINTS, n_v))
     defect_buf = np.empty(size)
     product_buf = np.empty(size)
     best = -np.inf
-    found = [None] * len(tops)
+    found = _Max()
     for k in sorted(range(len(tops)), key=lambda k: -tops[k]):
         if tops[k] < best:
             break
         iu, iv = divmod(k, len(spans_v))
         su, sv = spans_u[iu], spans_v[iv]
         width = n_v - sv
-        pair_best = -np.inf
         bound = ranged = None
         for r0, r1 in _row_blocks(n_u - su, width):
             c0, c1 = 0, width
@@ -443,23 +491,10 @@ def _spanned_cross_defect(values, us, vs, grid):
             np.multiply(f11, f22, out=product)
             np.subtract(defect, product, out=defect)
             np.copyto(defect, -np.inf, where=skip[r0 + su : r1 + su, c0:c1])
-            m = int(defect.argmax())
-            if np.isnan(defect_buf[m]):
-                # argmax stops at the first NaN; the block's maximum may lie past it
-                np.copyto(defect, -np.inf, where=np.isnan(defect))
-                m = int(defect.argmax())
-            d = float(defect_buf[m])
-            if d > pair_best:
-                pair_best = d
-                found[k] = (d, r0 + m // n_cols, c0 + m % n_cols, su, sv)
-                best = max(best, d)
-    best, best_at = -np.inf, None
-    for record in found:
-        if record is not None and record[0] > best:
-            best, best_at = record[0], record[1:]
-    if best_at is None:
-        return best, None
-    return best, _rectangle_witness(values, us, vs, *best_at, best)
+            at = lambda m, d: _rectangle_witness(values, us, vs, r0 + m // n_cols, c0 + m % n_cols, su, sv, d)
+            found.add(defect, at, k)
+            best = found.defect
+    return found.result()
 
 
 # Veltkamp's splitter for binary64: 2**27 + 1 cuts a double into two halves
@@ -505,35 +540,34 @@ def _kernel_tp2_certified(values):
     Then every kept rectangle's exact ratio is at most 1, its rounded
     products keep that order, and its defect is at most 0 <= ``tol_eq``:
     the sweep would read ``holds``.  False means only "not proven"; the
-    sweep then decides.
+    sweep then decides.  The grid is walked in the row blocks of
+    :func:`_row_blocks`, each overlapping the one before by a row, so no
+    full-grid temporary is built.
     """
-    positive = values > 0.0
-    if np.any(positive[:, :-1] > positive[:, 1:]) or np.any(positive[1:] > positive[:-1]):
-        return False
-    if values.max() > _CERTIFIED_MAX or values.min(where=positive, initial=np.inf) < _CERTIFIED_MIN:
-        return False
-    # on a staircase a cell's four corners are positive iff its K21 corner is
-    cell = positive[1:, :-1]
-    f11 = values[:-1, :-1]
-    f22 = values[1:, 1:]
-    f12 = values[:-1, 1:]
-    f21 = values[1:, :-1]
-    cross = f12 * f21
-    direct = f11 * f22
-    if np.any((cross > direct) & cell):
-        return False
-    tie = cross == direct
-    del cross, direct
-    tie &= cell
-    # products of the same two factors are equal exactly (Pi and M tie on
-    # every cell this way), so only the other ties need error terms
-    tie &= ~(((f12 == f11) & (f21 == f22)) | ((f12 == f22) & (f21 == f11)))
-    i, j = np.nonzero(tie)
-    if i.size == 0:
-        return True
-    a, b, c, d = values[i, j + 1], values[i + 1, j], values[i, j], values[i + 1, j + 1]
-    p = a * b
-    return not np.any(_product_error(a, b, p) > _product_error(c, d, p))
+    for r0, r1 in _row_blocks(*values.shape):
+        block = values[max(r0 - 1, 0) : r1]
+        positive = block > 0.0
+        if np.any(positive[:, :-1] > positive[:, 1:]) or np.any(positive[1:] > positive[:-1]):
+            return False
+        if block.max() > _CERTIFIED_MAX or block.min(where=positive, initial=np.inf) < _CERTIFIED_MIN:
+            return False
+        # on a staircase a cell's four corners are positive iff its K21 corner is
+        cell = positive[1:, :-1]
+        f11, f12, f21, f22 = block[:-1, :-1], block[:-1, 1:], block[1:, :-1], block[1:, 1:]
+        cross = f12 * f21
+        direct = f11 * f22
+        if np.any((cross > direct) & cell):
+            return False
+        tie = (cross == direct) & cell
+        # products of the same two factors are equal exactly (Pi and M tie on
+        # every cell this way), so only the other ties need error terms
+        tie &= ~(((f12 == f11) & (f21 == f22)) | ((f12 == f22) & (f21 == f11)))
+        i, j = np.nonzero(tie)
+        a, b, c, d = block[i, j + 1], block[i + 1, j], block[i, j], block[i + 1, j + 1]
+        p = a * b
+        if np.any(_product_error(a, b, p) > _product_error(c, d, p)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +577,7 @@ def _kernel_tp2_certified(values):
 
 class _Check(NamedTuple):
     quantity: str  # the Copula callable the scan reads: "cdf", "kernel" or "density"
-    scan: Callable  # (values, us, vs, grid) -> (defect, witness)
+    scan: Optional[Callable]  # block scan (block, fresh, us, vs) -> (defects, witness_at); None: the sweep
     method: str  # certificate method
     extra: dict = {}  # further certificate entries
 
@@ -553,39 +587,67 @@ _TABLE = {
     "ltd": _Check("cdf", _scan_ltd, "grid:ltd"),
     "si": _Check("kernel", _scan_line_monotone, "grid:si"),
     "tp2": _Check("cdf", _adjacent_cross_defect, "grid:tp2:direct"),
-    "mktp2": _Check("kernel", _spanned_cross_defect, "grid:mktp2", {"spans": "adjacent+dyadic"}),
+    "mktp2": _Check("kernel", None, "grid:mktp2", {"spans": "adjacent+dyadic"}),
     "dtp2": _Check("density", _adjacent_cross_defect, "grid:dtp2"),
 }
 
 
-def _evaluate(copula, quantity, us, vs, evaluated):
-    """``(values, note)`` of one quantity on the axes ``us`` x ``vs``.
+def _scan_quantity(copula, quantity, props, us, vs, grid, certify):
+    """``{prop: (defect, witness, note)}`` of ``props``, which all read ``quantity``.
 
-    ``evaluated`` holds the quantity grids already evaluated on these axes,
-    so properties that read the same quantity share one evaluation.  A
-    non-finite value would win a scan's argmax and compare as no violation,
-    so a grid holding one must not be scanned: ``note`` then names the first
-    offending point, and is "" otherwise.
+    Each block of :func:`_row_stream` has its own rows checked for a
+    non-finite value, which would win an argmax and compare as no violation,
+    and is then scanned by each property but MK-TP2 into its :class:`_Max`.
+    From the first non-finite value on nothing is scanned, though the blocks
+    are still evaluated (so a later error is raised as before), and every
+    property reads ``(None, None, note)``, ``note`` naming that point;
+    otherwise ``note`` names the scan's first NaN defect, or is "".  Only
+    MK-TP2 holds its grid whole, for the span sweep.  With ``certify`` it
+    first tries :func:`_kernel_tp2_certified`, whose proof reads as a zero
+    defect, and refines a failing witness on a finer local window.
     """
-    if quantity not in evaluated:
-        evaluated[quantity] = _grid_eval(getattr(copula, quantity), us, vs)
-    values = evaluated[quantity]
-    return values, _non_finite_note(quantity, values, us, vs)
-
-
-def _scan(copula, prop, us, vs, grid, evaluated):
-    """``(defect, witness, note)`` of one property's scan on the axes ``us`` x ``vs``;
-    ``(None, None, note)`` when the quantity grid holds a non-finite value."""
-    values, note = _evaluate(copula, _TABLE[prop].quantity, us, vs, evaluated)
+    whole = np.empty((len(us), len(vs))) if "mktp2" in props else None
+    found = {prop: _Max() for prop in props if prop != "mktp2"}
+    note = ""
+    for start, fresh, block in _row_stream(getattr(copula, quantity), us, vs, whole):
+        rows = us[start : start + len(block)]
+        note = note or _non_finite_note(quantity, block[fresh:], rows[fresh:], vs)
+        if note:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            for prop, best in found.items():
+                best.add(*_TABLE[prop].scan(block, fresh, rows, vs))
     if note:
-        return None, None, note
-    return (*_TABLE[prop].scan(values, us, vs, grid), "")
+        return {prop: (None, None, note) for prop in props}
+    out = {prop: best.result() for prop, best in found.items()}
+    if whole is not None and certify and _kernel_tp2_certified(whole):
+        out["mktp2"] = (0.0, None, "")
+    elif whole is not None:
+        defect, witness, nan_note = _spanned_cross_defect(whole, us, vs, grid)
+        if certify and defect > grid.tol_strict:
+            refined_defect, refined_witness, _ = _refine_rectangle(copula, witness, grid)
+            if refined_defect is not None and refined_defect > defect:
+                defect, witness = refined_defect, refined_witness
+        out["mktp2"] = (defect, witness, nan_note)
+    return out
+
+
+def _scan(copula, props, us, vs, grid, certify=False):
+    """``{prop: (defect, witness, note)}`` of :func:`_scan_quantity` on the axes ``us`` x
+    ``vs``, once for each quantity ``props`` read, in the order :data:`PROPERTIES`
+    first needs it; a quantity the copula does not expose is left out."""
+    out = {}
+    for quantity in dict.fromkeys(_TABLE[prop].quantity for prop in PROPERTIES if prop in props):
+        if getattr(copula, quantity) is not None:
+            reading = [prop for prop in PROPERTIES if prop in props and _TABLE[prop].quantity == quantity]
+            out.update(_scan_quantity(copula, quantity, reading, us, vs, grid, certify))
+    return out
 
 
 def _refine_rectangle(copula, witness, grid, n_local=64):
     """Re-scan MK-TP2 on a small window around a violating rectangle at finer resolution."""
     us, vs = _window_axes(witness, n_local, 1.0, 1e-6, 1e-9)
-    return _scan(copula, "mktp2", us, vs, grid, {})
+    return _scan(copula, ("mktp2",), us, vs, grid)["mktp2"]
 
 
 def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
@@ -593,42 +655,35 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
 
     Each grid quantity (``cdf``, ``kernel``, ``density``) is evaluated once
     and shared by every property that reads it, in the order
-    :data:`PROPERTIES` first needs it.  ``region`` restricts the scan to a
-    rectangle.  A ``fails`` MK-TP2 witness is refined on a finer local
-    window.  MK-TP2 first tries :func:`_kernel_tp2_certified` on the kernel
-    grid and runs the span sweep only when that does not prove ``holds``.
-    A quantity with a non-finite grid value makes the properties reading it
-    ``inconclusive``; a copula without a density makes ``dtp2`` not
-    applicable.
+    :data:`PROPERTIES` first needs it.  The cdf and the density are
+    evaluated, checked and scanned one row block at a time; only the kernel
+    grid is held whole, for the MK-TP2 span sweep, so at 1024² the traced
+    peak is 9.0-10.1 MB, 8 MB of it that grid.  ``region`` restricts the
+    scan to a rectangle.  MK-TP2 first tries :func:`_kernel_tp2_certified`
+    and runs the span sweep only when that does not prove ``holds``; a
+    ``fails`` MK-TP2 witness is refined on a finer local window.  A
+    non-finite grid value, or a NaN defect where the scan does not fail,
+    makes a verdict ``inconclusive``; a copula without a density makes
+    ``dtp2`` not applicable.
     """
     for prop in props:
         if prop not in _TABLE:
             raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    us, vs = _axes(grid, region)
-    evaluated = {}
+    u1, u2, v1, v2 = (None,) * 4 if region is None else region.as_tuple()
+    us, vs = grid.u_axis(u1, u2), grid.v_axis(v1, v2)
+    found = _scan(copula, props, us, vs, grid, certify=True)
     out = {}
     for prop in PROPERTIES:
         if prop not in props:
             continue
         check = _TABLE[prop]
         cert = _certificate(check.method, grid, region, **check.extra)
-        if getattr(copula, check.quantity) is None:
+        if prop not in found:
             note = f"{copula.label} exposes no density (not absolutely continuous)"
             out[prop] = Verdict(Status.NOT_APPLICABLE, None, cert, note=note)
             continue
-        values, note = _evaluate(copula, check.quantity, us, vs, evaluated)
-        if note:
-            out[prop] = Verdict(Status.INCONCLUSIVE, None, cert, note)
-            continue
-        if prop == "mktp2" and _kernel_tp2_certified(values):
-            out[prop] = Verdict(Status.HOLDS, None, cert)
-            continue
-        defect, witness = check.scan(values, us, vs, grid)
-        if prop == "mktp2" and defect > grid.tol_strict:
-            refined_defect, refined_witness, refined_note = _refine_rectangle(copula, witness, grid)
-            if not refined_note and refined_defect > defect:
-                defect, witness = refined_defect, refined_witness
-        out[prop] = _verdict(defect, witness, cert, grid.tol_eq, grid.tol_strict)
+        defect, witness, note = found[prop]
+        out[prop] = _verdict(defect, witness, cert, grid.tol_eq, grid.tol_strict, note=note)
     return out
 
 
@@ -648,22 +703,15 @@ def check_si(copula, grid=DEFAULT_GRID, region=None):
 
 
 def check_tp2(copula, grid=DEFAULT_GRID, region=None):
-    """TP2 of the copula itself: adjacent-cell cross products of the CDF
-    (adjacent quadruples generate grid TP2 for these smooth, a.e.-positive
-    surfaces)."""
+    """TP2 of the copula itself: adjacent-cell cross products of the CDF (adjacent
+    quadruples generate grid TP2 for these smooth, a.e.-positive surfaces)."""
     return property_verdicts(copula, grid, ("tp2",), region)["tp2"]
 
 
 def check_mktp2(copula, grid=DEFAULT_GRID, region=None):
-    """TP2 of the Markov kernel over adjacent cells and dyadic index spans.
-
-    Wide spans matter here: kernels may jump, and jump-driven violations are
-    invisible to adjacent quadruples alone.  Rectangles with
-    K(u2,[0,v1]) ~ 0 are skipped (zero-region reduction).
-
-    The span sweep runs only when :func:`_kernel_tp2_certified` cannot prove
-    ``holds`` first; either way the report is the same.
-    """
+    """TP2 of the Markov kernel over adjacent cells and dyadic index spans: kernels
+    may jump, and jump-driven violations are invisible to adjacent quadruples
+    alone.  Rectangles with K(u2,[0,v1]) ~ 0 are skipped (zero-region reduction)."""
     return property_verdicts(copula, grid, ("mktp2",), region)["mktp2"]
 
 
@@ -694,57 +742,15 @@ def _midpoint_scan(f, points, orient, tol_eq, tol_strict):
     chord = l0 + (l2 - l0) * (x1 - x0) / (x2 - x0)
     defect = orient * (l1 - chord)
     k = int(np.argmax(defect))
-    witness = Witness(
-        points=(float(x0[k]), float(x1[k]), float(x2[k])),
-        values=(float(ys[k]), float(ys[k + 1]), float(ys[k + 2])),
-        defect=float(defect[k]),
-        kind="triple",
-    )
-    cert = {
-        "method": "midpoint-chord",
-        "n_points": int(len(xs)),
-        "tol_eq": tol_eq,
-        "tol_strict": tol_strict,
-    }
-    band_note = "defect inside the tolerance band"
-    return _verdict(float(defect[k]), witness, cert, tol_eq, tol_strict, band_note)
+    points, values = (float(x0[k]), float(x1[k]), float(x2[k])), tuple(float(y) for y in ys[k : k + 3])
+    witness = Witness(points, values, float(defect[k]), "triple")
+    cert = {"method": "midpoint-chord", "n_points": int(len(xs)), "tol_eq": tol_eq, "tol_strict": tol_strict}
+    return _verdict(float(defect[k]), witness, cert, tol_eq, tol_strict, "defect inside the tolerance band")
 
 
 def log_convexity_test(f, points, tol_eq=1e-12, tol_strict=1e-9):
     """Midpoint test of convexity of log f on consecutive triples of the sample."""
     return _midpoint_scan(f, points, +1.0, tol_eq, tol_strict)
-
-
-def log_concavity_test(f, points, tol_eq=1e-12, tol_strict=1e-9):
-    """Mirror of :func:`log_convexity_test` with the reversed inequality."""
-    return _midpoint_scan(f, points, -1.0, tol_eq, tol_strict)
-
-
-def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
-    """Adjacent-quadruple check that g has non-negative rectangle increments.
-
-    ``mask``, when given, marks grid nodes that belong to the test region;
-    only quadruples with all four corners inside count.  A non-finite value
-    at a node inside the region makes the result inconclusive.
-    """
-    us = np.asarray(u_axis, dtype=float)
-    vs = np.asarray(v_axis, dtype=float)
-    vals = _grid_eval(g, us, vs)
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        vals = np.where(m, vals, 0.0)  # excluded nodes may hold -inf/nan
-    cert = {"method": "two-increasing", "grid": grid.describe()}
-    note = _non_finite_note("g", vals, us, vs)
-    if note:
-        return Verdict(Status.INCONCLUSIVE, None, cert, note)
-    inc = vals[1:, 1:] + vals[:-1, :-1] - vals[:-1, 1:] - vals[1:, :-1]
-    defect = -inc
-    if mask is not None:
-        ok = m[1:, 1:] & m[:-1, :-1] & m[:-1, 1:] & m[1:, :-1]
-        defect = np.where(ok, defect, -np.inf)
-    i, j = np.unravel_index(np.argmax(defect), defect.shape)
-    witness = _rectangle_witness(vals, us, vs, i, j, 1, 1, defect[i, j])
-    return _verdict(float(defect[i, j]), witness, cert, grid.tol_eq, grid.tol_strict)
 
 
 # ---------------------------------------------------------------------------
@@ -785,26 +791,21 @@ def counterexample_search(copula, prop, grid=DEFAULT_GRID, stages=(64, 256, 1024
         "grid": grid.describe(),
     }
     us = vs = grid.axis(stages[0])
-    best_defect, best_witness, note = _scan(copula, prop, us, vs, grid, {})
+    best_defect, best_witness, note = _scan(copula, (prop,), us, vs, grid)[prop]
     for n in stages[1:]:
         # with no rectangle kept (every K21 at most tol_eq) there is nothing to zoom on
-        if note or best_witness is None:
+        if best_defect is None or best_witness is None:
             break
         us, vs = _window_axes(best_witness, n)
-        d, w, note = _scan(copula, prop, us, vs, grid, {})
-        if not note and d > best_defect:
+        d, w, stage_note = _scan(copula, (prop,), us, vs, grid)[prop]
+        if d is None:
+            best_defect, note = None, stage_note
+            break
+        note = note or stage_note
+        if d > best_defect:
             best_defect, best_witness = d, w
-    if note:
-        return Verdict(Status.INCONCLUSIVE, None, cert, note)
-    return _verdict(
-        best_defect,
-        best_witness,
-        cert,
-        grid.tol_eq,
-        grid.tol_strict,
-        "defect inside the tolerance band",
-        "no violation within the search budget",
-    )
+    band_note, holds_note = "defect inside the tolerance band", "no violation within the search budget"
+    return _verdict(best_defect, best_witness, cert, grid.tol_eq, grid.tol_strict, band_note, holds_note, note)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ No command or classifier runs these; they re-derive a quantity by an
 independent route (quadrature of the kernel, finite differences of the CDF,
 a telescoping product of the h-map, empirical distributions of a sample,
 every rectangle of the MK-TP2 span sweep) so tests can bound or match the
-library's answer by it.
+library's answer by it, or test a shape (log-concavity, 2-increasingness)
+that no command reads.
 """
 
 import numpy as np
@@ -13,7 +14,17 @@ from mktp2.archimedean import GeneratorSpec
 from mktp2.errors import ValidationError
 from mktp2.extreme_value import PickandsSpec, h_map
 from mktp2.grids import DEFAULT_GRID, corners
-from mktp2.properties import Witness, _dyadic_spans
+from mktp2.properties import (
+    Status,
+    Verdict,
+    Witness,
+    _dyadic_spans,
+    _grid_eval,
+    _midpoint_scan,
+    _non_finite_note,
+    _rectangle_witness,
+    _verdict,
+)
 
 # ---------------------------------------------------------------------------
 # where the Markov kernel jumps in u
@@ -174,6 +185,42 @@ def reference_sweep(values, us, vs, grid):
                     kind="rectangle",
                 )
     return best, best_w
+
+
+# ---------------------------------------------------------------------------
+# 1-D and 2-D shape testers
+# ---------------------------------------------------------------------------
+
+
+def log_concavity_test(f, points, tol_eq=1e-12, tol_strict=1e-9):
+    """Mirror of ``properties.log_convexity_test`` with the reversed inequality."""
+    return _midpoint_scan(f, points, -1.0, tol_eq, tol_strict)
+
+
+def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):
+    """Adjacent-quadruple check that g has non-negative rectangle increments.
+
+    ``mask``, when given, marks grid nodes that belong to the test region;
+    only quadruples with all four corners inside count.  A non-finite value
+    at a node inside the region makes the result inconclusive.
+    """
+    us = np.asarray(u_axis, dtype=float)
+    vs = np.asarray(v_axis, dtype=float)
+    vals = _grid_eval(g, us, vs)
+    if mask is not None:
+        m = np.asarray(mask, dtype=bool)
+        vals = np.where(m, vals, 0.0)  # excluded nodes may hold -inf/nan
+    cert = {"method": "two-increasing", "grid": grid.describe()}
+    note = _non_finite_note("g", vals, us, vs)
+    if note:
+        return Verdict(Status.INCONCLUSIVE, None, cert, note)
+    defect = -(vals[1:, 1:] + vals[:-1, :-1] - vals[:-1, 1:] - vals[1:, :-1])
+    if mask is not None:
+        ok = m[1:, 1:] & m[:-1, :-1] & m[:-1, 1:] & m[1:, :-1]
+        defect = np.where(ok, defect, -np.inf)
+    i, j = np.unravel_index(np.argmax(defect), defect.shape)
+    witness = _rectangle_witness(vals, us, vs, i, j, 1, 1, defect[i, j])
+    return _verdict(float(defect[i, j]), witness, cert, grid.tol_eq, grid.tol_strict)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Row-blocked grid evaluation against its one-shot form, and the memory bounds
-of the blocked grid layer.
+"""Row-blocked grid evaluation against its one-shot form, scans that do not
+depend on the row blocks, and the memory bounds of the blocked grid layer.
 
 ``_grid_eval`` fills a quantity grid one row block at a time; it must give,
-bit for bit, what one call on the full meshgrid gives.  The blocked span
-sweep is compared with its full-grid form in ``test_mktp2_certificate.py``;
-here it is held near the memory of its mask and buffers.
+bit for bit, what one call on the full meshgrid gives.  The scans stream the
+cdf and the density in those blocks, so their reports must not change with
+``BLOCK_POINTS``, and their memory must not grow with the grid.  The blocked
+span sweep is compared with its full-grid form in
+``test_mktp2_certificate.py``; here it is held near the memory of its mask
+and buffers.
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -14,10 +18,20 @@ import numpy as np
 import pytest
 from conftest import ALL_FAMILIES
 
+from mktp2 import properties
 from mktp2.archimedean import arch_copula, arch_kernel, builtin_archimedean, make_generator
 from mktp2.errors import NumericalError
 from mktp2.grids import GridConfig
-from mktp2.properties import BLOCK_POINTS, _grid_eval, _row_blocks, _spanned_cross_defect
+from mktp2.properties import (
+    BLOCK_POINTS,
+    PROPERTIES,
+    _grid_eval,
+    _row_blocks,
+    _row_stream,
+    _spanned_cross_defect,
+    counterexample_search,
+    property_verdicts,
+)
 from mktp2.registry import build
 
 # ---------------------------------------------------------------------------
@@ -105,6 +119,47 @@ def test_blocked_evaluation_is_bit_identical(label, spacing, shape):
         assert np.array_equal(_bits(got), _bits(want)), (label, quantity)
 
 
+def test_streamed_blocks_overlap_by_one_row():
+    copula = COPULAS["gaussian-{'rho': -0.5}"]
+    for shape in SHAPES[:2]:
+        grid = GridConfig(n_u=shape[0], n_v=shape[1])
+        us, vs = grid.u_axis(), grid.v_axis()
+        want = _grid_eval(copula.cdf, us, vs)
+        rows = 0
+        for start, fresh, block in _row_stream(copula.cdf, us, vs):
+            assert start + fresh == rows and fresh == (1 if rows else 0)
+            assert np.array_equal(_bits(block), _bits(want[start : start + len(block)]))
+            rows = start + len(block)
+        assert rows == shape[0]
+
+
+# ---------------------------------------------------------------------------
+# scans against the row blocks
+# ---------------------------------------------------------------------------
+
+
+def _reports(copula):
+    """Every grid verdict at 37 x 2048 and 200 x 333 and every property's search
+    from 37 to 200 points, uniform and logit, as JSON."""
+    out = []
+    for spacing in ("uniform", "logit"):
+        for n_u, n_v in SHAPES[:2]:
+            grid = GridConfig(n_u=n_u, n_v=n_v, spacing=spacing)
+            out.append({p: v.describe() for p, v in property_verdicts(copula, grid).items()})
+        grid = GridConfig(spacing=spacing)
+        out.append({p: counterexample_search(copula, p, grid, (37, 200)).describe() for p in PROPERTIES})
+    return json.dumps(out)
+
+
+@pytest.mark.parametrize("name, params", ALL_FAMILIES, ids=lambda fp: str(fp))
+def test_reports_do_not_depend_on_the_row_blocks(monkeypatch, name, params):
+    copula = build(name, params)[2]
+    want = _reports(copula)
+    for block_points in (100, 4096, 10**6):
+        monkeypatch.setattr(properties, "BLOCK_POINTS", block_points)
+        assert _reports(copula) == want, block_points
+
+
 def test_psi_only_phi_depends_only_on_its_own_point():
     for label in ("clayton-psi", "frank-psi"):
         phi = _user_generators()[label].phi
@@ -181,6 +236,32 @@ def test_span_sweep_peak_stays_near_its_mask_and_buffers(family, params):
 def test_span_sweep_allocates_within_four_mb():
     us, vs = GRID_1024.u_axis(), GRID_1024.v_axis()
     values = _grid_eval(build("w", None)[2].kernel, us, vs)
-    (defect, witness), peak = _traced_peak(lambda: _spanned_cross_defect(values, us, vs, GRID_1024))
+    (defect, witness, _), peak = _traced_peak(lambda: _spanned_cross_defect(values, us, vs, GRID_1024))
     assert defect > GRID_1024.tol_strict and witness is not None
     assert peak <= 4 * MB, peak / MB
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("gaussian", {"rho": 0.5}),
+        ("gaussian", {"rho": -0.5}),
+        ("fgm", {"theta": 0.7}),
+        ("fgm", {"theta": -0.5}),
+        ("pi", None),
+        ("w", None),
+    ],
+)
+def test_property_verdicts_hold_only_the_kernel_grid(family, params):
+    # the kernel grid takes 8 MB; the cdf and density scans, the certificate
+    # and the sweep add block-sized temporaries and the sweep's 1 MB mask
+    copula = build(family, params)[2]
+    _, peak = _traced_peak(lambda: property_verdicts(copula, GRID_1024))
+    assert peak <= 12 * MB, peak / MB
+
+
+def test_search_stage_holds_no_grid():
+    copula = build("gaussian", {"rho": -0.5})[2]
+    verdict, peak = _traced_peak(lambda: counterexample_search(copula, "tp2", GRID_1024, stages=(1024,)))
+    assert verdict.witness is not None
+    assert peak <= 12 * MB, peak / MB

@@ -352,9 +352,9 @@ def test_first_strict_maximum_wins_across_blocks_and_span_pairs(rects, winner):
     us = np.linspace(0.1, 0.9, 600)
     vs = np.linspace(0.05, 0.95, 100)
     assert len(_row_blocks(599, 99)) == 2
-    defect, witness = _spanned_cross_defect(_planted((600, 100), rects), us, vs, GridConfig())
+    defect, witness, nan_note = _spanned_cross_defect(_planted((600, 100), rects), us, vs, GridConfig())
     i, j, su, sv = winner
-    assert defect == 1.0
+    assert defect == 1.0 and nan_note == ""
     assert witness.points == (us[i], us[i + su], vs[j], vs[j + sv])
     assert witness.values == (0.0, 1.0, 1.0, 0.0)
 
@@ -371,10 +371,12 @@ def test_nan_defect_in_a_block_keeps_its_finite_maximum(monkeypatch, violation, 
     us = np.linspace(0.1, 0.9, 600)
     vs = np.linspace(0.05, 0.95, 100)
     monkeypatch.setattr(properties, "BLOCK_POINTS", block_points)
-    defect, witness = _spanned_cross_defect(values, us, vs, GridConfig())
+    defect, witness, nan_note = _spanned_cross_defect(values, us, vs, GridConfig())
     i, j, su, sv = violation
     assert defect == 1.0
     assert witness.points == (us[i], us[i + su], vs[j], vs[j + sv])
+    # the first NaN in span-pair-then-row-major order: the adjacent cell at (200, 40)
+    assert nan_note == f"NaN defect at rectangle ({us[200]:.6g}, {us[201]:.6g}, {vs[40]:.6g}, {vs[41]:.6g})"
 
 
 def test_search_without_a_kept_rectangle_reads_holds():

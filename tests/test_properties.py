@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
+from oracles import log_concavity_test, two_increasing_test
 
 from mktp2.archimedean import arch_copula, builtin_archimedean
 from mktp2.core import make_baseline, make_fgm, make_frechet, make_gaussian
@@ -18,11 +20,9 @@ from mktp2.properties import (
     check_si,
     check_tp2,
     counterexample_search,
-    log_concavity_test,
     log_convexity_test,
     property_verdicts,
     rectangle_defect,
-    two_increasing_test,
 )
 
 GRID = GridConfig()
@@ -246,6 +246,48 @@ def test_non_finite_grid_value_is_inconclusive(quantity):
             assert verdict.witness is None
             assert f"non-finite {quantity} value at (u, v) = ({u0:.6g}, {v0:.6g})" in verdict.note
             json.dumps(verdict.describe(), allow_nan=False)
+
+
+def _overflowing(quantity, dip):
+    """Pi with ``quantity`` replaced by 1, except 1e200 on u, v > 0.5, where adjacent
+    cross products overflow to inf - inf = NaN, and, with ``dip``, 0.5 where
+    |u - 0.2| and |v - 0.3| are both below 0.01, a violation of defect 0.5."""
+
+    def fn(u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        out = np.where((u > 0.5) & (v > 0.5), 1e200, 1.0)
+        if dip:
+            out = np.where((np.abs(u - 0.2) < 0.01) & (np.abs(v - 0.3) < 0.01), 0.5, out)
+        return out
+
+    return dataclasses.replace(make_baseline("pi"), label="overflow", **{quantity: fn})
+
+
+@pytest.mark.parametrize("quantity, prop", [("density", "dtp2"), ("kernel", "mktp2")])
+def test_nan_defect_never_reads_holds(capfd, quantity, prop):
+    grid = GridConfig(n_u=64, n_v=64)
+    us, vs = grid.u_axis(), grid.v_axis()
+    i, j = int(np.argmax(us > 0.5)), int(np.argmax(vs > 0.5))
+    nan_cell = f"NaN defect at rectangle ({us[i]:.6g}, {us[i + 1]:.6g}, {vs[j]:.6g}, {vs[j + 1]:.6g})"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for dip in (True, False):
+            copula = _overflowing(quantity, dip)
+            verdicts = (
+                property_verdicts(copula, grid, (prop,))[prop],
+                counterexample_search(copula, prop, grid, stages=(64,)),
+            )
+            for verdict in verdicts:
+                if dip:
+                    # the violation past the first NaN in row-major order still fails
+                    assert verdict.status is Status.FAILS
+                    assert verdict.witness.defect == 0.5
+                else:
+                    assert verdict.status is Status.INCONCLUSIVE
+                    assert verdict.witness is None
+                    assert verdict.note == nan_cell
+    assert caught == []
+    assert capfd.readouterr().err == ""
 
 
 def test_counterexample_search_cases():
