@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Copula, Form
+from .core import Copula, Form, param_text
 from .errors import NumericalError, ValidationError
 from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, persistent_jumps
 from .properties import PROPERTIES, Status, Verdict, Witness, check_pqd, log_convexity_test, rectangle_defect
@@ -305,7 +305,7 @@ def _gumbel_spec(alpha, label):
 
     def phi(t):
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return np.power(-np.log(t) / _LOG2, a)
 
     def d_minus_psi(x):
@@ -422,7 +422,7 @@ def builtin_archimedean(name, **params):
             raise ValidationError(f"gumbel needs alpha >= 1, got {alpha}")
         if not np.isfinite(alpha):
             raise ValidationError(f"gumbel parameter 'alpha' must be finite, got {alpha}")
-        return _gumbel_spec(alpha, f"gumbel(alpha={alpha:g})")
+        return _gumbel_spec(alpha, f"gumbel(alpha={param_text(alpha)})")
     if params:
         raise ValidationError(f"{name} takes no parameters, got {sorted(params)}")
     if key == "pi":
@@ -516,10 +516,11 @@ def arch_copula(spec):
 
 
 def generator_x_sample(spec, grid=DEFAULT_GRID, n_points=2001):
-    """x-grid for log-convexity scans: the image of an interior t-grid under phi."""
+    """x-grid for log-convexity scans: the image of an interior t-grid under phi,
+    where it is a finite normal double (a subnormal phi(t) has lost its digits)."""
     ts = np.linspace(grid.margin, 1.0 - grid.margin, n_points)
     xs = np.asarray(spec.phi(ts), dtype=float)
-    xs = np.sort(xs[np.isfinite(xs) & (xs > 0.0)])
+    xs = np.sort(xs[np.isfinite(xs) & (xs >= np.finfo(float).tiny)])
     return np.unique(xs)
 
 
@@ -596,8 +597,13 @@ def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
         )
     else:
         xs = generator_x_sample(spec, grid, n_points)
+        if len(xs) < 3:
+            raise NumericalError(
+                f"{spec.label}: phi is finite and positive at {len(xs)} of {n_points} "
+                "t-grid points; the generator leaves the double range"
+            )
         tp2_ltd = _tag_analytic(
-            log_convexity_test(spec.psi, xs, grid.tol_eq, grid.tol_strict),
+            _log_convexity(spec.psi, xs, grid.tol_eq, grid.tol_strict),
             "psi-log-convexity",
         )
         if continuity.status is Status.FAILS:
@@ -609,7 +615,7 @@ def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
             )
         else:
             mktp2_si = _tag_analytic(
-                log_convexity_test(
+                _log_convexity(
                     lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float),
                     xs,
                     grid.tol_eq,
@@ -647,10 +653,28 @@ def _tag_analytic(verdict, name):
     )
 
 
+def _log_convexity(f, xs, tol_eq, tol_strict):
+    """:func:`log_convexity_test` of ``f`` on ``xs``, inconclusive where f is 0 or +inf there.
+
+    The scans run on strict generators only, whose psi and -D-psi are finite
+    and positive at every x > 0, so such a value has left the double range
+    (psi'' does at Gumbel alpha >= 100); its log cannot be scanned.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        ys = np.asarray(f(xs), dtype=float)
+    out = (ys == 0.0) | (ys == np.inf)
+    if np.any(out):
+        k = int(np.argmax(out))
+        cert = {"method": "midpoint-chord", "n_points": int(len(xs)), "tol_eq": tol_eq, "tol_strict": tol_strict}
+        note = f"the scanned function is {ys[k]:.6g} at x={xs[k]:.6g}, where its log is not finite"
+        return Verdict(Status.INCONCLUSIVE, None, cert, note)
+    return log_convexity_test(lambda _: ys, xs, tol_eq, tol_strict)
+
+
 def _dtp2_second_difference(spec, xs, grid, tol_eq=1e-6, tol_strict=1e-5):
     """Log-convexity of psi'' on ``xs``: declared ``psi_second``, else second differences."""
     if spec.psi_second is not None:
-        return log_convexity_test(spec.psi_second, xs, grid.tol_eq, grid.tol_strict)
+        return _log_convexity(spec.psi_second, xs, grid.tol_eq, grid.tol_strict)
     xs = xs[xs >= _SECOND_DIFF_X_MIN]
     if len(xs) < 3:
         return Verdict(
@@ -665,7 +689,7 @@ def _dtp2_second_difference(spec, xs, grid, tol_eq=1e-6, tol_strict=1e-5):
         dn = np.asarray(spec.psi(x - h), dtype=float)
         return (up - 2.0 * mid + dn) / (h * h)
 
-    return log_convexity_test(psi_dd, xs, tol_eq, tol_strict)
+    return _log_convexity(psi_dd, xs, tol_eq, tol_strict)
 
 
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):

@@ -3,8 +3,9 @@
 Reports are JSON on stdout (or ``--out``); a verdict of "fails" is a result,
 not a process failure.  Exit codes: 0 success, 2 usage error (including a
 grid above :data:`~mktp2.grids.MAX_GRID` points per axis), 3 witness not
-applicable (the property holds, nothing to construct), 4 numerical failure
-(an evaluation degenerated, or a constructive search ran out of budget).
+applicable (the property holds or does not apply: nothing to construct), 4
+numerical failure (an evaluation degenerated, or a constructive search ran
+out of budget).
 Reports contain no wall-clock data (elapsed time goes to stderr) so
 identical invocations are byte-identical.
 """
@@ -206,6 +207,9 @@ def cmd_witness(args):
 
     if witness_verdict is None or witness_verdict.witness is None:
         witness_verdict = counterexample_search(copula, prop, grid)
+        if witness_verdict.status is Status.NOT_APPLICABLE:
+            sys.stderr.write(f"no witness: {witness_verdict.note}\n")
+            return WITNESS_NOT_APPLICABLE
         if witness_verdict.status is Status.HOLDS:
             sys.stderr.write(
                 f"no witness found: {prop} holds at the search budget for {copula.label}\n"

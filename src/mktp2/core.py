@@ -10,6 +10,9 @@ callable is run as one with identity preps (:func:`as_form`).
 Kernel versions at null sets follow the right-continuous convention: at a
 jump point in v (e.g. v = u for the comonotonicity copula), the kernel takes
 the upper value, which keeps grid scans deterministic.
+
+:func:`make_gaussian` imports :mod:`mktp2.normal` (and with it SciPy) when it
+is called, so a process that builds no Gaussian copula never loads SciPy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .normal import bivariate_normal_cdf, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "Copula",
@@ -30,6 +32,7 @@ __all__ = [
     "make_frechet",
     "make_fgm",
     "make_gaussian",
+    "param_text",
 ]
 
 
@@ -66,6 +69,12 @@ class Form:
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         out = self.combine(self.prep_u(uu), self.prep_v(vv))
         return float(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
+
+
+def param_text(x):
+    """A float parameter's text in a family label: ``:g`` where that reads back as ``x``, else ``repr``."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 def as_form(fn):
@@ -130,7 +139,7 @@ def make_frechet(alpha, beta, tol_eq=1e-12):
 
     density = Form(lambda u, v: np.full_like(u * v, mid)) if alpha == 0.0 and beta == 0.0 else None
     return Copula(
-        label=f"frechet(alpha={alpha:g}, beta={beta:g})",
+        label=f"frechet(alpha={param_text(alpha)}, beta={param_text(beta)})",
         cdf=Form(cdf),
         kernel=Form(kernel),
         density=density,
@@ -159,7 +168,7 @@ def make_fgm(theta):
         return 1.0 + theta * (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
 
     return Copula(
-        label=f"fgm(theta={theta:g})",
+        label=f"fgm(theta={param_text(theta)})",
         cdf=Form(cdf),
         kernel=Form(kernel),
         density=Form(density),
@@ -179,6 +188,8 @@ def make_gaussian(rho):
         raise ValidationError(f"gaussian needs rho in (-1, 1), got {rho}")
     if rho == 0.0:
         raise ValidationError("gaussian with rho = 0 is the independence copula; use Pi")
+    from .normal import bivariate_normal_cdf, std_normal_cdf, std_normal_quantile
+
     s = np.sqrt(1.0 - rho * rho)
 
     def quantile_clipped(p):
@@ -214,7 +225,7 @@ def make_gaussian(rho):
         return np.exp(expo) / s
 
     return Copula(
-        label=f"gaussian(rho={rho:g})",
+        label=f"gaussian(rho={param_text(rho)})",
         cdf=Form(cdf, prep, prep),
         kernel=Form(kernel, kernel_u, prep),
         density=Form(density, density_prep, density_prep),

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Copula, Form
+from .core import Copula, Form, param_text
 from .errors import SearchFailed, ValidationError
 from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, corners, persistent_jumps, runs
 from .properties import PROPERTIES, Status, Verdict, Witness, check_dtp2, check_mktp2
@@ -198,12 +198,45 @@ def _independence_pickands(label, params):
     )
 
 
-def _gumbel_pickands(alpha):
-    a = float(alpha)
-    if not a >= 1.0:
-        raise ValidationError(f"gumbel needs alpha >= 1, got {a}")
-    if a == 1.0:
-        return _independence_pickands("evc-gumbel(alpha=1)", {"alpha": 1.0})
+# above this alpha the direct forms' powers of t, 1 - t and S = t^a + (1-t)^a
+# leave the double range where the forms' values do not (A'' loses digits from
+# alpha = 300 and overflows at t = 1/2 from 512, A is 0 there from 1075), so
+# the scaled forms take over
+_GUMBEL_DIRECT_MAX = 256.0
+
+
+def _gumbel_scaled_forms(a):
+    """A, D+A, A'' and F of the Gumbel Pickands function with m = max(t, 1 - t)
+    factored out of S = m^a q, q = 1 + r^a, r = min(t, 1 - t) / m: every power
+    then lies in [0, 2], and only A'' divides by m^3 <= 8."""
+
+    def parts(t):
+        t = np.asarray(t, dtype=float)
+        m = np.maximum(t, 1.0 - t)
+        r = np.minimum(t, 1.0 - t) / m
+        return t, m, r, 1.0 + np.power(r, a)
+
+    def A(t):
+        _, m, _, q = parts(t)
+        return m * np.power(q, 1.0 / a)
+
+    def dA(t):
+        t, m, _, q = parts(t)
+        return np.power(q, 1.0 / a - 1.0) * (np.power(t / m, a - 1.0) - np.power((1.0 - t) / m, a - 1.0))
+
+    def d2A(t):
+        _, m, r, q = parts(t)
+        return (a - 1.0) * np.power(r, a - 2.0) * np.power(q, 1.0 / a - 2.0) / (m * m * m)
+
+    def cap(t):
+        t, m, _, q = parts(t)
+        return np.power(t / m, a - 1.0) * np.power(q, 1.0 / a - 1.0)
+
+    return A, dA, d2A, cap
+
+
+def _gumbel_direct_forms(a):
+    """A, D+A, A'' and F of the Gumbel Pickands function, written in t and S."""
 
     def A(t):
         t = np.asarray(t, dtype=float)
@@ -226,8 +259,19 @@ def _gumbel_pickands(alpha):
         s = np.power(t, a) + np.power(1.0 - t, a)
         return np.power(t, a - 1.0) * np.power(s, 1.0 / a - 1.0)
 
+    return A, dA, d2A, cap
+
+
+def _gumbel_pickands(alpha):
+    a = float(alpha)
+    if not a >= 1.0:
+        raise ValidationError(f"gumbel needs alpha >= 1, got {a}")
+    if a == 1.0:
+        return _independence_pickands("evc-gumbel(alpha=1)", {"alpha": 1.0})
+    forms = _gumbel_direct_forms if a <= _GUMBEL_DIRECT_MAX else _gumbel_scaled_forms
+    A, dA, d2A, cap = forms(a)
     return PickandsSpec(
-        label=f"evc-gumbel(alpha={a:g})",
+        label=f"evc-gumbel(alpha={param_text(a)})",
         A=A,
         d_plus_A=dA,
         declared_jumps=(),
@@ -245,7 +289,7 @@ def _mo_pickands(alpha, beta):
     b = float(beta)
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValidationError(f"marshall-olkin needs alpha, beta in [0, 1], got ({a}, {b})")
-    label = f"mo(alpha={a:g}, beta={b:g})"
+    label = f"mo(alpha={param_text(a)}, beta={param_text(b)})"
     if a == 0.0 or b == 0.0:
         return _independence_pickands(label, {"alpha": a, "beta": b})
     tj = a / (a + b)
@@ -279,7 +323,7 @@ def _tawn_symmetric_pickands(theta):
     if th == 0.0:
         return _independence_pickands("tawn-sym(theta=0)", {"theta": 0.0})
     return PickandsSpec(
-        label=f"tawn-sym(theta={th:g})",
+        label=f"tawn-sym(theta={param_text(th)})",
         A=lambda t: th * np.square(np.asarray(t, dtype=float)) - th * np.asarray(t, dtype=float) + 1.0,
         d_plus_A=lambda t: 2.0 * th * np.asarray(t, dtype=float) - th,
         declared_jumps=(),
@@ -320,7 +364,7 @@ def _tawn_mixed_pickands(theta, kappa):
         return (1.0 - th - ka) + 2.0 * th * t + (3.0 * ka - th) * t * t - 2.0 * ka * t**3
 
     return PickandsSpec(
-        label=f"tawn-mix(theta={th:g}, kappa={ka:g})",
+        label=f"tawn-mix(theta={param_text(th)}, kappa={param_text(ka)})",
         A=A,
         d_plus_A=dA,
         declared_jumps=(),

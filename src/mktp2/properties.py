@@ -12,6 +12,7 @@ A grid holding a non-finite value is not scanned and reads as inconclusive.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -194,10 +195,31 @@ def _row_stream(fn, us, vs, whole=None):
         yield r0 - fresh, fresh, buf[1 - fresh : 1 + last]
 
 
+def _grid_buffer(n_u, n_v):
+    """A float ``(n_u, n_v)`` array in a private anonymous memory map of its own.
+
+    A whole grid (8 MB at 1024^2) is the one large array a scan holds across
+    many small allocations.  From the malloc heap it would be reused in place
+    by the next grid unless a long-lived object had landed in its space, in
+    which case the heap grows by another grid; which of the two happens
+    varies from one process to the next.  Its own map is returned to the
+    system when the array is dropped, so peak memory does not depend on the
+    heap's layout.  Where the platform has them the map asks for huge pages,
+    as NumPy does for its own large arrays, so a fresh grid costs a few page
+    faults rather than one per 4 KB.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):  # no private anonymous maps (Windows)
+        return np.empty((n_u, n_v))
+    buf = mmap.mmap(-1, n_u * n_v * 8, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=float).reshape(n_u, n_v)
+
+
 def _grid_eval(fn, us, vs):
     """``fn`` on the grid ``us`` x ``vs`` as a float ``(len(us), len(vs))`` array, filled
     block by block by :func:`_row_stream`."""
-    out = np.empty((len(us), len(vs)))
+    out = _grid_buffer(len(us), len(vs))
     for _ in _row_stream(fn, us, vs, out):
         pass
     return out
@@ -606,7 +628,7 @@ def _scan_quantity(copula, quantity, props, us, vs, grid, certify):
     first tries :func:`_kernel_tp2_certified`, whose proof reads as a zero
     defect, and refines a failing witness on a finer local window.
     """
-    whole = np.empty((len(us), len(vs))) if "mktp2" in props else None
+    whole = _grid_buffer(len(us), len(vs)) if "mktp2" in props else None
     found = {prop: _Max() for prop in props if prop != "mktp2"}
     note = ""
     for start, fresh, block in _row_stream(getattr(copula, quantity), us, vs, whole):

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from mktp2 import cli, extreme_value
 from mktp2.cli import main
 from mktp2.errors import NumericalError, SearchFailed
+from mktp2.registry import REGISTRY, build
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
 
@@ -104,6 +107,58 @@ def test_witness_not_applicable_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "nothing to construct" in err
+
+
+def test_witness_of_a_property_that_does_not_apply_exits_three(capsys):
+    code, out, err = run_cli(capsys, "witness", "--family", "w", "--property", "dtp2")
+    assert code == 3
+    assert out == ""
+    assert "no witness: W exposes no density" in err
+
+
+@pytest.mark.parametrize("family", ["gumbel", "evc-gumbel"])
+@pytest.mark.parametrize("alpha", ["100", "199", "1e6"])
+def test_large_gumbel_alpha_gives_verdicts_or_a_numerical_failure(capsys, family, alpha):
+    # every Gumbel copula is PQD, LTD, SI, TP2, MK-TP2 and d-TP2, so no verdict may
+    # read fails; an over- or underflow must neither warn nor read as a usage error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "classify", "--family", family, "--param", f"alpha={alpha}", "--grid", "16"
+        )
+    if code == 4:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert code == 0
+    assert err.startswith("# elapsed ") and err.count("\n") == 1
+    for entry in json.loads(out)["results"]:
+        assert entry["status"] in ("holds", "inconclusive"), entry
+        assert entry["status"] == "holds" or entry["note"], entry
+
+
+# 17 significant digits for every parameter of every parametric registry family
+SEVENTEEN_DIGIT_PARAMS = {
+    "frechet": {"alpha": 0.31415926535897931, "beta": 0.14142135623730951},
+    "fgm": {"theta": -0.57721566490153287},
+    "gaussian": {"rho": 0.99999999999000004},
+    "gumbel": {"alpha": 2.7182818284590451},
+    "evc-gumbel": {"alpha": 2.7182818284590451},
+    "mo": {"alpha": 0.31415926535897931, "beta": 0.57721566490153287},
+    "tawn-sym": {"theta": 0.57721566490153287},
+    "tawn-mix": {"theta": 0.31415926535897931, "kappa": 0.14142135623730951},
+}
+
+
+def test_family_labels_keep_every_digit_of_their_parameters():
+    parametric = {name for name, entry in REGISTRY.items() if entry.param_names}
+    assert parametric == set(SEVENTEEN_DIGIT_PARAMS)
+    for name, params in SEVENTEEN_DIGIT_PARAMS.items():
+        label = build(name, params)[2].label
+        shown = dict(re.findall(r"(\w+)=([^,)]+)", label))
+        assert {k: float(v) for k, v in shown.items()} == params, label
+    assert build("gaussian", {"rho": 0.99999999999})[2].label == "gaussian(rho=0.99999999999)"
+    assert build("gumbel", {"alpha": 2.0})[2].label == "gumbel(alpha=2)"
 
 
 def test_witness_searches_when_the_evc_construction_fails(capsys, monkeypatch):

@@ -11,8 +11,10 @@ and buffers.
 """
 
 import json
+import mmap
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,12 +199,39 @@ GRID_1024 = GridConfig(n_u=1024, n_v=1024)
 
 
 def _traced_peak(fn):
-    """``(result, peak)``: ``fn()`` and the peak bytes it allocated while traced."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """``(result, peak)``: ``fn()`` and the peak bytes it allocated while traced.
+
+    Whole grids are allocated with ``np.empty`` here, as tracemalloc does not
+    see the memory maps :func:`~mktp2.properties._grid_buffer` gives them.
+    """
+    with mock.patch.object(properties, "_grid_buffer", lambda n_u, n_v: np.empty((n_u, n_v))):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def _memory_map(array):
+    """The memory map under ``array``'s chain of bases, or None."""
+    base = array
+    while base is not None and not isinstance(base, mmap.mmap):
+        base = getattr(base, "obj", None) if isinstance(base, memoryview) else base.base
+    return base
+
+
+def test_whole_grids_live_in_their_own_memory_map():
+    # a grid from the malloc heap is reused or doubled depending on where
+    # small long-lived objects landed, so peak memory varied between runs
+    us, vs = GRID_1024.u_axis(), GRID_1024.v_axis()
+    grid = _grid_eval(build("fgm", {"theta": 0.5})[2].kernel, us, vs)
+    assert _memory_map(grid) is not None and grid.flags.writeable
+    assert _memory_map(np.empty((1024, 1024))) is None
+    shapes = []
+    real = properties._grid_buffer
+    with mock.patch.object(properties, "_grid_buffer", lambda n_u, n_v: shapes.append((n_u, n_v)) or real(n_u, n_v)):
+        property_verdicts(build("fgm", {"theta": 0.5})[2], GridConfig(n_u=64, n_v=48))
+    assert shapes == [(64, 48)]
 
 
 @pytest.mark.parametrize(
