@@ -34,8 +34,6 @@ __all__ = [
     "ArchReport",
     "make_generator",
     "builtin_archimedean",
-    "arch_cdf",
-    "arch_kernel",
     "arch_copula",
     "scan_dminus_psi_continuity",
     "classify_archimedean",
@@ -44,8 +42,14 @@ __all__ = [
 
 _LOG2 = float(np.log(2.0))
 
-# x below this cannot support the second-difference step 1e-4*(1+x)
+# t-grid points whose image under phi the log-convexity scans sample
+_X_SAMPLE_POINTS = 2001
+
+# x below this cannot support the second-difference step 1e-4*(1+x); the
+# tolerances of a second-difference scan are widened to its noise
 _SECOND_DIFF_X_MIN = 2.5e-4
+_SECOND_DIFF_TOL_EQ = 1e-6
+_SECOND_DIFF_TOL_STRICT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,6 @@ class GeneratorSpec:
     d_minus_psi: Callable
     phi_at_zero: float
     strict: bool
-    normalized: bool
     smoothness: str = "generic"
     psi_second: Optional[Callable] = None
     d_minus_psi_jumps: Optional[tuple] = ()
@@ -83,7 +86,6 @@ class ArchReport:
 
     label: str
     strict: bool
-    d_minus_psi_continuous: Verdict
     tp2_ltd: Verdict
     mktp2_si: Verdict
     dtp2: Verdict
@@ -274,7 +276,6 @@ def make_generator(
     if d_minus_psi is None:
         d_minus_psi = _fd_d_minus(psi)
 
-    normalized = abs(float(phi(0.5)) - 1.0) <= 1e-10
     return GeneratorSpec(
         label=label,
         phi=phi,
@@ -282,7 +283,6 @@ def make_generator(
         d_minus_psi=d_minus_psi,
         phi_at_zero=phi_at_zero,
         strict=bool(strict),
-        normalized=normalized,
         smoothness=smoothness,
         psi_second=psi_second,
         d_minus_psi_jumps=d_minus_psi_jumps,
@@ -339,7 +339,6 @@ def _gumbel_spec(alpha, label):
         d_minus_psi=d_minus_psi,
         phi_at_zero=np.inf,
         strict=True,
-        normalized=True,
         smoothness="completely-monotone",
         psi_second=psi_second,
         d_minus_psi_jumps=(),
@@ -364,7 +363,6 @@ def _w_spec():
         d_minus_psi=d_minus_psi,
         phi_at_zero=1.0,
         strict=False,
-        normalized=False,
         smoothness="generic",
         d_minus_psi_jumps=(1.0,),
     )
@@ -404,7 +402,6 @@ def _spreeuw_spec():
         d_minus_psi=d_minus_psi,
         phi_at_zero=np.inf,
         strict=True,
-        normalized=False,
         smoothness="twice-differentiable",
         psi_second=psi_second,
         d_minus_psi_jumps=(),
@@ -437,21 +434,6 @@ def builtin_archimedean(name, **params):
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-
-def arch_cdf(spec, u, v):
-    """C(u,v) = psi(phi(u) + phi(v))."""
-    return arch_copula(spec).cdf(u, v)
-
-
-def arch_kernel(spec, u, v):
-    """Markov kernel of the generator's copula in the D-psi ratio form.
-
-    Returns 1 at u in {0,1}; on the interior the ratio evaluates the strict
-    and non-strict cases uniformly (D-psi vanishes beyond phi(0), which
-    zeroes the kernel below the zero-level curve).
-    """
-    return arch_copula(spec).kernel(u, v)
 
 
 def arch_copula(spec):
@@ -515,16 +497,16 @@ def arch_copula(spec):
 # ---------------------------------------------------------------------------
 
 
-def generator_x_sample(spec, grid=DEFAULT_GRID, n_points=2001):
+def generator_x_sample(spec, grid=DEFAULT_GRID):
     """x-grid for log-convexity scans: the image of an interior t-grid under phi,
     where it is a finite normal double (a subnormal phi(t) has lost its digits)."""
-    ts = np.linspace(grid.margin, 1.0 - grid.margin, n_points)
+    ts = np.linspace(grid.margin, 1.0 - grid.margin, _X_SAMPLE_POINTS)
     xs = np.asarray(spec.phi(ts), dtype=float)
     xs = np.sort(xs[np.isfinite(xs) & (xs >= np.finfo(float).tiny)])
     return np.unique(xs)
 
 
-def scan_dminus_psi_continuity(spec, grid=DEFAULT_GRID, tol_jump=1e-3):
+def scan_dminus_psi_continuity(spec, grid=DEFAULT_GRID):
     """Holds unless D-psi jumps; declared metadata short-circuits the scan."""
     cert = {"method": "dminus-psi-continuity", "deltas": list(JUMP_DELTAS)}
     if spec.d_minus_psi_jumps is not None:
@@ -546,7 +528,7 @@ def scan_dminus_psi_continuity(spec, grid=DEFAULT_GRID, tol_jump=1e-3):
         right = np.asarray(spec.d_minus_psi(xs + d), dtype=float)
         return np.abs(right - left)
 
-    gaps, persistent = persistent_jumps(gap, tol_jump)
+    gaps, persistent = persistent_jumps(gap)
     if persistent.any():
         k = int(np.argmax(persistent))
         x_star, jump = float(xs[k]), float(gaps[-1, k])
@@ -572,7 +554,7 @@ def _nonstrict_witnesses(spec):
     return witnesses
 
 
-def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
+def classify_archimedean(spec, grid=DEFAULT_GRID):
     """Generator-level dependence classification.
 
     Non-strict generators short-circuit: their copulas vanish on an interior
@@ -596,10 +578,10 @@ def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
             "non-strict copulas carry a singular part",
         )
     else:
-        xs = generator_x_sample(spec, grid, n_points)
+        xs = generator_x_sample(spec, grid)
         if len(xs) < 3:
             raise NumericalError(
-                f"{spec.label}: phi is finite and positive at {len(xs)} of {n_points} "
+                f"{spec.label}: phi is finite and positive at {len(xs)} of {_X_SAMPLE_POINTS} "
                 "t-grid points; the generator leaves the double range"
             )
         tp2_ltd = _tag_analytic(
@@ -639,7 +621,6 @@ def classify_archimedean(spec, grid=DEFAULT_GRID, n_points=2001):
     return ArchReport(
         label=spec.label,
         strict=spec.strict,
-        d_minus_psi_continuous=continuity,
         tp2_ltd=tp2_ltd,
         mktp2_si=mktp2_si,
         dtp2=dtp2,
@@ -671,7 +652,7 @@ def _log_convexity(f, xs, tol_eq, tol_strict):
     return log_convexity_test(lambda _: ys, xs, tol_eq, tol_strict)
 
 
-def _dtp2_second_difference(spec, xs, grid, tol_eq=1e-6, tol_strict=1e-5):
+def _dtp2_second_difference(spec, xs, grid):
     """Log-convexity of psi'' on ``xs``: declared ``psi_second``, else second differences."""
     if spec.psi_second is not None:
         return _log_convexity(spec.psi_second, xs, grid.tol_eq, grid.tol_strict)
@@ -689,7 +670,7 @@ def _dtp2_second_difference(spec, xs, grid, tol_eq=1e-6, tol_strict=1e-5):
         dn = np.asarray(spec.psi(x - h), dtype=float)
         return (up - 2.0 * mid + dn) / (h * h)
 
-    return _log_convexity(psi_dd, xs, tol_eq, tol_strict)
+    return _log_convexity(psi_dd, xs, _SECOND_DIFF_TOL_EQ, _SECOND_DIFF_TOL_STRICT)
 
 
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):

@@ -188,35 +188,22 @@ def cmd_witness(args):
     prop = args.property
     report = _report_skeleton(copula.label, _parse_params(args.param), grid)
 
-    analytic_note = None
-    witness_verdict = None
-    if prop == "mktp2" and entry.kind == "evc":
-        evc_report = evc.classify_evc(obj, grid)
-        if evc_report.mktp2.status is Status.HOLDS:
-            analytic_note = f"MK-TP2 holds (branch {evc_report.branch}); nothing to construct"
-        else:
-            witness_verdict = evc_report.mktp2
-    elif prop == "mktp2" and entry.kind == "archimedean":
-        arch_report = arch.classify_archimedean(obj, grid)
-        if arch_report.mktp2_si.status is Status.HOLDS:
-            analytic_note = "MK-TP2 holds (log-convex -D-psi); nothing to construct"
+    # a generator- or Pickands-level verdict that holds or does not apply
+    # settles it; the Pickands tree's MK-TP2 witness is kept, and every other
+    # case is searched, as for a core family
+    verdict = None if entry.kind == "core" else _verdicts(entry, obj, copula, grid, (prop,))[prop]
+    settled = verdict is not None and verdict.status in (Status.HOLDS, Status.NOT_APPLICABLE)
+    built = entry.kind == "evc" and prop == "mktp2" and verdict.witness is not None
+    if not (settled or built):
+        verdict = counterexample_search(copula, prop, grid)
 
-    if analytic_note is not None:
-        sys.stderr.write(analytic_note + "\n")
+    if verdict.status in (Status.HOLDS, Status.NOT_APPLICABLE):
+        note = f": {verdict.note}" if verdict.note else ""
+        method = verdict.certificate.get("method")
+        sys.stderr.write(f"no witness: {prop} {verdict.status.value} by {method} for {copula.label}{note}\n")
         return WITNESS_NOT_APPLICABLE
 
-    if witness_verdict is None or witness_verdict.witness is None:
-        witness_verdict = counterexample_search(copula, prop, grid)
-        if witness_verdict.status is Status.NOT_APPLICABLE:
-            sys.stderr.write(f"no witness: {witness_verdict.note}\n")
-            return WITNESS_NOT_APPLICABLE
-        if witness_verdict.status is Status.HOLDS:
-            sys.stderr.write(
-                f"no witness found: {prop} holds at the search budget for {copula.label}\n"
-            )
-            return WITNESS_NOT_APPLICABLE
-
-    report["results"].append(_entry_dict(prop, witness_verdict))
+    report["results"].append(_entry_dict(prop, verdict))
     _emit(report, args)
     return 0
 

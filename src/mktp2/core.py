@@ -116,14 +116,17 @@ def make_baseline(name):
 # Frechet mixtures  alpha*M + (1-alpha-beta)*Pi + beta*W
 # ---------------------------------------------------------------------------
 
+# alpha + beta may exceed 1 by this much, the rounding of weights that sum to 1
+_FRECHET_SUM_TOL = 1e-12
 
-def make_frechet(alpha, beta, tol_eq=1e-12):
+
+def make_frechet(alpha, beta):
     """Frechet copula: convex mixture of M, Pi and W with weights alpha, beta."""
     alpha = float(alpha)
     beta = float(beta)
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValidationError(f"frechet weights must lie in [0,1], got alpha={alpha}, beta={beta}")
-    if alpha + beta > 1.0 + tol_eq:
+    if alpha + beta > 1.0 + _FRECHET_SUM_TOL:
         raise ValidationError(f"frechet needs alpha + beta <= 1, got {alpha + beta}")
     mid = 1.0 - alpha - beta
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import Copula, Form, param_text
 from .errors import SearchFailed, ValidationError
-from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, corners, persistent_jumps, runs
+from .grids import DEFAULT_GRID, JUMP_DELTAS, JUMP_TOL, Rectangle, bisect, corners, persistent_jumps, runs
 from .properties import PROPERTIES, Status, Verdict, Witness, check_dtp2, check_mktp2
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "cap_function",
     "h_map",
     "contour",
-    "evc_cdf",
-    "evc_kernel",
     "evc_copula",
     "kernel_cross_ratio",
     "classify_evc",
@@ -53,6 +51,21 @@ __all__ = [
 ]
 
 _D0_TOL = 1e-8
+
+# scan points of the numeric jump detection, the plateau search and the
+# monotone-ratio criterion (which the 3d certificate records)
+_JUMP_SCAN_POINTS = 2001
+_PLATEAU_POINTS = 4001
+_RATIO_POINTS = 2001
+
+# A(1/(1+gamma)) within this of its minimum ties with it (beta_sup_argmin)
+_ARGMIN_TIE_TOL = 1e-12
+
+# step budgets of the gradient and jump witness constructions, and the jump
+# construction's anchor u1
+_MAX_DOUBLINGS = 40
+_MAX_SHRINK = 50
+_JUMP_ANCHOR_U = 0.5
 
 
 @dataclass(frozen=True)
@@ -538,16 +551,6 @@ def _kernel_form(spec):
     return Form(combine, _log_prep, _log_prep)
 
 
-def evc_cdf(spec, u, v):
-    """(uv)^{A(h(u,v))} on the interior, copula boundary values elsewhere."""
-    return evc_copula(spec).cdf(u, v)
-
-
-def evc_kernel(spec, u, v):
-    """Markov kernel (C(u,v)/u) F(h(u,v)); 1 at u in {0,1}, v at v in {0,1}."""
-    return _kernel_form(spec)(u, v)
-
-
 def evc_copula(spec):
     """Wrap a Pickands spec as a :class:`~mktp2.core.Copula` of per-axis forms,
     each axis prepped with its interior mask and log (the density's: its log)."""
@@ -612,7 +615,7 @@ def _witness_from_rect(spec, rect):
     return witness, ratio
 
 
-def beta_sup_argmin(spec, tol=1e-12):
+def beta_sup_argmin(spec):
     """Supremal argmin of gamma -> A(1/(1+gamma)) over (0, inf).
 
     Golden-section search in log(gamma) locates a minimizer; a rightward
@@ -647,7 +650,7 @@ def beta_sup_argmin(spec, tol=1e-12):
     s_hi = s_min
     step = 0.5
     while step > 1e-14:
-        while s_hi + step <= np.log(1e9) and value(s_hi + step) <= a_min + tol:
+        while s_hi + step <= np.log(1e9) and value(s_hi + step) <= a_min + _ARGMIN_TIE_TOL:
             s_hi += step
         step /= 2.0
     return float(np.exp(s_hi))
@@ -657,7 +660,7 @@ def _g_of(spec, alpha):
     return (1.0 + alpha) * float(spec.A(1.0 / (1.0 + alpha))) - alpha
 
 
-def construct_witness_gradient(spec, grid=DEFAULT_GRID, max_doublings=40):
+def construct_witness_gradient(spec, grid=DEFAULT_GRID):
     """Witness rectangle for D+A(0) strictly inside (-1, 0), D+A continuous.
 
     Construction: anchor u1 = exp(gamma_alpha / 2) with
@@ -681,7 +684,7 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID, max_doublings=40):
     v2 = u1**alpha
     n = int(np.ceil(1.0 / (1.0 - u1))) + 1
     last_ratio = np.inf
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         u2 = 1.0 - 1.0 / n
         if u2 <= u1 or u2 >= 1.0:
             n *= 2
@@ -698,7 +701,7 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID, max_doublings=40):
     )
 
 
-def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID, u1=0.5, max_shrink=50):
+def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
     """Witness rectangle around a jump of the cap function F at t_r.
 
     Needs F continuous and positive on [t_l, t_r).  The rectangle keeps
@@ -739,12 +742,13 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID, u1=0.5, max_shrink
         _, hi = bisect(lambda t: float(cap_function(spec, t)) >= y - eps, t_l, t_r - 1e-9, 0.0, 200)
         t_band = float(hi)
 
+    u1 = _JUMP_ANCHOR_U
     v2 = float(contour(t_r, u1))
     # rounding can leave the contour point just left of the jump (t_r = 0.45)
     while h_map(u1, v2) < t_r:
         v2 = float(np.nextafter(v2, 1.0))
     u_star = v_star = None
-    for k in range(2, max_shrink):
+    for k in range(2, _MAX_SHRINK):
         cand_u = u1 + (1.0 - u1) * 0.5**k
         cand_v = v2 * (1.0 - 0.5**k)
         if h_map(cand_u, cand_v) >= t_band:
@@ -755,7 +759,7 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID, u1=0.5, max_shrink
 
     u2 = 0.5 * (u1 + u_star)
     last_ratio = np.inf
-    for j in range(1, max_shrink):
+    for j in range(1, _MAX_SHRINK):
         v1 = v2 - (v2 - v_star) * 0.5**j
         if not v_star < v1 < v2:
             continue
@@ -849,19 +853,19 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
 # ---------------------------------------------------------------------------
 
 
-def detect_derivative_jumps(A, tol_jump=1e-3, n_points=2001):
+def detect_derivative_jumps(A):
     """Numeric discontinuity scan of D+A via symmetric difference quotients.
 
     Each run of grid points whose quotient gap at the widest probe width
-    exceeds ``tol_jump`` brackets a candidate.  Since A is convex its slope
+    exceeds :data:`~mktp2.grids.JUMP_TOL` brackets a candidate.  Since A is convex its slope
     is non-decreasing, so bisection pins the candidate where the slope
     crosses the midpoint of its values at the bracket ends; a jump between
     grid points is found as well as one on a grid point.  A pinned point is
     kept by the jump-persistence rule of :func:`~mktp2.grids.persistent_jumps`:
-    the gap exceeds ``tol_jump`` at every probe width in {1e-3, 1e-4, 1e-5}
+    the gap exceeds it at every probe width in {1e-3, 1e-4, 1e-5}
     and does not shrink with the width.
     """
-    ts = np.linspace(2e-3, 1.0 - 2e-3, n_points)
+    ts = np.linspace(2e-3, 1.0 - 2e-3, _JUMP_SCAN_POINTS)
     d = JUMP_DELTAS[0]
 
     def gap_at(t):
@@ -871,7 +875,7 @@ def detect_derivative_jumps(A, tol_jump=1e-3, n_points=2001):
     def slope(t, w=1e-9):
         return (np.asarray(A(t + 0.5 * w), dtype=float) - np.asarray(A(t - 0.5 * w), dtype=float)) / w
 
-    candidates = runs(gap_at(ts)(d) > tol_jump)
+    candidates = runs(gap_at(ts)(d) > JUMP_TOL)
     if not candidates:
         return ()
     # every point of a run lies within d of its jump
@@ -880,15 +884,15 @@ def detect_derivative_jumps(A, tol_jump=1e-3, n_points=2001):
     level = 0.5 * (slope(lo) + slope(hi))
     lo, hi = bisect(lambda t: slope(t) >= level, lo, hi, 1e-10, 60)
     pinned = 0.5 * (lo + hi)
-    _, persistent = persistent_jumps(gap_at(pinned), tol_jump)
+    _, persistent = persistent_jumps(gap_at(pinned))
     return tuple(pinned[persistent].tolist())
 
 
-def _find_plateau(spec, t_star, grid, n_points=4001):
+def _find_plateau(spec, t_star, grid):
     """Maximal stretch where F is constant at a level inside (0, 1)."""
     eps = 1e-9
     lo = max(t_star + eps, eps)
-    ts = np.linspace(lo, 1.0 - eps, n_points)
+    ts = np.linspace(lo, 1.0 - eps, _PLATEAU_POINTS)
     fs = np.asarray(cap_function(spec, ts), dtype=float)
     flat = np.abs(np.diff(fs)) <= 1e-11 * (1.0 + np.abs(fs[:-1]))
     min_len = 1.0 / float(min(grid.n_u, grid.n_v))
@@ -909,9 +913,9 @@ def _cap_derivative(spec, ts):
     return (up - dn) / (2.0 * h)
 
 
-def _ratio_test(spec, t_star, grid, n_points=2001):
+def _ratio_test(spec, t_star, grid):
     """Non-increasingness of r(t) = t(1-t) F'(t)/F(t) on (t_star, 1)."""
-    ts = np.linspace(t_star + grid.margin, 1.0 - grid.margin, n_points)
+    ts = np.linspace(t_star + grid.margin, 1.0 - grid.margin, _RATIO_POINTS)
     fs = np.asarray(cap_function(spec, ts), dtype=float)
     keep = fs > grid.tol_strict
     ts, fs = ts[keep], fs[keep]
@@ -1023,7 +1027,7 @@ def _mktp2_rule(spec, d0, grid):
     if spec.smoothness == "C3-on-interior":
         ok, ratio_witness = _ratio_test(spec, spec.t_star, grid)
         if ok:
-            certificate = {"method": "analytic:monotone-ratio", "n_points": 2001}
+            certificate = {"method": "analytic:monotone-ratio", "n_points": _RATIO_POINTS}
             return "3d", Verdict(Status.HOLDS, None, certificate, _NOTE_CAP_GAP)
 
     grid_verdict = check_mktp2(evc_copula(spec), grid)

@@ -151,16 +151,17 @@ def runs(mask):
 
 
 JUMP_DELTAS = (1e-3, 1e-4, 1e-5)
+JUMP_TOL = 1e-3
 
 
-def persistent_jumps(gap, tol):
+def persistent_jumps(gap):
     """``(gaps, mask)``: ``gaps`` stacks ``gap(d)`` for each width of :data:`JUMP_DELTAS`.
 
-    A point is a jump where its gap exceeds ``tol`` at every width and the
+    A point is a jump where its gap exceeds :data:`JUMP_TOL` at every width and the
     gap at the smallest width is at least a tenth of that at the largest: a
     jump's gap stays put as the width shrinks, while a smooth but steep
     function's gap shrinks with it, 100-fold over the three widths.
     """
     gaps = np.array([gap(d) for d in JUMP_DELTAS])
-    mask = np.all(gaps > tol, axis=0) & (gaps[-1] >= 0.1 * gaps[0])
+    mask = np.all(gaps > JUMP_TOL, axis=0) & (gaps[-1] >= 0.1 * gaps[0])
     return gaps, mask

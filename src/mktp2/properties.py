@@ -666,9 +666,13 @@ def _scan(copula, props, us, vs, grid, certify=False):
     return out
 
 
-def _refine_rectangle(copula, witness, grid, n_local=64):
+# points per axis of the local window a fails MK-TP2 witness is refined on
+_REFINE_POINTS = 64
+
+
+def _refine_rectangle(copula, witness, grid):
     """Re-scan MK-TP2 on a small window around a violating rectangle at finer resolution."""
-    us, vs = _window_axes(witness, n_local, 1.0, 1e-6, 1e-9)
+    us, vs = _window_axes(witness, _REFINE_POINTS, 1.0, 1e-6, 1e-9)
     return _scan(copula, ("mktp2",), us, vs, grid)["mktp2"]
 
 

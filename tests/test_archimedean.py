@@ -5,9 +5,7 @@ import pytest
 from dataclasses import replace
 
 from mktp2.archimedean import (
-    arch_cdf,
     arch_copula,
-    arch_kernel,
     builtin_archimedean,
     classify_archimedean,
     generator_x_sample,
@@ -16,7 +14,7 @@ from mktp2.archimedean import (
     scan_dminus_psi_continuity,
 )
 from mktp2.errors import NumericalError, ValidationError
-from mktp2.extreme_value import builtin_pickands, evc_kernel
+from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
 from mktp2.properties import Status, check_mktp2, check_si, rectangle_defect
 from oracles import zero_level
@@ -31,15 +29,15 @@ GRID = GridConfig()
 
 def test_gumbel_alpha_one_is_independence():
     spec = builtin_archimedean("gumbel", alpha=1.0)
-    assert arch_cdf(spec, 0.3, 0.5) == pytest.approx(0.15, abs=1e-14)
-    assert arch_kernel(spec, 0.4, 0.7) == pytest.approx(0.7, abs=1e-14)
+    assert arch_copula(spec).cdf(0.3, 0.5) == pytest.approx(0.15, abs=1e-14)
+    assert arch_copula(spec).kernel(0.4, 0.7) == pytest.approx(0.7, abs=1e-14)
 
 
 def test_gumbel_normalization_and_kernel_value():
     spec = builtin_archimedean("gumbel", alpha=2.0)
     assert float(spec.phi(0.5)) == pytest.approx(1.0, abs=1e-12)
     want = 2.0 ** (0.5 - math.sqrt(2.0))
-    assert arch_kernel(spec, 0.5, 0.5) == pytest.approx(want, abs=1e-13)
+    assert arch_copula(spec).kernel(0.5, 0.5) == pytest.approx(want, abs=1e-13)
     with pytest.raises(ValidationError):
         builtin_archimedean("gumbel", alpha=0.8)
     with pytest.raises(ValidationError):
@@ -59,9 +57,9 @@ def test_w_generator_zero_region():
     spec = builtin_archimedean("w")
     assert not spec.strict
     assert spec.phi_at_zero == 1.0
-    assert arch_kernel(spec, 0.3, 0.5) == 0.0  # v < f0(u) = 0.7
-    assert arch_kernel(spec, 0.3, 0.8) == 1.0
-    assert arch_cdf(spec, 0.4, 0.5) == 0.0
+    assert arch_copula(spec).kernel(0.3, 0.5) == 0.0  # v < f0(u) = 0.7
+    assert arch_copula(spec).kernel(0.3, 0.8) == 1.0
+    assert arch_copula(spec).cdf(0.4, 0.5) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +89,7 @@ def test_make_generator_from_psi_strict():
 
 def test_make_generator_normalization_flag():
     spec = make_generator(phi=lambda t: -np.log(np.asarray(t, dtype=float)) / math.log(2.0))
-    assert spec.strict and spec.normalized
+    assert spec.strict and float(spec.phi(0.5)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_make_generator_rejects_concave_phi():
@@ -122,24 +120,24 @@ def test_zero_level_values():
 
 def test_kernel_boundaries():
     spec = builtin_archimedean("gumbel", alpha=2.0)
-    assert arch_kernel(spec, 0.0, 0.4) == 1.0
-    assert arch_kernel(spec, 1.0, 0.4) == 1.0
-    assert arch_kernel(spec, 0.5, 0.0) == 0.0
-    assert arch_kernel(spec, 0.5, 1.0) == 1.0
+    assert arch_copula(spec).kernel(0.0, 0.4) == 1.0
+    assert arch_copula(spec).kernel(1.0, 0.4) == 1.0
+    assert arch_copula(spec).kernel(0.5, 0.0) == 0.0
+    assert arch_copula(spec).kernel(0.5, 1.0) == 1.0
 
 
 def test_kernel_raises_on_degenerate_strict_derivative():
     base = builtin_archimedean("gumbel", alpha=2.0)
     broken = replace(base, d_minus_psi=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     with pytest.raises(NumericalError):
-        arch_kernel(broken, 0.5, 0.5)
+        arch_copula(broken).kernel(0.5, 0.5)
 
 
 def test_nonstrict_kernel_zero_below_curve_and_si_fails():
     spec = builtin_archimedean("w")
     us = np.linspace(0.05, 0.95, 41)
     vs = zero_level(spec, us) - 1e-6
-    assert np.all(np.asarray(arch_kernel(spec, us, vs)) == 0.0)
+    assert np.all(np.asarray(arch_copula(spec).kernel(us, vs)) == 0.0)
     assert check_si(arch_copula(spec), GRID).status is Status.FAILS
 
 
@@ -307,8 +305,8 @@ def test_gumbel_rejects_infinite_alpha():
 def test_w_kernel_zero_is_positive_zero():
     # 0 / D-psi(phi(u)) < 0 is -0.0; the kernel must not report it
     spec = builtin_archimedean("w")
-    assert np.copysign(1.0, arch_kernel(spec, 0.3, 0.5)) == 1.0
-    grid = arch_kernel(spec, np.linspace(0.05, 0.95, 19)[:, None], np.linspace(0.05, 0.95, 19)[None, :])
+    assert np.copysign(1.0, arch_copula(spec).kernel(0.3, 0.5)) == 1.0
+    grid = arch_copula(spec).kernel(np.linspace(0.05, 0.95, 19)[:, None], np.linspace(0.05, 0.95, 19)[None, :])
     assert np.any(grid == 0.0) and not np.any(np.signbit(grid))
 
 
@@ -376,7 +374,7 @@ def test_phi_only_nonstrict_keeps_its_dminus_psi_jump():
 
 
 def test_x_sample_is_sorted_positive():
-    xs = generator_x_sample(builtin_archimedean("gumbel", alpha=4.0), GRID, 501)
+    xs = generator_x_sample(builtin_archimedean("gumbel", alpha=4.0), GRID)
     assert np.all(xs > 0.0)
     assert np.all(np.diff(xs) > 0.0)
 
@@ -407,6 +405,6 @@ def test_gumbel_kernels_agree_across_modules(alpha):
     us = np.linspace(0.01, 0.99, 101)
     uu, vv = np.meshgrid(us, us, indexing="ij")
     gap = np.abs(
-        np.asarray(arch_kernel(gen, uu, vv)) - np.asarray(evc_kernel(pick, uu, vv))
+        np.asarray(arch_copula(gen).kernel(uu, vv)) - np.asarray(evc_copula(pick).kernel(uu, vv))
     )
     assert float(np.max(gap)) <= 1e-10

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ALL_FAMILIES
 from mktp2 import cli, extreme_value
 from mktp2.cli import main
 from mktp2.errors import NumericalError, SearchFailed
+from mktp2.grids import GridConfig
+from mktp2.properties import PROPERTIES, Status
 from mktp2.registry import REGISTRY, build
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
@@ -106,14 +109,50 @@ def test_witness_not_applicable_exit_code(capsys):
     )
     assert code == 3
     assert out == ""
-    assert "nothing to construct" in err
+    assert "no witness: mktp2 holds by analytic:neg-dminus-psi-log-convexity for gumbel(alpha=2)" in err
 
 
 def test_witness_of_a_property_that_does_not_apply_exits_three(capsys):
     code, out, err = run_cli(capsys, "witness", "--family", "w", "--property", "dtp2")
     assert code == 3
     assert out == ""
-    assert "no witness: W exposes no density" in err
+    assert "no witness: dtp2 not-applicable by search:dtp2 for W: W exposes no density" in err
+
+
+# every generator- and Pickands-level registry setting the tests build
+ANALYTIC_FAMILIES = [f for f in ALL_FAMILIES if REGISTRY[f[0]].kind != "core"] + [("arch-pi", None)]
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("counterexample_search ran")
+
+
+@pytest.mark.parametrize("family", ANALYTIC_FAMILIES, ids=lambda fp: f"{fp[0]}-{fp[1]}")
+def test_witness_exits_three_without_a_search_where_the_family_verdict_settles(capsys, monkeypatch, family):
+    name, params = family
+    param = ",".join(f"{k}={v!r}" for k, v in (params or {}).items())
+    entry, obj, copula = build(name, params)
+    grid = GridConfig(n_u=48, n_v=48)
+    table = cli._verdicts(entry, obj, copula, grid, PROPERTIES)
+    monkeypatch.setattr(cli, "counterexample_search", _no_search)
+    settled = [p for p in PROPERTIES if table[p].status in (Status.HOLDS, Status.NOT_APPLICABLE)]
+    assert settled
+    for prop in settled:
+        argv = ("--family", name, "--param", param, "--property", prop, "--grid", "48")
+        code, out, err = run_cli(capsys, "witness", *argv)
+        assert (code, out) == (3, ""), prop
+        status, method = table[prop].status.value, table[prop].certificate["method"]
+        assert err.startswith(f"no witness: {prop} {status} by {method} for {copula.label}"), err
+
+
+@pytest.mark.parametrize("prop", ["pqd", "ltd"])
+def test_witness_of_a_gumbel_whose_phi_overflows_reads_the_generator_verdict(capsys, prop):
+    # phi(u) overflows at interior u for alpha = 1e3, so C reads 0 there and a
+    # grid search would report a false violation; the generator scans hold
+    argv = ("--family", "gumbel", "--param", "alpha=1e3", "--property", prop)
+    code, out, err = run_cli(capsys, "witness", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"no witness: {prop} holds by analytic:")
 
 
 @pytest.mark.parametrize("family", ["gumbel", "evc-gumbel"])
@@ -232,7 +271,7 @@ def test_witness_without_a_kept_rectangle_exits_three(capsys):
     )
     assert code == 3
     assert stdout == ""
-    assert "no witness found: mktp2 holds at the search budget" in err
+    assert "no witness: mktp2 holds by search:mktp2 for fgm(theta=-0.5): no violation within" in err
     assert "Traceback" not in err
 
 

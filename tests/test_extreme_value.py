@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mktp2 import extreme_value
-from mktp2.archimedean import arch_kernel, builtin_archimedean
+from mktp2.archimedean import arch_copula, builtin_archimedean
 from mktp2.errors import SearchFailed, ValidationError
 from mktp2.extreme_value import (
     beta_sup_argmin,
@@ -16,8 +16,7 @@ from mktp2.extreme_value import (
     construct_witness_jump,
     contour,
     detect_derivative_jumps,
-    evc_cdf,
-    evc_kernel,
+    evc_copula,
     h_map,
     kernel_cross_ratio,
     property_verdicts,
@@ -206,12 +205,12 @@ def test_cross_ratio_identity_examples():
 
 def test_evc_cdf_and_kernel_special_cases():
     indep = builtin_pickands("gumbel", alpha=1.0)
-    assert evc_kernel(indep, 0.4, 0.7) == pytest.approx(0.7, abs=1e-15)
+    assert evc_copula(indep).kernel(0.4, 0.7) == pytest.approx(0.7, abs=1e-15)
     m = builtin_pickands("marshall-olkin", alpha=1.0, beta=1.0)
-    assert evc_cdf(m, 0.3, 0.5) == pytest.approx(0.3, abs=1e-14)
+    assert evc_copula(m).cdf(0.3, 0.5) == pytest.approx(0.3, abs=1e-14)
     g2 = builtin_pickands("gumbel", alpha=2.0)
-    want = float(arch_kernel(builtin_archimedean("gumbel", alpha=2.0), 0.5, 0.5))
-    assert evc_kernel(g2, 0.5, 0.5) == pytest.approx(want, abs=1e-13)
+    want = float(arch_copula(builtin_archimedean("gumbel", alpha=2.0)).kernel(0.5, 0.5))
+    assert evc_copula(g2).kernel(0.5, 0.5) == pytest.approx(want, abs=1e-13)
 
 
 def test_every_evc_is_si_on_grids():
@@ -226,7 +225,7 @@ def test_every_evc_is_si_on_grids():
     ]:
         spec = builtin_pickands(name, **kw)
         uu, vv = np.meshgrid(us, vs, indexing="ij")
-        ker = np.asarray(evc_kernel(spec, uu, vv), dtype=float)
+        ker = np.asarray(evc_copula(spec).kernel(uu, vv), dtype=float)
         assert float(np.max(np.diff(ker, axis=0))) <= 1e-12, name
 
 
@@ -243,8 +242,9 @@ def test_evc_cdf_is_tp2_on_random_rectangles():
         ("jump-example", {}),
     ]:
         spec = builtin_pickands(name, **kw)
-        det = np.asarray(evc_cdf(spec, u1, v1)) * np.asarray(evc_cdf(spec, u2, v2))
-        det -= np.asarray(evc_cdf(spec, u1, v2)) * np.asarray(evc_cdf(spec, u2, v1))
+        cdf = evc_copula(spec).cdf
+        det = np.asarray(cdf(u1, v1)) * np.asarray(cdf(u2, v2))
+        det -= np.asarray(cdf(u1, v2)) * np.asarray(cdf(u2, v1))
         assert float(np.min(det)) >= -1e-12, name
 
 

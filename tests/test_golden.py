@@ -1,5 +1,6 @@
-"""Snapshot tests: `classify --grid 64` reports, `sample` and `grid-export` CSV
-digests, and boundary values of every built-in family's quantities.
+"""Snapshot tests: `classify --grid 64` reports, `witness --grid 48` reports of
+the EVC MK-TP2 witnesses, `sample` and `grid-export` CSV digests, and boundary
+values of every built-in family's quantities.
 
 The files under ``tests/golden/`` pin verdicts, witnesses and report bytes;
 ``sample_digests.json`` the sha256 of the ``sample --n 5000 --seed 7`` CSV of
@@ -33,6 +34,14 @@ from mktp2.registry import build
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GRID = "64"
+WITNESS_GRID = "48"
+# the EVC families whose MK-TP2 witness the Pickands tree builds or its grid scan finds
+WITNESS_FAMILIES = [
+    ("mo", {"alpha": 0.5, "beta": 0.5}),
+    ("tawn-sym", {"theta": 0.2}),
+    ("evc-jump", None),
+    ("evc-log", None),
+]
 SAMPLE_DIGESTS = GOLDEN_DIR / "sample_digests.json"
 SAMPLE_ARGS = ("--n", "5000", "--seed", "7")
 GRID_DIGESTS = GOLDEN_DIR / "grid_digests.json"
@@ -51,6 +60,15 @@ def _family_key(name, params):
 
 def _golden_path(name, params):
     return GOLDEN_DIR / f"classify_{_family_key(name, params)}.json"
+
+
+def _witness_argv(name, params):
+    argv = ["witness", "--family", name, "--param", _param_text(params)]
+    return [*argv, "--property", "mktp2", "--grid", WITNESS_GRID]
+
+
+def _witness_path(name, params):
+    return GOLDEN_DIR / f"witness_mktp2_{_family_key(name, params)}.json"
 
 
 def _sample_digest(name, params, path):
@@ -121,6 +139,11 @@ def test_classify_matches_golden_report(capsys, family):
     assert out == _golden_path(name, params).read_text()
 
 
+@pytest.mark.parametrize("family", WITNESS_FAMILIES, ids=_family_ids)
+def test_evc_witness_matches_golden_report(capsys, family):
+    assert _stdout(capsys, *_witness_argv(*family)) == _witness_path(*family).read_text()
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=_family_ids)
 def test_check_agrees_with_classify(capsys, family):
     name, params = family
@@ -177,6 +200,11 @@ if __name__ == "__main__":
                 assert main(["classify", "--family", name, "--param", _param_text(params), "--grid", GRID]) == 0
             _golden_path(name, params).write_text(buf.getvalue())
             digests[_family_key(name, params)] = _sample_digest(name, params, Path(scratch) / "sample.csv")
+        for name, params in WITNESS_FAMILIES:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                assert main(_witness_argv(name, params)) == 0
+            _witness_path(name, params).write_text(buf.getvalue())
         grid_digests = {
             key: _grid_digest(argv, Path(scratch) / "grid.csv")
             for family in ALL_FAMILIES

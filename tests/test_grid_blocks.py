@@ -21,7 +21,7 @@ import pytest
 from conftest import ALL_FAMILIES
 
 from mktp2 import properties
-from mktp2.archimedean import arch_copula, arch_kernel, builtin_archimedean, make_generator
+from mktp2.archimedean import arch_copula, builtin_archimedean, make_generator
 from mktp2.errors import NumericalError
 from mktp2.grids import GridConfig
 from mktp2.properties import (
@@ -179,7 +179,7 @@ def test_strict_kernel_error_names_the_same_offending_u():
         base,
         d_minus_psi=lambda x: np.where(np.asarray(x) < x0, 0.0, base.d_minus_psi(x)),
     )
-    kernel = lambda u, v: arch_kernel(broken, u, v)
+    kernel = lambda u, v: arch_copula(broken).kernel(u, v)
     grid = GridConfig(n_u=1024, n_v=1024)
     us, vs = grid.u_axis(), grid.v_axis()
     with pytest.raises(NumericalError) as blocked:

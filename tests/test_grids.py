@@ -55,6 +55,6 @@ def test_persistent_jumps_rule():
     step = lambda x: np.where(x >= 0.5, 1.0, 0.0)
     steep = lambda x: 120.0 * x
     for fn, expected in ((step, [False, True, False]), (steep, [False, False, False])):
-        gaps, mask = persistent_jumps(lambda d: np.abs(fn(xs + d) - fn(xs - d)), 1e-3)
+        gaps, mask = persistent_jumps(lambda d: np.abs(fn(xs + d) - fn(xs - d)))
         assert gaps.shape == (3, 3)
         assert mask.tolist() == expected
