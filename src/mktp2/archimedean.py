@@ -31,7 +31,6 @@ from .properties import PROPERTIES, Status, Verdict, Witness, check_pqd, log_con
 
 __all__ = [
     "GeneratorSpec",
-    "ArchReport",
     "make_generator",
     "builtin_archimedean",
     "arch_copula",
@@ -78,17 +77,6 @@ class GeneratorSpec:
 
     def __repr__(self):
         return f"GeneratorSpec({self.label})"
-
-
-@dataclass(frozen=True)
-class ArchReport:
-    """Verdicts of the generator-level classification."""
-
-    label: str
-    strict: bool
-    tp2_ltd: Verdict
-    mktp2_si: Verdict
-    dtp2: Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +466,14 @@ def arch_copula(spec):
     density = None
     if spec.strict and spec.psi_second is not None:
 
+        # phi, D-psi and psi'' may leave the double range (Gumbel alpha near 1000);
+        # the density scans read the non-finite values as inconclusive
+        @np.errstate(over="ignore", divide="ignore", invalid="ignore")
         def density_prep(p):
             x = np.asarray(spec.phi(p), dtype=float)
             return x, np.asarray(spec.d_minus_psi(x), dtype=float)
 
+        @np.errstate(over="ignore", divide="ignore", invalid="ignore")
         def density_combine(pu, pv):
             (x, dx), (y, dy) = pu, pv
             return np.asarray(spec.psi_second(x + y), dtype=float) / (dx * dy)
@@ -506,7 +498,7 @@ def generator_x_sample(spec, grid=DEFAULT_GRID):
     return np.unique(xs)
 
 
-def scan_dminus_psi_continuity(spec, grid=DEFAULT_GRID):
+def scan_dminus_psi_continuity(spec):
     """Holds unless D-psi jumps; declared metadata short-circuits the scan."""
     cert = {"method": "dminus-psi-continuity", "deltas": list(JUMP_DELTAS)}
     if spec.d_minus_psi_jumps is not None:
@@ -555,22 +547,23 @@ def _nonstrict_witnesses(spec):
 
 
 def classify_archimedean(spec, grid=DEFAULT_GRID):
-    """Generator-level dependence classification.
+    """Generator-level verdicts of LTD, SI, TP2, MK-TP2 and D-TP2, keyed by property.
 
-    Non-strict generators short-circuit: their copulas vanish on an interior
-    region, which already refutes LTD/TP2/SI/MK-TP2 on one rectangle.  Strict
-    generators run the two log-convexity scans; the d-TP2 criterion runs only
-    under a declared twice-differentiable (or completely monotone)
-    co-generator, on the declared ``psi_second`` at the grid tolerances or,
-    without one, on central second differences of psi with widened
-    tolerances matching the differentiation noise.
+    TP2 <-> LTD and MK-TP2 <-> SI are exact equivalences at generator level,
+    so each pair is one verdict under both keys.  Non-strict generators
+    short-circuit: their copulas vanish on an interior region, which already
+    refutes LTD/TP2/SI/MK-TP2 on one rectangle.  Strict generators run the
+    D-psi continuity scan and the two log-convexity scans; the d-TP2
+    criterion runs only under a declared twice-differentiable (or completely
+    monotone) co-generator, on the declared ``psi_second`` at the grid
+    tolerances or, without one, on central second differences of psi with
+    widened tolerances matching the differentiation noise.
     """
-    continuity = scan_dminus_psi_continuity(spec, grid)
     if not spec.strict:
         cdf_witness, kernel_witness = _nonstrict_witnesses(spec)
         note = "non-strict generator: copula vanishes on an interior region"
-        tp2_ltd = Verdict(Status.FAILS, cdf_witness, {"method": "analytic:non-strict"}, note)
-        mktp2_si = Verdict(Status.FAILS, kernel_witness, {"method": "analytic:non-strict"}, note)
+        tp2 = Verdict(Status.FAILS, cdf_witness, {"method": "analytic:non-strict"}, note)
+        mktp2 = Verdict(Status.FAILS, kernel_witness, {"method": "analytic:non-strict"}, note)
         dtp2 = Verdict(
             Status.NOT_APPLICABLE,
             None,
@@ -578,25 +571,26 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
             "non-strict copulas carry a singular part",
         )
     else:
+        continuity = scan_dminus_psi_continuity(spec)
         xs = generator_x_sample(spec, grid)
         if len(xs) < 3:
             raise NumericalError(
                 f"{spec.label}: phi is finite and positive at {len(xs)} of {_X_SAMPLE_POINTS} "
                 "t-grid points; the generator leaves the double range"
             )
-        tp2_ltd = _tag_analytic(
+        tp2 = _tag_analytic(
             _log_convexity(spec.psi, xs, grid.tol_eq, grid.tol_strict),
             "psi-log-convexity",
         )
         if continuity.status is Status.FAILS:
-            mktp2_si = Verdict(
+            mktp2 = Verdict(
                 Status.FAILS,
                 continuity.witness,
                 {"method": "analytic:dminus-psi-discontinuity"},
                 "a discontinuous D-psi rules out SI",
             )
         else:
-            mktp2_si = _tag_analytic(
+            mktp2 = _tag_analytic(
                 _log_convexity(
                     lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float),
                     xs,
@@ -616,15 +610,9 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
             )
     if not spec.exact_derivative:
         # the verdict read D-psi, and D-psi was derived, not declared
-        derived = {**mktp2_si.certificate, "derivative": "finite-difference"}
-        mktp2_si = replace(mktp2_si, certificate=derived)
-    return ArchReport(
-        label=spec.label,
-        strict=spec.strict,
-        tp2_ltd=tp2_ltd,
-        mktp2_si=mktp2_si,
-        dtp2=dtp2,
-    )
+        derived = {**mktp2.certificate, "derivative": "finite-difference"}
+        mktp2 = replace(mktp2, certificate=derived)
+    return {"ltd": tp2, "si": mktp2, "tp2": tp2, "mktp2": mktp2, "dtp2": dtp2}
 
 
 def _tag_analytic(verdict, name):
@@ -674,22 +662,14 @@ def _dtp2_second_difference(spec, xs, grid):
 
 
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):
-    """Verdicts of ``props`` implied by the generator classification.
-
-    TP2 <-> LTD and MK-TP2 <-> SI are exact equivalences at generator level,
-    so those entries share verdicts; PQD follows from LTD when it holds and
-    otherwise falls back to a grid scan.
-    """
-    report = classify_archimedean(spec, grid)
-    table = {
-        "ltd": report.tp2_ltd,
-        "si": report.mktp2_si,
-        "tp2": report.tp2_ltd,
-        "mktp2": report.mktp2_si,
-        "dtp2": report.dtp2,
-    }
+    """Verdicts of ``props``: the generator classification's, and PQD, which
+    follows from LTD when it holds and otherwise falls back to a grid scan."""
+    for prop in props:
+        if prop not in PROPERTIES:
+            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    table = classify_archimedean(spec, grid)
     if "pqd" in props:
-        if report.tp2_ltd.status is Status.HOLDS:
+        if table["ltd"].status is Status.HOLDS:
             table["pqd"] = Verdict(Status.HOLDS, None, {"method": "analytic:ltd-implies-pqd"})
         else:
             table["pqd"] = check_pqd(arch_copula(spec), grid)

@@ -34,7 +34,6 @@ from .properties import PROPERTIES, Status, Verdict, Witness, check_dtp2, check_
 
 __all__ = [
     "PickandsSpec",
-    "EvcReport",
     "validate_pickands",
     "builtin_pickands",
     "cap_function",
@@ -91,19 +90,6 @@ class PickandsSpec:
 
     def __repr__(self):
         return f"PickandsSpec({self.label})"
-
-
-@dataclass(frozen=True)
-class EvcReport:
-    label: str
-    branch: str
-    d_plus_A_at_zero: float
-    t_star: float
-    mktp2: Verdict
-    tp2: Verdict
-    si: Verdict
-    ltd: Verdict
-    pqd: Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -940,10 +926,6 @@ _NOTE_CAP_GAP = (
 _NOTE_NUMERIC_JUMPS = "numeric jump evidence without a verified witness"
 
 
-def _holds_for_every_evc():
-    return Verdict(Status.HOLDS, None, {"method": "analytic:evc"}, "every EVC is TP2 and SI")
-
-
 def _witness_verdict(construct, method, note, failed_note, failed_method=None, reraise=False):
     """``fails`` with the witness ``construct()`` returns, under ``method`` and ``note``.
 
@@ -960,14 +942,16 @@ def _witness_verdict(construct, method, note, failed_note, failed_method=None, r
     return Verdict(Status.FAILS, witness, {"method": method}, note)
 
 
-def _mktp2_rule(spec, d0, grid):
-    """``(branch, verdict)`` of the first rule of the D+A(0) tree that applies.
+def classify_evc(spec, grid=DEFAULT_GRID):
+    """MK-TP2 of an extreme-value copula: ``(branch, verdict)`` of the first
+    rule of the D+A(0) tree that applies.
 
     Branches 1 (holds), 2, 3a, 3b and 3c (fails through a witness), 3d (the
     monotone-ratio criterion, holds) and 3e (a grid scan).  A witness for
     declared jumps that cannot be built contradicts A, so that error
     propagates; any other failed construction reads as inconclusive.
     """
+    d0 = float(spec.d_plus_A(0.0))
     if abs(d0) <= _D0_TOL:
         note = "D+A(0) = 0 forces A == 1: the independence copula"
         return "1", Verdict(Status.HOLDS, None, {"method": "analytic:flat-at-zero"}, note)
@@ -1042,33 +1026,21 @@ def _mktp2_rule(spec, d0, grid):
     return "3e", Verdict(Status.INCONCLUSIVE, witness, grid_verdict.certificate, note)
 
 
-def classify_evc(spec, grid=DEFAULT_GRID):
-    """Run the MK-TP2 decision tree for an extreme-value copula.
-
-    TP2, SI (hence LTD, PQD) hold for every EVC and are reported as analytic
-    facts; the returned report's ``branch`` names the rule that decided
-    MK-TP2.
-    """
-    d0 = float(spec.d_plus_A(0.0))
-    branch, mktp2 = _mktp2_rule(spec, d0, grid)
-    always = _holds_for_every_evc()
-    return EvcReport(spec.label, branch, d0, spec.t_star, mktp2, tp2=always, si=always, ltd=always, pqd=always)
-
-
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):
     """Verdicts of ``props`` implied by the EVC classification.
 
     Only MK-TP2 runs the decision tree and only D-TP2 scans a grid; PQD, LTD,
     SI and TP2 hold for every EVC.
     """
+    for prop in props:
+        if prop not in PROPERTIES:
+            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     table = {}
     for prop in props:
         if prop == "mktp2":
-            table[prop] = classify_evc(spec, grid).mktp2
+            table[prop] = classify_evc(spec, grid)[1]
         elif prop == "dtp2":
             table[prop] = check_dtp2(evc_copula(spec), grid)
-        elif prop in PROPERTIES:
-            table[prop] = _holds_for_every_evc()
         else:
-            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+            table[prop] = Verdict(Status.HOLDS, None, {"method": "analytic:evc"}, "every EVC is TP2 and SI")
     return table

@@ -93,18 +93,18 @@ def test_criterion_01_classification_tables():
 
     # Marshall-Olkin: MK-TP2 iff beta = 1
     for alpha, beta in ((0.5, 1.0), (1.0, 1.0), (0.5, 0.5), (1.0, 0.5)):
-        report = classify_evc(builtin_pickands("marshall-olkin", alpha=alpha, beta=beta), GRID)
-        ok &= holds(report.mktp2) == (beta == 1.0)
+        _, verdict = classify_evc(builtin_pickands("marshall-olkin", alpha=alpha, beta=beta), GRID)
+        ok &= holds(verdict) == (beta == 1.0)
 
     # symmetric Tawn model: MK-TP2 iff theta in {0, 1}
     for theta in (0.0, 0.2, 1.0):
-        report = classify_evc(builtin_pickands("tawn-symmetric", theta=theta), GRID)
-        ok &= holds(report.mktp2) == (theta in (0.0, 1.0))
+        _, verdict = classify_evc(builtin_pickands("tawn-symmetric", theta=theta), GRID)
+        ok &= holds(verdict) == (theta in (0.0, 1.0))
 
     # asymmetric mixed model: MK-TP2 iff theta + kappa in {0, 1}
     for theta, kappa in ((0.0, 0.0), (0.25, 0.25), (1.25, -0.25)):
-        report = classify_evc(builtin_pickands("tawn-asym-mixed", theta=theta, kappa=kappa), GRID)
-        ok &= holds(report.mktp2) == (theta + kappa in (0.0, 1.0))
+        _, verdict = classify_evc(builtin_pickands("tawn-asym-mixed", theta=theta, kappa=kappa), GRID)
+        ok &= holds(verdict) == (theta + kappa in (0.0, 1.0))
 
     record(1, "classification tables reproduced", ok)
 

@@ -225,27 +225,46 @@ def test_continuity_scan_matches_pointwise_reference(spec):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 4.0])
 def test_classify_gumbel_all_hold(alpha):
-    report = classify_archimedean(builtin_archimedean("gumbel", alpha=alpha), GRID)
-    assert report.strict
-    assert report.tp2_ltd.status is Status.HOLDS
-    assert report.mktp2_si.status is Status.HOLDS
-    assert report.dtp2.status is Status.HOLDS
+    spec = builtin_archimedean("gumbel", alpha=alpha)
+    table = classify_archimedean(spec, GRID)
+    assert spec.strict
+    assert table["tp2"].status is Status.HOLDS
+    assert table["mktp2"].status is Status.HOLDS
+    assert table["dtp2"].status is Status.HOLDS
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: builtin_archimedean("gumbel", alpha=2.0),
+        lambda: builtin_archimedean("spreeuw"),
+        lambda: builtin_archimedean("w"),
+        lambda: make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -2.0) - 1.0) / 2.0),
+    ],
+    ids=["gumbel", "spreeuw", "w", "phi-only-clayton"],
+)
+def test_classify_shares_each_equivalence_pair(make):
+    table = classify_archimedean(make(), GRID)
+    assert list(table) == ["ltd", "si", "tp2", "mktp2", "dtp2"]
+    assert table["ltd"] is table["tp2"]
+    assert table["si"] is table["mktp2"]
 
 
 def test_classify_spreeuw_tp2_but_not_mktp2():
-    report = classify_archimedean(builtin_archimedean("spreeuw"), GRID)
-    assert report.tp2_ltd.status is Status.HOLDS
-    assert report.mktp2_si.status is Status.FAILS
-    x0, x1, x2 = report.mktp2_si.witness.points
+    table = classify_archimedean(builtin_archimedean("spreeuw"), GRID)
+    assert table["tp2"].status is Status.HOLDS
+    assert table["mktp2"].status is Status.FAILS
+    x0, x1, x2 = table["mktp2"].witness.points
     assert 0.0 < x0 < x1 < x2
 
 
 def test_classify_nonstrict_short_circuit():
-    report = classify_archimedean(builtin_archimedean("w"), GRID)
-    assert not report.strict
-    assert report.tp2_ltd.status is Status.FAILS
-    assert report.mktp2_si.status is Status.FAILS
-    assert report.dtp2.status is Status.NOT_APPLICABLE
+    spec = builtin_archimedean("w")
+    table = classify_archimedean(spec, GRID)
+    assert not spec.strict
+    assert table["tp2"].status is Status.FAILS
+    assert table["mktp2"].status is Status.FAILS
+    assert table["dtp2"].status is Status.NOT_APPLICABLE
 
 
 def _clayton_nonstrict(theta):
@@ -273,7 +292,7 @@ def test_nonstrict_fails_witnesses_reevaluate(theta):
 @pytest.mark.parametrize("alpha", [1.5, 3.0])
 def test_dtp2_uses_declared_psi_second_at_grid_tolerances(alpha):
     spec = builtin_archimedean("gumbel", alpha=alpha)
-    dtp2 = classify_archimedean(spec, GRID).dtp2
+    dtp2 = classify_archimedean(spec, GRID)["dtp2"]
     assert dtp2.status is Status.HOLDS
     scan = dtp2.certificate["scan"]
     assert (scan["tol_eq"], scan["tol_strict"]) == (GRID.tol_eq, GRID.tol_strict)
@@ -283,13 +302,13 @@ def test_dtp2_uses_declared_psi_second_at_grid_tolerances(alpha):
 
 def test_dtp2_falls_back_to_second_differences_without_psi_second():
     spec = replace(builtin_archimedean("gumbel", alpha=3.0), psi_second=None)
-    dtp2 = classify_archimedean(spec, GRID).dtp2
+    dtp2 = classify_archimedean(spec, GRID)["dtp2"]
     assert dtp2.status is Status.HOLDS
     scan = dtp2.certificate["scan"]
     assert (scan["tol_eq"], scan["tol_strict"]) == (1e-6, 1e-5)
     assert scan["n_points"] < len(generator_x_sample(spec, GRID))
     spreeuw = replace(builtin_archimedean("spreeuw"), psi_second=None)
-    assert classify_archimedean(spreeuw, GRID).dtp2.status is Status.FAILS
+    assert classify_archimedean(spreeuw, GRID)["dtp2"].status is Status.FAILS
 
 
 def test_gumbel_rejects_nan_alpha():
@@ -312,11 +331,11 @@ def test_w_kernel_zero_is_positive_zero():
 
 def test_report_implication_chain():
     for name, kw in [("gumbel", {"alpha": 2.0}), ("gumbel", {"alpha": 1.0}), ("spreeuw", {}), ("w", {})]:
-        report = classify_archimedean(builtin_archimedean(name, **kw), GRID)
-        if report.mktp2_si.status is Status.HOLDS:
-            assert report.tp2_ltd.status is Status.HOLDS
-        if report.dtp2.status is Status.HOLDS:
-            assert report.mktp2_si.status is Status.HOLDS
+        table = classify_archimedean(builtin_archimedean(name, **kw), GRID)
+        if table["mktp2"].status is Status.HOLDS:
+            assert table["tp2"].status is Status.HOLDS
+        if table["dtp2"].status is Status.HOLDS:
+            assert table["mktp2"].status is Status.HOLDS
 
 
 def test_classifier_consistency_with_grid_checks():
@@ -337,8 +356,8 @@ def test_classification_invariant_under_generator_scaling():
     )
     r1 = classify_archimedean(base, GRID)
     r2 = classify_archimedean(scaled, GRID)
-    assert r1.tp2_ltd.status == r2.tp2_ltd.status
-    assert r1.mktp2_si.status == r2.mktp2_si.status
+    assert r1["tp2"].status == r2["tp2"].status
+    assert r1["mktp2"].status == r2["mktp2"].status
 
 
 @pytest.mark.parametrize("theta", [0.5, 2.0, 8.0])

@@ -155,6 +155,20 @@ def test_witness_of_a_gumbel_whose_phi_overflows_reads_the_generator_verdict(cap
     assert err.startswith(f"no witness: {prop} holds by analytic:")
 
 
+def test_dtp2_witness_of_a_gumbel_whose_density_overflows_is_quiet(capsys):
+    # phi, D-psi and psi'' leave the double range on the density grid at alpha = 1e3;
+    # the search reads that as inconclusive and no RuntimeWarning reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "witness", "--family", "gumbel", "--param", "alpha=1e3", "--property", "dtp2")
+    assert code == 0
+    assert err.startswith("# elapsed ") and err.count("\n") == 1
+    (entry,) = json.loads(out)["results"]
+    assert (entry["status"], entry["witness"]) == ("inconclusive", None)
+    assert entry["certificate"]["method"] == "search:dtp2"
+    assert entry["note"] == "non-finite density value at (u, v) = (0.005, 0.005)"
+
+
 @pytest.mark.parametrize("family", ["gumbel", "evc-gumbel"])
 @pytest.mark.parametrize("alpha", ["100", "199", "1e6"])
 def test_large_gumbel_alpha_gives_verdicts_or_a_numerical_failure(capsys, family, alpha):

@@ -269,13 +269,15 @@ def test_evc_cdf_is_tp2_on_random_rectangles():
     ],
 )
 def test_classification_tree(name, kw, branch, status):
-    report = classify_evc(builtin_pickands(name, **kw), GRID)
-    assert report.branch == branch
-    assert report.mktp2.status is status
-    assert report.tp2.status is Status.HOLDS
-    assert report.si.status is Status.HOLDS
+    spec = builtin_pickands(name, **kw)
+    got, verdict = classify_evc(spec, GRID)
+    assert got == branch
+    assert verdict.status is status
+    table = property_verdicts(spec, GRID, ("tp2", "si"))
+    assert table["tp2"].status is Status.HOLDS
+    assert table["si"].status is Status.HOLDS
     if status is Status.FAILS:
-        witness = report.mktp2.witness
+        witness = verdict.witness
         ratio = kernel_cross_ratio(builtin_pickands(name, **kw), witness.rectangle())
         assert ratio < 1.0 - GRID.tol_strict
 
@@ -314,15 +316,15 @@ def curved_kink_spec(declared_jumps=(0.4,)):
 
 
 def test_two_jump_pickands_fails():
-    report = classify_evc(two_kink_spec(), GRID)
-    assert report.branch == "3a"
-    assert report.mktp2.status is Status.FAILS
+    branch, verdict = classify_evc(two_kink_spec(), GRID)
+    assert branch == "3a"
+    assert verdict.status is Status.FAILS
 
 
 def test_one_jump_with_curvature_fails():
-    report = classify_evc(curved_kink_spec(), GRID)
-    assert report.branch == "3b"
-    assert report.mktp2.status is Status.FAILS
+    branch, verdict = classify_evc(curved_kink_spec(), GRID)
+    assert branch == "3b"
+    assert verdict.status is Status.FAILS
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +342,13 @@ def _raise(error):
     return construct
 
 
-def _assert_inconclusive(report, branch, method, note_prefix, error):
-    assert report.branch == branch
-    assert report.mktp2.status is Status.INCONCLUSIVE
-    assert report.mktp2.witness is None
-    assert report.mktp2.certificate == {"method": method}
-    assert report.mktp2.note == f"{note_prefix}: {error}"
+def _assert_inconclusive(classified, branch, method, note_prefix, error):
+    got, verdict = classified
+    assert got == branch
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.witness is None
+    assert verdict.certificate == {"method": method}
+    assert verdict.note == f"{note_prefix}: {error}"
 
 
 @pytest.mark.parametrize("error", FAILURES, ids=lambda e: type(e).__name__)
@@ -359,9 +362,9 @@ def test_failed_slope_at_zero_witness_is_inconclusive(monkeypatch, error, name, 
     monkeypatch.setattr(extreme_value, "construct_witness_jump", _raise(error))
     spec = builtin_pickands(name, **kw)
     d0 = float(spec.d_plus_A(0.0))
-    report = classify_evc(spec, GRID)
+    classified = classify_evc(spec, GRID)
     prefix = f"D+A(0) = {d0:.6g} rules out MK-TP2 but no witness was realized"
-    _assert_inconclusive(report, "2", "analytic:slope-at-zero", prefix, error)
+    _assert_inconclusive(classified, "2", "analytic:slope-at-zero", prefix, error)
 
 
 @pytest.mark.parametrize("error", FAILURES, ids=lambda e: type(e).__name__)
@@ -374,17 +377,17 @@ def test_failed_jump_witness_policy(monkeypatch, error, make_spec, branch, metho
     monkeypatch.setattr(extreme_value, "construct_witness_jump", _raise(error))
     with pytest.raises(type(error)):
         classify_evc(make_spec(), GRID)
-    report = classify_evc(make_spec(declared_jumps=None), GRID)
+    classified = classify_evc(make_spec(declared_jumps=None), GRID)
     prefix = "numeric jump evidence without a verified witness"
-    _assert_inconclusive(report, branch, method, prefix, error)
+    _assert_inconclusive(classified, branch, method, prefix, error)
 
 
 @pytest.mark.parametrize("error", FAILURES, ids=lambda e: type(e).__name__)
 def test_failed_plateau_witness_is_inconclusive(monkeypatch, error):
     monkeypatch.setattr(extreme_value, "construct_witness_constant", _raise(error))
-    report = classify_evc(builtin_pickands("jump-example"), GRID)
+    classified = classify_evc(builtin_pickands("jump-example"), GRID)
     prefix = "plateau detected but no witness was realized"
-    _assert_inconclusive(report, "3c", "analytic:cap-plateau", prefix, error)
+    _assert_inconclusive(classified, "3c", "analytic:cap-plateau", prefix, error)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +456,9 @@ def test_constant_witness_synthetic_plateau():
     assert beta_sup_argmin(spec) == pytest.approx(4.0, abs=1e-3)
     witness = construct_witness_constant(spec, 0.3, 0.4, 0.9, GRID)
     assert kernel_cross_ratio(spec, witness.rectangle()) < 1.0 - 1e-6
-    report = classify_evc(spec, GRID)
-    assert report.branch == "3c"
-    assert report.mktp2.status is Status.FAILS
+    branch, verdict = classify_evc(spec, GRID)
+    assert branch == "3c"
+    assert verdict.status is Status.FAILS
 
 
 def test_constant_witness_rejects_jumpy_cap():
@@ -489,10 +492,10 @@ def test_jump_witness_when_the_contour_rounds_left_of_the_jump(declared):
             spec = builtin_pickands("marshall-olkin", alpha=alpha, beta=beta)
             if not declared:
                 spec = replace(spec, declared_jumps=None)
-            report = classify_evc(spec, GRID)
-            assert report.branch == "2"
-            assert report.mktp2.status is Status.FAILS, (alpha, beta)
-            assert kernel_cross_ratio(spec, report.mktp2.witness.rectangle()) < 1.0 - GRID.tol_strict
+            branch, verdict = classify_evc(spec, GRID)
+            assert branch == "2"
+            assert verdict.status is Status.FAILS, (alpha, beta)
+            assert kernel_cross_ratio(spec, verdict.witness.rectangle()) < 1.0 - GRID.tol_strict
 
 
 def test_property_table_contains_dtp2():
@@ -509,12 +512,12 @@ def test_classification_without_declared_metadata():
     mo = replace(
         builtin_pickands("marshall-olkin", alpha=0.5, beta=0.5), declared_jumps=None, t_star=0.0
     )
-    report = classify_evc(mo, GRID)
-    assert report.branch == "2"
-    assert report.mktp2.status is Status.FAILS
-    assert report.mktp2.witness is not None
+    branch, verdict = classify_evc(mo, GRID)
+    assert branch == "2"
+    assert verdict.status is Status.FAILS
+    assert verdict.witness is not None
 
     jumpy = replace(builtin_pickands("jump-example"), declared_jumps=None, t_star=0.125)
-    report = classify_evc(jumpy, GRID)
-    assert report.branch == "3c"
-    assert report.mktp2.status is Status.FAILS
+    branch, verdict = classify_evc(jumpy, GRID)
+    assert branch == "3c"
+    assert verdict.status is Status.FAILS

@@ -1,14 +1,18 @@
-"""SciPy loads only when a Gaussian copula is built.
+"""Every exported name exists, and SciPy loads only when a Gaussian copula is built.
 
 The test process has imported SciPy already (``test_normal.py`` does), so the
 import boundary is checked in a fresh interpreter.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mktp2
 
@@ -42,6 +46,16 @@ def _run_fresh(runs):
         check=True,
     )
     return json.loads(proc.stdout)
+
+
+MODULES = ["mktp2", *(f"mktp2.{info.name}" for info in pkgutil.iter_modules(mktp2.__path__))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_exists(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+    exec(f"from {name} import *", {})
 
 
 def test_scipy_loads_only_for_a_gaussian_copula(tmp_path):

@@ -1,17 +1,20 @@
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 from oracles import log_concavity_test, two_increasing_test
 
+from mktp2 import archimedean, extreme_value, properties
 from mktp2.archimedean import arch_copula, builtin_archimedean
 from mktp2.core import make_baseline, make_fgm, make_frechet, make_gaussian
 from mktp2.errors import DomainError, ValidationError
 from mktp2.extreme_value import builtin_pickands, cap_function, evc_copula, h_map
 from mktp2.grids import GridConfig, Rectangle
 from mktp2.properties import (
+    PROPERTIES,
     Status,
     check_dtp2,
     check_ltd,
@@ -26,6 +29,26 @@ from mktp2.properties import (
 )
 
 GRID = GridConfig()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("classifier work before the property names were checked")
+
+
+@pytest.mark.parametrize(
+    "module,work,make",
+    [
+        (properties, "_scan", lambda: make_fgm(0.5)),
+        (archimedean, "classify_archimedean", lambda: builtin_archimedean("gumbel", alpha=2.0)),
+        (extreme_value, "classify_evc", lambda: builtin_pickands("gumbel", alpha=2.0)),
+    ],
+    ids=["properties", "archimedean", "extreme_value"],
+)
+def test_unknown_property_raises_before_any_work(monkeypatch, module, work, make):
+    monkeypatch.setattr(module, work, _no_work)
+    expected = re.escape(f"unknown property 'foo'; expected one of {PROPERTIES}")
+    with pytest.raises(ValidationError, match=expected):
+        module.property_verdicts(make(), GRID, ("mktp2", "foo"))
 
 
 # ---------------------------------------------------------------------------
