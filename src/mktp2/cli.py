@@ -13,6 +13,7 @@ identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -251,6 +252,9 @@ def _add_common(parser, with_grid=True):
         parser.add_argument("--spacing", choices=("uniform", "logit"), default="uniform")
 
 
+# parsing leaves no state in the parser, so a process that calls main many
+# times (a library caller, the test suite) builds it once
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mktp2",
@@ -288,9 +292,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)

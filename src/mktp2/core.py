@@ -59,11 +59,16 @@ class Form:
     form broadcasts u and v, preps and combines (a float for scalar input).
     Each combine does the pointwise formula's float operations in its order,
     so every path gives the same bits.
+
+    ``symmetric`` declares that the form at (a, b) has the bits of the form
+    at (b, a), for every a and b; a square grid then needs only the values
+    on and above its diagonal (:func:`mktp2.properties._row_stream`).
     """
 
     combine: Callable
     prep_u: Callable = lambda p: p
     prep_v: Callable = lambda p: p
+    symmetric: bool = False
 
     def __call__(self, u, v):
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -191,7 +196,7 @@ def make_gaussian(rho):
         raise ValidationError(f"gaussian needs rho in (-1, 1), got {rho}")
     if rho == 0.0:
         raise ValidationError("gaussian with rho = 0 is the independence copula; use Pi")
-    from .normal import bivariate_normal_cdf, std_normal_cdf, std_normal_quantile
+    from .normal import bvn_combine, bvn_prep, std_normal_cdf, std_normal_quantile
 
     s = np.sqrt(1.0 - rho * rho)
 
@@ -204,9 +209,13 @@ def make_gaussian(rho):
         inside = (p > 0.0) & (p < 1.0)
         return p, inside, quantile_clipped(np.where(inside, p, 0.5))
 
+    def cdf_prep(p):
+        p, inside, x = prep(p)
+        return (p, inside, *bvn_prep(x, rho))
+
     def cdf(pu, pv):
-        (u, u_int, x), (v, v_int, y) = pu, pv
-        return np.where(u_int & v_int, bivariate_normal_cdf(x, y, rho), np.minimum(u, v))
+        (u, u_int, *px), (v, v_int, *py) = pu, pv
+        return np.where(u_int & v_int, bvn_combine(px, py, rho), np.minimum(u, v))
 
     def kernel_u(u):
         _, u_int, x = prep(u)
@@ -229,7 +238,7 @@ def make_gaussian(rho):
 
     return Copula(
         label=f"gaussian(rho={param_text(rho)})",
-        cdf=Form(cdf, prep, prep),
+        cdf=Form(cdf, cdf_prep, cdf_prep, symmetric=True),
         kernel=Form(kernel, kernel_u, prep),
         density=Form(density, density_prep, density_prep),
         params={"rho": rho},

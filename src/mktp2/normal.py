@@ -17,6 +17,11 @@ for b <= 1.  Above b = 1, g falls to the size of Q(bh) while T(h, b) stays
 near 1/2 Q(h), so g swaps through T(h, b) + T(bh, 1/b) = 1/2 Phi(h) +
 1/2 Phi(bh) - Phi(h) Phi(bh) to T(bh, 1/b) - 1/2 Q(bh) erf(h / sqrt 2), both
 of whose terms are at most 1/2 Q(bh).
+
+Phi2 is split the way a grid uses it: :func:`bvn_prep` computes what
+depends on one argument (once per grid axis), and :func:`bvn_combine` does
+only the work of each point, whatever the shapes it broadcasts.
+:func:`bivariate_normal_cdf` runs both on its arguments elementwise.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from scipy import special
 from .errors import ValidationError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# points per chunk of an elementwise Phi2: each chunk's two preps and the
+# combine's temporaries stay near 2 MB, whatever the number of points
+_CHUNK = 1 << 14
 
 
 def std_normal_cdf(x):
@@ -43,15 +51,49 @@ def std_normal_quantile(p):
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
-def _g(h, c):
-    """g(h, c / h) = 1/2 Q(h) - T(h, c / h) for h > 0, each branch on its own mask."""
-    out = np.empty_like(h)
+def bvn_prep(x, rho):
+    """What the terms of Phi2 take from one argument array ``x`` alone, for :func:`bvn_combine`:
+    x, |x|, rho x, sign x, the mask x == 0, 1/2 Q(|x|), erf(|x| / sqrt 2),
+    (1 + sign x) / 4 and 1 + sign x."""
+    h = np.abs(x)
+    sign = np.sign(x)
+    axis = (0.5 * special.ndtr(-h), special.erf(h * _INV_SQRT2), 0.25 * (1.0 + sign), 1.0 + sign)
+    return (x, h, rho * x, sign, x == 0.0, *axis)
+
+
+def _term(p, y, s):
+    """sign(x) g(|x|, b_x) at every point of the broadcast of prep ``p`` of x with ``y``.
+
+    It takes c = b_x |x| = (rho x - y) / s, which is also the swap branch's
+    b h, and one Owen's T per point, on the branch of c > |x|.
+    """
+    _, h, rho_x, sign, _, half_q, erf_h, _, _ = p
+    c = (rho_x - y) / s
     swap = c > h
-    h1, c1 = h[~swap], c[~swap]
-    out[~swap] = 0.5 * special.ndtr(-h1) - special.owens_t(h1, c1 / h1)
-    h2, c2 = h[swap], c[swap]
-    out[swap] = special.owens_t(c2, h2 / c2) - 0.5 * special.ndtr(-c2) * special.erf(h2 * _INV_SQRT2)
-    return out
+    a = np.where(swap, c, h)
+    t = special.owens_t(a, np.where(swap, h, c) / a)
+    g = np.where(swap, t - 0.5 * special.ndtr(-c) * erf_h, half_q - t)
+    return sign * g
+
+
+def bvn_combine(px, py, rho):
+    """Phi2(h, k; rho) at every point of the broadcast of :func:`bvn_prep`'s ``px`` of h and
+    ``py`` of k, all finite.
+
+    A zero argument's term is 0 * g and adds nothing (g is finite there but
+    at h = k = 0, whose terms are overwritten).  The terms sum as 0 + t_h +
+    t_k, which has the bits of 0 + t_k + t_h, so Phi2(h, k) and Phi2(k, h)
+    agree exactly.
+    """
+    h, _, _, _, zero_h, _, _, quarter_h, _ = px
+    k, _, _, _, zero_k, _, _, _, one_plus_k = py
+    s = np.sqrt(1.0 - rho * rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = 0.0 + _term(px, k, s)
+        terms += _term(py, h, s)
+    if np.any(zero_h) and np.any(zero_k):
+        terms = np.where(zero_h & zero_k, -np.arcsin(rho) / (2.0 * np.pi), terms)
+    return np.clip(quarter_h * one_plus_k - terms, 0.0, 1.0)
 
 
 def bivariate_normal_cdf(a, b, rho):
@@ -64,19 +106,12 @@ def bivariate_normal_cdf(a, b, rho):
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
     finite = np.isfinite(a) & np.isfinite(b)
     h, k = a[finite], b[finite]
-    s = np.sqrt(1.0 - rho * rho)
-    # sign(x) g summed over both arguments: 0 + t_h + t_k has the bits of 0 + t_k + t_h,
-    # so C(u, v) and C(v, u) agree exactly
-    terms = np.zeros_like(h)
-    for x, y in ((h, k), (k, h)):
-        nz = x != 0.0
-        # _g takes c = b_x |x| = (rho x - y) / s, which is also the swap branch's b h
-        g = _g(np.abs(x[nz]), (rho * x[nz] - y[nz]) / s)
-        terms[nz] += np.sign(x[nz]) * g
-    terms[(h == 0.0) & (k == 0.0)] = -np.arcsin(rho) / (2.0 * np.pi)
+    phi2 = np.empty(h.shape)
+    for i in range(0, h.size, _CHUNK):
+        at = slice(i, i + _CHUNK)
+        phi2[at] = bvn_combine(bvn_prep(h[at], rho), bvn_prep(k[at], rho), rho)
     out = np.empty(a.shape)
-    out[finite] = 0.25 * (1.0 + np.sign(h)) * (1.0 + np.sign(k)) - terms
+    out[finite] = phi2
     # +-inf arguments bypass the closed form: Phi2 degenerates to a marginal
     out[~finite] = np.minimum(std_normal_cdf(a[~finite]), std_normal_cdf(b[~finite]))
-    out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out

@@ -164,6 +164,60 @@ def _row_blocks(n_rows, row_len):
     return [(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
+def _prep_slice(prep, index):
+    """``index`` taken of a prep: an array, or each array of a tuple."""
+    return prep[index] if isinstance(prep, np.ndarray) else tuple(p[index] for p in prep)
+
+
+class _UpperValues:
+    """The values a mirrored :func:`_row_stream` computes above its row blocks'
+    diagonal squares, held until the later block whose columns they are.
+
+    Block m of :func:`_row_blocks` (rows ``b0:b1``) reads its columns left of
+    ``b0`` as the transpose of ``C[:b0, b0:b1]``, which earlier blocks
+    computed.  That piece is stored whole in ``(b0, b1 - b0)`` row-major
+    order, and the pieces follow one another in block order, in one private
+    anonymous map of :func:`_grid_buffer` (the n^2 / 2 values above the
+    diagonal squares, 4 MB at 1024^2).  A block writes its rows of every
+    later block's piece, and reads its own piece once; the whole pages below
+    the end of that piece are then returned to the system.  So the values
+    held are those a later block still reads, at most about n^2 / 4 (2 MB at
+    1024^2) once pages are returned, and the map goes when the stream ends.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.ends = np.cumsum([r0 * (r1 - r0) for r0, r1 in blocks]).tolist()
+        self.values = _grid_buffer(1, self.ends[-1])[0]
+        self.map = self.values.base
+        while self.map is not None and not isinstance(self.map, mmap.mmap):
+            self.map = self.map.obj if isinstance(self.map, memoryview) else self.map.base
+        if self.map is not None and hasattr(mmap, "MADV_NOHUGEPAGE"):
+            # pages are filled a block at a time and returned once read: a huge
+            # page would hold 2 MB from the first value written to it
+            self.map.madvise(mmap.MADV_NOHUGEPAGE)
+        self.dropped = 0
+
+    def piece(self, m):
+        b0, b1 = self.blocks[m]
+        return self.values[self.ends[m] - b0 * (b1 - b0) : self.ends[m]].reshape(b0, b1 - b0)
+
+    def put(self, k, rows):
+        """Store ``rows``, block ``k``'s values from column ``r0`` on, in each later block's piece."""
+        r0, r1 = self.blocks[k]
+        for m in range(k + 1, len(self.blocks)):
+            b0, b1 = self.blocks[m]
+            self.piece(m)[r0:r1] = rows[:, b0 - r0 : b1 - r0]
+
+    def take(self, k, out):
+        """Write block ``k``'s columns left of its first row into ``out`` and drop them."""
+        out[:] = self.piece(k).T
+        stop = self.ends[k] * 8 // mmap.PAGESIZE * mmap.PAGESIZE
+        if self.map is not None and stop > self.dropped and hasattr(mmap, "MADV_DONTNEED"):
+            self.map.madvise(mmap.MADV_DONTNEED, self.dropped, stop - self.dropped)
+            self.dropped = stop
+
+
 def _row_stream(fn, us, vs, whole=None):
     """Yield ``(start, fresh, block)``: ``fn`` on the grid ``us`` x ``vs``, one row block
     of :func:`_row_blocks` at a time, as grid rows ``start`` onwards.  Row 0
@@ -175,30 +229,48 @@ def _row_stream(fn, us, vs, whole=None):
     and the v row are prepped once and each block combines its u rows with the
     v row, elementwise, so no meshgrid is built, every value is bit for bit
     that of ``fn`` on the full meshgrid and an error names the same point.
+
+    A form declared ``symmetric`` on a square grid (``us`` equal to ``vs``)
+    is mirrored: each block combines only its columns from its own first row
+    on, and takes the columns left of it, by transposition, from the values
+    earlier blocks computed: from ``whole``, or else from :class:`_UpperValues`.
+    That halves the evaluations at 1024^2 (and an error may name the
+    mirror image of the point).
     """
     form = as_form(fn)
-    pu = form.prep_u(np.asarray(us, dtype=float)[:, None])
-    pv = form.prep_v(np.asarray(vs, dtype=float)[None, :])
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    pu = form.prep_u(us[:, None])
+    pv = form.prep_v(vs[None, :])
+    blocks = _row_blocks(len(us), len(vs))
+    mirror = form.symmetric and len(blocks) > 1 and np.array_equal(us.view(np.int64), vs.view(np.int64))
+    upper = _UpperValues(blocks) if mirror and whole is None else None
     buf, last = None, 0
-    for r0, r1 in _row_blocks(len(us), len(vs)):
-        rows = pu[r0:r1] if isinstance(pu, np.ndarray) else tuple(p[r0:r1] for p in pu)
+    for k, (r0, r1) in enumerate(blocks):
+        c0 = r0 if mirror else 0
+        values = form.combine(_prep_slice(pu, np.s_[r0:r1]), _prep_slice(pv, np.s_[:, c0:]) if c0 else pv)
         fresh = 1 if r0 else 0
         if whole is not None:
-            whole[r0:r1] = form.combine(rows, pv)
+            whole[r0:r1, c0:] = values
+            if mirror:
+                whole[r0:r1, :c0] = whole[:c0, r0:r1].T
             yield r0 - fresh, fresh, whole[r0 - fresh : r1]
             continue
         if buf is None:
             buf = np.empty((r1 - r0 + 1, len(vs)))
         buf[0] = buf[last]
         last = r1 - r0
-        buf[1 : 1 + last] = form.combine(rows, pv)
+        buf[1 : 1 + last, c0:] = values
+        if upper is not None:
+            upper.take(k, buf[1 : 1 + last, :c0])
+            upper.put(k, values)
         yield r0 - fresh, fresh, buf[1 - fresh : 1 + last]
 
 
 def _grid_buffer(n_u, n_v):
     """A float ``(n_u, n_v)`` array in a private anonymous memory map of its own.
 
-    A whole grid (8 MB at 1024^2) is the one large array a scan holds across
+    A whole grid (8 MB at 1024^2), or the values a mirrored stream keeps
+    (:class:`_UpperValues`), is the one large array a scan holds across
     many small allocations.  From the malloc heap it would be reused in place
     by the next grid unless a long-lived object had landed in its space, in
     which case the heap grows by another grid; which of the two happens

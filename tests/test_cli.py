@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -426,3 +429,29 @@ def test_reports_are_deterministic(tmp_path, capsys):
     first = run_cli(capsys, *argv)[1]
     second = run_cli(capsys, *argv)[1]
     assert first == second
+
+
+def _without_elapsed(err):
+    return "".join(line for line in err.splitlines(keepends=True) if not line.startswith("# elapsed"))
+
+
+def test_repeated_main_calls_match_one_call_per_process(capsys, monkeypatch):
+    # main reuses one parser per process; a usage error or a help page between
+    # calls must leave it as a fresh process would find it
+    argvs = [
+        ["classify", "--family", "fgm", "--param", "theta=0.5", "--grid", "16"],
+        ["check", "--family", "pi", "--property", "zzz"],
+        ["check", "--family", "fgm", "--param", "theta=-0.5", "--property", "pqd", "--grid", "16"],
+        ["classify", "--family", "fgm", "--grid", "x"],
+        ["check", "--help"],
+        ["classify", "--family", "fgm", "--param", "theta=0.5", "--grid", "16"],
+        ["check", "--family", "fgm", "--param", "theta=-0.5", "--property", "pqd", "--grid", "16"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the help page
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in argvs:
+        cmd = [sys.executable, "-m", "mktp2.cli", *argv]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        assert _without_elapsed(err) == _without_elapsed(proc.stderr), argv

@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 from conftest import ALL_FAMILIES
 
-from mktp2 import properties
+from mktp2 import normal, properties
 from mktp2.archimedean import arch_copula, builtin_archimedean, make_generator
+from mktp2.core import Form, as_form
 from mktp2.errors import NumericalError
 from mktp2.grids import GridConfig
 from mktp2.properties import (
@@ -71,7 +72,9 @@ def _copulas():
 COPULAS = dict(_copulas())
 SHAPES = [(37, 2048), (200, 333), (1024, 1024)]
 # a bisected generator takes 1-4 s per quantity at 1024 x 1024, so that
-# shape runs once, with uniform spacing, and only for the psi-only pair
+# shape runs once, with uniform spacing, and only for the psi-only pair,
+# whose reference bisects phi on the axes alone (the smaller shapes check
+# that phi at a point is that of the full meshgrid)
 SLOW = {"clayton-psi", "frank-psi", "clayton-phi"}
 
 
@@ -85,7 +88,23 @@ def _cases():
                 yield pytest.param(label, spacing, shape, id=f"{label}-{spacing}-{shape[0]}x{shape[1]}")
 
 
-def _one_shot(fn, us, vs):
+def _one_shot(fn, us, vs, per_axis=False):
+    """``fn`` in one call on the full meshgrid.  With ``per_axis``, ``fn``'s preps are
+    taken on the axes, broadcast to the full grid and combined in one call:
+    the same bits, as every combine is elementwise, without a bisection per
+    grid point for a psi-only phi."""
+    if per_axis:
+        form = as_form(fn)
+        shape = (len(us), len(vs))
+
+        def full(prep, axis):
+            p = prep(axis)
+            if isinstance(p, np.ndarray):
+                return np.broadcast_to(p, shape)
+            return tuple(np.broadcast_to(q, shape) for q in p)
+
+        values = form.combine(full(form.prep_u, us[:, None]), full(form.prep_v, vs[None, :]))
+        return np.asarray(values, dtype=float)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     return np.asarray(fn(uu, vv), dtype=float)
 
@@ -116,7 +135,7 @@ def test_blocked_evaluation_is_bit_identical(label, spacing, shape):
         if fn is None:
             continue
         got = _grid_eval(fn, us, vs)
-        want = _one_shot(fn, us, vs)
+        want = _one_shot(fn, us, vs, per_axis=label in SLOW and shape == (1024, 1024))
         assert got.shape == want.shape and got.dtype == np.float64
         assert np.array_equal(_bits(got), _bits(want)), (label, quantity)
 
@@ -133,6 +152,79 @@ def test_streamed_blocks_overlap_by_one_row():
             assert np.array_equal(_bits(block), _bits(want[start : start + len(block)]))
             rows = start + len(block)
         assert rows == shape[0]
+
+
+# ---------------------------------------------------------------------------
+# the mirrored stream of a symmetric form on a square grid
+# ---------------------------------------------------------------------------
+
+
+SYMMETRIC = {
+    f"{label}-{quantity}": fn
+    for label, copula in COPULAS.items()
+    for quantity in ("cdf", "kernel", "density")
+    if isinstance(fn := getattr(copula, quantity), Form) and fn.symmetric
+}
+
+
+def test_every_symmetric_form_is_bitwise_symmetric():
+    assert SYMMETRIC, "no form declares symmetric"
+    axis = GridConfig(n_u=257, n_v=257, spacing="logit").u_axis()
+    for fn in SYMMETRIC.values():
+        values = _one_shot(fn, axis, axis)
+        assert np.array_equal(_bits(values), _bits(values.T))
+
+
+def _streamed(fn, us, vs):
+    return np.concatenate([np.array(block[fresh:]) for _, fresh, block in _row_stream(fn, us, vs)])
+
+
+@pytest.mark.parametrize("fn", list(SYMMETRIC.values()), ids=list(SYMMETRIC))
+@pytest.mark.parametrize("block_points", [100, 4096, BLOCK_POINTS])
+def test_mirrored_streams_match_unmirrored_ones(monkeypatch, fn, block_points):
+    monkeypatch.setattr(properties, "BLOCK_POINTS", block_points)
+    plain = replace(fn, symmetric=False)
+    for n, spacing in ((257, "logit"), (200, "uniform")):
+        axis = GridConfig(n_u=n, n_v=n, spacing=spacing).u_axis()
+        want = _grid_eval(plain, axis, axis)
+        assert np.array_equal(_bits(_grid_eval(fn, axis, axis)), _bits(want))
+        assert np.array_equal(_bits(_streamed(fn, axis, axis)), _bits(want))
+        assert np.array_equal(_bits(_streamed(plain, axis, axis)), _bits(want))
+
+
+def _counting_owens_t(monkeypatch):
+    counted = [0]
+    owens_t = normal.special.owens_t
+
+    def counting(h, a):
+        counted[0] += np.broadcast(h, a).size
+        return owens_t(h, a)
+
+    monkeypatch.setattr(normal.special, "owens_t", counting)
+    return counted
+
+
+def test_mirror_halves_the_owens_t_work_on_a_square_grid(monkeypatch):
+    cdf = build("gaussian", {"rho": -0.42})[2].cdf
+    n = 256
+    us = GridConfig(n_u=n, n_v=n).u_axis()
+    block_rows = _row_blocks(n, n)[0][1]
+    want = _one_shot(cdf, us, us)
+    counted = _counting_owens_t(monkeypatch)
+    for evaluate in (_grid_eval, _streamed):
+        counted[0] = 0
+        values = evaluate(cdf, us, us)
+        assert counted[0] <= n * n + n * block_rows < 2 * n * n
+        assert np.array_equal(_bits(values), _bits(want))
+    # one ulp apart, the axes make no square grid: every point takes its two terms
+    vs = us.copy()
+    vs[n // 2] = np.nextafter(vs[n // 2], 1.0)
+    want = _one_shot(cdf, us, vs)
+    for evaluate in (_grid_eval, _streamed):
+        counted[0] = 0
+        values = evaluate(cdf, us, vs)
+        assert counted[0] == 2 * n * n
+        assert np.array_equal(_bits(values), _bits(want))
 
 
 # ---------------------------------------------------------------------------

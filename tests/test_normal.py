@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from mktp2.errors import ValidationError
-from mktp2.normal import bivariate_normal_cdf, std_normal_cdf, std_normal_quantile
+from mktp2.grids import GridConfig
+from mktp2.normal import bivariate_normal_cdf, bvn_combine, bvn_prep, std_normal_cdf, std_normal_quantile
 
 
 def erf_series(x, terms=60):
@@ -139,3 +140,60 @@ def test_grid_evaluation_memory_is_bounded(rho):
         tracemalloc.stop()
     # a 512 x 512 float64 array is 2 MB; a quadrature node axis would multiply that by its node count
     assert peak <= 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the per-axis split against the pointwise form it replaced
+# ---------------------------------------------------------------------------
+
+
+def _masked_g(h, c):
+    out = np.empty_like(h)
+    swap = c > h
+    h1, c1 = h[~swap], c[~swap]
+    out[~swap] = 0.5 * special.ndtr(-h1) - special.owens_t(h1, c1 / h1)
+    h2, c2 = h[swap], c[swap]
+    out[swap] = special.owens_t(c2, h2 / c2) - 0.5 * special.ndtr(-c2) * special.erf(h2 * (1.0 / np.sqrt(2.0)))
+    return out
+
+
+def _masked_phi2(h, k, rho):
+    """Phi2 of finite h, k in the pointwise form: each term on the mask of its nonzero
+    argument, each branch of g on its own mask."""
+    s = np.sqrt(1.0 - rho * rho)
+    terms = np.zeros_like(h)
+    for x, y in ((h, k), (k, h)):
+        nz = x != 0.0
+        terms[nz] += np.sign(x[nz]) * _masked_g(np.abs(x[nz]), (rho * x[nz] - y[nz]) / s)
+    terms[(h == 0.0) & (k == 0.0)] = -np.arcsin(rho) / (2.0 * np.pi)
+    return np.clip(0.25 * (1.0 + np.sign(h)) * (1.0 + np.sign(k)) - terms, 0.0, 1.0)
+
+
+_UNIFORM = GridConfig(n_u=257, n_v=257).u_axis()  # odd: u = 0.5 gives a row of x = 0
+_LOGIT = GridConfig(n_u=257, n_v=257, spacing="logit").u_axis()
+_TAIL = GridConfig(n_u=200, n_v=200).axis(200, 0.9479, 1.0 - 1e-6)
+_RHOS = [0.3, -0.3, 0.9, -0.9, 0.999, -0.999]
+
+
+@pytest.mark.parametrize("rho", _RHOS)
+@pytest.mark.parametrize(
+    "us, vs",
+    [(_UNIFORM, _UNIFORM), (_LOGIT, _LOGIT), (_TAIL, _TAIL), (_UNIFORM, _TAIL)],
+    ids=["uniform", "logit", "tail", "uniform-tail"],
+)
+def test_per_axis_combine_is_bit_identical_to_the_pointwise_form(us, vs, rho):
+    x, y = std_normal_quantile(us), std_normal_quantile(vs)
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    want = _masked_phi2(xx, yy, rho)
+    got = bvn_combine(bvn_prep(x[:, None], rho), bvn_prep(y[None, :], rho), rho)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(bivariate_normal_cdf(xx, yy, rho).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("rho", _RHOS)
+def test_the_split_cases_hold_zero_rows_and_both_branches(rho):
+    x = std_normal_quantile(_UNIFORM)
+    assert (x == 0.0).any()
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    swap = (rho * xx - yy) / np.sqrt(1.0 - rho * rho) > np.abs(xx)
+    assert swap.any() and not swap.all()
