@@ -27,7 +27,16 @@ import numpy as np
 from .core import Copula, Form, param_text
 from .errors import NumericalError, ValidationError
 from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, persistent_jumps
-from .properties import PROPERTIES, Status, Verdict, Witness, check_pqd, log_convexity_test, rectangle_defect
+from .properties import (
+    PROPERTIES,
+    Status,
+    Verdict,
+    Witness,
+    _require_known,
+    check_pqd,
+    log_convexity_test,
+    rectangle_defect,
+)
 
 __all__ = [
     "GeneratorSpec",
@@ -664,9 +673,7 @@ def _dtp2_second_difference(spec, xs, grid):
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):
     """Verdicts of ``props``: the generator classification's, and PQD, which
     follows from LTD when it holds and otherwise falls back to a grid scan."""
-    for prop in props:
-        if prop not in PROPERTIES:
-            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    _require_known(props)
     table = classify_archimedean(spec, grid)
     if "pqd" in props:
         if table["ltd"].status is Status.HOLDS:

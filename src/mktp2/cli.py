@@ -28,6 +28,7 @@ from .grids import GridConfig, Rectangle
 from .properties import (
     PROPERTIES,
     Status,
+    Witness,
     _band,
     _grid_eval,
     counterexample_search,
@@ -168,12 +169,7 @@ def cmd_check(args):
                 "status": status.value,
                 "method": "rectangle",
                 "certificate": {"method": "rectangle", "rect": list(rect.as_tuple())},
-                "witness": {
-                    "kind": "rectangle",
-                    "points": list(rect.as_tuple()),
-                    "values": [float(x) for x in values],
-                    "defect": float(defect),
-                },
+                "witness": Witness(rect.as_tuple(), values, defect, "rectangle").describe(),
             }
         )
     else:

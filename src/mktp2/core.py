@@ -17,7 +17,7 @@ is called, so a process that builds no Gaussian copula never loads SciPy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,10 +44,14 @@ class Copula:
     cdf: Callable
     kernel: Callable
     density: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
 
     def __repr__(self):
         return f"Copula({self.label})"
+
+
+# points per combine of a pointwise call: the preps and the combine's
+# temporaries of a chunk stay near 2 MB, whatever the number of points
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,8 @@ class Form:
     broadcasts, so a grid or the sampler can prep an axis once.  Calling a
     form broadcasts u and v, preps and combines (a float for scalar input).
     Each combine does the pointwise formula's float operations in its order,
-    so every path gives the same bits.
+    so every path gives the same bits; a call on more than 2^14 points
+    combines them 2^14 at a time.
 
     ``symmetric`` declares that the form at (a, b) has the bits of the form
     at (b, a), for every a and b; a square grid then needs only the values
@@ -72,7 +77,14 @@ class Form:
 
     def __call__(self, u, v):
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        out = self.combine(self.prep_u(uu), self.prep_v(vv))
+        if uu.size <= _CHUNK:
+            out = self.combine(self.prep_u(uu), self.prep_v(vv))
+        else:
+            out = np.empty(uu.shape)
+            flat = out.reshape(-1)
+            for i in range(0, uu.size, _CHUNK):
+                at = slice(i, i + _CHUNK)
+                flat[at] = self.combine(self.prep_u(uu.flat[at]), self.prep_v(vv.flat[at]))
         return float(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
 
@@ -151,7 +163,6 @@ def make_frechet(alpha, beta):
         cdf=Form(cdf),
         kernel=Form(kernel),
         density=density,
-        params={"alpha": alpha, "beta": beta},
     )
 
 
@@ -180,7 +191,6 @@ def make_fgm(theta):
         cdf=Form(cdf),
         kernel=Form(kernel),
         density=Form(density),
-        params={"theta": theta},
     )
 
 
@@ -241,5 +251,4 @@ def make_gaussian(rho):
         cdf=Form(cdf, cdf_prep, cdf_prep, symmetric=True),
         kernel=Form(kernel, kernel_u, prep),
         density=Form(density, density_prep, density_prep),
-        params={"rho": rho},
     )

@@ -30,7 +30,7 @@ import numpy as np
 from .core import Copula, Form, param_text
 from .errors import SearchFailed, ValidationError
 from .grids import DEFAULT_GRID, JUMP_DELTAS, JUMP_TOL, Rectangle, bisect, corners, persistent_jumps, runs
-from .properties import PROPERTIES, Status, Verdict, Witness, check_dtp2, check_mktp2
+from .properties import PROPERTIES, Status, Verdict, Witness, _require_known, check_dtp2, check_mktp2
 
 __all__ = [
     "PickandsSpec",
@@ -550,6 +550,13 @@ def evc_copula(spec):
     density = None
     if spec.absolutely_continuous and spec.second is not None:
 
+        # on the edges of the square a log is -inf or 0, and the density's
+        # terms there divide and multiply them into inf or NaN
+        @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+        def density_prep(p):
+            return np.log(p)
+
+        @np.errstate(divide="ignore", invalid="ignore", over="ignore")
         def density_combine(lu, lv):
             ell = lu + lv
             h = lu / ell
@@ -560,14 +567,13 @@ def evc_copula(spec):
             dd = np.asarray(spec.second(h), dtype=float)
             return np.exp(a * ell - lu - lv) * (f * g + h * (1.0 - h) * dd / (-ell))
 
-        density = Form(density_combine, np.log, np.log)
+        density = Form(density_combine, density_prep, density_prep)
 
     return Copula(
         label=spec.label,
         cdf=Form(cdf, _log_prep, _log_prep),
         kernel=_kernel_form(spec),
         density=density,
-        params=dict(spec.params),
     )
 
 
@@ -1032,9 +1038,7 @@ def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):
     Only MK-TP2 runs the decision tree and only D-TP2 scans a grid; PQD, LTD,
     SI and TP2 hold for every EVC.
     """
-    for prop in props:
-        if prop not in PROPERTIES:
-            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    _require_known(props)
     table = {}
     for prop in props:
         if prop == "mktp2":

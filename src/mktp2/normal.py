@@ -21,20 +21,21 @@ of whose terms are at most 1/2 Q(bh).
 Phi2 is split the way a grid uses it: :func:`bvn_prep` computes what
 depends on one argument (once per grid axis), and :func:`bvn_combine` does
 only the work of each point, whatever the shapes it broadcasts.
-:func:`bivariate_normal_cdf` runs both on its arguments elementwise.
+:func:`bivariate_normal_cdf` runs both on its finite arguments as a
+:class:`~mktp2.core.Form`, whose call takes them in chunks.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy import special
 
+from .core import Form
 from .errors import ValidationError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# points per chunk of an elementwise Phi2: each chunk's two preps and the
-# combine's temporaries stay near 2 MB, whatever the number of points
-_CHUNK = 1 << 14
 
 
 def std_normal_cdf(x):
@@ -105,13 +106,9 @@ def bivariate_normal_cdf(a, b, rho):
     scalar = a.ndim == 0 and b.ndim == 0
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
     finite = np.isfinite(a) & np.isfinite(b)
-    h, k = a[finite], b[finite]
-    phi2 = np.empty(h.shape)
-    for i in range(0, h.size, _CHUNK):
-        at = slice(i, i + _CHUNK)
-        phi2[at] = bvn_combine(bvn_prep(h[at], rho), bvn_prep(k[at], rho), rho)
+    prep = partial(bvn_prep, rho=rho)
     out = np.empty(a.shape)
-    out[finite] = phi2
+    out[finite] = Form(partial(bvn_combine, rho=rho), prep, prep)(a[finite], b[finite])
     # +-inf arguments bypass the closed form: Phi2 degenerates to a marginal
     out[~finite] = np.minimum(std_normal_cdf(a[~finite]), std_normal_cdf(b[~finite]))
     return float(out[0]) if scalar else out

@@ -121,6 +121,13 @@ def _band(defect, tol_eq, tol_strict):
     return Status.HOLDS
 
 
+def _require_known(props):
+    """Raise a :class:`ValidationError` naming the first of ``props`` not in :data:`PROPERTIES`."""
+    for prop in props:
+        if prop not in PROPERTIES:
+            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+
+
 _GRID_BAND_NOTE = "defect inside the tolerance band (tol_eq, tol_strict]"
 
 
@@ -169,55 +176,6 @@ def _prep_slice(prep, index):
     return prep[index] if isinstance(prep, np.ndarray) else tuple(p[index] for p in prep)
 
 
-class _UpperValues:
-    """The values a mirrored :func:`_row_stream` computes above its row blocks'
-    diagonal squares, held until the later block whose columns they are.
-
-    Block m of :func:`_row_blocks` (rows ``b0:b1``) reads its columns left of
-    ``b0`` as the transpose of ``C[:b0, b0:b1]``, which earlier blocks
-    computed.  That piece is stored whole in ``(b0, b1 - b0)`` row-major
-    order, and the pieces follow one another in block order, in one private
-    anonymous map of :func:`_grid_buffer` (the n^2 / 2 values above the
-    diagonal squares, 4 MB at 1024^2).  A block writes its rows of every
-    later block's piece, and reads its own piece once; the whole pages below
-    the end of that piece are then returned to the system.  So the values
-    held are those a later block still reads, at most about n^2 / 4 (2 MB at
-    1024^2) once pages are returned, and the map goes when the stream ends.
-    """
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-        self.ends = np.cumsum([r0 * (r1 - r0) for r0, r1 in blocks]).tolist()
-        self.values = _grid_buffer(1, self.ends[-1])[0]
-        self.map = self.values.base
-        while self.map is not None and not isinstance(self.map, mmap.mmap):
-            self.map = self.map.obj if isinstance(self.map, memoryview) else self.map.base
-        if self.map is not None and hasattr(mmap, "MADV_NOHUGEPAGE"):
-            # pages are filled a block at a time and returned once read: a huge
-            # page would hold 2 MB from the first value written to it
-            self.map.madvise(mmap.MADV_NOHUGEPAGE)
-        self.dropped = 0
-
-    def piece(self, m):
-        b0, b1 = self.blocks[m]
-        return self.values[self.ends[m] - b0 * (b1 - b0) : self.ends[m]].reshape(b0, b1 - b0)
-
-    def put(self, k, rows):
-        """Store ``rows``, block ``k``'s values from column ``r0`` on, in each later block's piece."""
-        r0, r1 = self.blocks[k]
-        for m in range(k + 1, len(self.blocks)):
-            b0, b1 = self.blocks[m]
-            self.piece(m)[r0:r1] = rows[:, b0 - r0 : b1 - r0]
-
-    def take(self, k, out):
-        """Write block ``k``'s columns left of its first row into ``out`` and drop them."""
-        out[:] = self.piece(k).T
-        stop = self.ends[k] * 8 // mmap.PAGESIZE * mmap.PAGESIZE
-        if self.map is not None and stop > self.dropped and hasattr(mmap, "MADV_DONTNEED"):
-            self.map.madvise(mmap.MADV_DONTNEED, self.dropped, stop - self.dropped)
-            self.dropped = stop
-
-
 def _row_stream(fn, us, vs, whole=None):
     """Yield ``(start, fresh, block)``: ``fn`` on the grid ``us`` x ``vs``, one row block
     of :func:`_row_blocks` at a time, as grid rows ``start`` onwards.  Row 0
@@ -233,9 +191,13 @@ def _row_stream(fn, us, vs, whole=None):
     A form declared ``symmetric`` on a square grid (``us`` equal to ``vs``)
     is mirrored: each block combines only its columns from its own first row
     on, and takes the columns left of it, by transposition, from the values
-    earlier blocks computed: from ``whole``, or else from :class:`_UpperValues`.
-    That halves the evaluations at 1024^2 (and an error may name the
-    mirror image of the point).
+    earlier blocks computed.  That halves the evaluations at 1024^2 (and an
+    error may name the mirror image of the point).  Those values come from
+    ``whole``, or else from block m's piece ``C[:b0, b0:b1]`` (rows ``b0:b1``),
+    a :func:`_grid_buffer` of its own: each earlier block writes its rows
+    into every later piece, and a piece is dropped, and unmapped, once its
+    block has copied it in.  So the values held are those a later block
+    still reads, at most about n^2 / 4 (2 MB at 1024^2).
     """
     form = as_form(fn)
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
@@ -243,7 +205,7 @@ def _row_stream(fn, us, vs, whole=None):
     pv = form.prep_v(vs[None, :])
     blocks = _row_blocks(len(us), len(vs))
     mirror = form.symmetric and len(blocks) > 1 and np.array_equal(us.view(np.int64), vs.view(np.int64))
-    upper = _UpperValues(blocks) if mirror and whole is None else None
+    pieces = [_grid_buffer(b0, b1 - b0) for b0, b1 in blocks[1:]] if mirror and whole is None else None
     buf, last = None, 0
     for k, (r0, r1) in enumerate(blocks):
         c0 = r0 if mirror else 0
@@ -260,30 +222,35 @@ def _row_stream(fn, us, vs, whole=None):
         buf[0] = buf[last]
         last = r1 - r0
         buf[1 : 1 + last, c0:] = values
-        if upper is not None:
-            upper.take(k, buf[1 : 1 + last, :c0])
-            upper.put(k, values)
+        if pieces is not None:
+            if c0:
+                buf[1 : 1 + last, :c0] = pieces.pop(0).T
+            for m, (b0, b1) in enumerate(blocks[k + 1 :]):
+                pieces[m][r0:r1] = values[:, b0 - r0 : b1 - r0]
         yield r0 - fresh, fresh, buf[1 - fresh : 1 + last]
 
 
 def _grid_buffer(n_u, n_v):
     """A float ``(n_u, n_v)`` array in a private anonymous memory map of its own.
 
-    A whole grid (8 MB at 1024^2), or the values a mirrored stream keeps
-    (:class:`_UpperValues`), is the one large array a scan holds across
-    many small allocations.  From the malloc heap it would be reused in place
-    by the next grid unless a long-lived object had landed in its space, in
-    which case the heap grows by another grid; which of the two happens
-    varies from one process to the next.  Its own map is returned to the
-    system when the array is dropped, so peak memory does not depend on the
-    heap's layout.  Where the platform has them the map asks for huge pages,
-    as NumPy does for its own large arrays, so a fresh grid costs a few page
-    faults rather than one per 4 KB.
+    A whole grid (8 MB at 1024^2), or a piece a mirrored :func:`_row_stream`
+    keeps for a later block, is a large array held across many small
+    allocations.  From the malloc heap it would be reused in place by the
+    next one unless a long-lived object had landed in its space, in which
+    case the heap grows by another grid; which of the two happens varies
+    from one process to the next.  Its own map is returned to the system
+    when the array is dropped, so peak memory does not depend on the heap's
+    layout.  A map of at least 2 MiB asks for huge pages where the platform
+    has them, as NumPy does for its own large arrays, so a fresh grid costs
+    a few page faults rather than one per 4 KB.  Smaller maps do not: the
+    system merges adjacent maps with the same advice, and the pieces would
+    then fault in 2 MB at a time.
     """
     if not hasattr(mmap, "MAP_PRIVATE"):  # no private anonymous maps (Windows)
         return np.empty((n_u, n_v))
-    buf = mmap.mmap(-1, n_u * n_v * 8, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
+    size = n_u * n_v * 8
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    if size >= 1 << 21 and hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype=float).reshape(n_u, n_v)
 
@@ -764,9 +731,7 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
     makes a verdict ``inconclusive``; a copula without a density makes
     ``dtp2`` not applicable.
     """
-    for prop in props:
-        if prop not in _TABLE:
-            raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    _require_known(props)
     u1, u2, v1, v2 = (None,) * 4 if region is None else region.as_tuple()
     us, vs = grid.u_axis(u1, u2), grid.v_axis(v1, v2)
     found = _scan(copula, props, us, vs, grid, certify=True)
@@ -874,8 +839,7 @@ def counterexample_search(copula, prop, grid=DEFAULT_GRID, stages=(64, 256, 1024
     zooms on the worst defect seen so far.  Returns the most violating
     witness found, or a budget-qualified holds verdict.
     """
-    if prop not in PROPERTIES:
-        raise ValidationError(f"unknown property {prop!r}")
+    _require_known((prop,))
     if prop == "dtp2" and copula.density is None:
         return Verdict(
             Status.NOT_APPLICABLE,
@@ -919,6 +883,7 @@ def rectangle_defect(copula, prop, rect):
     (ltd, si) use [u1, u2] at v = v1.  Returns ``(defect, values)`` with the
     convention that positive defect means violation.
     """
+    _require_known((prop,))
     u1, u2, v1, v2 = rect.as_tuple()
     if prop == "pqd":
         c = float(copula.cdf(u1, v1))
@@ -931,10 +896,8 @@ def rectangle_defect(copula, prop, rect):
         k1 = float(copula.kernel(u1, v1))
         k2 = float(copula.kernel(u2, v1))
         return k2 - k1, (k1, k2)
-    if prop in ("tp2", "mktp2", "dtp2"):
-        fn = getattr(copula, _TABLE[prop].quantity)
-        if fn is None:
-            raise DomainError(f"{copula.label} exposes no density")
-        f11, f12, f21, f22 = values = corners(fn, rect)
-        return f12 * f21 - f11 * f22, values
-    raise ValidationError(f"unknown property {prop!r}")
+    fn = getattr(copula, _TABLE[prop].quantity)
+    if fn is None:
+        raise DomainError(f"{copula.label} exposes no density")
+    f11, f12, f21, f22 = values = corners(fn, rect)
+    return f12 * f21 - f11 * f22, values

@@ -8,6 +8,8 @@ library's answer by it, or test a shape (log-concavity, 2-increasingness)
 that no command reads.
 """
 
+import re
+
 import numpy as np
 
 from mktp2.archimedean import GeneratorSpec
@@ -54,9 +56,11 @@ def kernel_u_jumps(spec):
         if not ts:
             return None
         return lambda v: tuple(sorted(float(v) ** (t / (1.0 - t)) for t in ts))
-    # a Frechet mixture's M part jumps at u = v, its W part at u = 1 - v
+    # a Frechet mixture's M part jumps at u = v, its W part at u = 1 - v; its
+    # label writes each weight as text that reads back as that weight
+    weights = {name: float(text) for name, text in re.findall(r"(alpha|beta)=([^,)]+)", spec.label)}
     alpha, beta = {"M": (1.0, 0.0), "W": (0.0, 1.0)}.get(
-        spec.label, (spec.params.get("alpha", 0.0), spec.params.get("beta", 0.0))
+        spec.label, (weights.get("alpha", 0.0), weights.get("beta", 0.0))
     )
     if alpha == 0.0 and beta == 0.0:
         return None

@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from conftest import ALL_FAMILIES
 from mktp2.cli import main
 from mktp2.core import as_form
 from mktp2.properties import PROPERTIES, _grid_eval
-from mktp2.registry import build
+from mktp2.registry import build, family_names
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GRID = "64"
@@ -180,6 +181,40 @@ def test_boundary_values_match_golden(family):
         form = as_form(fn)
         uu, vv = (a.ravel() for a in np.meshgrid(BOUNDARY, BOUNDARY, indexing="ij"))
         assert _hexes(lambda: form.combine(form.prep_u(uu), form.prep_v(vv))) == want["array"], case
+
+
+# every registry family: those of ALL_FAMILIES and the parameterless rest
+REGISTRY_FAMILIES = ALL_FAMILIES + [(name, None) for name in family_names() if name not in dict(ALL_FAMILIES)]
+
+
+@pytest.mark.parametrize("family", REGISTRY_FAMILIES, ids=_family_ids)
+def test_chunked_calls_match_one_combine(family):
+    # a call on more than 2^14 points combines them 2^14 at a time
+    rng = np.random.default_rng(17)
+    edges = [a.ravel() for a in np.meshgrid(BOUNDARY, BOUNDARY, indexing="ij")]
+    scattered = [np.concatenate([rng.uniform(size=3 * 2**14 + 5), edge]) for edge in edges]
+    crossed = [rng.uniform(size=(200, 1)), np.append(rng.uniform(size=244), BOUNDARY)[None, :]]
+    for case, fn in _quantities(*family):
+        form = as_form(fn)
+        for u, v in (scattered, crossed):
+            uu, vv = np.broadcast_arrays(u, v)
+            want = _hexes(lambda: form.combine(form.prep_u(uu), form.prep_v(vv)))
+            assert _hexes(lambda: fn(u, v)) == want, case
+
+
+EVC_DENSITIES = [f for f in REGISTRY_FAMILIES if (b := build(*f))[0].kind == "evc" and b[2].density is not None]
+
+
+@pytest.mark.parametrize("family", EVC_DENSITIES, ids=_family_ids)
+def test_evc_density_is_quiet_on_the_boundary(family):
+    density = build(*family)[2].density
+    uu, vv = np.meshgrid(BOUNDARY, BOUNDARY, indexing="ij")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density(uu, vv)
+        _grid_eval(density, BOUNDARY, BOUNDARY)
+        for u, v in zip(uu.ravel().tolist(), vv.ravel().tolist()):
+            density(u, v)
 
 
 def _write_lines(path, data):

@@ -13,6 +13,7 @@ and buffers.
 import json
 import mmap
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -190,6 +191,29 @@ def test_mirrored_streams_match_unmirrored_ones(monkeypatch, fn, block_points):
         assert np.array_equal(_bits(_grid_eval(fn, axis, axis)), _bits(want))
         assert np.array_equal(_bits(_streamed(fn, axis, axis)), _bits(want))
         assert np.array_equal(_bits(_streamed(plain, axis, axis)), _bits(want))
+
+
+def test_each_mirrored_piece_has_its_own_map_dropped_once_read(monkeypatch):
+    # block k reads its columns left of its first row from a piece earlier
+    # blocks wrote; the piece goes, and its map with it, once block k has read it
+    monkeypatch.setattr(properties, "BLOCK_POINTS", 4096)
+    cdf = build("gaussian", {"rho": -0.42})[2].cdf
+    axis = GridConfig(n_u=200, n_v=200).u_axis()
+    blocks = _row_blocks(200, 200)
+    shapes, maps = [], []
+    real = properties._grid_buffer
+
+    def spy(n_u, n_v):
+        piece = real(n_u, n_v)
+        shapes.append((n_u, n_v))
+        maps.append(weakref.ref(_memory_map(piece)))
+        return piece
+
+    monkeypatch.setattr(properties, "_grid_buffer", spy)
+    for k, _ in enumerate(_row_stream(cdf, axis, axis)):
+        assert shapes == [(b0, b1 - b0) for b0, b1 in blocks[1:]]
+        assert [ref() is None for ref in maps] == [m < k for m in range(len(maps))], k
+    assert k == len(blocks) - 1 > 1
 
 
 def _counting_owens_t(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from mktp2.core import make_gaussian
 from mktp2.errors import ValidationError
 from mktp2.grids import GridConfig
 from mktp2.normal import bivariate_normal_cdf, bvn_combine, bvn_prep, std_normal_cdf, std_normal_quantile
@@ -140,6 +141,19 @@ def test_grid_evaluation_memory_is_bounded(rho):
         tracemalloc.stop()
     # a 512 x 512 float64 array is 2 MB; a quadrature node axis would multiply that by its node count
     assert peak <= 32 * 2**20
+
+
+def test_pointwise_copula_cdf_memory_is_bounded():
+    # 10^6 scattered points: the 8 MB result and one chunk's preps and temporaries
+    u, v = np.random.default_rng(3).uniform(size=(2, 10**6))
+    cdf = make_gaussian(0.5).cdf
+    tracemalloc.start()
+    try:
+        cdf(u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
