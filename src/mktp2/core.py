@@ -62,8 +62,8 @@ class Form:
     broadcasts, so a grid or the sampler can prep an axis once.  Calling a
     form broadcasts u and v, preps and combines (a float for scalar input).
     Each combine does the pointwise formula's float operations in its order,
-    so every path gives the same bits; a call on more than 2^14 points
-    combines them 2^14 at a time.
+    so every path gives the same bits; a call combines its points 2^14 at
+    a time.
 
     ``symmetric`` declares that the form at (a, b) has the bits of the form
     at (b, a), for every a and b; a square grid then needs only the values
@@ -77,14 +77,11 @@ class Form:
 
     def __call__(self, u, v):
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        if uu.size <= _CHUNK:
-            out = self.combine(self.prep_u(uu), self.prep_v(vv))
-        else:
-            out = np.empty(uu.shape)
-            flat = out.reshape(-1)
-            for i in range(0, uu.size, _CHUNK):
-                at = slice(i, i + _CHUNK)
-                flat[at] = self.combine(self.prep_u(uu.flat[at]), self.prep_v(vv.flat[at]))
+        out = np.empty(uu.shape)
+        flat = out.reshape(-1)
+        for i in range(0, uu.size, _CHUNK):
+            at = slice(i, i + _CHUNK)
+            flat[at] = self.combine(self.prep_u(uu.flat[at]), self.prep_v(vv.flat[at]))
         return float(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
 

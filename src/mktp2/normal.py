@@ -22,7 +22,10 @@ Phi2 is split the way a grid uses it: :func:`bvn_prep` computes what
 depends on one argument (once per grid axis), and :func:`bvn_combine` does
 only the work of each point, whatever the shapes it broadcasts.
 :func:`bivariate_normal_cdf` runs both on its finite arguments as a
-:class:`~mktp2.core.Form`, whose call takes them in chunks.
+:class:`~mktp2.core.Form`, whose call takes them in chunks.  That is why
+this module imports :mod:`mktp2.core`: the chunk rule of every pointwise
+call lives in ``Form.__call__`` alone.  :mod:`mktp2.core` imports this
+module only inside ``make_gaussian``, so loading either never loops.
 """
 
 from __future__ import annotations

@@ -56,10 +56,10 @@ def any_copula(request):
 
 @pytest.fixture(scope="session", params=ALL_FAMILIES, ids=lambda fp: f"{fp[0]}-{fp[1]}")
 def any_family(request):
-    """(spec-or-copula, copula) of every built-in family, as ``registry.build`` gives them."""
+    """(spec-or-copula, copula, params) of every built-in family, as ``registry.build`` gives them."""
     name, params = request.param
     _, spec, copula = build(name, params)
-    return spec, copula
+    return spec, copula, params
 
 
 def random_rectangles(rng, n, lo=0.001, hi=0.999):

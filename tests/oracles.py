@@ -8,8 +8,6 @@ library's answer by it, or test a shape (log-concavity, 2-increasingness)
 that no command reads.
 """
 
-import re
-
 import numpy as np
 
 from mktp2.archimedean import GeneratorSpec
@@ -43,11 +41,12 @@ def zero_level(spec, u):
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_u_jumps(spec):
+def kernel_u_jumps(spec, params=None):
     """v -> the u-locations where ``u -> K(u,[0,v])`` jumps, or None for a smooth kernel.
 
     ``spec`` is what ``registry.build`` returns second: a generator, a
-    Pickands spec, or the copula itself for the core families.
+    Pickands spec, or the copula itself for the core families; ``params``
+    are the parameters it was built with.
     """
     if isinstance(spec, GeneratorSpec):
         return None if spec.strict else (lambda v: (float(zero_level(spec, v)),))
@@ -56,11 +55,10 @@ def kernel_u_jumps(spec):
         if not ts:
             return None
         return lambda v: tuple(sorted(float(v) ** (t / (1.0 - t)) for t in ts))
-    # a Frechet mixture's M part jumps at u = v, its W part at u = 1 - v; its
-    # label writes each weight as text that reads back as that weight
-    weights = {name: float(text) for name, text in re.findall(r"(alpha|beta)=([^,)]+)", spec.label)}
+    # a Frechet mixture's M part jumps at u = v, its W part at u = 1 - v
+    params = params or {}
     alpha, beta = {"M": (1.0, 0.0), "W": (0.0, 1.0)}.get(
-        spec.label, (weights.get("alpha", 0.0), weights.get("beta", 0.0))
+        spec.label, (params.get("alpha", 0.0), params.get("beta", 0.0))
     )
     if alpha == 0.0 and beta == 0.0:
         return None

@@ -177,7 +177,7 @@ def test_criterion_04_kernel_oracles():
 
     for name, params in ALL_FAMILIES:
         _, spec, copula = build(name, params)
-        ok &= max_kernel_fd_mismatch(copula, kernel_u_jumps(spec)) <= 1e-5
+        ok &= max_kernel_fd_mismatch(copula, kernel_u_jumps(spec, params)) <= 1e-5
 
     record(4, "cross-module and finite-difference kernel oracles", ok)
 
@@ -191,7 +191,7 @@ def test_criterion_05_disintegration():
     ok = True
     for name, params in ALL_FAMILIES:
         _, spec, copula = build(name, params)
-        jumps = kernel_u_jumps(spec)
+        jumps = kernel_u_jumps(spec, params)
         worst = max(disintegration_gap(copula, v, jumps) for v in np.arange(0.1, 0.95, 0.1))
         ok &= worst <= 1e-6
     record(5, "kernel integrates back to the uniform marginal (1e-6)", ok)

@@ -112,13 +112,13 @@ def test_kernel_monotone_in_v(any_copula):
 
 
 def test_kernel_matches_cdf_derivative(any_family):
-    spec, copula = any_family
-    assert max_kernel_fd_mismatch(copula, kernel_u_jumps(spec)) <= 1e-5
+    spec, copula, params = any_family
+    assert max_kernel_fd_mismatch(copula, kernel_u_jumps(spec, params)) <= 1e-5
 
 
 def test_disintegration(any_family):
-    spec, copula = any_family
-    jumps = kernel_u_jumps(spec)
+    spec, copula, params = any_family
+    jumps = kernel_u_jumps(spec, params)
     worst = max(disintegration_gap(copula, v, jumps) for v in np.arange(0.1, 0.95, 0.1))
     assert worst <= 1e-6
 
