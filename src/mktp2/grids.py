@@ -122,8 +122,9 @@ def bisect(pred, lo, hi, tol, iters):
     ``tol = 0``: collapsed, so further steps would change nothing), so each
     bracket's result depends only on its own point, never on the others
     bisected with it; the loop stops when every bracket has stopped or after
-    ``iters`` steps.  Brackets of one common width, such as ``[0, 1]``,
-    halve in lockstep and stop at the same step.
+    ``iters`` steps.  Brackets may differ in width and stop at different
+    steps; :func:`mktp2.sampler.sample`, whose brackets of ``[0, 1]`` all
+    halve in lockstep, runs its own loop.
     """
     moving = True
     for _ in range(iters):

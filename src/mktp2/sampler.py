@@ -5,11 +5,14 @@ by monotone bisection.  Because v -> K(u, [0, v]) is non-decreasing and
 right-continuous, the bisection limit is the generalized inverse: atoms of
 the conditional law (kernels with jumps, e.g. Marshall-Olkin) receive their
 mass exactly, and flat stretches resolve to their left endpoint.  The kernel
-runs in its per-axis form (:class:`~mktp2.core.Form`): u is prepped once per
-batch, and each of the 34 bisection steps preps only its midpoints in v.
+runs in its per-axis form (:class:`~mktp2.core.Form`): the draws go 2^14 at
+a time, each chunk's u is prepped once, and each of the 34 bisection steps
+preps only the chunk's midpoints in v.  So the working set stays near 2 MB
+whatever n is; the (n, 2) result is the only array that grows with it.
 
 The generator is Philox (counter-based, 64-bit, stream-stable across
-platforms), so a (seed, copula, n) triple reproduces a batch bit for bit.
+platforms), so a (seed, copula, n) triple reproduces a batch bit for bit;
+drawing it in chunks gives the numbers of one whole-batch draw.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_form
+from .core import _CHUNK, as_form
 from .errors import ValidationError
-from .grids import bisect
 
 __all__ = [
     "MAX_SAMPLES",
@@ -30,14 +32,13 @@ __all__ = [
     "write_grid_csv",
 ]
 
-# bisection of [0, 1] halves the bracket exactly, so it reaches the tolerance
-# after 34 steps, well inside the cap
+# every bracket of [0, 1] halves exactly in lockstep, so all reach this width
+# after the same 34 steps
 _BISECT_TOL = 1e-10
-_BISECT_CAP = 200
 
-# memory grows linearly with n: a million samples add 115-135 MB for an
-# Archimedean or EVC kernel (the most; 50-90 MB for the others), so the
-# bound keeps a batch near 1.4 GB
+# only the (n, 2) result grows with n, by 16 bytes a sample: a million
+# samples peak near 53 MB of RSS (31 MB after import; 71 MB for a Gaussian,
+# which loads SciPy), so the bound keeps a batch under 200 MB
 MAX_SAMPLES = 10_000_000
 
 # Philox takes a 128-bit key
@@ -72,15 +73,19 @@ def sample(copula, n, seed):
     if not 0 <= seed < _SEED_BOUND:
         raise ValidationError(f"need 0 <= seed < 2**128, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.random((n, 2))
-    u = draws[:, 0]
-    w = draws[:, 1]
-
     kernel = as_form(copula.kernel)
-    pu = kernel.prep_u(u)
-    take = lambda mid: np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
-    _, hi = bisect(take, np.zeros(n), np.ones(n), _BISECT_TOL, _BISECT_CAP)
-    points = np.column_stack([u, hi])
+    points = np.empty((n, 2))
+    for start in range(0, n, _CHUNK):
+        u, w = rng.random((min(_CHUNK, n - start), 2)).T
+        pu = kernel.prep_u(u)
+        # lo and the width 2 * half are dyadic, so lo + half is the exact midpoint
+        lo, half = np.zeros(u.size), 0.5
+        while 2.0 * half > _BISECT_TOL:
+            mid = lo + half
+            lo = np.where(np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w, lo, mid)
+            half *= 0.5
+        points[start : start + u.size, 0] = u
+        points[start : start + u.size, 1] = lo + 2.0 * half
     return SampleBatch(points=points, seed=seed, n=n, label=copula.label)
 
 

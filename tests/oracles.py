@@ -3,7 +3,7 @@
 No command or classifier runs these; they re-derive a quantity by an
 independent route (quadrature of the kernel, finite differences of the CDF,
 a telescoping product of the h-map, empirical distributions of a sample,
-every rectangle of the MK-TP2 span sweep) so tests can bound or match the
+every rectangle of the MK-TP2 span sweep, a whole-batch kernel inversion) so tests can bound or match the
 library's answer by it, or test a shape (log-concavity, 2-increasingness)
 that no command reads.
 """
@@ -11,9 +11,10 @@ that no command reads.
 import numpy as np
 
 from mktp2.archimedean import GeneratorSpec
+from mktp2.core import as_form
 from mktp2.errors import ValidationError
 from mktp2.extreme_value import PickandsSpec, h_map
-from mktp2.grids import DEFAULT_GRID, corners
+from mktp2.grids import DEFAULT_GRID, bisect, corners
 from mktp2.properties import (
     Status,
     Verdict,
@@ -279,3 +280,20 @@ def marginal_ks(batch):
         d_minus = np.max(x - (k - 1) / batch.n)
         out.append(float(max(d_plus, d_minus)))
     return tuple(out)
+
+
+def whole_batch_sample(copula, n, seed):
+    """The points of ``sampler.sample(copula, n, seed)`` by one whole-batch inversion.
+
+    All n draws come from one Philox call, u is prepped once for the batch,
+    and :func:`mktp2.grids.bisect` runs n brackets of [0, 1] to width 1e-10
+    (34 steps); the result is the (n, 2) array of u and each bracket's top.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = rng.random((n, 2))
+    u, w = draws[:, 0], draws[:, 1]
+    kernel = as_form(copula.kernel)
+    pu = kernel.prep_u(u)
+    take = lambda mid: np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
+    _, hi = bisect(take, np.zeros(n), np.ones(n), 1e-10, 200)
+    return np.column_stack([u, hi])

@@ -4,7 +4,8 @@ values of every built-in family's quantities.
 
 The files under ``tests/golden/`` pin verdicts, witnesses and report bytes;
 ``sample_digests.json`` the sha256 of the ``sample --n 5000 --seed 7`` CSV of
-each family; ``grid_digests.json`` the sha256 of the ``grid-export --grid 64``
+each family, and of sample sizes around the sampler's 2^14-draw chunks;
+``grid_digests.json`` the sha256 of the ``grid-export --grid 64``
 CSV of each family's cdf, kernel, density (where present) and FA (EVC only),
 uniform and logit; and ``boundary_values.json`` the hex bits (or the error
 text) of each family's cdf, kernel and density at every (u, v) with u, v in
@@ -44,7 +45,13 @@ WITNESS_FAMILIES = [
     ("evc-log", None),
 ]
 SAMPLE_DIGESTS = GOLDEN_DIR / "sample_digests.json"
-SAMPLE_ARGS = ("--n", "5000", "--seed", "7")
+SAMPLE_N = 5000
+SAMPLE_SEED = "7"
+# 3 * 2^14 + 5 draws take four sampler chunks, the last one partial; n = 1 and
+# either side of one chunk's end run on a Gaussian and a Marshall-Olkin kernel
+CHUNKS_N = 3 * 2**14 + 5
+EDGE_NS = (1, 2**14, 2**14 + 1)
+EDGE_FAMILIES = ("gaussian", "mo")
 GRID_DIGESTS = GOLDEN_DIR / "grid_digests.json"
 BOUNDARY_VALUES = GOLDEN_DIR / "boundary_values.json"
 BOUNDARY = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0])
@@ -72,8 +79,13 @@ def _witness_path(name, params):
     return GOLDEN_DIR / f"witness_mktp2_{_family_key(name, params)}.json"
 
 
-def _sample_digest(name, params, path):
-    argv = ["sample", "--family", name, "--param", _param_text(params), *SAMPLE_ARGS, "--out", str(path)]
+def _sample_key(name, params, n):
+    return _family_key(name, params) + ("" if n == SAMPLE_N else f"/n{n}")
+
+
+def _sample_digest(name, params, path, n=SAMPLE_N):
+    argv = ["sample", "--family", name, "--param", _param_text(params), "--n", str(n), "--seed", SAMPLE_SEED]
+    argv += ["--out", str(path)]
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -162,6 +174,19 @@ def test_sample_csv_matches_golden_digest(tmp_path, family):
     assert _sample_digest(name, params, tmp_path / "sample.csv") == digests[_family_key(name, params)]
 
 
+# every registry family: those of ALL_FAMILIES and the parameterless rest
+REGISTRY_FAMILIES = ALL_FAMILIES + [(name, None) for name in family_names() if name not in dict(ALL_FAMILIES)]
+# (name, params, n) of the digests at the sampler's chunk boundaries
+CHUNK_SAMPLES = [(*f, CHUNKS_N) for f in REGISTRY_FAMILIES]
+CHUNK_SAMPLES += [(*f, n) for f in ALL_FAMILIES if f[0] in EDGE_FAMILIES for n in EDGE_NS]
+
+
+@pytest.mark.parametrize("case", CHUNK_SAMPLES, ids=lambda c: f"{_family_ids(c[:2])}-n{c[2]}")
+def test_sample_chunk_boundaries_match_golden_digest(tmp_path, case):
+    digests = json.loads(SAMPLE_DIGESTS.read_text())
+    assert _sample_digest(*case[:2], tmp_path / "sample.csv", case[2]) == digests[_sample_key(*case)]
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=_family_ids)
 def test_grid_export_csv_matches_golden_digest(tmp_path, family):
     digests = json.loads(GRID_DIGESTS.read_text())
@@ -181,10 +206,6 @@ def test_boundary_values_match_golden(family):
         form = as_form(fn)
         uu, vv = (a.ravel() for a in np.meshgrid(BOUNDARY, BOUNDARY, indexing="ij"))
         assert _hexes(lambda: form.combine(form.prep_u(uu), form.prep_v(vv))) == want["array"], case
-
-
-# every registry family: those of ALL_FAMILIES and the parameterless rest
-REGISTRY_FAMILIES = ALL_FAMILIES + [(name, None) for name in family_names() if name not in dict(ALL_FAMILIES)]
 
 
 @pytest.mark.parametrize("family", REGISTRY_FAMILIES, ids=_family_ids)
@@ -235,6 +256,8 @@ if __name__ == "__main__":
                 assert main(["classify", "--family", name, "--param", _param_text(params), "--grid", GRID]) == 0
             _golden_path(name, params).write_text(buf.getvalue())
             digests[_family_key(name, params)] = _sample_digest(name, params, Path(scratch) / "sample.csv")
+        for name, params, n in CHUNK_SAMPLES:
+            digests[_sample_key(name, params, n)] = _sample_digest(name, params, Path(scratch) / "sample.csv", n)
         for name, params in WITNESS_FAMILIES:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):

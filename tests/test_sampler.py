@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mktp2.archimedean import arch_copula, make_generator
 from mktp2.core import make_baseline
-from mktp2.errors import ValidationError
+from mktp2.errors import NumericalError, ValidationError
 from mktp2.grids import GridConfig
 from mktp2.registry import build
 from mktp2.sampler import MAX_SAMPLES, sample, write_csv
-from oracles import empirical_cdf_distance, marginal_ks
+from oracles import empirical_cdf_distance, marginal_ks, whole_batch_sample
 
 GRID = GridConfig()
 
@@ -111,3 +113,67 @@ def test_csv_format(tmp_path):
     assert (u0, v0) == (batch.points[0, 0], batch.points[0, 1])
     # 17 significant digits survive a round trip
     assert f"{batch.points[0, 0]:.17g}" in lines[1]
+
+
+def _plain(kernel):
+    """A copula whose kernel is a plain callable, not a per-axis form."""
+    return replace(make_baseline("pi"), label="plain", kernel=kernel)
+
+
+def _fgm_kernel(u, v):
+    return v * (1.0 + 0.7 * (1.0 - v) * (1.0 - 2.0 * u))
+
+
+def _kernel_with_nan(u, v):
+    # NaN on the strip u < 1/4, v > 1/2: a NaN kernel value moves the bracket's bottom
+    return np.where((u < 0.25) & (v > 0.5), np.nan, v * v)
+
+
+UNREGISTERED = {
+    "phi-only-clayton": lambda: arch_copula(
+        make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -2.0) - 1.0) / 2.0)
+    ),
+    "plain-fgm": lambda: _plain(_fgm_kernel),
+    "nan-strip": lambda: _plain(_kernel_with_nan),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 5])
+@pytest.mark.parametrize("kernel", list(UNREGISTERED))
+def test_chunked_sample_matches_whole_batch_inversion(kernel, n):
+    copula = UNREGISTERED[kernel]()
+    points = sample(copula, n, 2024).points
+    assert points.tobytes() == whole_batch_sample(copula, n, 2024).tobytes()
+
+
+def test_strict_zero_denominator_error_names_the_first_offender_in_a_later_chunk():
+    n, seed = 3 * 2**14 + 5, 5
+    u = np.random.Generator(np.random.Philox(key=seed)).random((n, 2))[:, 0]
+    cut = float(u[: 2**14].min())
+    assert u.min() < cut  # the first offender lies past the first chunk
+    spec = make_generator(
+        phi=lambda t: -np.log(np.asarray(t, dtype=float)),
+        psi=lambda x: np.exp(-np.asarray(x, dtype=float)),
+        d_minus_psi=lambda x: np.where(np.asarray(x) > -np.log(cut), 0.0, -np.exp(-np.asarray(x, dtype=float))),
+        strict=True,
+    )
+    copula = arch_copula(spec)
+    with pytest.raises(NumericalError) as want:
+        whole_batch_sample(copula, n, seed)
+    with pytest.raises(NumericalError) as got:
+        sample(copula, n, seed)
+    assert str(got.value) == str(want.value)
+
+
+def test_sampler_working_set_does_not_grow_with_the_batch():
+    _, _, copula = build("evc-log")
+    n = 2**18
+    tracemalloc.start()
+    try:
+        batch = sample(copula, n, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.points.nbytes == 4 * 2**20
+    # the (n, 2) result plus one chunk's draws, preps and temporaries
+    assert peak <= 10 * 2**20, peak / 2**20
