@@ -3,9 +3,9 @@
 No command or classifier runs these; they re-derive a quantity by an
 independent route (quadrature of the kernel, finite differences of the CDF,
 a telescoping product of the h-map, empirical distributions of a sample,
-every rectangle of the MK-TP2 span sweep, a whole-batch kernel inversion) so tests can bound or match the
-library's answer by it, or test a shape (log-concavity, 2-increasingness)
-that no command reads.
+every rectangle of the MK-TP2 span sweep, a whole-batch kernel inversion)
+so tests can bound or match the library's answer by it, or test a shape
+(log-concavity, 2-increasingness) that no command reads.
 """
 
 import numpy as np
