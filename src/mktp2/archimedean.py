@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Copula, Form, param_text
 from .errors import NumericalError, ValidationError
-from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, persistent_jumps
+from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, bisect_unit, persistent_jumps
 from .properties import (
     PROPERTIES,
     Status,
@@ -230,8 +230,8 @@ def make_generator(
         def psi(x, _phi=phi, _cap=cap):
             x = np.asarray(x, dtype=float)
             # phi decreasing: psi(x) solves phi(t) = x; 0 beyond phi(0)
-            t = _bisect_increasing(lambda s: -np.asarray(_phi(s), dtype=float), -x, 0.0, 1.0)
-            out = np.where(x >= _cap, 0.0, t)
+            lo, half = bisect_unit(lambda s: np.asarray(_phi(s), dtype=float) <= x, x.shape, 1e-12)
+            out = np.where(x >= _cap, 0.0, lo + half)
             return np.where(x <= 0.0, 1.0, out)
 
         if d_minus_psi is None:

@@ -12,8 +12,8 @@ from .errors import ValidationError
 # twice the largest grid any search stage uses; one (n, n) float64 array
 # then takes 32 MB.  Grids are evaluated and scanned in row blocks: the cdf
 # and the density are never held whole, so only MK-TP2 holds a grid, its
-# kernel grid for the span sweep, with the sweep's one-byte-per-point mask
-# and block-sized temporaries (9-10 MB traced at 1024^2, 8 MB of it the grid)
+# kernel grid for the span sweep, with the sweep's block-sized buffers and
+# tile bounds (under 9 MB at 1024^2, 8 MB of it the grid)
 MAX_GRID = 2048
 
 
@@ -123,8 +123,9 @@ def bisect(pred, lo, hi, tol, iters):
     bracket's result depends only on its own point, never on the others
     bisected with it; the loop stops when every bracket has stopped or after
     ``iters`` steps.  Brackets may differ in width and stop at different
-    steps; :func:`mktp2.sampler.sample`, whose brackets of ``[0, 1]`` all
-    halve in lockstep, runs its own loop.
+    steps: its callers are the searches of :mod:`mktp2.extreme_value` and
+    :func:`mktp2.archimedean._bisect_increasing`.  Brackets that all start
+    at ``[0, 1]`` halve in lockstep and take :func:`bisect_unit` instead.
     """
     moving = True
     for _ in range(iters):
@@ -136,6 +137,24 @@ def bisect(pred, lo, hi, tol, iters):
         if not np.any(moving):
             break
     return lo, hi
+
+
+def bisect_unit(pred, shape, tol):
+    """Bisection of ``[0, 1]`` at every point of ``shape`` in lockstep; returns ``(lo, half)``.
+
+    Where ``pred(mid)`` is true the bracket keeps its lower half, elsewhere
+    (a NaN included) its upper half.  Every bracket is ``[lo, lo + 2 * half]``
+    and halves at each step, until its width is at most ``tol``.  ``lo`` and
+    the width are dyadic, so ``lo + half`` is the exact midpoint: each point
+    gets the bits :func:`bisect` gives it from ``[0, 1]`` with the same
+    ``tol``, with no per-bracket masks.
+    """
+    lo, half = np.zeros(shape), 0.5
+    while 2.0 * half > tol:
+        mid = lo + half
+        lo = np.where(pred(mid), lo, mid)
+        half *= 0.5
+    return lo, half
 
 
 def corners(fn, rect):

@@ -160,7 +160,7 @@ BLOCK_POINTS = 32768
 # times the full sweep, against 1.06 with 32)
 TILE = 32
 # tiles per chunk of the span sweep's bound pass: 32 KB of float64 per
-# array, so the pass adds little to the sweep's mask and buffers; every span
+# array, so the pass adds little to the sweep's block buffers; every span
 # pair of a 256^2 grid fits one chunk, whose bounds the sweep then keeps
 BOUND_CHUNK = 4096
 
@@ -443,10 +443,11 @@ def _tile_bounds(hi, lo, shape, sus, svs):
     return bound
 
 
-def _live_columns(bound, best):
+def _live_columns(bound, best, strict):
     """``(first, last)``: per tile row, the first and last tile column whose bound is
-    not below ``best`` (``first > last`` when there is none)."""
-    live = bound >= best
+    above ``best``, or with ``strict`` false not below it (``first > last`` when
+    there is none)."""
+    live = bound > best if strict else bound >= best
     cols = np.arange(bound.shape[1])
     first = np.where(live, cols, bound.shape[1]).min(axis=1)
     last = np.where(live, cols, -1).max(axis=1)
@@ -460,10 +461,12 @@ def _spanned_cross_defect(values, us, vs, grid):
 
     Rectangles whose lower-right value K(u2, v1) is not above ``grid.tol_eq``
     are skipped: those lie in the kernel's zero region where the TP2
-    inequality holds trivially.  That zero-region mask is computed once per
-    grid.  The result is the first strict maximum in span-pair-then-row-major
-    order: the span pairs ``(su, sv)`` in the order of :func:`_dyadic_spans`,
-    ``su`` outer, and within a pair its rectangles row by row.
+    inequality holds trivially.  That zero-region mask is built for each
+    evaluated block, into a block-sized buffer, and only when the minimum
+    of a tile its K21 values lie in is not above ``grid.tol_eq``.  The
+    result is the first strict maximum in span-pair-then-row-major order:
+    the span pairs ``(su, sv)`` in the order of :func:`_dyadic_spans`, ``su``
+    outer, and within a pair its rectangles row by row.
 
     The sweep is an exact branch-and-bound over the tiles of
     :func:`_tile_bounds`.  When every grid value is finite and >= 0, rounding
@@ -472,24 +475,30 @@ def _spanned_cross_defect(values, us, vs, grid):
     at most its tile's U, bit for bit; on any other grid every U is +inf.
     The span pairs are taken in decreasing order of their largest U, and the
     sweep stops at the first pair whose largest U is below ``best``, the
-    largest defect found so far.  Within a pair, each row block of
-    :func:`_row_blocks` is evaluated, in two block-sized buffers allocated
-    once per call, over the columns from its first to its last tile whose U
-    is not below ``best``, and is skipped when it has none.  Only a U
-    strictly below ``best`` skips a tile, so every rectangle with the final
-    defect is evaluated.  One :class:`_Max`, ranked by the pairs' order
-    above, keeps the first strict maximum among the defects that are not NaN
-    (both products overflow), whatever the row blocks and whatever the order
-    in which the pairs are visited.  So the defect, the witness and the sign
-    of a zero defect are those of sweeping every rectangle in that order.
-    ``nan_note`` names the first NaN defect in that order: a NaN defect's
-    tile bound is +inf, so no NaN rectangle is ever skipped.
+    largest defect found so far.  One :class:`_Max`, ranked by the pairs'
+    order above, keeps the first strict maximum among the defects that are
+    not NaN (both products overflow), whatever the row blocks and whatever
+    the order in which the pairs are visited: a defect equal to ``best``
+    replaces it only from an earlier span pair, never from a later pair or
+    a later cell of the pair that holds it.  So while ``best`` is finite a
+    pair after that one is skipped when its largest U equals ``best``, and
+    from that pair on a tile is live only when its U is above ``best``;
+    before it, a tile is live when its U is not below ``best``.  Within a
+    pair, each row block of :func:`_row_blocks` is evaluated, in
+    block-sized buffers allocated once per call, over the columns from its
+    first to its last live tile, and is skipped when it has none.  So every
+    rectangle whose defect could replace the kept one is evaluated, and the
+    defect, the witness and the sign of a zero defect are those of sweeping
+    every rectangle in that order.  ``nan_note`` names the first NaN defect
+    in that order: a NaN defect's tile bound is +inf, above every finite
+    ``best``, and at ``best = inf`` no tie is skipped, so no NaN rectangle
+    is ever skipped.
 
-    The bounds of all span pairs are computed first, before the mask and the
-    buffers, in chunks of at most :data:`BOUND_CHUNK` tiles.  A grid whose
-    bounds fit one chunk keeps them; on a larger grid a pair's bounds are
+    The bounds of all span pairs are computed first, before the buffers, in
+    chunks of at most :data:`BOUND_CHUNK` tiles.  A grid whose bounds fit
+    one chunk keeps them; on a larger grid a pair's bounds are
     computed again when the sweep first needs them (when its smallest U is
-    below ``best``), so the sweep holds the bounds of one pair at a time.
+    not above ``best``), so the sweep holds the bounds of one pair at a time.
 
     :func:`property_verdicts` skips the sweep when
     :func:`_kernel_tp2_certified` proves its maximum is at most 0.  The
@@ -512,30 +521,35 @@ def _spanned_cross_defect(values, us, vs, grid):
     if su_step < len(spans_u) or sv_step < len(spans_v):
         bounds = None
     tops, floors = tops.ravel().tolist(), floors.ravel().tolist()
-    skip = values > grid.tol_eq
-    np.logical_not(skip, out=skip)
     size = min((n_u - 1) * (n_v - 1), max(BLOCK_POINTS, n_v))
     defect_buf = np.empty(size)
     product_buf = np.empty(size)
+    skip_buf = np.empty(size, dtype=bool)
+    # tile minima read 0 unless every grid value is finite and >= 0, so where
+    # every minimum is above tol_eq no K21 is skipped
+    gated = lo.min() <= grid.tol_eq
     best = -np.inf
     found = _Max()
     for k in sorted(range(len(tops)), key=lambda k: -tops[k]):
         if tops[k] < best:
             break
+        if tops[k] == best < np.inf and k > found.rank:
+            continue
         iu, iv = divmod(k, len(spans_v))
         su, sv = spans_u[iu], spans_v[iv]
         width = n_v - sv
         bound = ranged = None
         for r0, r1 in _row_blocks(n_u - su, width):
             c0, c1 = 0, width
-            if floors[k] < best:
+            if floors[k] <= best:
                 if bound is None and bounds is not None:
                     bound = bounds[iu, :, iv]
                 elif bound is None:
                     bound = _tile_bounds(hi, lo, values.shape, [su], [sv])[0, :, 0]
-                if ranged != best:
-                    first, last = _live_columns(bound, best)
-                    ranged = best
+                strict = k >= found.rank and best < np.inf
+                if ranged != (best, strict):
+                    first, last = _live_columns(bound, best, strict)
+                    ranged = (best, strict)
                 t0, t1 = r0 // TILE, (r1 - 1) // TILE + 1
                 t_first, t_last = min(first[t0:t1]), max(last[t0:t1])
                 if t_first > t_last:
@@ -545,13 +559,20 @@ def _spanned_cross_defect(values, us, vs, grid):
             cells = (r1 - r0) * n_cols
             defect = defect_buf[:cells].reshape(r1 - r0, n_cols)
             product = product_buf[:cells].reshape(r1 - r0, n_cols)
+            skip = skip_buf[:cells].reshape(r1 - r0, n_cols)
             upper, lower = values[r0:r1], values[r0 + su : r1 + su]
             f11, f12 = upper[:, c0:c1], upper[:, c0 + sv : c1 + sv]
             f21, f22 = lower[:, c0:c1], lower[:, c0 + sv : c1 + sv]
             np.multiply(f12, f21, out=defect)
             np.multiply(f11, f22, out=product)
             np.subtract(defect, product, out=defect)
-            np.copyto(defect, -np.inf, where=skip[r0 + su : r1 + su, c0:c1])
+            # skip the K21 values at or below tol_eq, and NaN ones, unless every
+            # tile they lie in has its minimum above tol_eq
+            k21_tiles = lo[(r0 + su) // TILE : (r1 + su - 1) // TILE + 1, c0 // TILE : (c1 - 1) // TILE + 1]
+            if gated and k21_tiles.min() <= grid.tol_eq:
+                np.greater(f21, grid.tol_eq, out=skip)
+                np.logical_not(skip, out=skip)
+                np.copyto(defect, -np.inf, where=skip)
             at = lambda m, d: _rectangle_witness(values, us, vs, r0 + m // n_cols, c0 + m % n_cols, su, sv, d)
             found.add(defect, at, k)
             best = found.defect

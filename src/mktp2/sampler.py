@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import _CHUNK, as_form
 from .errors import ValidationError
+from .grids import bisect_unit
 
 __all__ = [
     "MAX_SAMPLES",
@@ -78,12 +79,8 @@ def sample(copula, n, seed):
     for start in range(0, n, _CHUNK):
         u, w = rng.random((min(_CHUNK, n - start), 2)).T
         pu = kernel.prep_u(u)
-        # lo and the width 2 * half are dyadic, so lo + half is the exact midpoint
-        lo, half = np.zeros(u.size), 0.5
-        while 2.0 * half > _BISECT_TOL:
-            mid = lo + half
-            lo = np.where(np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w, lo, mid)
-            half *= 0.5
+        below = lambda mid: np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
+        lo, half = bisect_unit(below, u.shape, _BISECT_TOL)
         points[start : start + u.size, 0] = u
         points[start : start + u.size, 1] = lo + 2.0 * half
     return SampleBatch(points=points, seed=seed, n=n, label=copula.label)

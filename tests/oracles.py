@@ -297,3 +297,21 @@ def whole_batch_sample(copula, n, seed):
     take = lambda mid: np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
     _, hi = bisect(take, np.zeros(n), np.ones(n), 1e-10, 200)
     return np.column_stack([u, hi])
+
+
+def bisected_psi(phi, cap):
+    """The psi of a phi-only ``archimedean.make_generator`` by :func:`mktp2.grids.bisect`.
+
+    psi(x) solves phi(t) = x on [0, 1], bisected to width 1e-12 (40 steps),
+    and is the bracket's midpoint; it is 1 at x <= 0 and 0 at x >= ``cap``,
+    the generator's phi(0).
+    """
+
+    def psi(x):
+        x = np.asarray(x, dtype=float)
+        take = lambda s: -np.asarray(phi(s), dtype=float) >= -x
+        lo, hi = bisect(take, np.zeros_like(x), np.ones_like(x), 1e-12, 200)
+        out = np.where(x >= cap, 0.0, 0.5 * (lo + hi))
+        return np.where(x <= 0.0, 1.0, out)
+
+    return psi

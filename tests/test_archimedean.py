@@ -17,7 +17,7 @@ from mktp2.errors import NumericalError, ValidationError
 from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
 from mktp2.properties import Status, check_mktp2, check_si, rectangle_defect
-from oracles import zero_level
+from oracles import bisected_psi, zero_level
 
 GRID = GridConfig()
 
@@ -73,6 +73,28 @@ def test_make_generator_from_phi_linear():
     assert spec.phi_at_zero == pytest.approx(1.0)
     xs = np.linspace(0.0, 2.0, 21)
     assert np.allclose(spec.psi(xs), np.maximum(1.0 - xs, 0.0), atol=1e-11)
+
+
+PHI_ONLY = {
+    "clayton-2": lambda t: (np.power(np.asarray(t, dtype=float), -2.0) - 1.0) / 2.0,
+    "log": lambda t: -np.log(np.asarray(t, dtype=float)),
+    "linear": lambda t: 1.0 - np.asarray(t, dtype=float),
+    "clayton-minus-half": lambda t: 2.0 - 2.0 * np.sqrt(np.asarray(t, dtype=float)),
+}
+
+
+@pytest.mark.parametrize("phi", list(PHI_ONLY))
+def test_phi_only_psi_matches_grids_bisect(phi):
+    # psi bisects [0, 1] in lockstep, so it keeps the bits of grids.bisect
+    spec = make_generator(phi=PHI_ONLY[phi])
+    cap = spec.phi_at_zero
+    psi = bisected_psi(PHI_ONLY[phi], cap)
+    rng = np.random.default_rng(19)
+    beyond = [cap, 2.0 * cap, np.inf] if math.isfinite(cap) else [np.inf, 1e300]
+    edges = np.array([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-15, 1e-12, np.nan, *beyond])
+    for xs in (edges, rng.exponential(1.0, 500), rng.uniform(0.0, 3.0, (7, 9)), np.asarray(0.3)):
+        got, want = np.asarray(spec.psi(xs)), np.asarray(psi(xs))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), xs
 
 
 def test_make_generator_from_psi_strict():

@@ -370,12 +370,13 @@ def test_grid_evaluation_peaks_within_two_grids(family, params, quantity):
 
 @pytest.mark.parametrize("family, params", [("w", None), ("fgm", {"theta": -0.5}), ("pi", None)])
 def test_span_sweep_peak_stays_near_its_mask_and_buffers(family, params):
-    # the zero-region mask (1 MB) and the two block buffers (256 KB each) take
-    # 1.5 MB; the tile extremes and one span pair's tile bounds add tens of KB
+    # the two block buffers (256 KB each) and the block's zero-region mask
+    # (32 KB) take 0.56 MB; the tile extremes and one span pair's tile bounds
+    # add tens of KB (0.69 MB traced on each family)
     us, vs = GRID_1024.u_axis(), GRID_1024.v_axis()
     values = _grid_eval(build(family, params)[2].kernel, us, vs)
     _, peak = _traced_peak(lambda: _spanned_cross_defect(values, us, vs, GRID_1024))
-    assert peak <= 1.7 * MB, peak / MB
+    assert peak <= 0.8 * MB, peak / MB
 
 
 def test_span_sweep_allocates_within_four_mb():
@@ -399,7 +400,7 @@ def test_span_sweep_allocates_within_four_mb():
 )
 def test_property_verdicts_hold_only_the_kernel_grid(family, params):
     # the kernel grid takes 8 MB; the cdf and density scans, the certificate
-    # and the sweep add block-sized temporaries and the sweep's 1 MB mask
+    # and the sweep add block-sized temporaries
     copula = build(family, params)[2]
     _, peak = _traced_peak(lambda: property_verdicts(copula, GRID_1024))
     assert peak <= 12 * MB, peak / MB

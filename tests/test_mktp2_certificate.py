@@ -6,9 +6,10 @@ positive defect.  These tests pin that the certificate never certifies a
 grid the sweep would not read as ``holds``, that it declines the hand-built
 grids it must decline, that the coarse-to-fine search never uses it, that
 each tile bound is at least every kept defect of its tile bit for bit, and
-that the sweep, which skips tiles by those bounds, gives the bits and
-witness of its full-grid ``np.where`` form, on grids of one and of several
-row blocks and tiles.
+that the sweep, which skips tiles by those bounds and skips span pairs and
+tiles that can only tie the kept defect, gives the bits and witness of its
+full-grid ``np.where`` form, on grids of one and of several row blocks and
+tiles.
 """
 
 from fractions import Fraction
@@ -321,6 +322,25 @@ def _sweep_grids():
         yield _tile_growth(rng, shape)
         yield np.full(shape, 0.5)
         yield np.zeros(shape)
+    tie_rng = np.random.default_rng(12)
+    for shape in shapes:
+        # the 0/1 anti-diagonal staircase of W's kernel: the defect 1 at the
+        # first rectangle of every span pair, and in many more
+        stair = (np.add.outer(np.linspace(0, 1, shape[0]), np.linspace(0, 1, shape[1])) >= 1.0) * 1.0
+        yield stair
+        # the same with a few larger values, so the tile bounds order the
+        # pairs apart from their canonical order
+        cells = tie_rng.choice(stair.size, size=max(1, stair.size // 200), replace=False)
+        sprinkled = stair.copy()
+        sprinkled.flat[cells] = tie_rng.choice([1.5, 2.0, 4.0], size=cells.size)
+        yield sprinkled
+        # 0/1 values: the largest defect ties in most span pairs and tiles
+        yield (tie_rng.random(shape) < 0.5) * 1.0
+        # a ramp along v above a band at the gate 0.25: a rectangle with K21
+        # in the band and K12 above it has a positive defect, kept only at
+        # tol_eq = 1e-12; those with all four corners in the ramp tie at 0
+        above = np.arange(shape[0])[:, None] < 3 * shape[0] // 4
+        yield np.where(above, 0.5 + np.linspace(0.0, 0.5, shape[1]), 0.25)
     for rects, _ in PLANTED:
         yield _planted((600, 100), rects)
 
@@ -377,6 +397,73 @@ def test_nan_defect_in_a_block_keeps_its_finite_maximum(monkeypatch, violation, 
     assert witness.points == (us[i], us[i + su], vs[j], vs[j + sv])
     # the first NaN in span-pair-then-row-major order: the adjacent cell at (200, 40)
     assert nan_note == f"NaN defect at rectangle ({us[200]:.6g}, {us[201]:.6g}, {vs[40]:.6g}, {vs[41]:.6g})"
+
+
+def _count_blocks(monkeypatch):
+    blocks = []
+    add = properties._Max.add
+    monkeypatch.setattr(properties._Max, "add", lambda self, *args: blocks.append(args[0].size) or add(self, *args))
+    return blocks
+
+
+@pytest.mark.parametrize("family", ["w", "arch-w"])
+def test_tied_kernel_sweep_evaluates_one_block(monkeypatch, family):
+    # the defect 1 of the first row block of span pair (1, 1) is the largest
+    # possible on a 0/1 kernel, so every later tile and pair can only tie it
+    grid = GridConfig(n_u=1024, n_v=1024)
+    us, vs = grid.u_axis(), grid.v_axis()
+    values = _grid_eval(build(family, None)[2].kernel, us, vs)
+    blocks = _count_blocks(monkeypatch)
+    defect, witness, nan_note = _spanned_cross_defect(values, us, vs, grid)
+    assert len(blocks) == 1
+    assert defect == 1.0 and nan_note == ""
+    assert witness.points == (us[0], us[1], vs[-2], vs[-1])
+
+
+def test_tied_tile_bounds_skip_the_later_blocks_of_a_pair(monkeypatch):
+    # on 0/1 values every tile of every span pair reads U = 1, the smallest
+    # U of each pair too, so once the first block has found the defect 1 no
+    # tile is live
+    values = (np.random.default_rng(5).random((600, 100)) < 0.5) * 1.0
+    us = np.linspace(0.1, 0.9, 600)
+    vs = np.linspace(0.05, 0.95, 100)
+    hi, lo = _tile_extremes(values)
+    bounds = _tile_bounds(hi, lo, values.shape, _dyadic_spans(600), _dyadic_spans(100))
+    assert np.nanmin(bounds) == np.nanmax(bounds) == 1.0
+    blocks = _count_blocks(monkeypatch)
+    defect, witness, _ = _spanned_cross_defect(values, us, vs, GridConfig())
+    assert len(blocks) == 1 and len(_row_blocks(599, 99)) == 2
+    assert (defect, repr(witness)) == (1.0, repr(reference_sweep(values, us, vs, GridConfig())[1]))
+
+
+# an infinite defect (K12 = K21 = 1e200) in span pair (1, 1) at row 100, and
+# a NaN defect (four corners of 1e200) at rows 300 and 302 of pair (2, 1) or
+# at rows 400 and 401 of pair (1, 1); the witness and notes were recorded
+# before the sweep skipped tiles and pairs on ties
+INFINITE_WITNESS = (
+    "Witness(points=(0.2335559265442404, 0.2348914858096828, 0.14090909090909093, 0.15), "
+    "values=(0.0, 1e+200, 1e+200, 0.0), defect=inf, kind='rectangle')"
+)
+
+
+@pytest.mark.parametrize(
+    "nan_rows, nan_cols, nan_note",
+    [
+        ([300, 302], [50, 51], "NaN defect at rectangle (0.500668, 0.503339, 0.504545, 0.513636)"),
+        ([400, 401], [40, 41], "NaN defect at rectangle (0.634224, 0.635559, 0.413636, 0.422727)"),
+    ],
+)
+def test_infinite_defect_still_finds_a_later_nan(nan_rows, nan_cols, nan_note):
+    values = np.full((600, 100), 0.5)
+    values[100:102, 10:12] = [[0.0, 1e200], [1e200, 0.0]]
+    values[nan_rows[0] : nan_rows[-1] + 1, nan_cols] = 0.0
+    values[np.ix_(nan_rows, nan_cols)] = 1e200
+    us = np.linspace(0.1, 0.9, 600)
+    vs = np.linspace(0.05, 0.95, 100)
+    defect, witness, note = _spanned_cross_defect(values, us, vs, GridConfig())
+    assert defect == np.inf
+    assert repr(witness) == INFINITE_WITNESS
+    assert note == nan_note
 
 
 def test_search_without_a_kept_rectangle_reads_holds():
