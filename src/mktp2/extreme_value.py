@@ -22,15 +22,15 @@ kernel alone: their cross ratio K11*K22 / (K12*K21) falls below one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import Copula, Form, param_text
 from .errors import SearchFailed, ValidationError
-from .grids import DEFAULT_GRID, JUMP_DELTAS, JUMP_TOL, Rectangle, bisect, corners, persistent_jumps, runs
-from .properties import PROPERTIES, Status, Verdict, Witness, _require_known, check_dtp2, check_mktp2
+from .grids import DEFAULT_GRID, JUMP_DELTAS, JUMP_TOL, Rectangle, bisect, persistent_jumps, runs
+from .properties import PROPERTIES, Status, Verdict, Witness, _require_known, check_dtp2, check_mktp2, rectangle_defect
 
 __all__ = [
     "PickandsSpec",
@@ -86,7 +86,6 @@ class PickandsSpec:
     second: Optional[Callable] = None
     cap: Optional[Callable] = None
     absolutely_continuous: bool = False
-    params: dict = field(default_factory=dict)
 
     def __repr__(self):
         return f"PickandsSpec({self.label})"
@@ -182,7 +181,7 @@ def validate_pickands(
 # ---------------------------------------------------------------------------
 
 
-def _independence_pickands(label, params):
+def _independence_pickands(label):
     return PickandsSpec(
         label=label,
         A=lambda t: np.ones_like(np.asarray(t, dtype=float)),
@@ -193,7 +192,6 @@ def _independence_pickands(label, params):
         second=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         cap=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         absolutely_continuous=True,
-        params=params,
     )
 
 
@@ -266,7 +264,7 @@ def _gumbel_pickands(alpha):
     if not a >= 1.0:
         raise ValidationError(f"gumbel needs alpha >= 1, got {a}")
     if a == 1.0:
-        return _independence_pickands("evc-gumbel(alpha=1)", {"alpha": 1.0})
+        return _independence_pickands("evc-gumbel(alpha=1)")
     forms = _gumbel_direct_forms if a <= _GUMBEL_DIRECT_MAX else _gumbel_scaled_forms
     A, dA, d2A, cap = forms(a)
     return PickandsSpec(
@@ -279,7 +277,6 @@ def _gumbel_pickands(alpha):
         second=d2A,
         cap=cap,
         absolutely_continuous=True,
-        params={"alpha": a},
     )
 
 
@@ -290,7 +287,7 @@ def _mo_pickands(alpha, beta):
         raise ValidationError(f"marshall-olkin needs alpha, beta in [0, 1], got ({a}, {b})")
     label = f"mo(alpha={param_text(a)}, beta={param_text(b)})"
     if a == 0.0 or b == 0.0:
-        return _independence_pickands(label, {"alpha": a, "beta": b})
+        return _independence_pickands(label)
     tj = a / (a + b)
 
     def A(t):
@@ -311,7 +308,6 @@ def _mo_pickands(alpha, beta):
         second=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         cap=lambda t: np.where(np.asarray(t, dtype=float) < tj, 1.0 - b, 1.0),
         absolutely_continuous=False,
-        params={"alpha": a, "beta": b},
     )
 
 
@@ -320,7 +316,7 @@ def _tawn_symmetric_pickands(theta):
     if not (0.0 <= th <= 1.0):
         raise ValidationError(f"tawn-symmetric needs theta in [0, 1], got {th}")
     if th == 0.0:
-        return _independence_pickands("tawn-sym(theta=0)", {"theta": 0.0})
+        return _independence_pickands("tawn-sym(theta=0)")
     return PickandsSpec(
         label=f"tawn-sym(theta={param_text(th)})",
         A=lambda t: th * np.square(np.asarray(t, dtype=float)) - th * np.asarray(t, dtype=float) + 1.0,
@@ -331,7 +327,6 @@ def _tawn_symmetric_pickands(theta):
         second=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0 * th),
         cap=lambda t: 1.0 - th * np.square(1.0 - np.asarray(t, dtype=float)),
         absolutely_continuous=True,
-        params={"theta": th},
     )
 
 
@@ -348,7 +343,7 @@ def _tawn_mixed_pickands(theta, kappa):
         if not ok:
             raise ValidationError(f"tawn-asym-mixed parameter constraint violated: {text}")
     if th == 0.0 and ka == 0.0:
-        return _independence_pickands("tawn-mix(theta=0, kappa=0)", {"theta": 0.0, "kappa": 0.0})
+        return _independence_pickands("tawn-mix(theta=0, kappa=0)")
 
     def A(t):
         t = np.asarray(t, dtype=float)
@@ -372,7 +367,6 @@ def _tawn_mixed_pickands(theta, kappa):
         second=lambda t: 2.0 * th + 6.0 * ka * np.asarray(t, dtype=float),
         cap=cap,
         absolutely_continuous=True,
-        params={"theta": th, "kappa": ka},
     )
 
 
@@ -525,18 +519,6 @@ def _log_prep(p):
     return p, inside, np.log(np.where(inside, p, 0.5))
 
 
-def _kernel_form(spec):
-    def combine(pu, pv):
-        (_, u_int, lu), (v, v_int, lv) = pu, pv
-        ell = lu + lv
-        h = lu / ell
-        a = np.asarray(spec.A(h), dtype=float)
-        base = np.exp(a * ell - lu) * np.asarray(cap_function(spec, h), dtype=float)
-        return np.clip(np.where(u_int, np.where(v_int, base, v), 1.0), 0.0, 1.0)
-
-    return Form(combine, _log_prep, _log_prep)
-
-
 def evc_copula(spec):
     """Wrap a Pickands spec as a :class:`~mktp2.core.Copula` of per-axis forms,
     each axis prepped with its interior mask and log (the density's: its log)."""
@@ -546,6 +528,14 @@ def evc_copula(spec):
         ell = lu + lv
         a = np.asarray(spec.A(lu / ell), dtype=float)
         return np.where(u_int & v_int, np.exp(a * ell), np.minimum(u, v))
+
+    def kernel(pu, pv):
+        (_, u_int, lu), (v, v_int, lv) = pu, pv
+        ell = lu + lv
+        h = lu / ell
+        a = np.asarray(spec.A(h), dtype=float)
+        base = np.exp(a * ell - lu) * np.asarray(cap_function(spec, h), dtype=float)
+        return np.clip(np.where(u_int, np.where(v_int, base, v), 1.0), 0.0, 1.0)
 
     density = None
     if spec.absolutely_continuous and spec.second is not None:
@@ -572,22 +562,22 @@ def evc_copula(spec):
     return Copula(
         label=spec.label,
         cdf=Form(cdf, _log_prep, _log_prep),
-        kernel=_kernel_form(spec),
+        kernel=Form(kernel, _log_prep, _log_prep),
         density=density,
     )
 
 
-def _cross_ratio(spec, rect):
-    """The kernel values at the corners of ``rect`` and their cross ratio."""
-    k11, k12, k21, k22 = k = corners(_kernel_form(spec), rect)
+def _cross_ratio(k):
+    """The cross ratio K11*K22 / (K12*K21) of the kernel corners ``k = (k11, k12, k21, k22)``."""
+    k11, k12, k21, k22 = k
     if k12 * k21 <= 0.0:
         raise ValidationError("cross ratio undefined: a denominator kernel value vanishes")
-    return k, (k11 * k22) / (k12 * k21)
+    return (k11 * k22) / (k12 * k21)
 
 
 def kernel_cross_ratio(spec, rect):
     """K11*K22 / (K12*K21) evaluated through the kernel alone; < 1 refutes MK-TP2."""
-    return _cross_ratio(spec, rect)[1]
+    return _cross_ratio(rectangle_defect(evc_copula(spec), "mktp2", rect)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +586,9 @@ def kernel_cross_ratio(spec, rect):
 
 
 def _witness_from_rect(spec, rect):
-    """``(witness, cross ratio)`` of a rectangle from one evaluation of its kernel corners."""
-    (k11, k12, k21, k22), ratio = _cross_ratio(spec, rect)
-    witness = Witness(
-        points=rect.as_tuple(),
-        values=(k11, k12, k21, k22),
-        defect=k12 * k21 - k11 * k22,
-        kind="rectangle",
-    )
-    return witness, ratio
+    """``(witness, cross ratio)`` of a rectangle from one :func:`rectangle_defect` of its kernel corners."""
+    defect, k = rectangle_defect(evc_copula(spec), "mktp2", rect)
+    return Witness(rect.as_tuple(), k, defect, "rectangle"), _cross_ratio(k)
 
 
 def beta_sup_argmin(spec):

@@ -157,12 +157,6 @@ def bisect_unit(pred, shape, tol):
     return lo, half
 
 
-def corners(fn, rect):
-    """``(f11, f12, f21, f22)``: ``fn`` at (u1,v1), (u1,v2), (u2,v1), (u2,v2) of ``rect``."""
-    u1, u2, v1, v2 = rect.as_tuple()
-    return tuple(float(fn(u, v)) for u, v in ((u1, v1), (u1, v2), (u2, v1), (u2, v2)))
-
-
 def runs(mask):
     """``[(start, stop), ...]`` of the maximal runs of True in a 1-D mask; ``stop`` is exclusive."""
     padded = np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))

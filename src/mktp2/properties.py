@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import as_form
 from .errors import DomainError, ValidationError
-from .grids import DEFAULT_GRID, Rectangle, corners
+from .grids import DEFAULT_GRID, Rectangle
 
 __all__ = [
     "Status",
@@ -579,26 +579,9 @@ def _spanned_cross_defect(values, us, vs, grid):
     return found.result()
 
 
-# Veltkamp's splitter for binary64: 2**27 + 1 cuts a double into two halves
-# whose pairwise products are exact
-_SPLIT = 134217729.0
-# positive kernel values the certificate accepts: inside these bounds no
-# product, split or product error term can overflow or lose bits to underflow
-_CERTIFIED_MIN = 2.0**-450
+# largest kernel value the certificate accepts: below it no product of two
+# values overflows, so no defect of a certified grid is NaN
 _CERTIFIED_MAX = 2.0**500
-
-
-def _split(a):
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _product_error(a, b, p):
-    """Exact ``a*b - p`` where ``p = fl(a*b)`` (Dekker's two-product)."""
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
 def _kernel_tp2_certified(values):
@@ -613,41 +596,32 @@ def _kernel_tp2_certified(values):
       K21 > 0 (the sweep keeps only those, as ``tol_eq >= 0``) has a fully
       positive index box;
     * every adjacent cell with four positive corners has K12*K21 <= K11*K22
-      exactly on the float values: where the rounded products differ their
-      order is exact, since round-to-nearest is monotone; where they tie,
-      the product error terms decide;
-    * every positive value lies in [2**-450, 2**500], so the error terms
-      are exact.
+      exactly on the float values: its :func:`_adjacent_cross_defect` is
+      negative, which proves the strict inequality since round-to-nearest
+      is monotone, or zero between the same two factors, which is how Pi
+      and M tie;
+    * every value is at most 2**500, so no product overflows.
 
     Then every kept rectangle's exact ratio is at most 1, its rounded
     products keep that order, and its defect is at most 0 <= ``tol_eq``:
-    the sweep would read ``holds``.  False means only "not proven"; the
-    sweep then decides.  The grid is walked in the row blocks of
-    :func:`_row_blocks`, each overlapping the one before by a row, so no
-    full-grid temporary is built.
+    the sweep would read ``holds``.  False means only "not proven" (a
+    rounded tie between other factors is not decided here); the sweep then
+    decides.  The grid is walked in the row blocks of :func:`_row_blocks`,
+    each overlapping the one before by a row, so no full-grid temporary is
+    built.
     """
     for r0, r1 in _row_blocks(*values.shape):
         block = values[max(r0 - 1, 0) : r1]
         positive = block > 0.0
         if np.any(positive[:, :-1] > positive[:, 1:]) or np.any(positive[1:] > positive[:-1]):
             return False
-        if block.max() > _CERTIFIED_MAX or block.min(where=positive, initial=np.inf) < _CERTIFIED_MIN:
+        if block.max() > _CERTIFIED_MAX:
             return False
-        # on a staircase a cell's four corners are positive iff its K21 corner is
-        cell = positive[1:, :-1]
+        defect, _ = _adjacent_cross_defect(block, 0, None, None)
         f11, f12, f21, f22 = block[:-1, :-1], block[:-1, 1:], block[1:, :-1], block[1:, 1:]
-        cross = f12 * f21
-        direct = f11 * f22
-        if np.any((cross > direct) & cell):
-            return False
-        tie = (cross == direct) & cell
-        # products of the same two factors are equal exactly (Pi and M tie on
-        # every cell this way), so only the other ties need error terms
-        tie &= ~(((f12 == f11) & (f21 == f22)) | ((f12 == f22) & (f21 == f11)))
-        i, j = np.nonzero(tie)
-        a, b, c, d = block[i, j + 1], block[i + 1, j], block[i, j], block[i + 1, j + 1]
-        p = a * b
-        if np.any(_product_error(a, b, p) > _product_error(c, d, p)):
+        same = ((f12 == f11) & (f21 == f22)) | ((f12 == f22) & (f21 == f11))
+        # on a staircase a cell's four corners are positive iff its K21 corner is
+        if np.any(positive[1:, :-1] & ~((defect < 0.0) | (defect == 0.0) & same)):
             return False
     return True
 
@@ -743,8 +717,10 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
     and shared by every property that reads it, in the order
     :data:`PROPERTIES` first needs it.  The cdf and the density are
     evaluated, checked and scanned one row block at a time; only the kernel
-    grid is held whole, for the MK-TP2 span sweep, so at 1024² the traced
-    peak is 9.0-10.1 MB, 8 MB of it that grid.  ``region`` restricts the
+    grid is held whole, for the MK-TP2 span sweep, in a private map of its
+    own (:func:`_grid_buffer`, 8 MB at 1024²) that tracemalloc does not
+    see, and at 1024² tracemalloc reads a peak of 1.3-2.6 MB besides it
+    (W, Pi, FGM, Gaussian, Gumbel, Marshall-Olkin).  ``region`` restricts the
     scan to a rectangle.  MK-TP2 first tries :func:`_kernel_tp2_certified`
     and runs the span sweep only when that does not prove ``holds``; a
     ``fails`` MK-TP2 witness is refined on a finer local window.  A
@@ -899,26 +875,24 @@ def counterexample_search(copula, prop, grid=DEFAULT_GRID, stages=(64, 256, 1024
 def rectangle_defect(copula, prop, rect):
     """Re-evaluate a property defect on one rectangle, from the copula alone.
 
-    Used to confirm witnesses independently of the scan that produced them.
-    Pointwise (pqd) uses the rectangle's lower-left corner; per-line checks
-    (ltd, si) use [u1, u2] at v = v1.  Returns ``(defect, values)`` with the
-    convention that positive defect means violation.
+    Used to confirm witnesses independently of the grid that produced them.
+    The property's quantity is evaluated once, on the rectangle's 2 x 2
+    corner grid (u1, u2) x (v1, v2), and read by the property's block scan
+    of :data:`_TABLE` (MK-TP2 by :func:`_adjacent_cross_defect`) at its
+    first index: so pqd reads the lower-left corner, the per-line checks
+    (ltd, si) [u1, u2] at v = v1, and the cross checks the four corners.
+    Returns ``(defect, values)``, the defect and the values of that scan's
+    witness, with the convention that positive defect means violation.
     """
     _require_known((prop,))
-    u1, u2, v1, v2 = rect.as_tuple()
-    if prop == "pqd":
-        c = float(copula.cdf(u1, v1))
-        return u1 * v1 - c, (c, u1 * v1)
-    if prop == "ltd":
-        r1 = float(copula.cdf(u1, v1)) / u1
-        r2 = float(copula.cdf(u2, v1)) / u2
-        return r2 - r1, (r1, r2)
-    if prop == "si":
-        k1 = float(copula.kernel(u1, v1))
-        k2 = float(copula.kernel(u2, v1))
-        return k2 - k1, (k1, k2)
-    fn = getattr(copula, _TABLE[prop].quantity)
+    check = _TABLE[prop]
+    fn = getattr(copula, check.quantity)
     if fn is None:
         raise DomainError(f"{copula.label} exposes no density")
-    f11, f12, f21, f22 = values = corners(fn, rect)
-    return f12 * f21 - f11 * f22, values
+    u1, u2, v1, v2 = rect.as_tuple()
+    us, vs = np.array([u1, u2]), np.array([v1, v2])
+    _, _, block = next(_row_stream(fn, us, vs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect, witness_at = (check.scan or _adjacent_cross_defect)(block, 0, us, vs)
+    d = float(defect.flat[0])
+    return d, witness_at(0, d).values

@@ -3,7 +3,8 @@
 No command or classifier runs these; they re-derive a quantity by an
 independent route (quadrature of the kernel, finite differences of the CDF,
 a telescoping product of the h-map, empirical distributions of a sample,
-every rectangle of the MK-TP2 span sweep, a whole-batch kernel inversion)
+every rectangle of the MK-TP2 span sweep, a whole-batch kernel inversion,
+a rectangle's defect written out per property on pointwise calls)
 so tests can bound or match the library's answer by it, or test a shape
 (log-concavity, 2-increasingness) that no command reads.
 """
@@ -12,13 +13,14 @@ import numpy as np
 
 from mktp2.archimedean import GeneratorSpec
 from mktp2.core import as_form
-from mktp2.errors import ValidationError
+from mktp2.errors import DomainError, ValidationError
 from mktp2.extreme_value import PickandsSpec, h_map
-from mktp2.grids import DEFAULT_GRID, bisect, corners
+from mktp2.grids import DEFAULT_GRID, bisect
 from mktp2.properties import (
     Status,
     Verdict,
     Witness,
+    _TABLE,
     _dyadic_spans,
     _grid_eval,
     _midpoint_scan,
@@ -188,6 +190,43 @@ def reference_sweep(values, us, vs, grid):
                     kind="rectangle",
                 )
     return best, best_w
+
+
+# ---------------------------------------------------------------------------
+# witness re-evaluation
+# ---------------------------------------------------------------------------
+
+
+def corners(fn, rect):
+    """``(f11, f12, f21, f22)``: ``fn`` at (u1,v1), (u1,v2), (u2,v1), (u2,v2) of ``rect``."""
+    u1, u2, v1, v2 = rect.as_tuple()
+    return tuple(float(fn(u, v)) for u, v in ((u1, v1), (u1, v2), (u2, v1), (u2, v2)))
+
+
+def reference_rectangle_defect(copula, prop, rect):
+    """``properties.rectangle_defect`` written out per property, on pointwise calls.
+
+    Pointwise (pqd) uses the rectangle's lower-left corner; per-line checks
+    (ltd, si) use [u1, u2] at v = v1; the cross checks (tp2, mktp2, dtp2)
+    use its four corners.
+    """
+    u1, u2, v1, v2 = rect.as_tuple()
+    if prop == "pqd":
+        c = float(copula.cdf(u1, v1))
+        return u1 * v1 - c, (c, u1 * v1)
+    if prop == "ltd":
+        r1 = float(copula.cdf(u1, v1)) / u1
+        r2 = float(copula.cdf(u2, v1)) / u2
+        return r2 - r1, (r1, r2)
+    if prop == "si":
+        k1 = float(copula.kernel(u1, v1))
+        k2 = float(copula.kernel(u2, v1))
+        return k2 - k1, (k1, k2)
+    fn = getattr(copula, _TABLE[prop].quantity)
+    if fn is None:
+        raise DomainError(f"{copula.label} exposes no density")
+    f11, f12, f21, f22 = values = corners(fn, rect)
+    return f12 * f21 - f11 * f22, values
 
 
 # ---------------------------------------------------------------------------

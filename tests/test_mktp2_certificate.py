@@ -20,7 +20,7 @@ import pytest
 from conftest import ALL_FAMILIES
 from oracles import reference_sweep
 from mktp2 import properties
-from mktp2.core import make_baseline, make_fgm, make_frechet, make_gaussian
+from mktp2.core import Copula, Form, make_baseline, make_fgm, make_frechet, make_gaussian
 from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
 from mktp2.properties import (
@@ -29,11 +29,11 @@ from mktp2.properties import (
     _dyadic_spans,
     _grid_eval,
     _kernel_tp2_certified,
-    _product_error,
     _row_blocks,
     _spanned_cross_defect,
     _tile_bounds,
     _tile_extremes,
+    _verdict,
     check_mktp2,
     counterexample_search,
     property_verdicts,
@@ -101,15 +101,6 @@ def test_marshall_olkin_falls_back_and_holds(spacing):
     assert check_mktp2(copula, grid).status is Status.HOLDS
 
 
-def test_product_error_is_exact():
-    rng = np.random.default_rng(7)
-    a = np.ldexp(rng.uniform(0.5, 1.0, 400), rng.integers(-450, 500, 400))
-    b = np.ldexp(rng.uniform(0.5, 1.0, 400), rng.integers(-450, 500, 400))
-    p = a * b
-    for x, y, xy, err in zip(a, b, p, _product_error(a, b, p)):
-        assert Fraction(err) == Fraction(x) * Fraction(y) - Fraction(xy)
-
-
 def _tie_grid(f11, f12, f21, f22):
     return np.array([[f11, f12], [f21, f22]])
 
@@ -126,13 +117,47 @@ def test_rounded_tie_with_larger_exact_cross_product_is_rejected():
     assert _spanned_cross_defect(values, np.array([0.2, 0.4]), np.array([0.3, 0.6]), grid)[0] == 0.0
 
 
-def test_rounded_tie_with_smaller_exact_cross_product_is_certified():
+def _table_copula(values, grid):
+    """A copula whose kernel reads ``values`` on the axes of ``grid`` (only the grid scans call it)."""
+    us, vs = grid.u_axis(), grid.v_axis()
+    table = Form(lambda u, v: values[np.searchsorted(us, u), np.searchsorted(vs, v)])
+    return Copula("table", cdf=table, kernel=table)
+
+
+def test_rounded_tie_with_smaller_exact_cross_product_is_left_to_the_sweep():
     e = 2.0**-52
     values = _tie_grid(1.0 + e, 1.0, 1.0 + 2 * e, 1.0 + e)
     f11, f12, f21, f22 = (Fraction(float(x)) for x in values.ravel())
     assert values[0, 1] * values[1, 0] == values[0, 0] * values[1, 1]
     assert f12 * f21 < f11 * f22
-    assert _kernel_tp2_certified(values)
+    # a zero defect proves the cell only between the same two factors
+    assert not _kernel_tp2_certified(values)
+    grid = GridConfig(n_u=2, n_v=2)
+    us, vs = grid.u_axis(), grid.v_axis()
+    defect, witness, _ = _spanned_cross_defect(values, us, vs, grid)
+    assert defect == 0.0 and witness.values == tuple(values.ravel())
+    verdict = property_verdicts(_table_copula(values, grid), grid, ("mktp2",))["mktp2"]
+    swept = _verdict(defect, witness, verdict.certificate, grid.tol_eq, grid.tol_strict)
+    assert verdict.describe() == swept.describe()
+    assert verdict.status is Status.HOLDS
+
+
+def test_gaussian_rounded_ties_give_the_sweeps_report(monkeypatch):
+    # Gaussian rho = 0.9 at 64^2 logit has four adjacent cells whose products
+    # tie between different factors, so the sweep decides, reading 0.0 there
+    grid = GridConfig(n_u=64, n_v=64, spacing="logit")
+    copula = make_gaussian(0.9)
+    values, us, vs = _kernel_grid(copula, grid)
+    defect, _ = properties._adjacent_cross_defect(values, 0, us, vs)
+    f11, f12, f21, f22 = values[:-1, :-1], values[:-1, 1:], values[1:, :-1], values[1:, 1:]
+    same = ((f12 == f11) & (f21 == f22)) | ((f12 == f22) & (f21 == f11))
+    assert np.sum((defect == 0.0) & ~same & (f21 > 0.0)) == 4
+    assert not _kernel_tp2_certified(values)
+    assert _spanned_cross_defect(values, us, vs, grid)[0] == 0.0
+    report = {prop: v.describe() for prop, v in property_verdicts(copula, grid).items()}
+    monkeypatch.setattr(properties, "_kernel_tp2_certified", lambda values: False)
+    assert report == {prop: v.describe() for prop, v in property_verdicts(copula, grid).items()}
+    assert report["mktp2"]["status"] == "holds"
 
 
 def test_w_zero_pattern_is_not_a_staircase():
@@ -161,12 +186,20 @@ def test_zero_gaps_are_not_a_staircase(values):
     assert not _kernel_tp2_certified(values)
 
 
-@pytest.mark.parametrize("scale", [2.0**-460, 2.0**510])
-def test_values_outside_the_exact_range_fall_back(scale):
+def test_values_above_the_overflow_guard_fall_back():
     grid = GridConfig(n_u=32, n_v=32)
     values, _, _ = _kernel_grid(make_baseline("pi"), grid)
     assert _kernel_tp2_certified(values)
-    assert not _kernel_tp2_certified(values * scale)
+    assert not _kernel_tp2_certified(values * 2.0**510)
+
+
+def test_tiny_values_are_certified_only_where_the_sweep_holds():
+    # tol_eq = 0 keeps every rectangle of the scaled grid in the sweep
+    grid = GridConfig(n_u=32, n_v=32, tol_eq=0.0)
+    values, us, vs = _kernel_grid(make_baseline("pi"), grid)
+    values = values * 2.0**-460
+    assert _kernel_tp2_certified(values)
+    assert _spanned_cross_defect(values, us, vs, grid)[0] <= 0.0
 
 
 def test_property_verdicts_use_the_certificate_and_the_search_does_not(monkeypatch):

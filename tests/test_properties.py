@@ -5,7 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import log_concavity_test, two_increasing_test
+from conftest import ALL_FAMILIES, random_rectangles
+from oracles import log_concavity_test, reference_rectangle_defect, two_increasing_test
 
 from mktp2 import archimedean, extreme_value, properties
 from mktp2.archimedean import arch_copula, builtin_archimedean
@@ -27,6 +28,7 @@ from mktp2.properties import (
     property_verdicts,
     rectangle_defect,
 )
+from mktp2.registry import build
 
 GRID = GridConfig()
 
@@ -343,6 +345,39 @@ def test_rectangle_defect_matches_direct_evaluation():
     k = [cop.kernel(u, v) for u, v in [(0.2, 0.3), (0.2, 0.7), (0.4, 0.3), (0.4, 0.7)]]
     assert values == tuple(k)
     assert defect == pytest.approx(k[1] * k[2] - k[0] * k[3], abs=1e-15)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def _test_rectangles(seed):
+    """Random rectangles, point-degenerate ones and line-degenerate ones in u and in v,
+    half of their coordinates near the edges of the square."""
+    rng = np.random.default_rng(seed)
+    u1, u2, v1, v2 = random_rectangles(rng, 12)
+    u1[::2], u2[::2] = np.sort(1.0 / (1.0 + np.exp(rng.uniform(-20.0, 20.0, (2, 6)))), axis=0)
+    rects = [Rectangle(*r) for r in zip(u1, u2, v1, v2)]
+    rects += [Rectangle(u, u, v, v) for u, v in zip(u1, v2)]
+    rects += [Rectangle(a, b, v, v) for a, b, v in zip(u1, u2, v1)]
+    rects += [Rectangle(u, u, a, b) for u, a, b in zip(u2, v1, v2)]
+    return rects
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+@pytest.mark.parametrize("name, params", ALL_FAMILIES, ids=lambda fp: str(fp))
+def test_rectangle_defect_has_the_bits_of_its_per_property_form(name, params, prop):
+    copula = build(name, params)[2]
+    for rect in _test_rectangles(seed=len(name) + PROPERTIES.index(prop)):
+        if prop == "dtp2" and copula.density is None:
+            for fn in (rectangle_defect, reference_rectangle_defect):
+                with pytest.raises(DomainError, match="exposes no density"):
+                    fn(copula, prop, rect)
+            continue
+        defect, values = rectangle_defect(copula, prop, rect)
+        ref_defect, ref_values = reference_rectangle_defect(copula, prop, rect)
+        assert _bits(defect) == _bits(ref_defect), (rect, defect, ref_defect)
+        assert _bits(values) == _bits(ref_values), (rect, values, ref_values)
 
 
 def test_grid_config_validation():
