@@ -43,12 +43,13 @@ WITNESS_NOT_APPLICABLE = 3
 NUMERICAL_FAILURE = 4
 
 
-def _parse_params(text):
-    """--param key=value[,key=value]; finite decimal-point floats only."""
-    if not text:
-        return {}
+def _parse_params(texts):
+    """Every --param key=value[,key=value] flag; finite decimal-point floats only.
+
+    The flag may be repeated, and a key may be given only once across all of them.
+    """
     out = {}
-    for chunk in text.split(","):
+    for chunk in [chunk for text in texts or () if text for chunk in text.split(",")]:
         if "=" not in chunk:
             raise ValidationError(f"malformed --param entry {chunk!r}; expected key=value")
         key, _, raw = chunk.partition("=")
@@ -145,9 +146,10 @@ def _emit(report, args):
 
 
 def cmd_classify(args):
-    entry, obj, copula = build(args.family, _parse_params(args.param))
+    params = _parse_params(args.param)
+    entry, obj, copula = build(args.family, params)
     grid = _grid_from_args(args)
-    report = _report_skeleton(copula.label, _parse_params(args.param), grid)
+    report = _report_skeleton(copula.label, params, grid)
     table = _verdicts(entry, obj, copula, grid, PROPERTIES)
     report["results"] = [_entry_dict(p, table[p]) for p in PROPERTIES]
     _emit(report, args)
@@ -155,9 +157,10 @@ def cmd_classify(args):
 
 
 def cmd_check(args):
-    entry, obj, copula = build(args.family, _parse_params(args.param))
+    params = _parse_params(args.param)
+    entry, obj, copula = build(args.family, params)
     grid = _grid_from_args(args)
-    report = _report_skeleton(copula.label, _parse_params(args.param), grid)
+    report = _report_skeleton(copula.label, params, grid)
     prop = args.property
     if args.rect:
         rect = _parse_rect(args.rect)
@@ -179,20 +182,29 @@ def cmd_check(args):
     return 0
 
 
+# how favourable a verdict is to the property
+_FAVOUR = {Status.FAILS: 0, Status.INCONCLUSIVE: 1, Status.HOLDS: 2, Status.NOT_APPLICABLE: 2}
+
+
 def cmd_witness(args):
-    entry, obj, copula = build(args.family, _parse_params(args.param))
+    params = _parse_params(args.param)
+    entry, obj, copula = build(args.family, params)
     grid = _grid_from_args(args)
     prop = args.property
-    report = _report_skeleton(copula.label, _parse_params(args.param), grid)
+    report = _report_skeleton(copula.label, params, grid)
 
     # a generator- or Pickands-level verdict that holds or does not apply
     # settles it; the Pickands tree's MK-TP2 witness is kept, and every other
-    # case is searched, as for a core family
+    # case is searched, as for a core family.  The search's verdict replaces
+    # such a verdict only where it is no more favourable, so witness never
+    # reports more favourably than classify
     verdict = None if entry.kind == "core" else _verdicts(entry, obj, copula, grid, (prop,))[prop]
     settled = verdict is not None and verdict.status in (Status.HOLDS, Status.NOT_APPLICABLE)
     built = entry.kind == "evc" and prop == "mktp2" and verdict.witness is not None
     if not (settled or built):
-        verdict = counterexample_search(copula, prop, grid)
+        found = counterexample_search(copula, prop, grid)
+        if verdict is None or _FAVOUR[found.status] <= _FAVOUR[verdict.status]:
+            verdict = found
 
     if verdict.status in (Status.HOLDS, Status.NOT_APPLICABLE):
         note = f": {verdict.note}" if verdict.note else ""
@@ -238,7 +250,7 @@ def cmd_grid_export(args):
 
 def _add_common(parser, with_grid=True):
     parser.add_argument("--family", required=True, help=f"one of: {', '.join(family_names())}")
-    parser.add_argument("--param", default="", help="key=value[,key=value]")
+    parser.add_argument("--param", action="append", help="key=value[,key=value]; may be repeated")
     parser.add_argument("--out", default="", help="write output to this path")
     if with_grid:
         parser.add_argument("--grid", type=int, default=256, help="grid resolution per axis")

@@ -481,10 +481,15 @@ def builtin_pickands(name, **params):
 
 
 def h_map(u, v):
-    """h(u,v) = log(u)/log(uv); decreasing in u, increasing in v."""
+    """h(u,v) = log(u)/log(uv); decreasing in u, increasing in v.
+
+    At v = 0, where a contour point u^{(1-t)/t} underflows, log v = -inf and
+    h takes its limit 0 without a warning.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    out = np.log(u) / (np.log(u) + np.log(v))
+    with np.errstate(divide="ignore"):
+        out = np.log(u) / (np.log(u) + np.log(v))
     return float(out) if out.ndim == 0 else out
 
 

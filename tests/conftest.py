@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mktp2.grids import GridConfig
 from mktp2.registry import build
+
+# every run draws the same Hypothesis examples, with no per-example deadline,
+# so a tier-1 result does not depend on the seed or on the machine's load
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

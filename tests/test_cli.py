@@ -311,6 +311,48 @@ def test_repeated_parameter_exits_two(capsys):
     assert "parameter 'rho' is given more than once" in err
 
 
+def test_repeated_param_flags_merge(capsys, validator):
+    split = run_report(
+        capsys, validator, "classify", "--family", "mo", "--param", "alpha=1e-9", "--param", "beta=0.5"
+    )
+    joined = run_report(capsys, validator, "classify", "--family", "mo", "--param", "alpha=1e-9,beta=0.5")
+    assert split["params"] == {"alpha": 1e-9, "beta": 0.5}
+    assert split == joined
+
+
+def test_a_key_repeated_across_param_flags_exits_two(capsys):
+    argv = ("classify", "--family", "mo", "--param", "alpha=0.5,beta=0.5", "--param", "alpha=0.7")
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert "parameter 'alpha' is given more than once" in err
+
+
+# how favourable a status is to the property
+FAVOUR = {"fails": 0, "inconclusive": 1, "holds": 2, "not-applicable": 2}
+
+
+# D+A(0) rules MK-TP2 out, but the jump witness cannot be built: its contour
+# point underflows to 0 (alpha = 1e-6), or a kernel value in the cross ratio
+# vanishes (alpha = 1e-4); a grid search finds no violation either
+@pytest.mark.parametrize("alpha, beta", [(1e-6, 0.5), (1e-4, 0.1)])
+def test_witness_is_never_more_favourable_than_classify(capsys, validator, alpha, beta):
+    param = f"alpha={alpha!r},beta={beta!r}"
+    report = run_report(capsys, validator, "classify", "--family", "mo", "--param", param)
+    for prop, entry in result_map(report).items():
+        code, out, err = run_cli(capsys, "witness", "--family", "mo", "--param", param, "--property", prop)
+        if code == 3:
+            status = re.match(rf"no witness: {prop} (\S+) by ", err).group(1)
+        else:
+            assert code == 0, err
+            status = result_map(json.loads(out))[prop]["status"]
+        assert FAVOUR[status] <= FAVOUR[entry["status"]], (prop, status, entry["status"])
+    assert result_map(report)["mktp2"]["status"] == "inconclusive"
+    code, out, _ = run_cli(capsys, "witness", "--family", "mo", "--param", param)
+    assert code == 0
+    (entry,) = json.loads(out)["results"]
+    assert (entry["status"], entry["certificate"]["method"]) == ("inconclusive", "analytic:slope-at-zero")
+
+
 def test_sample_size_above_bound_exits_two(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, _, err = run_cli(capsys, "sample", "--family", "pi", "--n", "10000001", "--out", str(out))
