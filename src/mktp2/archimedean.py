@@ -20,6 +20,7 @@ concentrates where the copula lives.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -436,7 +437,8 @@ def builtin_archimedean(name, **params):
 def arch_copula(spec):
     """Wrap a generator as a :class:`~mktp2.core.Copula` of per-axis forms, each axis
     prepped with phi; the kernel's u-prep also holds D-psi(phi(u)), taken at u = 0.5
-    off (0, 1), where the kernel is 1, and raises for a strict generator where it is 0."""
+    off (0, 1), where the kernel is 1, and raises for a strict generator where it is 0.
+    Its ``analytic`` verdicts are :func:`property_verdicts` of ``spec``."""
 
     def phi_of(p):
         with np.errstate(invalid="ignore"):
@@ -490,7 +492,7 @@ def arch_copula(spec):
         density = Form(density_combine, density_prep, density_prep)
 
     cdf, kernel = Form(cdf, phi_of, phi_of), Form(kernel, kernel_u, phi_of)
-    return Copula(label=spec.label, cdf=cdf, kernel=kernel, density=density)
+    return Copula(spec.label, cdf, kernel, density, partial(property_verdicts, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +541,8 @@ def scan_dminus_psi_continuity(spec):
 
 
 def _nonstrict_witnesses(spec):
-    """TP2 (CDF) and MK-TP2 (kernel) witnesses on [a, c]^2, a = psi(3/4 phi(0)), c = psi(1/8 phi(0)).
+    """LTD, SI, TP2 and MK-TP2 witnesses, by property, on one rectangle [a, c]^2,
+    a = psi(3/4 phi(0)) and c = psi(1/8 phi(0)); each re-evaluates through :func:`rectangle_defect`.
 
     2 phi(a) lies beyond phi(0), so C and K vanish at (a, a) but not at the
     other three corners; at v = a the rectangle also breaks LTD and SI.
@@ -548,10 +551,10 @@ def _nonstrict_witnesses(spec):
     c = float(spec.psi(0.125 * spec.phi_at_zero))
     rect = Rectangle(a, c, a, c)
     copula = arch_copula(spec)
-    witnesses = []
-    for prop in ("tp2", "mktp2"):
+    witnesses = {}
+    for prop in ("ltd", "si", "tp2", "mktp2"):
         defect, values = rectangle_defect(copula, prop, rect)
-        witnesses.append(Witness(points=rect.as_tuple(), values=values, defect=defect, kind="rectangle"))
+        witnesses[prop] = Witness(points=rect.as_tuple(), values=values, defect=defect, kind="rectangle")
     return witnesses
 
 
@@ -561,18 +564,17 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
     TP2 <-> LTD and MK-TP2 <-> SI are exact equivalences at generator level,
     so each pair is one verdict under both keys.  Non-strict generators
     short-circuit: their copulas vanish on an interior region, which already
-    refutes LTD/TP2/SI/MK-TP2 on one rectangle.  Strict generators run the
-    D-psi continuity scan and the two log-convexity scans; the d-TP2
-    criterion runs only under a declared twice-differentiable (or completely
-    monotone) co-generator, on the declared ``psi_second`` at the grid
-    tolerances or, without one, on central second differences of psi with
-    widened tolerances matching the differentiation noise.
+    refutes LTD/TP2/SI/MK-TP2 on one rectangle; each pair shares its status,
+    certificate and note, and each property gets its own witness.  Strict
+    generators run the D-psi continuity scan and the two log-convexity scans;
+    the d-TP2 criterion runs only under a declared twice-differentiable (or
+    completely monotone) co-generator, on the declared ``psi_second`` at the
+    grid tolerances or, without one, on central second differences of psi
+    with widened tolerances matching the differentiation noise.
     """
     if not spec.strict:
-        cdf_witness, kernel_witness = _nonstrict_witnesses(spec)
         note = "non-strict generator: copula vanishes on an interior region"
-        tp2 = Verdict(Status.FAILS, cdf_witness, {"method": "analytic:non-strict"}, note)
-        mktp2 = Verdict(Status.FAILS, kernel_witness, {"method": "analytic:non-strict"}, note)
+        tp2 = mktp2 = Verdict(Status.FAILS, None, {"method": "analytic:non-strict"}, note)
         dtp2 = Verdict(
             Status.NOT_APPLICABLE,
             None,
@@ -621,7 +623,10 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
         # the verdict read D-psi, and D-psi was derived, not declared
         derived = {**mktp2.certificate, "derivative": "finite-difference"}
         mktp2 = replace(mktp2, certificate=derived)
-    return {"ltd": tp2, "si": mktp2, "tp2": tp2, "mktp2": mktp2, "dtp2": dtp2}
+    table = {"ltd": tp2, "si": mktp2, "tp2": tp2, "mktp2": mktp2, "dtp2": dtp2}
+    if not spec.strict:
+        table.update({p: replace(table[p], witness=w) for p, w in _nonstrict_witnesses(spec).items()})
+    return table
 
 
 def _tag_analytic(verdict, name):

@@ -21,7 +21,6 @@ import sys
 import time
 
 from . import __version__
-from . import archimedean as arch
 from . import extreme_value as evc
 from .errors import MkTp2Error, NumericalError, SearchFailed, ValidationError
 from .grids import GridConfig, Rectangle
@@ -123,16 +122,11 @@ def _entry_dict(prop, verdict):
     return out
 
 
-def _verdicts(entry, obj, copula, grid, props):
-    """Verdicts of ``props`` for a built family, keyed by property.
-
-    Generator- and Pickands-level equivalences beat a grid scan where they
-    apply; every other family is scanned on the grid.
-    """
-    if entry.kind == "archimedean":
-        return arch.property_verdicts(obj, grid, props)
-    if entry.kind == "evc":
-        return evc.property_verdicts(obj, grid, props)
+def _verdicts(copula, grid, props):
+    """Verdicts of ``props`` keyed by property: the copula's ``analytic`` ones
+    (generator or Pickands level) where it carries them, else the grid's."""
+    if copula.analytic is not None:
+        return copula.analytic(grid, props)
     return property_verdicts(copula, grid, props)
 
 
@@ -147,10 +141,10 @@ def _emit(report, args):
 
 def cmd_classify(args):
     params = _parse_params(args.param)
-    entry, obj, copula = build(args.family, params)
+    copula = build(args.family, params)[2]
     grid = _grid_from_args(args)
     report = _report_skeleton(copula.label, params, grid)
-    table = _verdicts(entry, obj, copula, grid, PROPERTIES)
+    table = _verdicts(copula, grid, PROPERTIES)
     report["results"] = [_entry_dict(p, table[p]) for p in PROPERTIES]
     _emit(report, args)
     return 0
@@ -158,7 +152,7 @@ def cmd_classify(args):
 
 def cmd_check(args):
     params = _parse_params(args.param)
-    entry, obj, copula = build(args.family, params)
+    copula = build(args.family, params)[2]
     grid = _grid_from_args(args)
     report = _report_skeleton(copula.label, params, grid)
     prop = args.property
@@ -176,7 +170,7 @@ def cmd_check(args):
             }
         )
     else:
-        verdict = _verdicts(entry, obj, copula, grid, (prop,))[prop]
+        verdict = _verdicts(copula, grid, (prop,))[prop]
         report["results"].append(_entry_dict(prop, verdict))
     _emit(report, args)
     return 0
@@ -188,20 +182,20 @@ _FAVOUR = {Status.FAILS: 0, Status.INCONCLUSIVE: 1, Status.HOLDS: 2, Status.NOT_
 
 def cmd_witness(args):
     params = _parse_params(args.param)
-    entry, obj, copula = build(args.family, params)
+    copula = build(args.family, params)[2]
     grid = _grid_from_args(args)
     prop = args.property
     report = _report_skeleton(copula.label, params, grid)
 
-    # a generator- or Pickands-level verdict that holds or does not apply
-    # settles it; the Pickands tree's MK-TP2 witness is kept, and every other
-    # case is searched, as for a core family.  The search's verdict replaces
-    # such a verdict only where it is no more favourable, so witness never
-    # reports more favourably than classify
-    verdict = None if entry.kind == "core" else _verdicts(entry, obj, copula, grid, (prop,))[prop]
+    # a family verdict that holds or does not apply settles it, and one whose
+    # witness is a rectangle is printed as it is; anything else, and every
+    # copula without analytic verdicts, is searched.  The search's verdict
+    # replaces the family's only where it is no more favourable, so witness
+    # never reports more favourably than classify
+    verdict = None if copula.analytic is None else _verdicts(copula, grid, (prop,))[prop]
     settled = verdict is not None and verdict.status in (Status.HOLDS, Status.NOT_APPLICABLE)
-    built = entry.kind == "evc" and prop == "mktp2" and verdict.witness is not None
-    if not (settled or built):
+    shown = verdict is not None and verdict.witness is not None and verdict.witness.kind == "rectangle"
+    if not (settled or shown):
         found = counterexample_search(copula, prop, grid)
         if verdict is None or _FAVOUR[found.status] <= _FAVOUR[verdict.status]:
             verdict = found
@@ -220,7 +214,7 @@ def cmd_witness(args):
 def cmd_sample(args):
     if not args.out:
         raise ValidationError("sample requires --out PATH for the CSV")
-    entry, obj, copula = build(args.family, _parse_params(args.param))
+    copula = build(args.family, _parse_params(args.param))[2]
     batch = sample(copula, args.n, args.seed)
     write_csv(batch, args.out)
     sys.stderr.write(f"wrote {batch.n} samples from {copula.label} to {args.out}\n")
@@ -230,12 +224,12 @@ def cmd_sample(args):
 def cmd_grid_export(args):
     if not args.out:
         raise ValidationError("grid-export requires --out PATH for the CSV")
-    entry, obj, copula = build(args.family, _parse_params(args.param))
+    _, obj, copula = build(args.family, _parse_params(args.param))
     grid = _grid_from_args(args)
     quantity = args.quantity
     if quantity == "density" and copula.density is None:
         raise ValidationError(f"{copula.label} exposes no density")
-    if quantity == "FA" and entry.kind != "evc":
+    if quantity == "FA" and not isinstance(obj, evc.PickandsSpec):
         raise ValidationError("quantity FA is defined only for extreme-value families")
     us = grid.u_axis()
     vs = grid.v_axis()

@@ -2,10 +2,10 @@
 
 A :class:`Copula` bundles the joint CDF ``C(u,v)``, a version of the Markov
 kernel ``K(u, [0,v])`` (the conditional distribution of V given U = u), an
-optional density for absolutely continuous families, and metadata used by
-the scanners.  All callables are vectorized over numpy arrays and pure; the
-built-in families give each as a per-axis :class:`Form`, and any other
-callable is run as one with identity preps (:func:`as_form`).
+optional density for absolutely continuous families, and optional analytic
+verdicts.  The CDF, kernel and density are vectorized over numpy arrays and
+pure; the built-in families give each as a per-axis :class:`Form`, and any
+other callable is run as one with identity preps (:func:`as_form`).
 
 Kernel versions at null sets follow the right-continuous convention: at a
 jump point in v (e.g. v = u for the comonotonicity copula), the kernel takes
@@ -38,12 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Copula:
-    """A bivariate copula exposed through its CDF and Markov kernel."""
+    """A bivariate copula exposed through its CDF and Markov kernel; ``analytic(grid, props)``,
+    where set, gives the family's generator- or Pickands-level verdicts of ``props`` by property."""
 
     label: str
     cdf: Callable
     kernel: Callable
     density: Optional[Callable] = None
+    analytic: Optional[Callable] = None
 
     def __repr__(self):
         return f"Copula({self.label})"

@@ -23,6 +23,7 @@ kernel alone: their cross ratio K11*K22 / (K12*K21) falls below one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -526,7 +527,8 @@ def _log_prep(p):
 
 def evc_copula(spec):
     """Wrap a Pickands spec as a :class:`~mktp2.core.Copula` of per-axis forms,
-    each axis prepped with its interior mask and log (the density's: its log)."""
+    each axis prepped with its interior mask and log (the density's: its log);
+    its ``analytic`` verdicts are :func:`property_verdicts` of ``spec``."""
 
     def cdf(pu, pv):
         (u, u_int, lu), (v, v_int, lv) = pu, pv
@@ -569,6 +571,7 @@ def evc_copula(spec):
         cdf=Form(cdf, _log_prep, _log_prep),
         kernel=Form(kernel, _log_prep, _log_prep),
         density=density,
+        analytic=partial(property_verdicts, spec),
     )
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from mktp2.grids import GridConfig
-from mktp2.registry import build
+from mktp2.registry import REGISTRY, build
 
 # every run draws the same Hypothesis examples, with no per-example deadline,
 # so a tier-1 result does not depend on the seed or on the machine's load
@@ -45,6 +45,8 @@ ALL_FAMILIES = [
     ("evc-log", None),
     ("evc-jump", None),
 ]
+# every generator- and Pickands-level setting above, and the generator of Pi
+ANALYTIC_FAMILIES = [f for f in ALL_FAMILIES if REGISTRY[f[0]].kind != "core"] + [("arch-pi", None)]
 
 
 def family_copulas():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ALL_FAMILIES
+from conftest import ANALYTIC_FAMILIES
 from mktp2 import cli, extreme_value
 from mktp2.cli import main
 from mktp2.errors import NumericalError, SearchFailed
@@ -122,10 +123,6 @@ def test_witness_of_a_property_that_does_not_apply_exits_three(capsys):
     assert "no witness: dtp2 not-applicable by search:dtp2 for W: W exposes no density" in err
 
 
-# every generator- and Pickands-level registry setting the tests build
-ANALYTIC_FAMILIES = [f for f in ALL_FAMILIES if REGISTRY[f[0]].kind != "core"] + [("arch-pi", None)]
-
-
 def _no_search(*args, **kwargs):
     raise AssertionError("counterexample_search ran")
 
@@ -136,7 +133,7 @@ def test_witness_exits_three_without_a_search_where_the_family_verdict_settles(c
     param = ",".join(f"{k}={v!r}" for k, v in (params or {}).items())
     entry, obj, copula = build(name, params)
     grid = GridConfig(n_u=48, n_v=48)
-    table = cli._verdicts(entry, obj, copula, grid, PROPERTIES)
+    table = cli._verdicts(copula, grid, PROPERTIES)
     monkeypatch.setattr(cli, "counterexample_search", _no_search)
     settled = [p for p in PROPERTIES if table[p].status in (Status.HOLDS, Status.NOT_APPLICABLE)]
     assert settled
@@ -331,6 +328,16 @@ def test_a_key_repeated_across_param_flags_exits_two(capsys):
 FAVOUR = {"fails": 0, "inconclusive": 1, "holds": 2, "not-applicable": 2}
 
 
+def run_witness(capsys, prop, *argv):
+    """``(status, witness)`` of one ``witness`` run: the report's, or the status that exit 3 names."""
+    code, out, err = run_cli(capsys, "witness", *argv, "--property", prop)
+    if code == 3:
+        return re.match(rf"no witness: {prop} (\S+) by ", err).group(1), None
+    assert code == 0, err
+    (entry,) = json.loads(out)["results"]
+    return entry["status"], entry["witness"]
+
+
 # D+A(0) rules MK-TP2 out, but the jump witness cannot be built: its contour
 # point underflows to 0 (alpha = 1e-6), or a kernel value in the cross ratio
 # vanishes (alpha = 1e-4); a grid search finds no violation either
@@ -339,18 +346,45 @@ def test_witness_is_never_more_favourable_than_classify(capsys, validator, alpha
     param = f"alpha={alpha!r},beta={beta!r}"
     report = run_report(capsys, validator, "classify", "--family", "mo", "--param", param)
     for prop, entry in result_map(report).items():
-        code, out, err = run_cli(capsys, "witness", "--family", "mo", "--param", param, "--property", prop)
-        if code == 3:
-            status = re.match(rf"no witness: {prop} (\S+) by ", err).group(1)
-        else:
-            assert code == 0, err
-            status = result_map(json.loads(out))[prop]["status"]
+        status, _ = run_witness(capsys, prop, "--family", "mo", "--param", param)
         assert FAVOUR[status] <= FAVOUR[entry["status"]], (prop, status, entry["status"])
     assert result_map(report)["mktp2"]["status"] == "inconclusive"
     code, out, _ = run_cli(capsys, "witness", "--family", "mo", "--param", param)
     assert code == 0
     (entry,) = json.loads(out)["results"]
     assert (entry["status"], entry["certificate"]["method"]) == ("inconclusive", "analytic:slope-at-zero")
+
+
+# the corners a witness of each kind names, as u1, u2, v1, v2
+CORNERS = {"point": lambda u, v: (u, u, v, v), "line": lambda u1, u2, v: (u1, u2, v, v), "rectangle": lambda *r: r}
+
+
+@pytest.mark.parametrize("family", ANALYTIC_FAMILIES, ids=lambda fp: f"{fp[0]}-{fp[1]}")
+def test_witness_agrees_with_classify_on_every_analytic_setting(capsys, validator, family):
+    name, params = family
+    argv = ("--family", name, "--param", ",".join(f"{k}={v!r}" for k, v in (params or {}).items()), "--grid", "48")
+    classified = result_map(run_report(capsys, validator, "classify", *argv))
+    for prop in PROPERTIES:
+        status, witness = run_witness(capsys, prop, *argv)
+        assert FAVOUR[status] <= FAVOUR[classified[prop]["status"]], (prop, status)
+        if witness is None or witness["kind"] not in CORNERS:
+            continue
+        rect = ",".join(repr(p) for p in CORNERS[witness["kind"]](*witness["points"]))
+        redo = result_map(run_report(capsys, validator, "check", *argv, "--property", prop, "--rect", rect))[prop]
+        assert abs(redo["witness"]["defect"] - witness["defect"]) <= 1e-12, (prop, witness, redo)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 3.0, 10.0])
+def test_gumbel_reads_alike_by_generator_pickands_function_and_grid(alpha):
+    # Gumbel is both Archimedean and extreme-value (Genest & Rivest 1989), so its
+    # generator and its Pickands function decide each property by a different
+    # theorem; the same copula without its analytic verdicts is decided on the grid
+    grid = GridConfig(n_u=64, n_v=64)
+    gumbel = build("gumbel", {"alpha": alpha})[2]
+    routes = (gumbel, build("evc-gumbel", {"alpha": alpha})[2], dataclasses.replace(gumbel, analytic=None))
+    for copula in routes:
+        statuses = {p: v.status for p, v in cli._verdicts(copula, grid, PROPERTIES).items()}
+        assert statuses == dict.fromkeys(PROPERTIES, Status.HOLDS), copula.label
 
 
 def test_sample_size_above_bound_exits_two(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Snapshot tests: `classify --grid 64` reports, `witness --grid 48` reports of
-the EVC MK-TP2 witnesses, `sample` and `grid-export` CSV digests, and boundary
+the EVC MK-TP2 witnesses and the outcomes of every analytic setting's
+`witness --grid 48`, `sample` and `grid-export` CSV digests, and boundary
 values of every built-in family's quantities.
 
 The files under ``tests/golden/`` pin verdicts, witnesses and report bytes;
 ``sample_digests.json`` the sha256 of the ``sample --n 5000 --seed 7`` CSV of
 each family, and of sample sizes around the sampler's 2^14-draw chunks;
+``witness_outcomes.json`` the exit code and the blake2b digest of stdout of
+``witness --grid 48`` for each generator- and Pickands-level setting and
+property, so a change of route shows as the entries it changes;
 ``grid_digests.json`` the sha256 of the ``grid-export --grid 64``
 CSV of each family's cdf, kernel, density (where present) and FA (EVC only),
 uniform and logit; and ``boundary_values.json`` the hex bits (or the error
@@ -28,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES
+from conftest import ALL_FAMILIES, ANALYTIC_FAMILIES
 from mktp2.cli import main
 from mktp2.core import as_form
 from mktp2.properties import PROPERTIES, _grid_eval
@@ -77,6 +81,23 @@ def _witness_argv(name, params):
 
 def _witness_path(name, params):
     return GOLDEN_DIR / f"witness_mktp2_{_family_key(name, params)}.json"
+
+
+WITNESS_OUTCOMES = GOLDEN_DIR / "witness_outcomes.json"
+
+
+def _witness_outcomes():
+    """``{family/property: [exit code, stdout digest]}`` of ``witness --grid 48`` on every analytic setting."""
+    outcomes = {}
+    for name, params in ANALYTIC_FAMILIES:
+        for prop in PROPERTIES:
+            argv = ["witness", "--family", name, "--param", _param_text(params), "--property", prop]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--grid", WITNESS_GRID])
+            digest = hashlib.blake2b(buf.getvalue().encode(), digest_size=16).hexdigest()
+            outcomes[f"{_family_key(name, params)}/{prop}"] = [code, digest]
+    return outcomes
 
 
 def _sample_key(name, params, n):
@@ -155,6 +176,10 @@ def test_classify_matches_golden_report(capsys, family):
 @pytest.mark.parametrize("family", WITNESS_FAMILIES, ids=_family_ids)
 def test_evc_witness_matches_golden_report(capsys, family):
     assert _stdout(capsys, *_witness_argv(*family)) == _witness_path(*family).read_text()
+
+
+def test_witness_outcomes_match_golden():
+    assert _witness_outcomes() == json.loads(WITNESS_OUTCOMES.read_text())
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=_family_ids)
@@ -263,6 +288,7 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                 assert main(_witness_argv(name, params)) == 0
             _witness_path(name, params).write_text(buf.getvalue())
+        _write_lines(WITNESS_OUTCOMES, _witness_outcomes())
         grid_digests = {
             key: _grid_digest(argv, Path(scratch) / "grid.csv")
             for family in ALL_FAMILIES
