@@ -1,7 +1,8 @@
 """Snapshot tests: `classify --grid 64` reports, `witness --grid 48` reports of
-the EVC MK-TP2 witnesses and the outcomes of every analytic setting's
-`witness --grid 48`, `sample` and `grid-export` CSV digests, and boundary
-values of every built-in family's quantities.
+the EVC MK-TP2 witnesses, the outcomes of every analytic setting's
+`witness --grid 48` and of every grid-routed setting's `witness --grid 64`,
+`sample` and `grid-export` CSV digests, and boundary values of every
+built-in family's quantities.
 
 The files under ``tests/golden/`` pin verdicts, witnesses and report bytes;
 ``sample_digests.json`` the sha256 of the ``sample --n 5000 --seed 7`` CSV of
@@ -9,6 +10,9 @@ each family, and of sample sizes around the sampler's 2^14-draw chunks;
 ``witness_outcomes.json`` the exit code and the blake2b digest of stdout of
 ``witness --grid 48`` for each generator- and Pickands-level setting and
 property, so a change of route shows as the entries it changes;
+``witness_grid_outcomes.json`` the same of ``witness --grid 64`` for each
+grid-routed setting of the classify goldens, whose witness the search
+ladder finds;
 ``grid_digests.json`` the sha256 of the ``grid-export --grid 64``
 CSV of each family's cdf, kernel, density (where present) and FA (EVC only),
 uniform and logit; and ``boundary_values.json`` the hex bits (or the error
@@ -84,17 +88,20 @@ def _witness_path(name, params):
 
 
 WITNESS_OUTCOMES = GOLDEN_DIR / "witness_outcomes.json"
+WITNESS_GRID_OUTCOMES = GOLDEN_DIR / "witness_grid_outcomes.json"
+# the grid-routed settings of the classify goldens, whose witnesses come from the search ladder
+GRID_FAMILIES = [f for f in ALL_FAMILIES if f not in ANALYTIC_FAMILIES]
 
 
-def _witness_outcomes():
-    """``{family/property: [exit code, stdout digest]}`` of ``witness --grid 48`` on every analytic setting."""
+def _witness_outcomes(families=ANALYTIC_FAMILIES, grid=WITNESS_GRID):
+    """``{family/property: [exit code, stdout digest]}`` of ``witness --grid grid`` on each of ``families``."""
     outcomes = {}
-    for name, params in ANALYTIC_FAMILIES:
+    for name, params in families:
         for prop in PROPERTIES:
             argv = ["witness", "--family", name, "--param", _param_text(params), "--property", prop]
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-                code = main([*argv, "--grid", WITNESS_GRID])
+                code = main([*argv, "--grid", grid])
             digest = hashlib.blake2b(buf.getvalue().encode(), digest_size=16).hexdigest()
             outcomes[f"{_family_key(name, params)}/{prop}"] = [code, digest]
     return outcomes
@@ -180,6 +187,10 @@ def test_evc_witness_matches_golden_report(capsys, family):
 
 def test_witness_outcomes_match_golden():
     assert _witness_outcomes() == json.loads(WITNESS_OUTCOMES.read_text())
+
+
+def test_grid_witness_outcomes_match_golden():
+    assert _witness_outcomes(GRID_FAMILIES, GRID) == json.loads(WITNESS_GRID_OUTCOMES.read_text())
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=_family_ids)
@@ -289,6 +300,7 @@ if __name__ == "__main__":
                 assert main(_witness_argv(name, params)) == 0
             _witness_path(name, params).write_text(buf.getvalue())
         _write_lines(WITNESS_OUTCOMES, _witness_outcomes())
+        _write_lines(WITNESS_GRID_OUTCOMES, _witness_outcomes(GRID_FAMILIES, GRID))
         grid_digests = {
             key: _grid_digest(argv, Path(scratch) / "grid.csv")
             for family in ALL_FAMILIES
