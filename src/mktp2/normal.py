@@ -69,14 +69,17 @@ def _term(p, y, s):
     """sign(x) g(|x|, b_x) at every point of the broadcast of prep ``p`` of x with ``y``.
 
     It takes c = b_x |x| = (rho x - y) / s, which is also the swap branch's
-    b h, and one Owen's T per point, on the branch of c > |x|.
+    b h, and one Owen's T per point, on the branch of c > |x|.  The swap
+    branch's Q(c) is evaluated at the swap points alone.
     """
     _, h, rho_x, sign, _, half_q, erf_h, _, _ = p
     c = (rho_x - y) / s
     swap = c > h
     a = np.where(swap, c, h)
     t = special.owens_t(a, np.where(swap, h, c) / a)
-    g = np.where(swap, t - 0.5 * special.ndtr(-c) * erf_h, half_q - t)
+    g = np.asarray(half_q - t)  # an array even at a 0-d point, so the swap points can be set
+    if swap.any():
+        g[swap] = t[swap] - 0.5 * special.ndtr(-c[swap]) * np.broadcast_to(erf_h, t.shape)[swap]
     return sign * g
 
 

@@ -45,8 +45,21 @@ ALL_FAMILIES = [
     ("evc-log", None),
     ("evc-jump", None),
 ]
+# the grid-routed settings above, whose witnesses come from the search ladder
+GRID_FAMILIES = [f for f in ALL_FAMILIES if REGISTRY[f[0]].kind == "core"]
+# the Gaussian and FGM settings nearest the edges of their ranges, and Gaussian
+# rho = -0.52, whose TP2 search stops after its first stage
+CORE_EDGES = [
+    ("gaussian", {"rho": -0.52}),
+    ("gaussian", {"rho": 0.99}),
+    ("gaussian", {"rho": -0.99}),
+    ("fgm", {"theta": -1.0}),
+]
+CORE_FAMILIES = GRID_FAMILIES + CORE_EDGES
 # every generator- and Pickands-level setting above, and the generator of Pi
 ANALYTIC_FAMILIES = [f for f in ALL_FAMILIES if REGISTRY[f[0]].kind != "core"] + [("arch-pi", None)]
+# every registry family: the settings of ALL_FAMILIES and the parameterless rest
+REGISTRY_FAMILIES = ALL_FAMILIES + [(name, None) for name in REGISTRY if name not in dict(ALL_FAMILIES)]
 
 
 def family_copulas():

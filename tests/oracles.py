@@ -3,13 +3,15 @@
 No command or classifier runs these; they re-derive a quantity by an
 independent route (quadrature of the kernel, finite differences of the CDF,
 a telescoping product of the h-map, empirical distributions of a sample,
-every rectangle of the MK-TP2 span sweep, a whole-batch kernel inversion,
-a rectangle's defect written out per property on pointwise calls)
+every rectangle of the MK-TP2 span sweep, every stage of the counterexample
+ladder, a whole-batch kernel inversion, a rectangle's defect written out per
+property on pointwise calls, Owen's T terms with both branches at every point)
 so tests can bound or match the library's answer by it, or test a shape
 (log-concavity, 2-increasingness) that no command reads.
 """
 
 import numpy as np
+from scipy import special
 
 from mktp2.archimedean import GeneratorSpec
 from mktp2.core import as_form
@@ -26,7 +28,10 @@ from mktp2.properties import (
     _midpoint_scan,
     _non_finite_note,
     _rectangle_witness,
+    _require_known,
+    _scan,
     _verdict,
+    _window_axes,
 )
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,56 @@ def reference_sweep(values, us, vs, grid):
                     kind="rectangle",
                 )
     return best, best_w
+
+
+# ---------------------------------------------------------------------------
+# the counterexample ladder
+# ---------------------------------------------------------------------------
+
+
+def reference_search(copula, prop, grid=DEFAULT_GRID, stages=(64, 256, 1024)):
+    """``properties.counterexample_search`` scanning every stage of the ladder.
+
+    No stage is skipped, whatever its cell area, so where the library skips
+    a ``tp2`` stage the two must still give the same verdict.
+    """
+    _require_known((prop,))
+    if prop == "dtp2" and copula.density is None:
+        note = f"{copula.label} exposes no density"
+        return Verdict(Status.NOT_APPLICABLE, None, {"method": "search:dtp2"}, note=note)
+    cert = {"method": f"search:{prop}", "stages": list(stages), "grid": grid.describe()}
+    us = vs = grid.axis(stages[0])
+    best_defect, best_witness, note = _scan(copula, (prop,), us, vs, grid)[prop]
+    for n in stages[1:]:
+        if best_defect is None or best_witness is None:
+            break
+        us, vs = _window_axes(best_witness, n)
+        d, w, stage_note = _scan(copula, (prop,), us, vs, grid)[prop]
+        if d is None:
+            best_defect, note = None, stage_note
+            break
+        note = note or stage_note
+        if d > best_defect:
+            best_defect, best_witness = d, w
+    band_note, holds_note = "defect inside the tolerance band", "no violation within the search budget"
+    return _verdict(best_defect, best_witness, cert, grid.tol_eq, grid.tol_strict, band_note, holds_note, note)
+
+
+# ---------------------------------------------------------------------------
+# the bivariate normal's Owen's T terms
+# ---------------------------------------------------------------------------
+
+
+def reference_term(p, y, s):
+    """``normal._term`` with both branches of g evaluated at every point and one
+    picked by ``np.where``; its bits are those of the library's term."""
+    _, h, rho_x, sign, _, half_q, erf_h, _, _ = p
+    c = (rho_x - y) / s
+    swap = c > h
+    a = np.where(swap, c, h)
+    t = special.owens_t(a, np.where(swap, h, c) / a)
+    g = np.where(swap, t - 0.5 * special.ndtr(-c) * erf_h, half_q - t)
+    return sign * g
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -7,7 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import random_rectangles
 from mktp2.core import make_baseline, make_fgm, make_frechet, make_gaussian
+from mktp2.cli import main
 from mktp2.errors import ValidationError
+from mktp2.grids import GridConfig
+from mktp2.normal import std_normal_quantile
 from oracles import disintegration_gap, kernel_u_jumps, max_kernel_fd_mismatch
 
 
@@ -134,3 +140,56 @@ def test_fgm_respects_frechet_hoeffding_bounds(theta, u, v):
     c = cop.cdf(u, v)
     assert max(u + v - 1.0, 0.0) - 1e-12 <= c <= min(u, v) + 1e-12
     assert -1e-12 <= cop.kernel(u, v) <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# closed-form truths of FGM and the Gaussian, against the grid verdicts
+# ---------------------------------------------------------------------------
+
+_SIGNED = [-0.9, -0.3, 0.3, 0.9]
+_AXIS = GridConfig(n_u=64, n_v=64).u_axis()
+
+
+def _checked(family, param, value, prop):
+    argv = ["check", "--family", family, "--param", f"{param}={value}", "--property", prop, "--grid", "64"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())["results"][0]["status"]
+
+
+@pytest.mark.parametrize("theta", _SIGNED)
+def test_fgm_closed_forms_decide_pqd_and_dtp2(theta):
+    cop = make_fgm(theta)
+    u, v = np.meshgrid(_AXIS, _AXIS, indexing="ij")
+    assert np.max(np.abs(cop.cdf(u, v) - u * v - theta * u * v * (1 - u) * (1 - v))) <= 1e-15
+    # c = 1 + theta (1 - 2u)(1 - 2v) is bilinear, so central differences are exact
+    # but for rounding: c c_uv - c_u c_v = 4 theta, whose sign is that of d-TP2
+    h = 1e-3
+    c = cop.density(u, v)
+    c_u = (cop.density(u + h, v) - cop.density(u - h, v)) / (2 * h)
+    c_v = (cop.density(u, v + h) - cop.density(u, v - h)) / (2 * h)
+    corners = cop.density(u + h, v + h) - cop.density(u + h, v - h) - cop.density(u - h, v + h)
+    c_uv = (corners + cop.density(u - h, v - h)) / (4 * h * h)
+    assert np.max(np.abs(c * c_uv - c_u * c_v - 4 * theta)) <= 1e-8
+    want = "holds" if theta >= 0 else "fails"
+    assert _checked("fgm", "theta", theta, "pqd") == want
+    assert _checked("fgm", "theta", theta, "dtp2") == want
+
+
+@pytest.mark.parametrize("rho", _SIGNED)
+def test_gaussian_closed_forms_decide_pqd_and_dtp2(rho):
+    cop = make_gaussian(rho)
+    u, v = np.meshgrid(_AXIS, _AXIS, indexing="ij")
+    # log c is rho x y / (1 - rho^2) plus terms in x or y alone (x, y the normal
+    # scores), so its cross difference on a cell is rho dx dy / (1 - rho^2)
+    x = std_normal_quantile(_AXIS)
+    log_c = np.log(cop.density(u, v))
+    cross = log_c[1:, 1:] + log_c[:-1, :-1] - log_c[1:, :-1] - log_c[:-1, 1:]
+    want = rho / (1 - rho * rho) * np.outer(np.diff(x), np.diff(x))
+    assert np.max(np.abs(cross - want)) <= 1e-12
+    # and C < uv inside the square exactly when rho < 0 (Slepian)
+    assert np.all(np.sign(cop.cdf(u, v) - u * v) == np.sign(rho))
+    status = "holds" if rho >= 0 else "fails"
+    assert _checked("gaussian", "rho", rho, "pqd") == status
+    assert _checked("gaussian", "rho", rho, "dtp2") == status

@@ -36,11 +36,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, ANALYTIC_FAMILIES
+from conftest import ALL_FAMILIES, ANALYTIC_FAMILIES, GRID_FAMILIES, REGISTRY_FAMILIES
 from mktp2.cli import main
 from mktp2.core import as_form
 from mktp2.properties import PROPERTIES, _grid_eval
-from mktp2.registry import build, family_names
+from mktp2.registry import build
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GRID = "64"
@@ -89,8 +89,6 @@ def _witness_path(name, params):
 
 WITNESS_OUTCOMES = GOLDEN_DIR / "witness_outcomes.json"
 WITNESS_GRID_OUTCOMES = GOLDEN_DIR / "witness_grid_outcomes.json"
-# the grid-routed settings of the classify goldens, whose witnesses come from the search ladder
-GRID_FAMILIES = [f for f in ALL_FAMILIES if f not in ANALYTIC_FAMILIES]
 
 
 def _witness_outcomes(families=ANALYTIC_FAMILIES, grid=WITNESS_GRID):
@@ -210,8 +208,6 @@ def test_sample_csv_matches_golden_digest(tmp_path, family):
     assert _sample_digest(name, params, tmp_path / "sample.csv") == digests[_family_key(name, params)]
 
 
-# every registry family: those of ALL_FAMILIES and the parameterless rest
-REGISTRY_FAMILIES = ALL_FAMILIES + [(name, None) for name in family_names() if name not in dict(ALL_FAMILIES)]
 # (name, params, n) of the digests at the sampler's chunk boundaries
 CHUNK_SAMPLES = [(*f, CHUNKS_N) for f in REGISTRY_FAMILIES]
 CHUNK_SAMPLES += [(*f, n) for f in ALL_FAMILIES if f[0] in EDGE_FAMILIES for n in EDGE_NS]

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from mktp2 import normal
 from mktp2.core import make_gaussian
 from mktp2.errors import ValidationError
 from mktp2.grids import GridConfig
 from mktp2.normal import bivariate_normal_cdf, bvn_combine, bvn_prep, std_normal_cdf, std_normal_quantile
+from mktp2.properties import _grid_eval
+from oracles import reference_term
 
 
 def erf_series(x, terms=60):
@@ -211,3 +214,37 @@ def test_the_split_cases_hold_zero_rows_and_both_branches(rho):
     xx, yy = np.meshgrid(x, x, indexing="ij")
     swap = (rho * xx - yy) / np.sqrt(1.0 - rho * rho) > np.abs(xx)
     assert swap.any() and not swap.all()
+
+
+# ---------------------------------------------------------------------------
+# the swap branch of g at the swap points alone, against both branches everywhere
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("rho", [0.3, -0.52, 0.99, -0.99])
+@pytest.mark.parametrize(
+    "us, vs", [(_UNIFORM, _UNIFORM), (_LOGIT, _LOGIT), (_UNIFORM, _TAIL)], ids=["uniform", "logit", "uniform-tail"]
+)
+def test_term_has_the_bits_of_both_branches_at_every_point(monkeypatch, us, vs, rho):
+    # the uniform axis holds u = 0.5, so x = 0; square grids are mirrored, the
+    # uniform-tail grid is not
+    x, y = std_normal_quantile(us), std_normal_quantile(vs)
+    p, s = bvn_prep(x[:, None], rho), np.sqrt(1.0 - rho * rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(_bits(normal._term(p, y[None, :], s)), _bits(reference_term(p, y[None, :], s)))
+    cdf = make_gaussian(rho).cdf
+    got = _grid_eval(cdf, us, vs)
+    monkeypatch.setattr(normal, "_term", reference_term)
+    assert np.array_equal(_bits(got), _bits(_grid_eval(cdf, us, vs)))
+
+
+@pytest.mark.parametrize("rho", [-0.99, 0.99])
+def test_combine_takes_zero_dimensional_points(rho):
+    for h, k in ((-0.4, 1.2), (2.0, -3.0), (0.0, 0.7)):
+        point = bvn_combine(bvn_prep(np.array(h), rho), bvn_prep(np.array(k), rho), rho)
+        row = bvn_combine(bvn_prep(np.array([h]), rho), bvn_prep(np.array([k]), rho), rho)
+        assert np.ndim(point) == 0 and _bits(point) == _bits(row[0])

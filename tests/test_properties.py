@@ -5,8 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import ALL_FAMILIES, random_rectangles
-from oracles import log_concavity_test, reference_rectangle_defect, two_increasing_test
+from conftest import ALL_FAMILIES, CORE_EDGES, CORE_FAMILIES, REGISTRY_FAMILIES, random_rectangles
+from oracles import log_concavity_test, reference_rectangle_defect, reference_search, two_increasing_test
 
 from mktp2 import archimedean, extreme_value, properties
 from mktp2.archimedean import arch_copula, builtin_archimedean
@@ -17,6 +17,9 @@ from mktp2.grids import GridConfig, Rectangle
 from mktp2.properties import (
     PROPERTIES,
     Status,
+    Witness,
+    _grid_eval,
+    _window_axes,
     check_dtp2,
     check_ltd,
     check_mktp2,
@@ -411,3 +414,90 @@ def test_logit_spacing_concentrates_near_boundary():
     assert us[-1] == pytest.approx(0.999, rel=1e-9)
     # geometric clustering: the first step is much smaller than the middle one
     assert us[1] - us[0] < 0.1 * (us[51] - us[50])
+
+
+# ---------------------------------------------------------------------------
+# the tp2 search skips zoom stages whose cells cannot beat the kept defect
+# ---------------------------------------------------------------------------
+
+_STAGE_ONE = GRID.axis(64)
+# the 64-grid cells at the four corners and the centre that a 1024 window zooms on
+_ZOOM_CELLS = [(0, 0), (0, 62), (62, 0), (62, 62), (31, 31)]
+
+
+def _cell_witness(i, j):
+    us = _STAGE_ONE
+    return Witness((us[i], us[i + 1], us[j], us[j + 1]), (), 0.0, "rectangle")
+
+
+@pytest.mark.parametrize("name, params", REGISTRY_FAMILIES + CORE_EDGES, ids=lambda fp: str(fp))
+def test_adjacent_tp2_defect_of_a_cdf_is_at_most_its_cell_area(name, params):
+    # C12 C21 - C11 C22 <= (C12 - C11)(C21 - C11) <= du dv, by 2-increasingness and
+    # the 1-Lipschitz margins: the premise of the search's stage skip
+    copula = build(name, params)[2]
+    windows = [(_STAGE_ONE, _STAGE_ONE)] + [_window_axes(_cell_witness(i, j), 1024) for i, j in _ZOOM_CELLS]
+    for us, vs in windows:
+        f = _grid_eval(copula.cdf, us, vs)
+        defect = f[:-1, 1:] * f[1:, :-1] - f[:-1, :-1] * f[1:, 1:]
+        assert np.max(defect - np.diff(us)[:, None] * np.diff(vs)[None, :]) <= 1e-12, (us[0], vs[0])
+
+
+_LOGIT = GridConfig(spacing="logit")
+_EXACT = GridConfig(tol_eq=0.0, tol_strict=0.0)
+_SEARCHES = [(f, GRID) for f in ALL_FAMILIES + CORE_EDGES]
+_SEARCHES += [(f, grid) for f in CORE_FAMILIES for grid in (_LOGIT, _EXACT)]
+
+
+@pytest.mark.parametrize(
+    "family, grid", _SEARCHES, ids=lambda x: f"{x.spacing}-{x.tol_strict}" if isinstance(x, GridConfig) else str(x)
+)
+def test_tp2_search_reads_as_the_full_ladder(family, grid):
+    copula = build(*family)[2]
+    assert counterexample_search(copula, "tp2", grid).describe() == reference_search(copula, "tp2", grid).describe()
+
+
+def _stage_sizes(monkeypatch, copula, grid):
+    sizes = []
+    scan = properties._scan
+
+    def counted(copula, props, us, vs, grid, certify=False):
+        sizes.append(len(us))
+        return scan(copula, props, us, vs, grid, certify)
+
+    monkeypatch.setattr(properties, "_scan", counted)
+    verdict = counterexample_search(copula, "tp2", grid)
+    monkeypatch.undo()
+    return verdict, sizes
+
+
+def test_tp2_search_skips_the_stages_that_cannot_beat_its_defect(monkeypatch):
+    # rho = -0.52 fails on the 64 grid by 2.5e-4, far above any 256 or 1024 cell
+    verdict, sizes = _stage_sizes(monkeypatch, make_gaussian(-0.52), GRID)
+    assert verdict.status is Status.FAILS and sizes == [64]
+    # a kept defect at or below the bound runs every stage: Pi holds, and FGM at
+    # theta = -1e-6 fails at tol_strict 0 by 2.3e-10, below twice a 1024 cell
+    for copula, grid in ((make_baseline("pi"), GRID), (make_fgm(-1e-6), _EXACT)):
+        verdict, sizes = _stage_sizes(monkeypatch, copula, grid)
+        assert sizes == [64, 256, 1024], copula.label
+    assert verdict.status is Status.FAILS and verdict.witness.defect < 1e-9
+
+
+def test_a_skipped_stage_is_not_scanned_for_non_finite_values():
+    # a NaN on the 256 window, off the 64 grid, turns the full ladder inconclusive;
+    # the search skips that window and keeps its first-stage witness
+    copula = make_gaussian(-0.52)
+    first = counterexample_search(copula, "tp2", GRID)
+    us, vs = _window_axes(first.witness, 256)
+    u0, v0 = us[5], vs[7]
+    assert u0 not in _STAGE_ONE and v0 not in _STAGE_ONE
+
+    def poisoned(u, v):
+        out = np.array(copula.cdf(u, v), dtype=float)
+        out[(u == u0) & (v == v0)] = np.nan
+        return out
+
+    bad = dataclasses.replace(copula, cdf=poisoned)
+    assert reference_search(bad, "tp2", GRID).status is Status.INCONCLUSIVE
+    verdict = counterexample_search(bad, "tp2", GRID)
+    assert verdict == first
+    assert rectangle_defect(bad, "tp2", verdict.witness.rectangle())[0] == verdict.witness.defect
