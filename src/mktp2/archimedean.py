@@ -239,37 +239,27 @@ def make_generator(
             d_minus_psi = _inverse_d_minus(phi, psi, cap)
 
     if phi is None:
-        if np.isfinite(phi_at_zero):
-
-            def phi(t, _psi=psi, _hi=phi_at_zero):
-                t = np.asarray(t, dtype=float)
-                tt = np.clip(t, 1e-300, 1.0)
-                x = _bisect_increasing(lambda s: -np.asarray(_psi(s), dtype=float), -tt, 0.0, _hi)
-                out = np.where(t <= 0.0, phi_at_zero, x)
-                return np.where(t >= 1.0, 0.0, out)
-
-        else:
-            # strict co-generator: invert in log space, expanding each point's
-            # bracket until psi is below its own level, so that phi at a point
-            # does not depend on the other points of the call
-            def phi(t, _psi=psi):
-                t = np.asarray(t, dtype=float)
-                tt = np.clip(t, 1e-300, 1.0)
-                hi = np.ones_like(tt)
-                grow = np.asarray(_psi(hi), dtype=float) > tt
-                while np.any(grow):
-                    hi = np.where(grow, 16.0 * hi, hi)
-                    grow &= (np.asarray(_psi(hi), dtype=float) > tt) & (hi < 1e290)
-                s = _bisect_increasing(
-                    lambda y: -np.asarray(_psi(np.exp(y)), dtype=float),
-                    -tt,
-                    np.log(1e-300),
-                    np.log(hi),
-                    tol=1e-13,
-                    iters=300,
-                )
-                out = np.where(t <= 0.0, np.inf, np.exp(s))
-                return np.where(t >= 1.0, 0.0, out)
+        # invert in log space, expanding each point's bracket until psi is below
+        # its own level (psi = 0 beyond a finite phi(0) stops the growth), so
+        # that phi at a point does not depend on the other points of the call
+        def phi(t, _psi=psi, _at_zero=phi_at_zero):
+            t = np.asarray(t, dtype=float)
+            tt = np.clip(t, 1e-300, 1.0)
+            hi = np.ones_like(tt)
+            grow = np.asarray(_psi(hi), dtype=float) > tt
+            while np.any(grow):
+                hi = np.where(grow, 16.0 * hi, hi)
+                grow &= (np.asarray(_psi(hi), dtype=float) > tt) & (hi < 1e290)
+            s = _bisect_increasing(
+                lambda y: -np.asarray(_psi(np.exp(y)), dtype=float),
+                -tt,
+                np.log(1e-300),
+                np.log(hi),
+                tol=1e-13,
+                iters=300,
+            )
+            out = np.where(t <= 0.0, _at_zero, np.exp(s))
+            return np.where(t >= 1.0, 0.0, out)
 
     if d_minus_psi is None:
         d_minus_psi = _fd_d_minus(psi)

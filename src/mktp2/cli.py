@@ -110,16 +110,8 @@ def _report_skeleton(family, params, grid):
 
 def _entry_dict(prop, verdict):
     name = str(verdict.certificate.get("method", "grid"))
-    out = {
-        "property": prop,
-        "status": verdict.status.value,
-        "method": "analytic" if name.startswith("analytic") else "grid",
-        "certificate": verdict.certificate,
-        "witness": verdict.witness.describe() if verdict.witness else None,
-    }
-    if verdict.note:
-        out["note"] = verdict.note
-    return out
+    method = "analytic" if name.startswith("analytic") else "grid"
+    return {"property": prop, "status": verdict.status.value, "method": method, **verdict.describe()}
 
 
 def _verdicts(copula, grid, props):

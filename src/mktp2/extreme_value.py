@@ -17,7 +17,9 @@ by a short tree on the right derivative of A at 0:
     t -> t(1-t) F'(t)/F(t) non-increasing when A is smooth enough.
 
 The witness constructors return rectangles that are re-checkable through the
-kernel alone: their cross ratio K11*K22 / (K12*K21) falls below one.
+kernel alone: each accepts a rectangle only when its ``rectangle_defect``
+K12*K21 - K11*K22 is above ``tol_strict`` (the banding rule of the grid scans),
+so its cross ratio K11*K22 / (K12*K21) falls below one.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ _RATIO_POINTS = 2001
 # A(1/(1+gamma)) within this of its minimum ties with it (beta_sup_argmin)
 _ARGMIN_TIE_TOL = 1e-12
 
-# step budgets of the gradient and jump witness constructions, and the jump
-# construction's anchor u1
+# step budgets of the gradient and jump witness constructions, and the base of
+# the jump construction's anchor u1 = _JUMP_ANCHOR_U^(2 t_r)
 _MAX_DOUBLINGS = 40
 _MAX_SHRINK = 50
 _JUMP_ANCHOR_U = 0.5
@@ -575,17 +577,17 @@ def evc_copula(spec):
     )
 
 
-def _cross_ratio(k):
-    """The cross ratio K11*K22 / (K12*K21) of the kernel corners ``k = (k11, k12, k21, k22)``."""
-    k11, k12, k21, k22 = k
+def kernel_cross_ratio(spec, rect):
+    """K11*K22 / (K12*K21) evaluated through the kernel alone; < 1 refutes MK-TP2.
+
+    Kernel values lie in [0, 1], so a rectangle whose :func:`rectangle_defect`
+    K12*K21 - K11*K22 exceeds ``tol_strict`` has a cross ratio below
+    1 - ``tol_strict``.
+    """
+    k11, k12, k21, k22 = rectangle_defect(evc_copula(spec), "mktp2", rect)[1]
     if k12 * k21 <= 0.0:
         raise ValidationError("cross ratio undefined: a denominator kernel value vanishes")
     return (k11 * k22) / (k12 * k21)
-
-
-def kernel_cross_ratio(spec, rect):
-    """K11*K22 / (K12*K21) evaluated through the kernel alone; < 1 refutes MK-TP2."""
-    return _cross_ratio(rectangle_defect(evc_copula(spec), "mktp2", rect)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +596,9 @@ def kernel_cross_ratio(spec, rect):
 
 
 def _witness_from_rect(spec, rect):
-    """``(witness, cross ratio)`` of a rectangle from one :func:`rectangle_defect` of its kernel corners."""
+    """The witness of ``rect`` from one :func:`rectangle_defect` of its kernel corners."""
     defect, k = rectangle_defect(evc_copula(spec), "mktp2", rect)
-    return Witness(rect.as_tuple(), k, defect, "rectangle"), _cross_ratio(k)
+    return Witness(rect.as_tuple(), k, defect, "rectangle")
 
 
 def beta_sup_argmin(spec):
@@ -649,8 +651,8 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID):
 
     Construction: anchor u1 = exp(gamma_alpha / 2) with
     v1, v2 on the power contours u1^{beta} and u1^{alpha}, then push u2
-    toward 1 along u2 = 1 - 1/n until the kernel cross ratio drops below
-    1 - tol_strict.
+    toward 1 along u2 = 1 - 1/n until the rectangle's defect rises above
+    tol_strict.
     """
     d0 = float(spec.d_plus_A(0.0))
     if not (-1.0 + _D0_TOL < d0 < -_D0_TOL):
@@ -667,21 +669,22 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID):
     v1 = u1**beta
     v2 = u1**alpha
     n = int(np.ceil(1.0 / (1.0 - u1))) + 1
-    last_ratio = np.inf
+    last_defect = None
     for _ in range(_MAX_DOUBLINGS):
         u2 = 1.0 - 1.0 / n
         if u2 <= u1 or u2 >= 1.0:
             n *= 2
             continue
-        witness, last_ratio = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
-        if last_ratio < 1.0 - grid.tol_strict:
+        witness = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
+        if witness.defect > grid.tol_strict:
             return witness
+        last_defect = witness.defect
         n *= 2
     raise SearchFailed(
         "no violating rectangle within the doubling budget",
         beta_A=beta,
         gamma_alpha=gamma,
-        last_ratio=last_ratio,
+        last_defect=last_defect,
     )
 
 
@@ -691,7 +694,9 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
     Needs F continuous and positive on [t_l, t_r).  The rectangle keeps
     three corners in the band where F is close to its left limit y while
     the fourth sits on the jump contour, forcing the cross ratio below
-    y / (y + jump) < 1.
+    y / (y + jump) < 1.  It is anchored at u1 = (1/2)^(2 t_r), so that u1 and
+    the contour point v2 = (1/2)^(2 (1 - t_r)) stay in (1/4, 1), and v1 shrinks
+    toward v2 until the rectangle's defect rises above tol_strict.
     """
     t_l = float(t_l)
     t_r = float(t_r)
@@ -726,9 +731,9 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
         _, hi = bisect(lambda t: float(cap_function(spec, t)) >= y - eps, t_l, t_r - 1e-9, 0.0, 200)
         t_band = float(hi)
 
-    u1 = _JUMP_ANCHOR_U
+    u1 = _JUMP_ANCHOR_U ** (2.0 * t_r)
     v2 = float(contour(t_r, u1))
-    # rounding can leave the contour point just left of the jump (t_r = 0.45)
+    # rounding can leave the contour point just left of the jump (t_r = 0.6)
     while h_map(u1, v2) < t_r:
         v2 = float(np.nextafter(v2, 1.0))
     u_star = v_star = None
@@ -742,20 +747,21 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
         raise SearchFailed("could not fit a band rectangle", t_band=t_band, u1=u1, v2=v2)
 
     u2 = 0.5 * (u1 + u_star)
-    last_ratio = np.inf
+    last_defect = None
     for j in range(1, _MAX_SHRINK):
         v1 = v2 - (v2 - v_star) * 0.5**j
         if not v_star < v1 < v2:
             continue
-        witness, last_ratio = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
-        if last_ratio < 1.0 - grid.tol_strict:
+        witness = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
+        if witness.defect > grid.tol_strict:
             return witness
+        last_defect = witness.defect
     raise SearchFailed(
         "jump data appear inconsistent: no violating rectangle found",
         t_r=t_r,
         y=y,
         delta=delta,
-        last_ratio=last_ratio,
+        last_defect=last_defect,
     )
 
 
@@ -765,7 +771,8 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
     Construction: extend t2 to the full plateau, pick an
     extension point s beyond it subject to the three bullet conditions,
     anchor u1 so that c < u1^{1/(2s)} F(s), and place the remaining corners
-    on the power contours of t1 and s.
+    on the power contours of t1 and s.  The rectangle is taken if its defect
+    is above tol_strict.
     """
     t1 = float(t1)
     t2 = float(t2)
@@ -826,9 +833,9 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
     u2 = float(np.power(u1, 0.5 * (e_lo + e_hi)))
     v1 = float(contour(t1, u2))
     v2 = float(contour(s, u1))
-    witness, ratio = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
-    if not ratio < 1.0 - grid.tol_strict:
-        raise SearchFailed("constructed rectangle does not violate", ratio=ratio, s=s, u1=u1)
+    witness = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
+    if not witness.defect > grid.tol_strict:
+        raise SearchFailed("constructed rectangle does not violate", defect=witness.defect, s=s, u1=u1)
     return witness
 
 

@@ -94,10 +94,6 @@ class Verdict:
     certificate: dict = field(default_factory=dict)
     note: str = ""
 
-    @property
-    def holds(self):
-        return self.status is Status.HOLDS
-
     def describe(self):
         out = {
             "status": self.status.value,

@@ -314,6 +314,11 @@ def _clayton_nonstrict(theta):
 def test_nonstrict_fails_witnesses_reevaluate(theta):
     spec = builtin_archimedean("w") if theta is None else _clayton_nonstrict(theta)
     assert not spec.strict
+    if theta is not None:
+        # phi inverts psi up to its finite phi(0), near either end of (0, 1)
+        ts = np.array([1e-6, 1.1e-6, 1.0 - 1e-6, 1.0 - 1e-9])
+        assert np.max(np.abs(spec.psi(spec.phi(ts)) - ts)) <= 1e-13
+        assert float(spec.phi(0.0)) == spec.phi_at_zero
     copula = arch_copula(spec)
     table = property_verdicts(spec, GRID)
     for prop in ("ltd", "si", "tp2", "mktp2"):

@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from mktp2.extreme_value import (
     validate_pickands,
 )
 from mktp2.grids import GridConfig, Rectangle
-from mktp2.properties import Status
+from mktp2.properties import Status, rectangle_defect
 from oracles import cross_ratio_identity_check
 
 GRID = GridConfig()
@@ -332,7 +335,7 @@ def test_one_jump_with_curvature_fails():
 # for declared jumps, where it contradicts A and propagates
 # ---------------------------------------------------------------------------
 
-FAILURES = [SearchFailed("out of budget", last_ratio=1.0), ValidationError("cap does not jump upward")]
+FAILURES = [SearchFailed("out of budget", last_defect=0.0), ValidationError("cap does not jump upward")]
 
 
 def _raise(error):
@@ -486,7 +489,7 @@ def test_detect_derivative_jumps_between_grid_points(alpha, beta):
 def test_jump_witness_when_the_contour_rounds_left_of_the_jump(declared):
     from dataclasses import replace
 
-    # h(0.5, contour(t, 0.5)) can round one ulp below t, e.g. at t = 0.45, 0.1, 5/6 and 0.625
+    # h(u1, contour(t, u1)) can round one ulp below t, e.g. at t = 0.6, 0.625, 1/3 and 6/17
     for alpha in (0.1, 0.3, 0.45, 0.5, 0.7, 0.9):
         for beta in (0.1, 0.3, 0.5, 0.55, 0.7, 0.9):
             spec = builtin_pickands("marshall-olkin", alpha=alpha, beta=beta)
@@ -521,3 +524,49 @@ def test_classification_without_declared_metadata():
     branch, verdict = classify_evc(jumpy, GRID)
     assert branch == "3c"
     assert verdict.status is Status.FAILS
+
+
+# ---------------------------------------------------------------------------
+# one banding rule: every constructed witness re-checks above tol_strict
+# ---------------------------------------------------------------------------
+
+
+def _benchmark_range_specs():
+    """The distinct Pickands specs of the analytic-verdicts jobs whose MK-TP2
+    truth is fails, at seeds 0-19: per seed three Marshall-Olkin, two tawn-sym,
+    one tawn-mix, one two-kinks and one curved-kink draw, and evc-log and
+    evc-jump once."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import jobs
+    import oracle
+
+    specs = {}
+    for seed in range(20):
+        for job in jobs.build("analytic-verdicts", seed)["jobs"]:
+            if job.get("command", "classify") == "classify" and oracle.truth(job).get("mktp2") == "fails":
+                spec = oracle.Oracle._objects(job)[1]
+                if spec is not None:
+                    specs.setdefault(repr((job.get("family"), job.get("params"), job.get("lib"))), spec)
+    return list(specs.values())
+
+
+# Marshall-Olkin with the jump of its cap near t = 0 (small alpha) or near t = 1
+# (small beta): the jump construction anchors at u1 = (1/2)^(2 t_r), so its
+# corners stay in (1/4, 1) wherever the jump sits
+MO_EDGES = [
+    *((alpha, beta) for beta in (0.1, 0.5, 0.9) for alpha in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2)),
+    *((alpha, beta) for alpha in (0.5, 0.9) for beta in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)),
+]
+
+
+def test_every_constructed_witness_rechecks_above_tol_strict():
+    specs = [*_benchmark_range_specs(), *(builtin_pickands("mo", alpha=a, beta=b) for a, b in MO_EDGES)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in specs:
+            _, verdict = classify_evc(spec, GRID)
+            assert verdict.status is Status.FAILS, (spec, verdict.note)
+            assert verdict.witness.kind == "rectangle", spec
+            rect = verdict.witness.rectangle()
+            assert rectangle_defect(evc_copula(spec), "mktp2", rect)[0] > GRID.tol_strict, spec
+            assert kernel_cross_ratio(spec, rect) < 1.0 - GRID.tol_strict, spec
