@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import Copula, Form, param_text
 from .errors import SearchFailed, ValidationError
-from .grids import DEFAULT_GRID, JUMP_DELTAS, JUMP_TOL, Rectangle, bisect, persistent_jumps, runs
+from .grids import DEFAULT_GRID, Rectangle, bisect, runs
 from .properties import PROPERTIES, Status, Verdict, Witness, _require_known, check_dtp2, check_mktp2, rectangle_defect
 
 __all__ = [
@@ -54,9 +54,8 @@ __all__ = [
 
 _D0_TOL = 1e-8
 
-# scan points of the numeric jump detection, the plateau search and the
-# monotone-ratio criterion (which the 3d certificate records)
-_JUMP_SCAN_POINTS = 2001
+# scan points of the plateau search and the monotone-ratio criterion (which
+# the 3d certificate records)
 _PLATEAU_POINTS = 4001
 _RATIO_POINTS = 2001
 
@@ -72,18 +71,20 @@ _JUMP_ANCHOR_U = 0.5
 
 @dataclass(frozen=True)
 class PickandsSpec:
-    """A Pickands dependence function with one-sided derivative metadata.
+    """A Pickands dependence function with its declared derivative data.
 
-    ``declared_jumps`` lists the discontinuities of D+A (empty tuple: none;
-    None: unknown, numeric detection applies).  ``t_star`` is the supremum of
-    the initial segment where D+A = -1 (0 if there is none).  ``second``
-    holds A'' where available; ``absolutely_continuous`` gates the density.
+    ``d_plus_A`` is the right derivative D+A and ``declared_jumps`` the
+    strictly increasing tuple of its discontinuities in (0, 1) (empty: none).
+    ``t_star`` is the supremum of the initial segment where D+A = -1 (0 if
+    there is none).  ``second`` holds A'', which ``C3-on-interior`` requires;
+    ``absolutely_continuous`` gates the density.  Users build one through
+    :func:`validate_pickands`.
     """
 
     label: str
     A: Callable
     d_plus_A: Callable
-    declared_jumps: Optional[tuple] = ()
+    declared_jumps: tuple = ()
     smoothness: str = "generic"
     t_star: float = 0.0
     second: Optional[Callable] = None
@@ -99,12 +100,6 @@ class PickandsSpec:
 # ---------------------------------------------------------------------------
 
 
-def _forward_diff(A, t, h=1e-7):
-    t = np.asarray(t, dtype=float)
-    step = np.where(t + h <= 1.0, h, -h)
-    return (np.asarray(A(t + step), dtype=float) - np.asarray(A(t), dtype=float)) / step
-
-
 def validate_pickands(
     A,
     d_plus_A=None,
@@ -115,13 +110,25 @@ def validate_pickands(
     absolutely_continuous=False,
     label="custom",
 ):
-    """Check the Pickands axioms on a grid and fill missing metadata.
+    """Check a Pickands function and its declared derivative data on a grid.
 
-    Enforces A(0) = A(1) = 1, the envelope max(1-t, t) <= A <= 1, convexity,
-    and -1 <= D+A <= 1 non-decreasing.  A missing derivative is filled by
-    forward differences; a missing ``t_star`` is the largest grid prefix on
-    which the derivative stays within 1e-6 of -1.
+    Needs D+A as the callable ``d_plus_A``, its jumps as a strictly
+    increasing sequence in (0, 1), and A'' as ``second`` when ``smoothness``
+    is ``C3-on-interior``.  Enforces A(0) = A(1) = 1, the envelope
+    max(1-t, t) <= A <= 1, convexity, and -1 <= D+A <= 1 non-decreasing.  A
+    missing ``t_star`` is the largest grid prefix on which D+A stays within
+    1e-6 of -1.
     """
+    if not callable(d_plus_A):
+        raise ValidationError("d_plus_A must be a callable giving the right derivative D+A")
+    if declared_jumps is None:
+        raise ValidationError("declared_jumps must list the jumps of D+A (an empty tuple: none)")
+    declared_jumps = tuple(float(t) for t in declared_jumps)
+    if not all(0.0 < t < 1.0 for t in declared_jumps) or any(np.diff(declared_jumps) <= 0.0):
+        raise ValidationError(f"declared_jumps must increase strictly inside (0, 1), got {declared_jumps}")
+    if smoothness == "C3-on-interior" and second is None:
+        raise ValidationError("smoothness 'C3-on-interior' needs A'' as second")
+
     ts = np.linspace(0.0, 1.0, 1001)
     vals = np.asarray(A(ts), dtype=float)
     if abs(vals[0] - 1.0) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:
@@ -141,15 +148,8 @@ def validate_pickands(
         k = int(np.argmax(conv_bad))
         raise ValidationError(f"A is not convex at t={ts[k + 1]:.6g}")
 
-    filled = d_plus_A is None
-    if filled:
-        d_plus_A = lambda t, _A=A: _forward_diff(_A, t)
-
     dts = np.linspace(0.0, 1.0 - 1e-6, 1001)
-    # range/monotonicity probes of a finite-difference derivative need a
-    # coarser step: at h = 1e-7 the quotient carries ~2e-9 rounding noise
-    probe = (lambda t, _A=A: _forward_diff(_A, t, h=1e-5)) if filled else d_plus_A
-    dvals = np.asarray(probe(dts), dtype=float)
+    dvals = np.asarray(d_plus_A(dts), dtype=float)
     out_of_range = (dvals < -1.0 - 1e-9) | (dvals > 1.0 + 1e-9)
     if np.any(out_of_range):
         k = int(np.argmax(out_of_range))
@@ -171,7 +171,7 @@ def validate_pickands(
         label=label,
         A=A,
         d_plus_A=d_plus_A,
-        declared_jumps=tuple(declared_jumps) if declared_jumps is not None else None,
+        declared_jumps=declared_jumps,
         smoothness=smoothness,
         t_star=float(t_star),
         second=second,
@@ -691,7 +691,8 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID):
 def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
     """Witness rectangle around a jump of the cap function F at t_r.
 
-    Needs F continuous and positive on [t_l, t_r).  The rectangle keeps
+    Needs t_r among the spec's declared jumps and F continuous and positive
+    on [t_l, t_r).  The rectangle keeps
     three corners in the band where F is close to its left limit y while
     the fourth sits on the jump contour, forcing the cross ratio below
     y / (y + jump) < 1.  It is anchored at u1 = (1/2)^(2 t_r), so that u1 and
@@ -700,18 +701,8 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
     """
     t_l = float(t_l)
     t_r = float(t_r)
-    if spec.declared_jumps is not None:
-        if all(abs(t_r - t) > 1e-12 for t in spec.declared_jumps):
-            raise ValidationError(f"t_r={t_r:.6g} is not a declared jump of the cap function")
-    else:
-        # a numerically located jump may sit just left of the discontinuity:
-        # pin it by bisection on the non-decreasing cap
-        width = 2e-3
-        lo = max(t_l, t_r - width)
-        hi = min(1.0 - 1e-9, t_r + width)
-        level = 0.5 * (float(cap_function(spec, lo)) + float(cap_function(spec, hi)))
-        _, hi = bisect(lambda t: float(cap_function(spec, t)) >= level, lo, hi, 0.0, 120)
-        t_r = float(hi)
+    if all(abs(t_r - t) > 1e-12 for t in spec.declared_jumps):
+        raise ValidationError(f"t_r={t_r:.6g} is not a declared jump of the cap function")
     if not 0.0 < t_l < t_r < 1.0:
         raise ValidationError(f"need 0 < t_l < t_r < 1, got ({t_l}, {t_r})")
     y = float(cap_function(spec, t_r - 1e-9))
@@ -787,7 +778,7 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
     # anchor strictly inside the plateau: contour arithmetic at exactly t1
     # can round h(u2, v1) below a cap jump sitting on the boundary
     t1 = t1 + max(1e-12, 1e-6 * (t2 - t1))
-    inner_jumps = [t for t in (spec.declared_jumps or ()) if t1 < t < 1.0]
+    inner_jumps = [t for t in spec.declared_jumps if t1 < t < 1.0]
     if inner_jumps:
         raise ValidationError(
             f"cap function jumps at {inner_jumps[0]:.6g} inside (t1, 1); use the jump construction"
@@ -844,41 +835,6 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
 # ---------------------------------------------------------------------------
 
 
-def detect_derivative_jumps(A):
-    """Numeric discontinuity scan of D+A via symmetric difference quotients.
-
-    Each run of grid points whose quotient gap at the widest probe width
-    exceeds :data:`~mktp2.grids.JUMP_TOL` brackets a candidate.  Since A is convex its slope
-    is non-decreasing, so bisection pins the candidate where the slope
-    crosses the midpoint of its values at the bracket ends; a jump between
-    grid points is found as well as one on a grid point.  A pinned point is
-    kept by the jump-persistence rule of :func:`~mktp2.grids.persistent_jumps`:
-    the gap exceeds it at every probe width in {1e-3, 1e-4, 1e-5}
-    and does not shrink with the width.
-    """
-    ts = np.linspace(2e-3, 1.0 - 2e-3, _JUMP_SCAN_POINTS)
-    d = JUMP_DELTAS[0]
-
-    def gap_at(t):
-        A_t = np.asarray(A(t), dtype=float)
-        return lambda w: (np.asarray(A(t + w), dtype=float) - 2.0 * A_t + np.asarray(A(t - w), dtype=float)) / w
-
-    def slope(t, w=1e-9):
-        return (np.asarray(A(t + 0.5 * w), dtype=float) - np.asarray(A(t - 0.5 * w), dtype=float)) / w
-
-    candidates = runs(gap_at(ts)(d) > JUMP_TOL)
-    if not candidates:
-        return ()
-    # every point of a run lies within d of its jump
-    i0, i1 = np.array(candidates).T
-    lo, hi = ts[i0] - d, ts[i1 - 1] + d
-    level = 0.5 * (slope(lo) + slope(hi))
-    lo, hi = bisect(lambda t: slope(t) >= level, lo, hi, 1e-10, 60)
-    pinned = 0.5 * (lo + hi)
-    _, persistent = persistent_jumps(gap_at(pinned))
-    return tuple(pinned[persistent].tolist())
-
-
 def _find_plateau(spec, t_star, grid):
     """Maximal stretch where F is constant at a level inside (0, 1)."""
     eps = 1e-9
@@ -895,22 +851,14 @@ def _find_plateau(spec, t_star, grid):
     return None
 
 
-def _cap_derivative(spec, ts):
-    if spec.second is not None:
-        return (1.0 - ts) * np.asarray(spec.second(ts), dtype=float)
-    h = 1e-6
-    up = np.asarray(cap_function(spec, ts + h), dtype=float)
-    dn = np.asarray(cap_function(spec, ts - h), dtype=float)
-    return (up - dn) / (2.0 * h)
-
-
 def _ratio_test(spec, t_star, grid):
     """Non-increasingness of r(t) = t(1-t) F'(t)/F(t) on (t_star, 1)."""
     ts = np.linspace(t_star + grid.margin, 1.0 - grid.margin, _RATIO_POINTS)
     fs = np.asarray(cap_function(spec, ts), dtype=float)
     keep = fs > grid.tol_strict
     ts, fs = ts[keep], fs[keep]
-    rs = ts * (1.0 - ts) * _cap_derivative(spec, ts) / fs
+    cap_slope = (1.0 - ts) * np.asarray(spec.second(ts), dtype=float)  # F' = (1-t) A''
+    rs = ts * (1.0 - ts) * cap_slope / fs
     rises = np.diff(rs) - grid.tol_eq * (1.0 + np.abs(rs[:-1]))
     k = int(np.argmax(rises))
     defect = float(rises[k])
@@ -928,22 +876,18 @@ _NOTE_CAP_GAP = (
     "sufficient only above it; the certificate uses the monotone-ratio "
     "criterion on the whole interval instead"
 )
-_NOTE_NUMERIC_JUMPS = "numeric jump evidence without a verified witness"
 
 
-def _witness_verdict(construct, method, note, failed_note, failed_method=None, reraise=False):
+def _witness_verdict(construct, method, note, failed_note):
     """``fails`` with the witness ``construct()`` returns, under ``method`` and ``note``.
 
-    If it raises :class:`SearchFailed` or :class:`ValidationError`: ``inconclusive``
-    under ``failed_method`` (default ``method``) with ``failed_note: <error>``,
-    or, with ``reraise``, the error propagates.
+    If it raises :class:`SearchFailed` or :class:`ValidationError`:
+    ``inconclusive`` under ``method`` with ``failed_note: <error>``.
     """
     try:
         witness = construct()
     except (SearchFailed, ValidationError) as exc:
-        if reraise:
-            raise
-        return Verdict(Status.INCONCLUSIVE, None, {"method": failed_method or method}, f"{failed_note}: {exc}")
+        return Verdict(Status.INCONCLUSIVE, None, {"method": method}, f"{failed_note}: {exc}")
     return Verdict(Status.FAILS, witness, {"method": method}, note)
 
 
@@ -951,24 +895,22 @@ def classify_evc(spec, grid=DEFAULT_GRID):
     """MK-TP2 of an extreme-value copula: ``(branch, verdict)`` of the first
     rule of the D+A(0) tree that applies.
 
-    Branches 1 (holds), 2, 3a, 3b and 3c (fails through a witness), 3d (the
-    monotone-ratio criterion, holds) and 3e (a grid scan).  A witness for
-    declared jumps that cannot be built contradicts A, so that error
-    propagates; any other failed construction reads as inconclusive.
+    The jumps are the spec's declared jumps of D+A.  Branches 1 (holds), 2,
+    3a, 3b and 3c (fails through a witness), 3d (the monotone-ratio
+    criterion on the declared A'', holds) and 3e (a grid scan).  A witness
+    at declared jumps (3a, 3b) that cannot be built contradicts A, so that
+    error propagates; a failed construction in 2 or 3c reads as
+    inconclusive.
     """
     d0 = float(spec.d_plus_A(0.0))
     if abs(d0) <= _D0_TOL:
         note = "D+A(0) = 0 forces A == 1: the independence copula"
         return "1", Verdict(Status.HOLDS, None, {"method": "analytic:flat-at-zero"}, note)
 
-    declared = spec.declared_jumps is not None
-    jumps = spec.declared_jumps if declared else detect_derivative_jumps(spec.A)
-    # probing the left limit of the cap: declared jump locations are exact,
-    # detected ones carry the error of their difference-quotient pinning
-    left_probe = 1e-9 if declared else 2e-3
-
+    jumps = spec.declared_jumps
     if d0 > -1.0 + _D0_TOL:
-        capped = [t for t in jumps if float(cap_function(spec, t - left_probe)) > grid.tol_strict]
+        # declared jumps are exact, so 1e-9 left of one probes the cap's left limit
+        capped = [t for t in jumps if float(cap_function(spec, t - 1e-9)) > grid.tol_strict]
         if capped:
             construct = lambda: construct_witness_jump(spec, 0.5 * capped[0], capped[0], grid)
         else:
@@ -982,25 +924,21 @@ def classify_evc(spec, grid=DEFAULT_GRID):
     # D+A(0) = -1 from here on
     if len(jumps) >= 2:
         t_l, t_r = jumps[0], jumps[1]
-        return "3a", _witness_verdict(
-            lambda: construct_witness_jump(spec, 0.5 * (t_l + t_r), t_r, grid),
-            "analytic:two-jumps", "the derivative of A has at least two discontinuities",
-            _NOTE_NUMERIC_JUMPS, "numeric:two-jumps", reraise=declared,
-        )
+        witness = construct_witness_jump(spec, 0.5 * (t_l + t_r), t_r, grid)
+        note = "the derivative of A has at least two discontinuities"
+        return "3a", Verdict(Status.FAILS, witness, {"method": "analytic:two-jumps"}, note)
 
     if len(jumps) == 1:
         t_jump = float(jumps[0])
-        ts = np.linspace(1e-6, t_jump - left_probe, 513)
+        ts = np.linspace(1e-6, t_jump - 1e-9, 513)
         deviation = float(np.max(np.asarray(spec.A(ts), dtype=float) - (1.0 - ts)))
         if deviation > 1e-9:
             fs = np.asarray(cap_function(spec, ts), dtype=float)
             pos = np.flatnonzero(fs > grid.tol_strict)
             t_l = float(ts[pos[0]]) if len(pos) else 0.5 * t_jump
-            return "3b", _witness_verdict(
-                lambda: construct_witness_jump(spec, t_l, t_jump, grid),
-                "analytic:one-jump-curved", "A bends away from 1-t before the single derivative jump",
-                _NOTE_NUMERIC_JUMPS, "numeric:one-jump-curved", reraise=declared,
-            )
+            witness = construct_witness_jump(spec, t_l, t_jump, grid)
+            note = "A bends away from 1-t before the single derivative jump"
+            return "3b", Verdict(Status.FAILS, witness, {"method": "analytic:one-jump-curved"}, note)
 
     plateau = _find_plateau(spec, spec.t_star, grid)
     if plateau is not None:

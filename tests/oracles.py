@@ -59,7 +59,7 @@ def kernel_u_jumps(spec, params=None):
     if isinstance(spec, GeneratorSpec):
         return None if spec.strict else (lambda v: (float(zero_level(spec, v)),))
     if isinstance(spec, PickandsSpec):
-        ts = tuple(spec.declared_jumps or ())
+        ts = spec.declared_jumps
         if not ts:
             return None
         return lambda v: tuple(sorted(float(v) ** (t / (1.0 - t)) for t in ts))

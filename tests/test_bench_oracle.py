@@ -1,9 +1,9 @@
-"""The benchmark's correctness gate on the analytic-verdicts workload.
+"""The benchmark's correctness gate on every workload.
 
 Each job of ``perfbench/jobs.py`` runs once through ``child.run_job`` and is
 judged by ``oracle.Oracle.check``: exit code, report schema, the
-paper-derived verdict and the re-evaluation of every ``fails`` witness.  A
-witness the benchmark would reject fails here first.
+paper-derived verdict, the re-evaluation of every ``fails`` witness and the
+exported samples.  A job the benchmark would reject fails here first.
 """
 
 import os
@@ -22,11 +22,14 @@ from mktp2.grids import GridConfig  # noqa: E402
 
 
 @pytest.mark.parametrize("seed", [1601, 4242])
-def test_oracle_accepts_every_analytic_verdicts_job(tmp_path, seed):
+@pytest.mark.parametrize("workload", jobs.WORKLOADS)
+def test_oracle_accepts_every_job(tmp_path, workload, seed):
     pytest.importorskip("jsonschema")
     judge = oracle.Oracle(os.path.dirname(PERFBENCH))
     done = {}
-    for job in jobs.build("analytic-verdicts", seed)["jobs"]:
+    for job in jobs.build(workload, seed)["jobs"]:
         code, stdout, stderr, out = child.run_job(job, done, str(tmp_path), GridConfig())
         done[job["id"]] = record = {"code": code, "stdout": stdout, "stderr": stderr, "out": out}
         assert judge.check(job, record) == [], (job.get("argv") or job["lib"], stderr[-2000:])
+        if out is not None:
+            os.remove(out)  # sample-export writes a few MB per job

@@ -18,7 +18,6 @@ from mktp2.extreme_value import (
     construct_witness_gradient,
     construct_witness_jump,
     contour,
-    detect_derivative_jumps,
     evc_copula,
     h_map,
     kernel_cross_ratio,
@@ -56,31 +55,74 @@ def synthetic_plateau_spec():
 # ---------------------------------------------------------------------------
 
 
+def _t(t):
+    return np.asarray(t, dtype=float)
+
+
+def _zero(t):
+    return np.zeros_like(_t(t))
+
+
 def test_validate_independence_and_envelope():
-    spec = validate_pickands(lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    spec = validate_pickands(lambda t: np.ones_like(_t(t)), _zero)
     assert spec.t_star == 0.0
-    assert float(spec.d_plus_A(0.4)) == pytest.approx(0.0, abs=1e-9)
+    assert spec.declared_jumps == ()
+    assert float(spec.d_plus_A(0.4)) == 0.0
 
     env = validate_pickands(
-        lambda t: np.maximum(1.0 - np.asarray(t, dtype=float), np.asarray(t, dtype=float))
+        lambda t: np.maximum(1.0 - _t(t), _t(t)),
+        lambda t: np.where(_t(t) < 0.5, -1.0, 1.0),
+        declared_jumps=(0.5,),
     )
     assert env.t_star == pytest.approx(0.5, abs=2e-3)
+    assert env.declared_jumps == (0.5,)
 
 
 def test_validate_rejects_oversteep_parabola():
-    with pytest.raises(ValidationError):
-        validate_pickands(
-            lambda t: 1.5 * np.square(np.asarray(t, dtype=float))
-            - 1.5 * np.asarray(t, dtype=float)
-            + 1.0
-        )
+    with pytest.raises(ValidationError, match=r"falls below max\(1-t, t\)"):
+        validate_pickands(lambda t: 1.5 * np.square(_t(t)) - 1.5 * _t(t) + 1.0, lambda t: 3.0 * _t(t) - 1.5)
 
 
 def test_validate_rejects_nonconvex():
-    with pytest.raises(ValidationError):
+    # sin(pi) rounds to 1.2e-16, so this A misses A(1) = 1 before any other check
+    with pytest.raises(ValidationError, match=r"A\(0\) and A\(1\) must equal 1"):
         validate_pickands(
-            lambda t: 1.0 - 0.4 * np.sin(np.pi * np.asarray(t, dtype=float)) ** 0.5
+            lambda t: 1.0 - 0.4 * np.sin(np.pi * _t(t)) ** 0.5,
+            lambda t: -0.2 * np.pi * np.cos(np.pi * _t(t)) / np.sqrt(np.sin(np.pi * _t(t))),
         )
+    # inside the envelope, concave near t = 0
+    with pytest.raises(ValidationError, match="A is not convex at t=0.001"):
+        validate_pickands(
+            lambda t: 1.0 - 0.2 * np.square(np.sin(2.0 * np.pi * _t(t))),
+            lambda t: -0.4 * np.pi * np.sin(4.0 * np.pi * _t(t)),
+        )
+
+
+@pytest.mark.parametrize("d_plus_A", [None, 0.0], ids=["missing", "not-callable"])
+def test_validate_requires_a_callable_derivative(d_plus_A):
+    with pytest.raises(ValidationError, match="d_plus_A must be a callable"):
+        validate_pickands(lambda t: np.ones_like(_t(t)), d_plus_A)
+
+
+def test_validate_rejects_undeclared_jumps():
+    with pytest.raises(ValidationError, match="declared_jumps must list the jumps"):
+        validate_pickands(lambda t: np.ones_like(_t(t)), _zero, declared_jumps=None)
+
+
+@pytest.mark.parametrize(
+    "jumps", [(0.5, 0.2), (0.3, 0.3), (0.0,), (1.0,), (0.5, 1.5), (float("nan"),)],
+    ids=["decreasing", "repeated", "at-0", "at-1", "beyond-1", "nan"],
+)
+def test_validate_rejects_jumps_not_increasing_inside_the_unit_interval(jumps):
+    with pytest.raises(ValidationError, match=r"declared_jumps must increase strictly inside \(0, 1\)"):
+        validate_pickands(lambda t: np.ones_like(_t(t)), _zero, declared_jumps=jumps)
+
+
+def test_validate_requires_second_derivative_for_c3():
+    with pytest.raises(ValidationError, match="'C3-on-interior' needs A'' as second"):
+        validate_pickands(lambda t: np.ones_like(_t(t)), _zero, smoothness="C3-on-interior")
+    spec = validate_pickands(lambda t: np.ones_like(_t(t)), _zero, smoothness="C3-on-interior", second=_zero)
+    assert spec.second is _zero
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +327,7 @@ def test_classification_tree(name, kw, branch, status):
         assert ratio < 1.0 - GRID.tol_strict
 
 
-def two_kink_spec(declared_jumps=(0.2, 0.5)):
+def two_kink_spec():
     """Piecewise linear A with derivative jumps at 0.2 and 0.5 (branch 3a)."""
 
     def A(t):
@@ -297,11 +339,11 @@ def two_kink_spec(declared_jumps=(0.2, 0.5)):
         return np.where(t < 0.2, -1.0, np.where(t < 0.5, -0.5, 0.7))
 
     return validate_pickands(
-        A, d_plus_A=dA, declared_jumps=declared_jumps, smoothness="generic", t_star=0.2
+        A, d_plus_A=dA, declared_jumps=(0.2, 0.5), smoothness="generic", t_star=0.2
     )
 
 
-def curved_kink_spec(declared_jumps=(0.4,)):
+def curved_kink_spec():
     """Smooth curvature before the single derivative jump at 0.4 (branch 3b)."""
     slope = 0.32 / 0.6
 
@@ -314,7 +356,7 @@ def curved_kink_spec(declared_jumps=(0.4,)):
         return np.where(t < 0.4, -1.0 + t, slope)
 
     return validate_pickands(
-        A, d_plus_A=dA, declared_jumps=declared_jumps, smoothness="generic", t_star=0.0
+        A, d_plus_A=dA, declared_jumps=(0.4,), smoothness="generic", t_star=0.0
     )
 
 
@@ -332,7 +374,7 @@ def test_one_jump_with_curvature_fails():
 
 # ---------------------------------------------------------------------------
 # witness-failure policy: a failed construction reads as inconclusive, except
-# for declared jumps, where it contradicts A and propagates
+# at the jumps of branches 3a and 3b, where it contradicts A and propagates
 # ---------------------------------------------------------------------------
 
 FAILURES = [SearchFailed("out of budget", last_defect=0.0), ValidationError("cap does not jump upward")]
@@ -371,18 +413,11 @@ def test_failed_slope_at_zero_witness_is_inconclusive(monkeypatch, error, name, 
 
 
 @pytest.mark.parametrize("error", FAILURES, ids=lambda e: type(e).__name__)
-@pytest.mark.parametrize(
-    "make_spec,branch,method",
-    [(two_kink_spec, "3a", "numeric:two-jumps"), (curved_kink_spec, "3b", "numeric:one-jump-curved")],
-    ids=["3a", "3b"],
-)
-def test_failed_jump_witness_policy(monkeypatch, error, make_spec, branch, method):
+@pytest.mark.parametrize("make_spec", [two_kink_spec, curved_kink_spec], ids=["3a", "3b"])
+def test_failed_jump_witness_policy(monkeypatch, error, make_spec):
     monkeypatch.setattr(extreme_value, "construct_witness_jump", _raise(error))
     with pytest.raises(type(error)):
         classify_evc(make_spec(), GRID)
-    classified = classify_evc(make_spec(declared_jumps=None), GRID)
-    prefix = "numeric jump evidence without a verified witness"
-    _assert_inconclusive(classified, branch, method, prefix, error)
 
 
 @pytest.mark.parametrize("error", FAILURES, ids=lambda e: type(e).__name__)
@@ -470,31 +505,11 @@ def test_constant_witness_rejects_jumpy_cap():
         construct_witness_constant(mo, 0.2, 0.4, 0.5, GRID)
 
 
-def test_detect_derivative_jumps_numeric():
-    jumps = detect_derivative_jumps(builtin_pickands("jump-example").A)
-    assert len(jumps) == 1
-    assert jumps[0] == pytest.approx(0.125, abs=5e-3)
-    assert detect_derivative_jumps(builtin_pickands("gumbel", alpha=2.0).A) == ()
-
-
-@pytest.mark.parametrize("alpha,beta", [(0.3, 0.8), (0.7, 0.9), (0.45, 0.55)])
-def test_detect_derivative_jumps_between_grid_points(alpha, beta):
-    # none of these jumps lies within 1e-5 of one of the 2001 scan points
-    jumps = detect_derivative_jumps(builtin_pickands("marshall-olkin", alpha=alpha, beta=beta).A)
-    assert len(jumps) == 1
-    assert jumps[0] == pytest.approx(alpha / (alpha + beta), abs=1e-6)
-
-
-@pytest.mark.parametrize("declared", [True, False])
-def test_jump_witness_when_the_contour_rounds_left_of_the_jump(declared):
-    from dataclasses import replace
-
+def test_jump_witness_when_the_contour_rounds_left_of_the_jump():
     # h(u1, contour(t, u1)) can round one ulp below t, e.g. at t = 0.6, 0.625, 1/3 and 6/17
     for alpha in (0.1, 0.3, 0.45, 0.5, 0.7, 0.9):
         for beta in (0.1, 0.3, 0.5, 0.55, 0.7, 0.9):
             spec = builtin_pickands("marshall-olkin", alpha=alpha, beta=beta)
-            if not declared:
-                spec = replace(spec, declared_jumps=None)
             branch, verdict = classify_evc(spec, GRID)
             assert branch == "2"
             assert verdict.status is Status.FAILS, (alpha, beta)
@@ -506,24 +521,6 @@ def test_property_table_contains_dtp2():
     assert table["dtp2"].status is Status.NOT_APPLICABLE
     assert table["mktp2"].status is Status.FAILS
     assert table["tp2"].status is Status.HOLDS
-
-
-def test_classification_without_declared_metadata():
-    from dataclasses import replace
-
-    # numeric jump detection still yields verified witnesses
-    mo = replace(
-        builtin_pickands("marshall-olkin", alpha=0.5, beta=0.5), declared_jumps=None, t_star=0.0
-    )
-    branch, verdict = classify_evc(mo, GRID)
-    assert branch == "2"
-    assert verdict.status is Status.FAILS
-    assert verdict.witness is not None
-
-    jumpy = replace(builtin_pickands("jump-example"), declared_jumps=None, t_star=0.125)
-    branch, verdict = classify_evc(jumpy, GRID)
-    assert branch == "3c"
-    assert verdict.status is Status.FAILS
 
 
 # ---------------------------------------------------------------------------
