@@ -2,8 +2,9 @@
 
 A :class:`Copula` bundles the joint CDF ``C(u,v)``, a version of the Markov
 kernel ``K(u, [0,v])`` (the conditional distribution of V given U = u), an
-optional density for absolutely continuous families, and optional analytic
-verdicts.  The CDF, kernel and density are vectorized over numpy arrays and
+optional density for absolutely continuous families, optional analytic
+verdicts and an optional conditional quantile ``q(u, w)`` of the kernel.
+The CDF, kernel, density and quantile are vectorized over numpy arrays and
 pure; the built-in families give each as a per-axis :class:`Form`, and any
 other callable is run as one with identity preps (:func:`as_form`).
 
@@ -39,13 +40,22 @@ __all__ = [
 @dataclass(frozen=True)
 class Copula:
     """A bivariate copula exposed through its CDF and Markov kernel; ``analytic(grid, props)``,
-    where set, gives the family's generator- or Pickands-level verdicts of ``props`` by property."""
+    where set, gives the family's generator- or Pickands-level verdicts of ``props`` by property.
+
+    ``quantile(u, w)``, where set, is a closed form of the kernel's generalized
+    inverse inf{v : K(u, [0,v]) >= w} (the conditional distribution method).
+    It need not be exact: :func:`mktp2.sampler.sample` takes it only as a guess
+    of the 2^-34 cell its bisection would end in, keeps the guess where the
+    kernel confirms that cell and bisects the draws where it does not.  Where
+    the kernel's float values are monotone in v, a declared quantile changes
+    no sample bit, only the number of kernel evaluations."""
 
     label: str
     cdf: Callable
     kernel: Callable
     density: Optional[Callable] = None
     analytic: Optional[Callable] = None
+    quantile: Optional[Callable] = None
 
     def __repr__(self):
         return f"Copula({self.label})"
@@ -112,18 +122,21 @@ def make_baseline(name):
             cdf=Form(lambda u, v: u * v),
             kernel=Form(lambda u, v: v + 0.0 * u),
             density=Form(lambda u, v: np.ones_like(u * v)),
+            quantile=Form(lambda u, w: w + 0.0 * u),
         )
     if key == "m":
         return Copula(
             label="M",
             cdf=Form(np.minimum),
             kernel=Form(lambda u, v: np.where(v >= u, 1.0, 0.0)),
+            quantile=Form(lambda u, w: u + 0.0 * w),
         )
     if key == "w":
         return Copula(
             label="W",
             cdf=Form(lambda u, v: np.maximum(u + v - 1.0, 0.0)),
             kernel=Form(lambda u, v: np.where(v >= 1.0 - u, 1.0, 0.0)),
+            quantile=Form(lambda u, w: 1.0 - u + 0.0 * w),
         )
     raise ValidationError(f"unknown baseline {name!r}; expected one of Pi, M, W")
 
@@ -156,12 +169,32 @@ def make_frechet(alpha, beta):
             + beta * np.where(v >= 1.0 - u, 1.0, 0.0)
         )
 
+    # the v at which mid * v reaches w, the level less the atoms below v; with
+    # mid = 0 it is reached at v = 0 by a level <= 0 and nowhere by one above
+    if mid > 0.0:
+        level = lambda w: w / mid
+    else:
+        level = lambda w: np.where(w > 0.0, np.inf, 0.0)
+
+    def quantile(u, w):
+        # the first of the atoms at u (weight alpha) and at 1 - u (beta) is at lo
+        first = u <= 0.5
+        lo, hi = np.where(first, u, 1.0 - u), np.where(first, 1.0 - u, u)
+        j_lo, j_hi = np.where(first, alpha, beta), np.where(first, beta, alpha)
+        below, between, above = level(w), level(w - j_lo), level(w - j_lo - j_hi)
+        return np.where(
+            below <= lo,
+            below,
+            np.where(between <= lo, lo, np.where(between <= hi, between, np.where(above <= hi, hi, above))),
+        )
+
     density = Form(lambda u, v: np.full_like(u * v, mid)) if alpha == 0.0 and beta == 0.0 else None
     return Copula(
         label=f"frechet(alpha={param_text(alpha)}, beta={param_text(beta)})",
         cdf=Form(cdf),
         kernel=Form(kernel),
         density=density,
+        quantile=Form(quantile),
     )
 
 
@@ -185,11 +218,19 @@ def make_fgm(theta):
     def density(u, v):
         return 1.0 + theta * (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
 
+    def quantile(c, w):
+        # the root in [0, 1] of c v^2 - (1 + c) v + w = 0, c = theta (1 - 2u), in
+        # the form without cancellation; its denominator is 0 only at c = -1, w = 0
+        b = 1.0 + c
+        den = b + np.sqrt(np.maximum(b * b - 4.0 * c * w, 0.0))
+        return 2.0 * w / np.where(den > 0.0, den, 1.0)
+
     return Copula(
         label=f"fgm(theta={param_text(theta)})",
         cdf=Form(cdf),
         kernel=Form(kernel),
         density=Form(density),
+        quantile=Form(quantile, lambda u: theta * (1.0 - 2.0 * u)),
     )
 
 
@@ -240,6 +281,10 @@ def make_gaussian(rho):
         x = quantile_clipped(p)
         return x, 2.0 * rho * x, x * x
 
+    def quantile(pu, s_z):
+        # Phi(rho x + s Phi^-1(w)), x = Phi^-1(u)
+        return std_normal_cdf(pu[1] + s_z)
+
     def density(pu, pv):
         (_, two_rho_x, xx), (y, _, yy) = pu, pv
         expo = (two_rho_x * y - rho * rho * (xx + yy)) / (2.0 * s * s)
@@ -250,4 +295,5 @@ def make_gaussian(rho):
         cdf=Form(cdf, cdf_prep, cdf_prep, symmetric=True),
         kernel=Form(kernel, kernel_u, prep),
         density=Form(density, density_prep, density_prep),
+        quantile=Form(quantile, kernel_u, lambda w: s * quantile_clipped(w)),
     )

@@ -77,8 +77,9 @@ class PickandsSpec:
     strictly increasing tuple of its discontinuities in (0, 1) (empty: none).
     ``t_star`` is the supremum of the initial segment where D+A = -1 (0 if
     there is none).  ``second`` holds A'', which ``C3-on-interior`` requires;
-    ``absolutely_continuous`` gates the density.  Users build one through
-    :func:`validate_pickands`.
+    ``absolutely_continuous`` gates the density.  ``quantile``, where set,
+    becomes the copula's :attr:`~mktp2.core.Copula.quantile`.  Users build
+    one through :func:`validate_pickands`.
     """
 
     label: str
@@ -90,6 +91,7 @@ class PickandsSpec:
     second: Optional[Callable] = None
     cap: Optional[Callable] = None
     absolutely_continuous: bool = False
+    quantile: Optional[Callable] = None
 
     def __repr__(self):
         return f"PickandsSpec({self.label})"
@@ -195,6 +197,7 @@ def _independence_pickands(label):
         second=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         cap=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         absolutely_continuous=True,
+        quantile=Form(lambda u, w: w + 0.0 * u),
     )
 
 
@@ -301,6 +304,17 @@ def _mo_pickands(alpha, beta):
         t = np.asarray(t, dtype=float)
         return np.where(t < tj, -b, a)
 
+    # K(u, v) = (1 - b) u^-b v below the atom at v* = u^(b/a) (where h(u, v) < tj),
+    # and v^(1 - a) from v* on
+    up = 1.0 / (1.0 - a) if a < 1.0 else np.inf
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def quantile(pu, w):
+        _, _, lu = pu
+        atom = np.exp(lu * (b / a))
+        below = w * np.exp(b * lu) / (1.0 - b)
+        return np.where(below < atom, below, np.where(w <= np.power(atom, 1.0 - a), atom, np.power(w, up)))
+
     return PickandsSpec(
         label=label,
         A=A,
@@ -311,6 +325,7 @@ def _mo_pickands(alpha, beta):
         second=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         cap=lambda t: np.where(np.asarray(t, dtype=float) < tj, 1.0 - b, 1.0),
         absolutely_continuous=False,
+        quantile=Form(quantile, _log_prep),
     )
 
 
@@ -574,6 +589,7 @@ def evc_copula(spec):
         kernel=Form(kernel, _log_prep, _log_prep),
         density=density,
         analytic=partial(property_verdicts, spec),
+        quantile=spec.quantile,
     )
 
 

@@ -1,14 +1,31 @@
 """Sampling from a copula by conditional inversion of its Markov kernel.
 
-Each draw takes u uniform and solves K(u, [0, v]) = w for a second uniform w
-by monotone bisection.  Because v -> K(u, [0, v]) is non-decreasing and
-right-continuous, the bisection limit is the generalized inverse: atoms of
-the conditional law (kernels with jumps, e.g. Marshall-Olkin) receive their
-mass exactly, and flat stretches resolve to their left endpoint.  The kernel
-runs in its per-axis form (:class:`~mktp2.core.Form`): the draws go 2^14 at
-a time, each chunk's u is prepped once, and each of the 34 bisection steps
-preps only the chunk's midpoints in v.  So the working set stays near 2 MB
-whatever n is; the (n, 2) result is the only array that grows with it.
+Each draw takes u uniform and solves K(u, [0, v]) = w for a second uniform w:
+v is the top of the 2^-34 cell [L, L + 2^-34] (L a multiple of 2^-34) where
+the predicate ``K(u, v) >= w`` turns from false at L to true at L + 2^-34.
+Because v -> K(u, [0, v]) is non-decreasing and right-continuous, that is the
+generalized inverse to within 2^-34: atoms of the conditional law (kernels
+with jumps, e.g. Marshall-Olkin) receive their mass exactly, and flat
+stretches resolve to their left end.
+
+The cell is found in one of two ways.  Where the copula declares a
+conditional quantile q(u, w) (:attr:`~mktp2.core.Copula.quantile`, the
+conditional distribution method), each draw rounds q down to its cell and
+evaluates the kernel at the cell's two ends: the cell is taken where the
+predicate reads false at L (or L = 0) and true at L + 2^-34 (or
+L + 2^-34 = 1).  Every other draw, and every draw of a copula without a
+quantile, bisects [0, 1] 34 times (:func:`~mktp2.grids.bisect_unit`).  Where
+the float predicate is monotone in v, one cell has false at its bottom and
+true at its top, and the bisection ends in it; so a quantile, even a wrong
+one, changes no bit of the batch, only the number of kernel evaluations: 2
+per confirmed draw against 34.
+
+The kernel runs in its per-axis form (:class:`~mktp2.core.Form`): the draws
+go 2^14 at a time, each chunk's u is prepped once (before any quantile
+work, so a u-prep error comes first), the bisection preps only the
+unconfirmed draws' u again and, at each of its steps, their midpoints in v.
+So the working set stays near 2 MB whatever n is; the (n, 2) result is the
+only array that grows with it.
 
 The generator is Philox (counter-based, 64-bit, stream-stable across
 platforms), so a (seed, copula, n) triple reproduces a batch bit for bit;
@@ -22,7 +39,8 @@ kernel and density values, gets its 17 significant digits exactly from
 CPython's correctly rounded float-to-decimal conversion takes for 17 digits.
 Every other value goes through one batched ``%`` per block.  Each block is
 laid out as bytes in buffers allocated once per file and written with one
-``np.compress`` and one binary write.
+``np.compress`` and one binary write.  A grid's u and v axes are laid out
+once, and each block gathers its lines' slots from them.
 """
 
 from __future__ import annotations
@@ -43,9 +61,10 @@ __all__ = [
     "write_grid_csv",
 ]
 
-# every bracket of [0, 1] halves exactly in lockstep, so all reach this width
-# after the same 34 steps
-_BISECT_TOL = 1e-10
+# every bracket of [0, 1] halves exactly in lockstep, so after the same 34
+# steps each is a cell [L, L + _CELL] with L a multiple of _CELL (< 1e-10)
+_CELLS = 2**34
+_CELL = 1.0 / _CELLS
 
 # only the (n, 2) result grows with n, by 16 bytes a sample: a million
 # samples peak near 53 MB of RSS (31 MB after import; 71 MB for a Gaussian,
@@ -86,15 +105,44 @@ def sample(copula, n, seed):
         raise ValidationError(f"need 0 <= seed < 2**128, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     kernel = as_form(copula.kernel)
+    quantile = None if copula.quantile is None else as_form(copula.quantile)
     points = np.empty((n, 2))
     for start in range(0, n, _CHUNK):
         u, w = rng.random((min(_CHUNK, n - start), 2)).T
+        out = points[start : start + u.size]
+        out[:, 0] = u
         pu = kernel.prep_u(u)
-        below = lambda mid: np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
-        lo, half = bisect_unit(below, u.shape, _BISECT_TOL)
-        points[start : start + u.size, 0] = u
-        points[start : start + u.size, 1] = lo + 2.0 * half
+        if quantile is None:
+            out[:, 1] = _bisect(kernel, pu, w)
+            continue
+        # the bottom of the guessed cell, then its top, in one array; a NaN
+        # guess takes the top cell, as 1 does (fmin keeps the number)
+        end = np.asarray(quantile.combine(quantile.prep_u(u), quantile.prep_v(w)), dtype=float)
+        end = np.clip(np.broadcast_to(end, u.shape), 0.0, 1.0)
+        end *= _CELLS
+        np.floor(end, out=end)
+        np.fmin(end, _CELLS - 1, out=end)
+        end *= _CELL
+        # the kernel is evaluated only where the bisection may evaluate it, in (0, 1)
+        confirmed = (end == 0.0) | ~_reaches(kernel, pu, np.where(end == 0.0, 0.5, end), w)
+        end += _CELL
+        confirmed &= (end == 1.0) | _reaches(kernel, pu, np.where(end == 1.0, 0.5, end), w)
+        out[:, 1] = end
+        miss = np.flatnonzero(~confirmed)
+        if miss.size:
+            out[miss, 1] = _bisect(kernel, kernel.prep_u(u[miss]), w[miss])
     return SampleBatch(points=points, seed=seed, n=n, label=copula.label)
+
+
+def _reaches(kernel, pu, v, w):
+    """The sampler's predicate K(u, v) >= w, with u prepped as ``pu``; NaN reads false."""
+    return np.asarray(kernel.combine(pu, kernel.prep_v(v)), dtype=float) >= w
+
+
+def _bisect(kernel, pu, w):
+    """The top of the 2^-34 cell where ``K(u, .) >= w`` turns true, by bisection of [0, 1]."""
+    lo, half = bisect_unit(lambda mid: _reaches(kernel, pu, mid, w), w.shape, _CELL)
+    return lo + 2.0 * half
 
 
 def _words(data):
@@ -240,31 +288,29 @@ def _format_block(values, x, text, keep):
         keep.view(np.uint32)[slow, :_WIDE_WORDS] = (wide != ord(" ")).view(np.uint32)
 
 
-def _write_lines(path, header, lines, n_lines, per_line):
+def _write_lines(path, header, n_lines, per_line, layout):
     """Write ``header``, then ``n_lines`` CSV lines of ``per_line`` values each.
 
-    ``lines(start, stop)`` returns the values of lines ``start:stop`` as a
-    float array of shape ``(stop - start, per_line)``.  Every value is
-    written as the bytes of ``f"{x:.17g}"`` (17 significant digits, ``1``
-    for 1.0, the same exponent forms, ``inf`` and ``nan``), and lines end in
-    LF on every platform.  Each block of lines is laid out in slots by
-    :func:`_format_block` and written with one ``np.compress`` of its kept
-    bytes and one binary write; the buffers are allocated once per file.
+    ``layout(start, stop, text, keep)`` lays out the values of lines
+    ``start:stop`` in the slots ``text`` and ``keep``, of shape
+    ``(stop - start, per_line, _SLOT)``, bytes 0-23 of each slot (the
+    separators are set here).  Every value is written as the bytes of
+    ``f"{x:.17g}"`` (17 significant digits, ``1`` for 1.0, the same exponent
+    forms, ``inf`` and ``nan``), and lines end in LF on every platform.  Each
+    block of lines is written with one ``np.compress`` of its kept bytes and
+    one binary write; the buffers are allocated once per file.
     """
     step = _BLOCK_VALUES // per_line
-    size = step * per_line
-    text = np.zeros((size, _SLOT), dtype=np.uint8)
-    keep = np.zeros((size, _SLOT), dtype=bool)
-    text[:, _SEP] = np.tile(np.frombuffer(b"," * (per_line - 1) + b"\n", dtype=np.uint8), step)
-    keep[:, _SEP] = True
-    x = np.empty(size)
+    text = np.zeros((step, per_line, _SLOT), dtype=np.uint8)
+    keep = np.zeros((step, per_line, _SLOT), dtype=bool)
+    text[:, :, _SEP] = np.frombuffer(b"," * (per_line - 1) + b"\n", dtype=np.uint8)
+    keep[:, :, _SEP] = True
     out = np.empty(text.size, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for start in range(0, n_lines, step):
-            values = np.asarray(lines(start, min(start + step, n_lines)), dtype=float).ravel()
-            k = values.size
-            _format_block(values, x[:k], text[:k], keep[:k])
+            k = min(step, n_lines - start)
+            layout(start, start + k, text[:k], keep[:k])
             kept = keep[:k].ravel()
             n = np.count_nonzero(kept)
             np.compress(kept, text[:k].ravel(), out=out[:n])
@@ -273,20 +319,40 @@ def _write_lines(path, header, lines, n_lines, per_line):
 
 def write_csv(batch, path):
     """CSV export: header u,v then one pair per line, 17 significant digits, LF endings."""
-    _write_lines(path, "u,v\n", lambda start, stop: batch.points[start:stop], batch.n, 2)
+    x = np.empty(_BLOCK_VALUES)
+
+    def layout(start, stop, text, keep):
+        values = batch.points[start:stop].ravel()
+        _format_block(values, x[: values.size], text.reshape(-1, _SLOT), keep.reshape(-1, _SLOT))
+
+    _write_lines(path, "u,v\n", batch.n, 2, layout)
+
+
+def _axis_words(values):
+    """The text and keep words 0-5 of each value's slot, laid out once for a grid axis."""
+    text = np.zeros((values.size, _SLOT), dtype=np.uint8)
+    keep = np.zeros((values.size, _SLOT), dtype=bool)
+    _format_block(values, np.empty(values.size), text, keep)
+    return text.view(np.uint32)[:, :_WIDE_WORDS], keep.view(np.uint32)[:, :_WIDE_WORDS]
 
 
 def write_grid_csv(us, vs, values, path):
     """CSV export of ``values[i, j]`` at (us[i], vs[j]): header u,v,value, then u-major lines.
 
-    Each block gathers the u and v of its lines, so no meshgrid of u and v
-    is built.
+    Each axis is laid out once; a block gathers the slots of its lines' u and
+    v, so only the values are formatted per line and no meshgrid is built.
     """
-    flat = values.reshape(-1)
+    flat = np.asarray(values, dtype=float).reshape(-1)
     n_v = len(vs)
+    u_words, v_words = (_axis_words(np.asarray(axis, dtype=float)) for axis in (us, vs))
+    x = np.empty(_BLOCK_VALUES // 3)
 
-    def lines(start, stop):
+    def layout(start, stop, text, keep):
         i, j = np.divmod(np.arange(start, stop), n_v)
-        return np.column_stack((us[i], vs[j], flat[start:stop]))
+        words, kept = text.view(np.uint32), keep.view(np.uint32)
+        for column, (axis_text, axis_keep), at in ((0, u_words, i), (1, v_words, j)):
+            words[:, column, :_WIDE_WORDS] = axis_text[at]
+            kept[:, column, :_WIDE_WORDS] = axis_keep[at]
+        _format_block(flat[start:stop], x[: stop - start], text[:, 2], keep[:, 2])
 
-    _write_lines(path, "u,v,value\n", lines, flat.size, 3)
+    _write_lines(path, "u,v,value\n", flat.size, 3, layout)

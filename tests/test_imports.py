@@ -66,13 +66,15 @@ def test_scipy_loads_only_for_a_gaussian_copula(tmp_path):
         ["classify", "--family", "mo", "--param", "alpha=0.5,beta=1", *grid],
         ["check", "--family", "evc-log", "--property", "mktp2", "--rect", "0.9,0.95,0.5,0.6"],
         ["sample", "--family", "gumbel", "--n", "10", "--out", str(tmp_path / "s.csv")],
+        ["sample", "--family", "mo", "--param", "alpha=0.5,beta=1", "--n", "10", "--out", str(tmp_path / "s.csv")],
+        ["sample", "--family", "fgm", "--param", "theta=0.5", "--n", "10", "--out", str(tmp_path / "s.csv")],
         ["classify", "--family", "nosuch"],
         ["classify", "--family", "gaussian", "--param", "rho=0.5", "--grid", "64"],
     ]
     report = _run_fresh(runs)
     assert report["import"] == [False, False]
     *others, gaussian = report["runs"]
-    assert [code for code, _, _ in others] == [0, 0, 0, 0, 0, 2]
+    assert [code for code, _, _ in others] == [0, 0, 0, 0, 0, 0, 0, 2]
     assert all(state == [False, False] for _, _, state in others)
     code, out, state = gaussian
     assert code == 0

@@ -1,9 +1,12 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import REGISTRY_FAMILIES
+from mktp2 import sampler
 from mktp2.archimedean import arch_copula, make_generator
 from mktp2.core import make_baseline
 from mktp2.errors import NumericalError, ValidationError
@@ -166,14 +169,120 @@ def test_strict_zero_denominator_error_names_the_first_offender_in_a_later_chunk
 
 
 def test_sampler_working_set_does_not_grow_with_the_batch():
-    _, _, copula = build("evc-log")
     n = 2**18
-    tracemalloc.start()
-    try:
-        batch = sample(copula, n, 11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert batch.points.nbytes == 4 * 2**20
-    # the (n, 2) result plus one chunk's draws, preps and temporaries
-    assert peak <= 10 * 2**20, peak / 2**20
+    # evc-log bisects every draw; Gumbel guesses each draw's cell by its quantile
+    for family in (("evc-log", None), ("gumbel", {"alpha": 2.0})):
+        _, _, copula = build(*family)
+        tracemalloc.start()
+        try:
+            batch = sample(copula, n, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.points.nbytes == 4 * 2**20
+        # the (n, 2) result plus one chunk's draws, preps and temporaries
+        assert peak <= 10 * 2**20, (family, peak / 2**20)
+
+
+CHUNK_NS = [1, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 5]
+# the registry settings that declare a conditional quantile
+QUANTILE_FAMILIES = [f for f in REGISTRY_FAMILIES if build(*f)[2].quantile is not None]
+
+
+def _family_id(family):
+    name, params = family
+    return name + "".join(f"-{k}{v!r}" for k, v in (params or {}).items())
+
+
+def _sample_counting_fallbacks(monkeypatch, copula, n, seed):
+    """``sample(copula, n, seed).points`` and the number of draws that went to the bisection,
+    with every warning raised as an error."""
+    fallbacks, bisect_unit = [], sampler.bisect_unit
+
+    def counted(pred, shape, tol):
+        fallbacks.append(shape[0])
+        return bisect_unit(pred, shape, tol)
+
+    monkeypatch.setattr(sampler, "bisect_unit", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = sample(copula, n, seed).points
+    return points, sum(fallbacks)
+
+
+def test_closed_form_families_declare_a_quantile():
+    assert [_family_id(f) for f in QUANTILE_FAMILIES] == [
+        "pi", "m", "w", "frechet-alpha0.5-beta0.25", "frechet-alpha0.5-beta0.0", "fgm-theta0.7",
+        "fgm-theta-0.5", "gaussian-rho0.5", "gaussian-rho-0.5", "gumbel-alpha1.5", "gumbel-alpha3.0",
+        "mo-alpha0.5-beta0.5", "mo-alpha0.7-beta1.0", "arch-pi",
+    ]
+
+
+@pytest.mark.parametrize("n", CHUNK_NS)
+@pytest.mark.parametrize("family", QUANTILE_FAMILIES, ids=_family_id)
+def test_quantile_sample_matches_whole_batch_inversion(monkeypatch, family, n):
+    copula = build(*family)[2]
+    points, fallbacks = _sample_counting_fallbacks(monkeypatch, copula, n, 2024)
+    assert points.tobytes() == whole_batch_sample(copula, n, 2024).tobytes()
+    # a quantile the kernel never confirms would bisect every draw unnoticed
+    assert fallbacks <= n // 1000, fallbacks
+
+
+def _one_cell_low(copula):
+    return lambda u, w: copula.quantile(u, w) - 2.0**-34
+
+
+WRONG_QUANTILES = {
+    "constant": lambda copula: lambda u, w: 0.5,
+    "nan": lambda copula: lambda u, w: np.full_like(u, np.nan),
+    "one-cell-low": _one_cell_low,
+    "outside": lambda copula: lambda u, w: np.select(
+        [w < 0.25, w < 0.5, w < 0.75], [-np.inf, -1.0 - u, 2.0 + w], np.inf
+    ),
+}
+
+
+@pytest.mark.parametrize("wrong", list(WRONG_QUANTILES))
+@pytest.mark.parametrize("family", [("gaussian", {"rho": 0.5}), ("mo", {"alpha": 0.5, "beta": 0.5})], ids=_family_id)
+def test_a_wrong_quantile_changes_no_bit(monkeypatch, family, wrong):
+    copula = build(*family)[2]
+    n = 2**14 + 1
+    wrong_copula = replace(copula, quantile=WRONG_QUANTILES[wrong](copula))
+    points, fallbacks = _sample_counting_fallbacks(monkeypatch, wrong_copula, n, 2024)
+    assert points.tobytes() == whole_batch_sample(copula, n, 2024).tobytes()
+    assert fallbacks >= 0.99 * n
+
+
+EDGE_SETTINGS = [
+    ("frechet", {"alpha": 0.5, "beta": 0.5}),
+    ("frechet", {"alpha": 0.25, "beta": 0.75}),
+    ("mo", {"alpha": 1.0, "beta": 0.5}),
+    ("mo", {"alpha": 0.0, "beta": 0.5}),
+    ("fgm", {"theta": 1.0}),
+    ("fgm", {"theta": -1.0}),
+    ("gumbel", {"alpha": 1.0}),
+]
+
+
+@pytest.mark.parametrize("family", EDGE_SETTINGS, ids=_family_id)
+def test_quantile_at_the_edges_of_a_family_matches_whole_batch_inversion(monkeypatch, family):
+    copula = build(*family)[2]
+    assert copula.quantile is not None
+    n = 2**14 + 1
+    points, fallbacks = _sample_counting_fallbacks(monkeypatch, copula, n, 2024)
+    assert points.tobytes() == whole_batch_sample(copula, n, 2024).tobytes()
+    assert fallbacks <= n // 1000, fallbacks
+
+
+def test_kernel_u_prep_error_comes_before_any_quantile_work():
+    copula = build("gumbel", {"alpha": 1000.0})[2]
+
+    def quantile(u, w):
+        raise AssertionError("evaluated the quantile before the kernel's u-prep")
+
+    with pytest.raises(NumericalError) as want:
+        whole_batch_sample(copula, 100, 1)
+    for declared in (copula, replace(copula, quantile=quantile)):
+        with pytest.raises(NumericalError, match=r"D-psi\(phi\(u\)\) evaluated to 0 at u=") as got:
+            sample(declared, 100, 1)
+        assert str(got.value) == str(want.value)
