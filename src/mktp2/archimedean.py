@@ -54,12 +54,6 @@ _LOG2 = float(np.log(2.0))
 # t-grid points whose image under phi the log-convexity scans sample
 _X_SAMPLE_POINTS = 2001
 
-# x below this cannot support the second-difference step 1e-4*(1+x); the
-# tolerances of a second-difference scan are widened to its noise
-_SECOND_DIFF_X_MIN = 2.5e-4
-_SECOND_DIFF_TOL_EQ = 1e-6
-_SECOND_DIFF_TOL_STRICT = 1e-5
-
 # Newton steps of the Gumbel quantile: from its start, 6 steps bring r within
 # 1e-14 of the root at every alpha in [1, 999] and (u, w) in [2^-53, 1)^2
 # sampled, and a 7th to within rounding
@@ -72,8 +66,8 @@ class GeneratorSpec:
 
     ``d_minus_psi_jumps`` declares the discontinuity set of D-psi: an empty
     tuple declares continuity, None leaves it unknown (numeric scans decide).
-    ``smoothness`` is a declaration, never inferred: "generic",
-    "twice-differentiable" or "completely-monotone".  ``exact_derivative``
+    ``psi_second`` is psi'' where declared (never derived): the d-TP2
+    criterion and the density need it.  ``exact_derivative``
     is False when D-psi was not supplied but derived by finite differences;
     the SI and MK-TP2 certificates then carry ``"derivative":
     "finite-difference"``.  ``quantile``, where set, becomes the copula's
@@ -86,7 +80,6 @@ class GeneratorSpec:
     d_minus_psi: Callable
     phi_at_zero: float
     strict: bool
-    smoothness: str = "generic"
     psi_second: Optional[Callable] = None
     d_minus_psi_jumps: Optional[tuple] = ()
     exact_derivative: bool = True
@@ -184,7 +177,6 @@ def make_generator(
     d_minus_psi=None,
     phi_at_zero=None,
     strict=None,
-    smoothness="generic",
     psi_second=None,
     d_minus_psi_jumps=None,
     label="custom",
@@ -197,7 +189,8 @@ def make_generator(
     supplied function is validated for convexity and strict monotonicity on
     a 1000-point grid.  Declared metadata
     (``strict``, ``phi_at_zero``) overrides detection, which matters for
-    co-generators that underflow to zero in floating point.
+    co-generators that underflow to zero in floating point.  psi'' is never
+    derived: without a declared ``psi_second``, d-TP2 reads not-applicable.
     """
     if phi is None and psi is None:
         raise ValidationError("supply phi, psi, or both")
@@ -278,7 +271,6 @@ def make_generator(
         d_minus_psi=d_minus_psi,
         phi_at_zero=phi_at_zero,
         strict=bool(strict),
-        smoothness=smoothness,
         psi_second=psi_second,
         d_minus_psi_jumps=d_minus_psi_jumps,
         exact_derivative=exact,
@@ -351,7 +343,6 @@ def _gumbel_spec(alpha, label):
         d_minus_psi=d_minus_psi,
         phi_at_zero=np.inf,
         strict=True,
-        smoothness="completely-monotone",
         psi_second=psi_second,
         d_minus_psi_jumps=(),
         quantile=Form(quantile, neg_log, neg_log),
@@ -376,7 +367,6 @@ def _w_spec():
         d_minus_psi=d_minus_psi,
         phi_at_zero=1.0,
         strict=False,
-        smoothness="generic",
         d_minus_psi_jumps=(1.0,),
     )
 
@@ -415,7 +405,6 @@ def _spreeuw_spec():
         d_minus_psi=d_minus_psi,
         phi_at_zero=np.inf,
         strict=True,
-        smoothness="twice-differentiable",
         psi_second=psi_second,
         d_minus_psi_jumps=(),
     )
@@ -582,10 +571,8 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
     refutes LTD/TP2/SI/MK-TP2 on one rectangle; each pair shares its status,
     certificate and note, and each property gets its own witness.  Strict
     generators run the D-psi continuity scan and the two log-convexity scans;
-    the d-TP2 criterion runs only under a declared twice-differentiable (or
-    completely monotone) co-generator, on the declared ``psi_second`` at the
-    grid tolerances or, without one, on central second differences of psi
-    with widened tolerances matching the differentiation noise.
+    the d-TP2 criterion, log-convexity of psi'', runs only on a declared
+    ``psi_second``, at the grid tolerances.
     """
     if not spec.strict:
         note = "non-strict generator: copula vanishes on an interior region"
@@ -625,8 +612,11 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
                 ),
                 "neg-dminus-psi-log-convexity",
             )
-        if spec.smoothness in ("twice-differentiable", "completely-monotone"):
-            dtp2 = _tag_analytic(_dtp2_second_difference(spec, xs, grid), "psi-second-log-convexity")
+        if spec.psi_second is not None:
+            dtp2 = _tag_analytic(
+                _log_convexity(spec.psi_second, xs, grid.tol_eq, grid.tol_strict),
+                "psi-second-log-convexity",
+            )
         else:
             dtp2 = Verdict(
                 Status.NOT_APPLICABLE,
@@ -667,27 +657,6 @@ def _log_convexity(f, xs, tol_eq, tol_strict):
         note = f"the scanned function is {ys[k]:.6g} at x={xs[k]:.6g}, where its log is not finite"
         return Verdict(Status.INCONCLUSIVE, None, cert, note)
     return log_convexity_test(lambda _: ys, xs, tol_eq, tol_strict)
-
-
-def _dtp2_second_difference(spec, xs, grid):
-    """Log-convexity of psi'' on ``xs``: declared ``psi_second``, else second differences."""
-    if spec.psi_second is not None:
-        return _log_convexity(spec.psi_second, xs, grid.tol_eq, grid.tol_strict)
-    xs = xs[xs >= _SECOND_DIFF_X_MIN]
-    if len(xs) < 3:
-        return Verdict(
-            Status.INCONCLUSIVE, None, {"method": "psi-second-log-convexity"}, "sample too small"
-        )
-
-    def psi_dd(x):
-        x = np.asarray(x, dtype=float)
-        h = 1e-4 * (1.0 + x)
-        up = np.asarray(spec.psi(x + h), dtype=float)
-        mid = np.asarray(spec.psi(x), dtype=float)
-        dn = np.asarray(spec.psi(x - h), dtype=float)
-        return (up - 2.0 * mid + dn) / (h * h)
-
-    return _log_convexity(psi_dd, xs, _SECOND_DIFF_TOL_EQ, _SECOND_DIFF_TOL_STRICT)
 
 
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):

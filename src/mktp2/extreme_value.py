@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import Copula, Form, param_text
 from .errors import SearchFailed, ValidationError
-from .grids import DEFAULT_GRID, Rectangle, bisect, runs
+from .grids import DEFAULT_GRID, Rectangle, bisect, bisect_unit, runs
 from .properties import PROPERTIES, Status, Verdict, Witness, _require_known, check_dtp2, check_mktp2, rectangle_defect
 
 __all__ = [
@@ -58,9 +58,6 @@ _D0_TOL = 1e-8
 # the 3d certificate records)
 _PLATEAU_POINTS = 4001
 _RATIO_POINTS = 2001
-
-# A(1/(1+gamma)) within this of its minimum ties with it (beta_sup_argmin)
-_ARGMIN_TIE_TOL = 1e-12
 
 # step budgets of the gradient and jump witness constructions, and the base of
 # the jump construction's anchor u1 = _JUMP_ANCHOR_U^(2 t_r)
@@ -118,8 +115,8 @@ def validate_pickands(
     increasing sequence in (0, 1), and A'' as ``second`` when ``smoothness``
     is ``C3-on-interior``.  Enforces A(0) = A(1) = 1, the envelope
     max(1-t, t) <= A <= 1, convexity, and -1 <= D+A <= 1 non-decreasing.  A
-    missing ``t_star`` is the largest grid prefix on which D+A stays within
-    1e-6 of -1.
+    missing ``t_star`` is inf{t : D+A(t) > -1}, bisected on the declared D+A
+    to within 2^-53.
     """
     if not callable(d_plus_A):
         raise ValidationError("d_plus_A must be a callable giving the right derivative D+A")
@@ -162,12 +159,7 @@ def validate_pickands(
         raise ValidationError(f"D+A decreases at t={dts[k]:.6g}")
 
     if t_star is None:
-        near = np.abs(dvals + 1.0) <= 1e-6
-        if near[0]:
-            run_end = int(np.argmin(near)) if not near.all() else len(near)
-            t_star = float(dts[run_end - 1]) if run_end > 0 else 0.0
-        else:
-            t_star = 0.0
+        t_star = _first_crossing(d_plus_A, lambda d: d > -1.0)
 
     return PickandsSpec(
         label=label,
@@ -617,45 +609,26 @@ def _witness_from_rect(spec, rect):
     return Witness(rect.as_tuple(), k, defect, "rectangle")
 
 
+def _first_crossing(d_plus_A, reached):
+    """inf{t in [0, 1] : reached(D+A(t))} for a monotone ``reached`` of the
+    non-decreasing D+A, from one :func:`bisect_unit` to width 2^-53: 0.0 when
+    ``reached`` holds at t = 0, else the top of the final cell."""
+    pred = lambda t: reached(np.asarray(d_plus_A(t), dtype=float))
+    if pred(0.0):
+        return 0.0
+    lo, half = bisect_unit(pred, (), 2.0**-53)
+    return float(lo + 2.0 * half)
+
+
 def beta_sup_argmin(spec):
     """Supremal argmin of gamma -> A(1/(1+gamma)) over (0, inf).
 
-    Golden-section search in log(gamma) locates a minimizer; a rightward
-    plateau scan plus edge bisection then takes the supremum over possibly
-    non-unique minimizers.
+    For a convex A it is 1/t - 1 at the least minimizer t = inf{t : D+A(t) >= 0}
+    of A, read off the declared D+A by :func:`_first_crossing`.  It needs
+    D+A(0) < 0, which :func:`construct_witness_gradient` checks first; else
+    t = 0 and the division raises ``ZeroDivisionError``.
     """
-    lo, hi = np.log(1e-6), np.log(1e6)
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def value(s):
-        return float(spec.A(1.0 / (1.0 + np.exp(s))))
-
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = value(c), value(d)
-    for _ in range(200):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = value(d)
-        if b - a < 1e-13:
-            break
-    s_min = 0.5 * (a + b)
-    a_min = value(s_min)
-
-    # rightward plateau scan for the supremal tie
-    s_hi = s_min
-    step = 0.5
-    while step > 1e-14:
-        while s_hi + step <= np.log(1e9) and value(s_hi + step) <= a_min + _ARGMIN_TIE_TOL:
-            s_hi += step
-        step /= 2.0
-    return float(np.exp(s_hi))
+    return 1.0 / _first_crossing(spec.d_plus_A, lambda d: d >= 0.0) - 1.0
 
 
 def _g_of(spec, alpha):

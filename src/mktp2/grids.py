@@ -123,9 +123,10 @@ def bisect(pred, lo, hi, tol, iters):
     bracket's result depends only on its own point, never on the others
     bisected with it; the loop stops when every bracket has stopped or after
     ``iters`` steps.  Brackets may differ in width and stop at different
-    steps: its callers are the searches of :mod:`mktp2.extreme_value` and
-    :func:`mktp2.archimedean._bisect_increasing`.  Brackets that all start
-    at ``[0, 1]`` halve in lockstep and take :func:`bisect_unit` instead.
+    steps: its callers are the jump and plateau witness searches of
+    :mod:`mktp2.extreme_value` and :func:`mktp2.archimedean._bisect_increasing`.
+    Brackets that all start at ``[0, 1]`` halve in lockstep and take
+    :func:`bisect_unit` instead.
     """
     moving = True
     for _ in range(iters):
@@ -147,7 +148,9 @@ def bisect_unit(pred, shape, tol):
     and halves at each step, until its width is at most ``tol``.  ``lo`` and
     the width are dyadic, so ``lo + half`` is the exact midpoint: each point
     gets the bits :func:`bisect` gives it from ``[0, 1]`` with the same
-    ``tol``, with no per-bracket masks.
+    ``tol``, with no per-bracket masks.  Its callers are the bisected psi of
+    :func:`mktp2.archimedean.make_generator`, the sampler's kernel inversion
+    and the D+A crossings of :mod:`mktp2.extreme_value` (beta_A and t*).
     """
     lo, half = np.zeros(shape), 0.5
     while 2.0 * half > tol:

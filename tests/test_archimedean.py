@@ -339,15 +339,18 @@ def test_dtp2_uses_declared_psi_second_at_grid_tolerances(alpha):
     assert scan["n_points"] == len(generator_x_sample(spec, GRID))
 
 
-def test_dtp2_falls_back_to_second_differences_without_psi_second():
-    spec = replace(builtin_archimedean("gumbel", alpha=3.0), psi_second=None)
+@pytest.mark.parametrize("name, params", [("gumbel", {"alpha": 3.0}), ("spreeuw", {})])
+def test_dtp2_is_not_applicable_without_psi_second(name, params):
+    spec = replace(builtin_archimedean(name, **params), psi_second=None)
     dtp2 = classify_archimedean(spec, GRID)["dtp2"]
-    assert dtp2.status is Status.HOLDS
-    scan = dtp2.certificate["scan"]
-    assert (scan["tol_eq"], scan["tol_strict"]) == (1e-6, 1e-5)
-    assert scan["n_points"] < len(generator_x_sample(spec, GRID))
-    spreeuw = replace(builtin_archimedean("spreeuw"), psi_second=None)
-    assert classify_archimedean(spreeuw, GRID)["dtp2"].status is Status.FAILS
+    assert dtp2.status is Status.NOT_APPLICABLE
+    assert dtp2.certificate == {"method": "psi-second-log-convexity"}
+    assert dtp2.note == "co-generator not declared twice-differentiable"
+
+
+def test_make_generator_takes_no_smoothness():
+    with pytest.raises(TypeError, match="smoothness"):
+        make_generator(phi=lambda t: -np.log(np.asarray(t, dtype=float)), smoothness="completely-monotone")
 
 
 def test_gumbel_rejects_nan_alpha():
@@ -390,7 +393,6 @@ def test_classification_invariant_under_generator_scaling():
     base = builtin_archimedean("spreeuw")
     scaled = make_generator(
         phi=lambda t: 3.0 * np.asarray(base.phi(t), dtype=float),
-        smoothness=base.smoothness,
         label="spreeuw-x3",
     )
     r1 = classify_archimedean(base, GRID)

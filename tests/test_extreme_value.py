@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,17 @@ def test_validate_independence_and_envelope():
     )
     assert env.t_star == pytest.approx(0.5, abs=2e-3)
     assert env.declared_jumps == (0.5,)
+
+
+def test_validate_bisects_t_star_on_the_declared_derivative():
+    # D+A = -1 on [0, 0.3), then the line from (0.3, 0.7) up to (1, 1)
+    spec = validate_pickands(
+        lambda t: np.where(_t(t) < 0.3, 1.0 - _t(t), 0.7 + (0.3 / 0.7) * (_t(t) - 0.3)),
+        lambda t: np.where(_t(t) < 0.3, -1.0, 0.3 / 0.7),
+        declared_jumps=(0.3,),
+    )
+    assert abs(spec.t_star - 0.3) <= 2.0**-52
+    assert validate_pickands(lambda t: np.ones_like(_t(t)), _zero).t_star == 0.0
 
 
 def test_validate_rejects_oversteep_parabola():
@@ -449,6 +461,26 @@ def test_gradient_witness_matches_derived_anchors():
     assert witness.points[0] == pytest.approx(0.6490, abs=1e-3)
     ratio = kernel_cross_ratio(spec, witness.rectangle())
     assert ratio < 1.0 - 1e-6
+
+
+def _no_A(t):
+    raise AssertionError("beta_sup_argmin reads D+A alone")
+
+
+@pytest.mark.parametrize("theta", [1e-4, 0.2, 0.9])
+def test_beta_sup_argmin_is_exact_on_tawn_symmetric(theta):
+    # D+A(t) = theta (2t - 1) turns non-negative at t = 1/2, so beta = 1
+    spec = replace(builtin_pickands("tawn-symmetric", theta=theta), A=_no_A)
+    assert beta_sup_argmin(spec) == 1.0
+
+
+@pytest.mark.parametrize("theta, kappa", [(0.3, 0.1), (0.5, -0.1), (0.2, 0.3), (0.7, -0.2), (0.8, 0.05)])
+def test_beta_sup_argmin_matches_the_tawn_mixed_root(theta, kappa):
+    # 1/t - 1 at the root in (0, 1) of D+A(t) = -(theta + kappa) + 2 theta t + 3 kappa t^2
+    spec = replace(builtin_pickands("tawn-asym-mixed", theta=theta, kappa=kappa), A=_no_A)
+    t = (theta + kappa) / (theta + math.sqrt(theta * theta + 3.0 * kappa * (theta + kappa)))
+    expected = 1.0 / t - 1.0
+    assert abs(beta_sup_argmin(spec) - expected) <= 4.0 * np.spacing(expected)
 
 
 def test_gradient_witness_other_theta():
