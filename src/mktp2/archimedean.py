@@ -190,7 +190,8 @@ def make_generator(
     a 1000-point grid.  Declared metadata
     (``strict``, ``phi_at_zero``) overrides detection, which matters for
     co-generators that underflow to zero in floating point.  psi'' is never
-    derived: without a declared ``psi_second``, d-TP2 reads not-applicable.
+    derived: without a declared ``psi_second``, d-TP2 reads not-applicable,
+    and its note "not declared twice-differentiable" means no ``psi_second``.
     """
     if phi is None and psi is None:
         raise ValidationError("supply phi, psi, or both")

@@ -22,9 +22,8 @@ per confirmed draw against 34.
 
 The kernel runs in its per-axis form (:class:`~mktp2.core.Form`): the draws
 go 2^14 at a time, each chunk's u is prepped once (before any quantile
-work, so a u-prep error comes first; a quantile that shares the kernel's
-u-prep reads that prep), the bisection preps only the unconfirmed draws' u
-again and, at each of its steps, their midpoints in v.
+work, so a u-prep error comes first), the bisection preps only the
+unconfirmed draws' u again and, at each of its steps, their midpoints in v.
 So the working set stays near 2 MB whatever n is; the (n, 2) result is the
 only array that grows with it.
 
@@ -118,8 +117,7 @@ def sample(copula, n, seed):
             continue
         # the bottom of the guessed cell, then its top, in one array; a NaN
         # guess takes the top cell, as 1 does (fmin keeps the number)
-        qu = pu if quantile.prep_u is kernel.prep_u else quantile.prep_u(u)
-        end = np.asarray(quantile.combine(qu, quantile.prep_v(w)), dtype=float)
+        end = np.asarray(quantile.combine(quantile.prep_u(u), quantile.prep_v(w)), dtype=float)
         end = np.clip(np.broadcast_to(end, u.shape), 0.0, 1.0)
         end *= _CELLS
         np.floor(end, out=end)
