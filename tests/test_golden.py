@@ -1,4 +1,5 @@
-"""Snapshot tests: `classify --grid 64` reports, `witness --grid 48` reports of
+"""Snapshot tests: `classify --grid 64` reports (and those of the edge settings
+on their own grids), `witness --grid 48` reports of
 the EVC MK-TP2 witnesses, the outcomes of every analytic setting's
 `witness --grid 48` and of every grid-routed setting's `witness --grid 64`,
 `sample` and `grid-export` CSV digests, and boundary values of every
@@ -12,7 +13,8 @@ each family, and of sample sizes around the sampler's 2^14-draw chunks;
 property, so a change of route shows as the entries it changes;
 ``witness_grid_outcomes.json`` the same of ``witness --grid 64`` for each
 grid-routed setting of the classify goldens, whose witness the search
-ladder finds;
+ladder finds; ``witness_edge_outcomes.json`` the same of each setting of
+:data:`EDGE_SETTINGS` on its own grid, whose classify reports are pinned too;
 ``grid_digests.json`` the sha256 of the ``grid-export --grid 64``
 CSV of each family's cdf, kernel, density (where present) and FA (EVC only),
 uniform and logit; and ``boundary_values.json`` the hex bits (or the error
@@ -52,6 +54,15 @@ WITNESS_FAMILIES = [
     ("evc-jump", None),
     ("evc-log", None),
 ]
+# Pickands settings at the edges of the D+A(0) tree, each with its grid:
+# Marshall-Olkin with D+A(0) = -beta within 1e-9 of -1 and a cap of 5e-10
+# below its jump, and evc-jump on a grid too coarse for branch 3c (its cap
+# plateau is 1/8 long, under the 1/N the rule needs), so that branch 3e runs
+EDGE_SETTINGS = [
+    ("mo", {"alpha": 0.5, "beta": 1.0 - 5e-10}, GRID),
+    ("mo", {"alpha": 0.5, "beta": 1.0 - 5e-10}, "4"),
+    ("evc-jump", None, "4"),
+]
 SAMPLE_DIGESTS = GOLDEN_DIR / "sample_digests.json"
 SAMPLE_N = 5000
 SAMPLE_SEED = "7"
@@ -74,8 +85,16 @@ def _family_key(name, params):
     return name + "".join(f"_{k}{v!r}" for k, v in (params or {}).items())
 
 
-def _golden_path(name, params):
-    return GOLDEN_DIR / f"classify_{_family_key(name, params)}.json"
+def _edge_key(name, params, grid):
+    return _family_key(name, params) + ("" if grid == GRID else f"_grid{grid}")
+
+
+def _golden_path(name, params, grid=GRID):
+    return GOLDEN_DIR / f"classify_{_edge_key(name, params, grid)}.json"
+
+
+def _classify_argv(name, params, grid=GRID):
+    return ["classify", "--family", name, "--param", _param_text(params), "--grid", grid]
 
 
 def _witness_argv(name, params):
@@ -89,6 +108,7 @@ def _witness_path(name, params):
 
 WITNESS_OUTCOMES = GOLDEN_DIR / "witness_outcomes.json"
 WITNESS_GRID_OUTCOMES = GOLDEN_DIR / "witness_grid_outcomes.json"
+WITNESS_EDGE_OUTCOMES = GOLDEN_DIR / "witness_edge_outcomes.json"
 
 
 def _witness_outcomes(families=ANALYTIC_FAMILIES, grid=WITNESS_GRID):
@@ -102,6 +122,15 @@ def _witness_outcomes(families=ANALYTIC_FAMILIES, grid=WITNESS_GRID):
                 code = main([*argv, "--grid", grid])
             digest = hashlib.blake2b(buf.getvalue().encode(), digest_size=16).hexdigest()
             outcomes[f"{_family_key(name, params)}/{prop}"] = [code, digest]
+    return outcomes
+
+
+def _edge_outcomes():
+    """The witness outcomes of each setting of :data:`EDGE_SETTINGS` on its own grid."""
+    outcomes = {}
+    for name, params, grid in EDGE_SETTINGS:
+        for key, outcome in _witness_outcomes([(name, params)], grid).items():
+            outcomes[f"{_edge_key(name, params, grid)}/{key.rpartition('/')[2]}"] = outcome
     return outcomes
 
 
@@ -173,9 +202,12 @@ def _family_ids(fp):
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=_family_ids)
 def test_classify_matches_golden_report(capsys, family):
-    name, params = family
-    out = _stdout(capsys, "classify", "--family", name, "--param", _param_text(params), "--grid", GRID)
-    assert out == _golden_path(name, params).read_text()
+    assert _stdout(capsys, *_classify_argv(*family)) == _golden_path(*family).read_text()
+
+
+@pytest.mark.parametrize("setting", EDGE_SETTINGS, ids=lambda s: f"{_family_ids(s[:2])}-grid{s[2]}")
+def test_edge_classify_matches_golden_report(capsys, setting):
+    assert _stdout(capsys, *_classify_argv(*setting)) == _golden_path(*setting).read_text()
 
 
 @pytest.mark.parametrize("family", WITNESS_FAMILIES, ids=_family_ids)
@@ -189,6 +221,10 @@ def test_witness_outcomes_match_golden():
 
 def test_grid_witness_outcomes_match_golden():
     assert _witness_outcomes(GRID_FAMILIES, GRID) == json.loads(WITNESS_GRID_OUTCOMES.read_text())
+
+
+def test_edge_witness_outcomes_match_golden():
+    assert _edge_outcomes() == json.loads(WITNESS_EDGE_OUTCOMES.read_text())
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=_family_ids)
@@ -282,11 +318,12 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for name, params in ALL_FAMILIES:
+        for setting in [(*family, GRID) for family in ALL_FAMILIES] + EDGE_SETTINGS:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                assert main(["classify", "--family", name, "--param", _param_text(params), "--grid", GRID]) == 0
-            _golden_path(name, params).write_text(buf.getvalue())
+                assert main(_classify_argv(*setting)) == 0
+            _golden_path(*setting).write_text(buf.getvalue())
+        for name, params in ALL_FAMILIES:
             digests[_family_key(name, params)] = _sample_digest(name, params, Path(scratch) / "sample.csv")
         for name, params, n in CHUNK_SAMPLES:
             digests[_sample_key(name, params, n)] = _sample_digest(name, params, Path(scratch) / "sample.csv", n)
@@ -297,6 +334,7 @@ if __name__ == "__main__":
             _witness_path(name, params).write_text(buf.getvalue())
         _write_lines(WITNESS_OUTCOMES, _witness_outcomes())
         _write_lines(WITNESS_GRID_OUTCOMES, _witness_outcomes(GRID_FAMILIES, GRID))
+        _write_lines(WITNESS_EDGE_OUTCOMES, _edge_outcomes())
         grid_digests = {
             key: _grid_digest(argv, Path(scratch) / "grid.csv")
             for family in ALL_FAMILIES
