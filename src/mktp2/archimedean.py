@@ -64,6 +64,7 @@ _GUMBEL_NEWTON_STEPS = 7
 class GeneratorSpec:
     """An Archimedean generator with co-generator and one-sided derivative.
 
+    ``phi_at_zero`` is phi(0), which decides :attr:`strict`.
     ``d_minus_psi_jumps`` declares the discontinuity set of D-psi: an empty
     tuple declares continuity, None leaves it unknown (numeric scans decide).
     ``psi_second`` is psi'' where declared (never derived): the d-TP2
@@ -79,7 +80,6 @@ class GeneratorSpec:
     psi: Callable
     d_minus_psi: Callable
     phi_at_zero: float
-    strict: bool
     psi_second: Optional[Callable] = None
     d_minus_psi_jumps: Optional[tuple] = ()
     exact_derivative: bool = True
@@ -87,6 +87,11 @@ class GeneratorSpec:
 
     def __repr__(self):
         return f"GeneratorSpec({self.label})"
+
+    @property
+    def strict(self):
+        """phi(0) = inf: the copula has no zero region."""
+        return self.phi_at_zero == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +192,12 @@ def make_generator(
     inversion (tolerance 1e-12).  A missing D-psi is 1 / phi'(psi(x)) when
     psi is the bisected one, else a one-sided finite difference of psi.  The
     supplied function is validated for convexity and strict monotonicity on
-    a 1000-point grid.  Declared metadata
-    (``strict``, ``phi_at_zero``) overrides detection, which matters for
-    co-generators that underflow to zero in floating point.  psi'' is never
-    derived: without a declared ``psi_second``, d-TP2 reads not-applicable,
-    and its note "not declared twice-differentiable" means no ``psi_second``.
+    a 1000-point grid.  A declared ``phi_at_zero`` overrides detection, which
+    matters for co-generators that underflow to zero in floating point; it
+    decides strictness (phi(0) = inf), and a declared ``strict`` must agree
+    with it.  psi'' is never derived: without a declared ``psi_second``,
+    d-TP2 reads not-applicable, and its note "not declared
+    twice-differentiable" means no ``psi_second``.
     """
     if phi is None and psi is None:
         raise ValidationError("supply phi, psi, or both")
@@ -220,10 +226,10 @@ def make_generator(
                 )
 
     phi_at_zero = float(phi_at_zero)
-    if strict is None:
-        strict = not np.isfinite(phi_at_zero)
-    if strict and np.isfinite(phi_at_zero):
-        raise ValidationError("declared strict but phi(0) is finite")
+    if not phi_at_zero > 0.0:
+        raise ValidationError(f"phi(0) must be positive or inf, got {phi_at_zero!r}")
+    if strict is not None and bool(strict) != (phi_at_zero == np.inf):
+        raise ValidationError(f"declared strict={strict!r} but phi(0) = {phi_at_zero!r}")
 
     exact = d_minus_psi is not None
     if psi is None:
@@ -271,7 +277,6 @@ def make_generator(
         psi=psi,
         d_minus_psi=d_minus_psi,
         phi_at_zero=phi_at_zero,
-        strict=bool(strict),
         psi_second=psi_second,
         d_minus_psi_jumps=d_minus_psi_jumps,
         exact_derivative=exact,
@@ -343,7 +348,6 @@ def _gumbel_spec(alpha, label):
         psi=psi,
         d_minus_psi=d_minus_psi,
         phi_at_zero=np.inf,
-        strict=True,
         psi_second=psi_second,
         d_minus_psi_jumps=(),
         quantile=Form(quantile, neg_log, neg_log),
@@ -367,7 +371,6 @@ def _w_spec():
         psi=psi,
         d_minus_psi=d_minus_psi,
         phi_at_zero=1.0,
-        strict=False,
         d_minus_psi_jumps=(1.0,),
     )
 
@@ -405,7 +408,6 @@ def _spreeuw_spec():
         psi=psi,
         d_minus_psi=d_minus_psi,
         phi_at_zero=np.inf,
-        strict=True,
         psi_second=psi_second,
         d_minus_psi_jumps=(),
     )

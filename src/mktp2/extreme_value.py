@@ -14,7 +14,7 @@ by a short tree on the right derivative of A at 0:
   * D+A(0) = -1: MK-TP2 forces A = 1-t up to the single allowed kink of
     D+A, rules out plateaus of F at levels inside (0,1), and otherwise
     reduces to TP2 of F o h, tested via the monotone-ratio criterion
-    t -> t(1-t) F'(t)/F(t) non-increasing when A is smooth enough.
+    t -> t(1-t) F'(t)/F(t) non-increasing where A'' is declared.
 
 The witness constructors return rectangles that are re-checkable through the
 kernel alone: each accepts a rectangle only when its ``rectangle_defect``
@@ -73,21 +73,23 @@ class PickandsSpec:
     ``d_plus_A`` is the right derivative D+A and ``declared_jumps`` the
     strictly increasing tuple of its discontinuities in (0, 1) (empty: none).
     ``t_star`` is the supremum of the initial segment where D+A = -1 (0 if
-    there is none).  ``second`` holds A'', which ``C3-on-interior`` requires;
-    ``absolutely_continuous`` gates the density.  ``quantile``, where set,
-    becomes the copula's :attr:`~mktp2.core.Copula.quantile`.  Users build
-    one through :func:`validate_pickands`.
+    there is none).  ``second`` is A'' where declared (None: not declared).
+    Branch 3d of :func:`classify_evc` runs exactly when A'' is declared, and
+    :func:`evc_copula` has a density exactly when A'' is declared and no jump
+    is: D+A is then the integral of A'', so no kernel K(u, .) has an atom.
+    Both trust the declared jumps, which nothing checks against D+A.
+    ``quantile``, where set, becomes the copula's
+    :attr:`~mktp2.core.Copula.quantile`.  Users build one through
+    :func:`validate_pickands`.
     """
 
     label: str
     A: Callable
     d_plus_A: Callable
     declared_jumps: tuple = ()
-    smoothness: str = "generic"
     t_star: float = 0.0
     second: Optional[Callable] = None
     cap: Optional[Callable] = None
-    absolutely_continuous: bool = False
     quantile: Optional[Callable] = None
 
     def __repr__(self):
@@ -103,20 +105,18 @@ def validate_pickands(
     A,
     d_plus_A=None,
     declared_jumps=(),
-    smoothness="generic",
     t_star=None,
     second=None,
-    absolutely_continuous=False,
     label="custom",
 ):
     """Check a Pickands function and its declared derivative data on a grid.
 
     Needs D+A as the callable ``d_plus_A``, its jumps as a strictly
-    increasing sequence in (0, 1), and A'' as ``second`` when ``smoothness``
-    is ``C3-on-interior``.  Enforces A(0) = A(1) = 1, the envelope
-    max(1-t, t) <= A <= 1, convexity, and -1 <= D+A <= 1 non-decreasing.  A
-    missing ``t_star`` is inf{t : D+A(t) > -1}, bisected on the declared D+A
-    to within 2^-53.
+    increasing sequence in (0, 1), and A'' as a callable ``second`` or None;
+    what A'' and the jumps decide is told at :class:`PickandsSpec`.  Enforces
+    A(0) = A(1) = 1, the envelope max(1-t, t) <= A <= 1, convexity, and
+    -1 <= D+A <= 1 non-decreasing.  A missing ``t_star`` is
+    inf{t : D+A(t) > -1}, bisected on the declared D+A to within 2^-53.
     """
     if not callable(d_plus_A):
         raise ValidationError("d_plus_A must be a callable giving the right derivative D+A")
@@ -125,8 +125,8 @@ def validate_pickands(
     declared_jumps = tuple(float(t) for t in declared_jumps)
     if not all(0.0 < t < 1.0 for t in declared_jumps) or any(np.diff(declared_jumps) <= 0.0):
         raise ValidationError(f"declared_jumps must increase strictly inside (0, 1), got {declared_jumps}")
-    if smoothness == "C3-on-interior" and second is None:
-        raise ValidationError("smoothness 'C3-on-interior' needs A'' as second")
+    if second is not None and not callable(second):
+        raise ValidationError("second must be a callable giving A'' (None: not declared)")
 
     ts = np.linspace(0.0, 1.0, 1001)
     vals = np.asarray(A(ts), dtype=float)
@@ -166,10 +166,8 @@ def validate_pickands(
         A=A,
         d_plus_A=d_plus_A,
         declared_jumps=declared_jumps,
-        smoothness=smoothness,
         t_star=float(t_star),
         second=second,
-        absolutely_continuous=absolutely_continuous,
     )
 
 
@@ -184,11 +182,9 @@ def _independence_pickands(label):
         A=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         d_plus_A=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         declared_jumps=(),
-        smoothness="C3-on-interior",
         t_star=0.0,
         second=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         cap=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        absolutely_continuous=True,
         quantile=Form(lambda u, w: w + 0.0 * u),
     )
 
@@ -270,11 +266,9 @@ def _gumbel_pickands(alpha):
         A=A,
         d_plus_A=dA,
         declared_jumps=(),
-        smoothness="C3-on-interior",
         t_star=0.0,
         second=d2A,
         cap=cap,
-        absolutely_continuous=True,
     )
 
 
@@ -312,11 +306,11 @@ def _mo_pickands(alpha, beta):
         A=A,
         d_plus_A=dA,
         declared_jumps=(tj,),
-        smoothness="C3-on-interior" if b == 1.0 else "generic",
         t_star=tj if b == 1.0 else 0.0,
-        second=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        # A'' = 0 off the jump, declared only at beta = 1: below it D+A(0) =
+        # -beta lies inside (-1, 0), and one rounded onto -1 must not reach 3d
+        second=(lambda t: np.zeros_like(np.asarray(t, dtype=float))) if b == 1.0 else None,
         cap=lambda t: np.where(np.asarray(t, dtype=float) < tj, 1.0 - b, 1.0),
-        absolutely_continuous=False,
         quantile=Form(quantile, _log_prep),
     )
 
@@ -332,11 +326,9 @@ def _tawn_symmetric_pickands(theta):
         A=lambda t: th * np.square(np.asarray(t, dtype=float)) - th * np.asarray(t, dtype=float) + 1.0,
         d_plus_A=lambda t: 2.0 * th * np.asarray(t, dtype=float) - th,
         declared_jumps=(),
-        smoothness="C3-on-interior",
         t_star=0.0,
         second=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0 * th),
         cap=lambda t: 1.0 - th * np.square(1.0 - np.asarray(t, dtype=float)),
-        absolutely_continuous=True,
     )
 
 
@@ -372,11 +364,9 @@ def _tawn_mixed_pickands(theta, kappa):
         A=A,
         d_plus_A=dA,
         declared_jumps=(),
-        smoothness="C3-on-interior",
         t_star=0.0,
         second=lambda t: 2.0 * th + 6.0 * ka * np.asarray(t, dtype=float),
         cap=cap,
-        absolutely_continuous=True,
     )
 
 
@@ -407,11 +397,9 @@ def _log_pickands():
         A=A,
         d_plus_A=dA,
         declared_jumps=(),
-        smoothness="C3-on-interior",
         t_star=0.0,
         second=d2A,
         cap=cap,
-        absolutely_continuous=True,
     )
 
 
@@ -428,10 +416,6 @@ def _jump_pickands():
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.125, -1.0, np.where(t < 0.25, -0.5, 2.0 * t - 1.0))
 
-    def d2A(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0.25, 0.0, 2.0)
-
     def cap(t):
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.125, 0.0, np.where(t < 0.25, 7.0 / 16.0, t * (2.0 - t)))
@@ -441,11 +425,8 @@ def _jump_pickands():
         A=A,
         d_plus_A=dA,
         declared_jumps=(0.125,),
-        smoothness="generic",
         t_star=0.125,
-        second=d2A,
         cap=cap,
-        absolutely_continuous=False,
     )
 
 
@@ -554,7 +535,7 @@ def evc_copula(spec):
         return np.clip(np.where(u_int, np.where(v_int, base, v), 1.0), 0.0, 1.0)
 
     density = None
-    if spec.absolutely_continuous and spec.second is not None:
+    if spec.second is not None and not spec.declared_jumps:
 
         # on the edges of the square a log is -inf or 0, and the density's
         # terms there divide and multiply them into inf or NaN
@@ -940,7 +921,7 @@ def classify_evc(spec, grid=DEFAULT_GRID):
         )
 
     ratio_witness = None
-    if spec.smoothness == "C3-on-interior":
+    if spec.second is not None:
         ok, ratio_witness = _ratio_test(spec, spec.t_star, grid)
         if ok:
             certificate = {"method": "analytic:monotone-ratio", "n_points": _RATIO_POINTS}

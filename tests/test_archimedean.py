@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from mktp2.archimedean import (
+    GeneratorSpec,
     arch_copula,
     builtin_archimedean,
     classify_archimedean,
@@ -351,6 +352,35 @@ def test_dtp2_is_not_applicable_without_psi_second(name, params):
 def test_make_generator_takes_no_smoothness():
     with pytest.raises(TypeError, match="smoothness"):
         make_generator(phi=lambda t: -np.log(np.asarray(t, dtype=float)), smoothness="completely-monotone")
+
+
+@pytest.mark.parametrize(
+    "strict, phi_at_zero, psi",
+    [
+        (False, np.inf, lambda x: np.power(1.0 + np.asarray(x, dtype=float), -1.0)),
+        (True, 1.0, lambda x: np.maximum(1.0 - np.asarray(x, dtype=float), 0.0)),
+    ],
+    ids=["non-strict-at-inf", "strict-at-1"],
+)
+def test_make_generator_rejects_strict_that_disagrees_with_phi_at_zero(strict, phi_at_zero, psi):
+    with pytest.raises(ValidationError, match=rf"declared strict={strict} but phi\(0\) = {phi_at_zero!r}"):
+        make_generator(psi=psi, phi_at_zero=phi_at_zero, strict=strict)
+    # agreeing with it, or left out, strict reads phi(0) = inf
+    for declared in (not strict, None):
+        assert make_generator(psi=psi, phi_at_zero=phi_at_zero, strict=declared).strict is (not strict)
+
+
+@pytest.mark.parametrize("phi_at_zero", [float("nan"), 0.0, -1.0, -np.inf])
+def test_make_generator_rejects_phi_at_zero_off_the_positive_half_line(phi_at_zero):
+    with pytest.raises(ValidationError, match=r"phi\(0\) must be positive or inf"):
+        make_generator(psi=lambda x: np.power(1.0 + np.asarray(x, dtype=float), -1.0), phi_at_zero=phi_at_zero)
+
+
+def test_strict_is_read_from_phi_at_zero():
+    assert "strict" not in {f.name for f in fields(GeneratorSpec)}
+    for name, strict in (("gumbel", True), ("pi", True), ("spreeuw", True), ("w", False)):
+        spec = builtin_archimedean(name)
+        assert spec.strict is strict and spec.strict is (spec.phi_at_zero == np.inf), name
 
 
 def test_gumbel_rejects_nan_alpha():

@@ -27,6 +27,7 @@ from mktp2.extreme_value import (
 )
 from mktp2.grids import GridConfig, Rectangle
 from mktp2.properties import Status, rectangle_defect
+from mktp2.registry import build
 from oracles import cross_ratio_identity_check
 
 GRID = GridConfig()
@@ -47,7 +48,7 @@ def synthetic_plateau_spec():
         return np.where(t < 0.2, -1.0 + 5.0 * t, np.where(t < 0.4, 0.0, (0.2 / 0.18) * (t - 0.4)))
 
     return validate_pickands(
-        A, d_plus_A=dA, declared_jumps=(), smoothness="generic", t_star=0.0, label="syn-plateau"
+        A, d_plus_A=dA, declared_jumps=(), t_star=0.0, label="syn-plateau"
     )
 
 
@@ -130,11 +131,56 @@ def test_validate_rejects_jumps_not_increasing_inside_the_unit_interval(jumps):
         validate_pickands(lambda t: np.ones_like(_t(t)), _zero, declared_jumps=jumps)
 
 
-def test_validate_requires_second_derivative_for_c3():
-    with pytest.raises(ValidationError, match="'C3-on-interior' needs A'' as second"):
-        validate_pickands(lambda t: np.ones_like(_t(t)), _zero, smoothness="C3-on-interior")
-    spec = validate_pickands(lambda t: np.ones_like(_t(t)), _zero, smoothness="C3-on-interior", second=_zero)
-    assert spec.second is _zero
+@pytest.mark.parametrize("flag", [{"smoothness": "C3-on-interior"}, {"absolutely_continuous": True}], ids=str)
+def test_validate_takes_no_derived_flags(flag):
+    with pytest.raises(TypeError, match=next(iter(flag))):
+        validate_pickands(lambda t: np.ones_like(_t(t)), _zero, **flag)
+
+
+@pytest.mark.parametrize("second", [2.0, "A''"], ids=["float", "str"])
+def test_validate_requires_a_callable_second_derivative(second):
+    with pytest.raises(ValidationError, match="second must be a callable"):
+        validate_pickands(lambda t: np.ones_like(_t(t)), _zero, second=second)
+    assert validate_pickands(lambda t: np.ones_like(_t(t)), _zero, second=_zero).second is _zero
+
+
+def _tawn_one_spec():
+    """tawn-sym(theta = 1) built by a user: A = 1 - t + t^2, A'' = 2, no jump."""
+    return validate_pickands(
+        lambda t: 1.0 - _t(t) + np.square(_t(t)),
+        lambda t: 2.0 * _t(t) - 1.0,
+        second=lambda t: np.full_like(_t(t), 2.0),
+    )
+
+
+def _kinked_line_spec():
+    """Marshall-Olkin (2/3, 1) built by a user: A = 1 - t up to t* = 0.4, then a
+    line up to (1, 1); A'' = 0 off the one jump at t*."""
+    return validate_pickands(
+        lambda t: np.where(_t(t) < 0.4, 1.0 - _t(t), 0.6 + (_t(t) - 0.4) * (2.0 / 3.0)),
+        lambda t: np.where(_t(t) < 0.4, -1.0, 2.0 / 3.0),
+        declared_jumps=(0.4,),
+        second=_zero,
+    )
+
+
+def test_declared_second_derivative_without_jumps_gives_density_and_3d():
+    spec = _tawn_one_spec()
+    density = evc_copula(spec).density
+    assert density is not None
+    u, v = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.05, 0.95, 7), indexing="ij")
+    want = evc_copula(builtin_pickands("tawn-symmetric", theta=1.0)).density(u, v)
+    np.testing.assert_allclose(density(u, v), want, rtol=1e-12)
+    branch, verdict = classify_evc(spec, GRID)
+    assert (branch, verdict.status, verdict.certificate["method"]) == ("3d", Status.HOLDS, "analytic:monotone-ratio")
+
+
+def test_declared_jump_takes_the_density_away():
+    spec = _kinked_line_spec()
+    assert spec.t_star == pytest.approx(0.4, abs=2.0**-52)
+    assert evc_copula(spec).density is None
+    # the jump is t*, so the tree still reaches 3d, as at Marshall-Olkin beta = 1
+    assert classify_evc(spec, GRID)[0] == "3d"
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +385,53 @@ def test_classification_tree(name, kw, branch, status):
         assert ratio < 1.0 - GRID.tol_strict
 
 
+MO_EDGE = {"alpha": 0.5, "beta": 1.0 - 5e-10}
+
+
+# (family, params, grid, density is None, branch 3d ran) as the removed flags
+# `smoothness` and `absolutely_continuous` decided them, on every registry EVC
+# setting the goldens pin and on Marshall-Olkin at independence and beta = 1;
+# both now follow from A'' and the jumps
+DERIVED_FROM_DECLARATIONS = [
+    ("evc-gumbel", {"alpha": 2.0}, 64, False, True),
+    ("mo", {"alpha": 0.5, "beta": 0.5}, 64, True, False),
+    ("mo", {"alpha": 0.7, "beta": 1.0}, 64, True, True),
+    ("mo", {"alpha": 0.5, "beta": 1.0}, 4, True, True),
+    ("mo", {"alpha": 0.0, "beta": 0.5}, 64, False, False),
+    ("mo", MO_EDGE, 64, True, False),
+    ("mo", MO_EDGE, 4, True, False),
+    ("tawn-sym", {"theta": 0.2}, 64, False, False),
+    ("tawn-sym", {"theta": 1.0}, 64, False, True),
+    ("tawn-mix", {"theta": 1.25, "kappa": -0.25}, 64, False, True),
+    ("evc-log", None, 64, False, True),
+    ("evc-jump", None, 64, True, False),
+    ("evc-jump", None, 4, True, False),
+]
+
+
+@pytest.mark.parametrize("name, params, n, density_none, ran_3d", DERIVED_FROM_DECLARATIONS)
+def test_density_and_branch_3d_follow_the_declarations(monkeypatch, name, params, n, density_none, ran_3d):
+    calls = []
+    ratio_test = extreme_value._ratio_test
+    monkeypatch.setattr(extreme_value, "_ratio_test", lambda *a: calls.append(a) or ratio_test(*a))
+    _, spec, copula = build(name, params)
+    classify_evc(spec, GridConfig(n_u=n, n_v=n))
+    assert (copula.density is None, bool(calls)) == (density_none, ran_3d)
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_pickands("marshall-olkin", **MO_EDGE),
+    builtin_pickands("marshall-olkin", alpha=0.5, beta=0.5),
+    builtin_pickands("jump-example"),
+], ids=repr)
+def test_singular_families_declare_no_second_derivative(spec):
+    # neither has a density to read an A''; at Marshall-Olkin beta = 1 - 5e-10,
+    # whose D+A(0) = -beta the tree rounds onto -1, one would certify MK-TP2 in 3d
+    assert spec.second is None
+    for n in (4, 64):
+        assert classify_evc(spec, GridConfig(n_u=n, n_v=n))[1].status is not Status.HOLDS
+
+
 def two_kink_spec():
     """Piecewise linear A with derivative jumps at 0.2 and 0.5 (branch 3a)."""
 
@@ -350,9 +443,7 @@ def two_kink_spec():
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.2, -1.0, np.where(t < 0.5, -0.5, 0.7))
 
-    return validate_pickands(
-        A, d_plus_A=dA, declared_jumps=(0.2, 0.5), smoothness="generic", t_star=0.2
-    )
+    return validate_pickands(A, d_plus_A=dA, declared_jumps=(0.2, 0.5), t_star=0.2)
 
 
 def curved_kink_spec():
@@ -367,9 +458,7 @@ def curved_kink_spec():
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.4, -1.0 + t, slope)
 
-    return validate_pickands(
-        A, d_plus_A=dA, declared_jumps=(0.4,), smoothness="generic", t_star=0.0
-    )
+    return validate_pickands(A, d_plus_A=dA, declared_jumps=(0.4,), t_star=0.0)
 
 
 def test_two_jump_pickands_fails():
