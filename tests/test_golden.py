@@ -2,8 +2,9 @@
 on their own grids), `witness --grid 48` reports of
 the EVC MK-TP2 witnesses, the outcomes of every analytic setting's
 `witness --grid 48` and of every grid-routed setting's `witness --grid 64`,
-`sample` and `grid-export` CSV digests, and boundary values of every
-built-in family's quantities.
+`sample` and `grid-export` CSV digests, boundary values of every
+built-in family's quantities, and the generator-level verdicts of
+user-built generators.
 
 The files under ``tests/golden/`` pin verdicts, witnesses and report bytes;
 ``sample_digests.json`` the sha256 of the ``sample --n 5000 --seed 7`` CSV of
@@ -19,7 +20,10 @@ ladder finds; ``witness_edge_outcomes.json`` the same of each setting of
 CSV of each family's cdf, kernel, density (where present) and FA (EVC only),
 uniform and logit; and ``boundary_values.json`` the hex bits (or the error
 text) of each family's cdf, kernel and density at every (u, v) with u, v in
-:data:`BOUNDARY`, called once per point and once on the whole 6 x 6 grid.
+:data:`BOUNDARY`, called once per point and once on the whole 6 x 6 grid;
+``user_generators.json`` the ``describe()`` table of
+``archimedean.property_verdicts`` at grid 64 for each generator of
+:data:`USER_GENERATORS`, built with ``make_generator`` from psi or phi alone.
 So neither the sampler, the grid layer, a family's per-axis form nor the CSV
 writer can change a bit unnoticed.  Regenerate them only when a change to a
 report, a sample or a value is intended, and say which and why in the change
@@ -39,8 +43,10 @@ import numpy as np
 import pytest
 
 from conftest import ALL_FAMILIES, ANALYTIC_FAMILIES, GRID_FAMILIES, REGISTRY_FAMILIES
+from mktp2.archimedean import make_generator, property_verdicts
 from mktp2.cli import main
 from mktp2.core import as_form
+from mktp2.grids import GridConfig
 from mktp2.properties import PROPERTIES, _grid_eval
 from mktp2.registry import build
 
@@ -75,6 +81,51 @@ GRID_DIGESTS = GOLDEN_DIR / "grid_digests.json"
 BOUNDARY_VALUES = GOLDEN_DIR / "boundary_values.json"
 BOUNDARY = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0])
 QUANTITIES = ("cdf", "kernel", "density")
+USER_GENERATORS_PATH = GOLDEN_DIR / "user_generators.json"
+
+
+def _clayton_psi(theta):
+    """Clayton's psi and its declared D-psi."""
+    psi = lambda x: np.power(1.0 + theta * np.asarray(x, dtype=float), -1.0 / theta)
+    d_minus_psi = lambda x: -np.power(1.0 + theta * np.asarray(x, dtype=float), -1.0 / theta - 1.0)
+    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label=f"clayton-psi({theta:g})")
+
+
+def _frank_psi(theta):
+    """Frank's psi; D-psi is left to finite differences."""
+    c = -np.expm1(-theta)
+    psi = lambda x: -np.log1p(-c * np.exp(-np.asarray(x, dtype=float))) / theta
+    return make_generator(psi=psi, phi_at_zero=np.inf, strict=True, label=f"frank-psi({theta:g})")
+
+
+def _clayton_phi(theta):
+    """Clayton's phi alone: psi is bisected, D-psi is 1 / phi'(psi)."""
+    phi = lambda t: (np.power(np.asarray(t, dtype=float), -theta) - 1.0) / theta
+    return make_generator(phi=phi, label=f"clayton-phi({theta:g})")
+
+
+def kinked_exp(x_star):
+    """psi = e^(-x) with its slope halved from ``x_star`` on, and its declared D-psi,
+    which jumps at ``x_star``: so -D-psi is not log-convex, and SI fails."""
+
+    def psi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= x_star, np.exp(-x), np.exp(-0.5 * (x + x_star)))
+
+    def d_minus_psi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= x_star, -np.exp(-x), -0.5 * np.exp(-0.5 * (x + x_star)))
+
+    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label=f"kinked-exp({x_star:g})")
+
+
+USER_GENERATORS = {
+    "clayton-psi_theta2": lambda: _clayton_psi(2.0),
+    "frank-psi_theta1": lambda: _frank_psi(1.0),
+    "frank-psi_theta4": lambda: _frank_psi(4.0),
+    "clayton-phi_theta1": lambda: _clayton_phi(1.0),
+    "kinked-exp_x1": lambda: kinked_exp(1.0),
+}
 
 
 def _param_text(params):
@@ -189,6 +240,16 @@ def _quantities(name, params):
             yield f"{_family_key(name, params)}/{quantity}", fn
 
 
+def _user_generator_tables():
+    """``{key: {property: Verdict.describe()}}`` of each generator of :data:`USER_GENERATORS`."""
+    grid = GridConfig(int(GRID), int(GRID))
+    tables = {}
+    for key, make in USER_GENERATORS.items():
+        table = property_verdicts(make(), grid)
+        tables[key] = {prop: verdict.describe() for prop, verdict in table.items()}
+    return tables
+
+
 def _stdout(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -225,6 +286,10 @@ def test_grid_witness_outcomes_match_golden():
 
 def test_edge_witness_outcomes_match_golden():
     assert _edge_outcomes() == json.loads(WITNESS_EDGE_OUTCOMES.read_text())
+
+
+def test_user_generator_verdicts_match_golden():
+    assert _user_generator_tables() == json.loads(USER_GENERATORS_PATH.read_text())
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=_family_ids)
@@ -335,6 +400,7 @@ if __name__ == "__main__":
         _write_lines(WITNESS_OUTCOMES, _witness_outcomes())
         _write_lines(WITNESS_GRID_OUTCOMES, _witness_outcomes(GRID_FAMILIES, GRID))
         _write_lines(WITNESS_EDGE_OUTCOMES, _edge_outcomes())
+        _write_lines(USER_GENERATORS_PATH, _user_generator_tables())
         grid_digests = {
             key: _grid_digest(argv, Path(scratch) / "grid.csv")
             for family in ALL_FAMILIES
