@@ -12,9 +12,10 @@ ratio reproduces automatically because D-psi is 0 beyond phi(0).
 
 Classification rests on two exact equivalences: the copula is TP2 (equally,
 LTD) iff psi is log-convex, and it is MK-TP2 (equally, SI) iff -D-psi is
-log-convex; a discontinuity of D-psi alone already refutes SI.  Both
-log-convexity scans sample x = phi(t) over an interior t-grid so the test
-concentrates where the copula lives.
+log-convex.  A log-convex function is continuous, so the second scan also
+reads a jump of D-psi as a violation; no separate test looks for jumps.
+Both log-convexity scans sample x = phi(t) over an interior t-grid so the
+test concentrates where the copula lives, and see nothing outside it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import Copula, Form, param_text
 from .errors import NumericalError, ValidationError
-from .grids import DEFAULT_GRID, JUMP_DELTAS, Rectangle, bisect, bisect_unit, persistent_jumps
+from .grids import DEFAULT_GRID, Rectangle, bisect, bisect_unit
 from .properties import (
     PROPERTIES,
     Status,
@@ -44,7 +45,6 @@ __all__ = [
     "make_generator",
     "builtin_archimedean",
     "arch_copula",
-    "scan_dminus_psi_continuity",
     "classify_archimedean",
     "property_verdicts",
 ]
@@ -64,9 +64,9 @@ _GUMBEL_NEWTON_STEPS = 7
 class GeneratorSpec:
     """An Archimedean generator with co-generator and one-sided derivative.
 
-    ``phi_at_zero`` is phi(0), which decides :attr:`strict`.
-    ``d_minus_psi_jumps`` declares the discontinuity set of D-psi: an empty
-    tuple declares continuity, None leaves it unknown (numeric scans decide).
+    ``phi_at_zero`` is phi(0), which decides :attr:`strict`.  D-psi may
+    jump: the SI and MK-TP2 scan of -D-psi reads a jump inside its x-sample
+    as a failure of log-convexity, and sees none outside it.
     ``psi_second`` is psi'' where declared (never derived): the d-TP2
     criterion and the density need it.  ``exact_derivative``
     is False when D-psi was not supplied but derived by finite differences;
@@ -81,7 +81,6 @@ class GeneratorSpec:
     d_minus_psi: Callable
     phi_at_zero: float
     psi_second: Optional[Callable] = None
-    d_minus_psi_jumps: Optional[tuple] = ()
     exact_derivative: bool = True
     quantile: Optional[Callable] = None
 
@@ -183,7 +182,6 @@ def make_generator(
     phi_at_zero=None,
     strict=None,
     psi_second=None,
-    d_minus_psi_jumps=None,
     label="custom",
 ):
     """Build a :class:`GeneratorSpec` from closed forms of phi and/or psi.
@@ -191,8 +189,8 @@ def make_generator(
     Whichever of the pair is missing is produced by monotone bisection
     inversion (tolerance 1e-12).  A missing D-psi is 1 / phi'(psi(x)) when
     psi is the bisected one, else a one-sided finite difference of psi.  The
-    supplied function is validated for convexity and strict monotonicity on
-    a 1000-point grid.  A declared ``phi_at_zero`` overrides detection, which
+    supplied function is validated as convex and non-increasing on a
+    1000-point grid.  A declared ``phi_at_zero`` overrides detection, which
     matters for co-generators that underflow to zero in floating point; it
     decides strictness (phi(0) = inf), and a declared ``strict`` must agree
     with it.  psi'' is never derived: without a declared ``psi_second``,
@@ -278,7 +276,6 @@ def make_generator(
         d_minus_psi=d_minus_psi,
         phi_at_zero=phi_at_zero,
         psi_second=psi_second,
-        d_minus_psi_jumps=d_minus_psi_jumps,
         exact_derivative=exact,
     )
 
@@ -349,7 +346,6 @@ def _gumbel_spec(alpha, label):
         d_minus_psi=d_minus_psi,
         phi_at_zero=np.inf,
         psi_second=psi_second,
-        d_minus_psi_jumps=(),
         quantile=Form(quantile, neg_log, neg_log),
     )
 
@@ -371,7 +367,6 @@ def _w_spec():
         psi=psi,
         d_minus_psi=d_minus_psi,
         phi_at_zero=1.0,
-        d_minus_psi_jumps=(1.0,),
     )
 
 
@@ -409,7 +404,6 @@ def _spreeuw_spec():
         d_minus_psi=d_minus_psi,
         phi_at_zero=np.inf,
         psi_second=psi_second,
-        d_minus_psi_jumps=(),
     )
 
 
@@ -516,37 +510,6 @@ def generator_x_sample(spec, grid=DEFAULT_GRID):
     return np.unique(xs)
 
 
-def scan_dminus_psi_continuity(spec):
-    """Holds unless D-psi jumps; declared metadata short-circuits the scan."""
-    cert = {"method": "dminus-psi-continuity", "deltas": list(JUMP_DELTAS)}
-    if spec.d_minus_psi_jumps is not None:
-        if spec.d_minus_psi_jumps:
-            x_star = float(spec.d_minus_psi_jumps[0])
-            w = Witness(points=(x_star,), values=(), defect=np.inf, kind="jump")
-            return Verdict(Status.FAILS, w, cert, "declared discontinuity")
-        return Verdict(Status.HOLDS, None, cert, "declared continuous")
-    # the scan must reach the edges of phi's range (a non-strict generator
-    # jumps exactly at phi(0)), so it uses its own near-boundary t-grid
-    ts = np.linspace(1e-6, 1.0 - 1e-6, 513)
-    xs = np.asarray(spec.phi(ts), dtype=float)
-    xs = np.unique(np.sort(xs[np.isfinite(xs) & (xs > 0.0)]))
-    # every probe x - d must stay inside the domain
-    xs = xs[xs > JUMP_DELTAS[0]]
-
-    def gap(d):
-        left = np.asarray(spec.d_minus_psi(xs - d), dtype=float)
-        right = np.asarray(spec.d_minus_psi(xs + d), dtype=float)
-        return np.abs(right - left)
-
-    gaps, persistent = persistent_jumps(gap)
-    if persistent.any():
-        k = int(np.argmax(persistent))
-        x_star, jump = float(xs[k]), float(gaps[-1, k])
-        w = Witness(points=(x_star,), values=(jump,), defect=jump, kind="jump")
-        return Verdict(Status.FAILS, w, cert)
-    return Verdict(Status.HOLDS, None, cert)
-
-
 def _nonstrict_witnesses(spec):
     """LTD, SI, TP2 and MK-TP2 witnesses, by property, on one rectangle [a, c]^2,
     a = psi(3/4 phi(0)) and c = psi(1/8 phi(0)); each re-evaluates through :func:`rectangle_defect`.
@@ -573,8 +536,10 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
     short-circuit: their copulas vanish on an interior region, which already
     refutes LTD/TP2/SI/MK-TP2 on one rectangle; each pair shares its status,
     certificate and note, and each property gets its own witness.  Strict
-    generators run the D-psi continuity scan and the two log-convexity scans;
-    the d-TP2 criterion, log-convexity of psi'', runs only on a declared
+    generators run the two log-convexity scans, of psi and of -D-psi, on the
+    x-sample of :func:`generator_x_sample`; a jump of D-psi inside it breaks
+    the log-convexity of -D-psi there, one outside it is not seen.  The
+    d-TP2 criterion, log-convexity of psi'', runs only on a declared
     ``psi_second``, at the grid tolerances.
     """
     if not spec.strict:
@@ -587,7 +552,6 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
             "non-strict copulas carry a singular part",
         )
     else:
-        continuity = scan_dminus_psi_continuity(spec)
         xs = generator_x_sample(spec, grid)
         if len(xs) < 3:
             raise NumericalError(
@@ -598,23 +562,15 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
             _log_convexity(spec.psi, xs, grid.tol_eq, grid.tol_strict),
             "psi-log-convexity",
         )
-        if continuity.status is Status.FAILS:
-            mktp2 = Verdict(
-                Status.FAILS,
-                continuity.witness,
-                {"method": "analytic:dminus-psi-discontinuity"},
-                "a discontinuous D-psi rules out SI",
-            )
-        else:
-            mktp2 = _tag_analytic(
-                _log_convexity(
-                    lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float),
-                    xs,
-                    grid.tol_eq,
-                    grid.tol_strict,
-                ),
-                "neg-dminus-psi-log-convexity",
-            )
+        mktp2 = _tag_analytic(
+            _log_convexity(
+                lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float),
+                xs,
+                grid.tol_eq,
+                grid.tol_strict,
+            ),
+            "neg-dminus-psi-log-convexity",
+        )
         if spec.psi_second is not None:
             dtp2 = _tag_analytic(
                 _log_convexity(spec.psi_second, xs, grid.tol_eq, grid.tol_strict),

@@ -166,19 +166,3 @@ def runs(mask):
     edges = np.flatnonzero(np.diff(padded))
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
-
-JUMP_DELTAS = (1e-3, 1e-4, 1e-5)
-JUMP_TOL = 1e-3
-
-
-def persistent_jumps(gap):
-    """``(gaps, mask)``: ``gaps`` stacks ``gap(d)`` for each width of :data:`JUMP_DELTAS`.
-
-    A point is a jump where its gap exceeds :data:`JUMP_TOL` at every width and the
-    gap at the smallest width is at least a tenth of that at the largest: a
-    jump's gap stays put as the width shrinks, while a smooth but steep
-    function's gap shrinks with it, 100-fold over the three widths.
-    """
-    gaps = np.array([gap(d) for d in JUMP_DELTAS])
-    mask = np.all(gaps > JUMP_TOL, axis=0) & (gaps[-1] >= 0.1 * gaps[0])
-    return gaps, mask

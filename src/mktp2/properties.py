@@ -55,9 +55,8 @@ class Witness:
     ``kind`` names the form of ``points``: ``point`` (u, v) for pointwise
     tests, ``line`` (u1, u2, v) for per-line monotonicity tests,
     ``rectangle`` (u1, u2, v1, v2) for rectangle tests, ``triple``
-    (x0, x1, x2) for midpoint tests, ``jump`` (x,) for a D-psi jump and
-    ``ratio-pair`` (t1, t2) for the extreme-value monotone-ratio test.  Only
-    the first three have a :meth:`rectangle` form.  ``defect`` is oriented
+    (x0, x1, x2) for midpoint tests and ``ratio-pair`` (t1, t2) for the
+    extreme-value monotone-ratio test.  Only the first three have a :meth:`rectangle` form.  ``defect`` is oriented
     so that positive means violation.
     """
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from mktp2.archimedean import make_generator
 from mktp2.grids import GridConfig
 from mktp2.registry import REGISTRY, build
 
@@ -87,3 +88,26 @@ def random_rectangles(rng, n, lo=0.001, hi=0.999):
     u = np.sort(rng.uniform(lo, hi, size=(n, 2)), axis=1)
     v = np.sort(rng.uniform(lo, hi, size=(n, 2)), axis=1)
     return u[:, 0], u[:, 1], v[:, 0], v[:, 1]
+
+
+def frank_psi(theta):
+    """Frank's generator from psi alone: phi is bisected, D-psi a finite difference of psi."""
+    c = -np.expm1(-theta)
+    psi = lambda x: -np.log1p(-c * np.exp(-np.asarray(x, dtype=float))) / theta
+    return make_generator(psi=psi, phi_at_zero=np.inf, strict=True, label=f"frank-psi({theta:g})")
+
+
+def kinked_exp(x_star):
+    """psi = e^(-x) with its slope halved from ``x_star`` on, and its declared D-psi,
+    which jumps at ``x_star``: so -D-psi is not log-convex, and SI fails."""
+
+    def psi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= x_star, np.exp(-x), np.exp(-0.5 * (x + x_star)))
+
+    def d_minus_psi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= x_star, -np.exp(-x), -0.5 * np.exp(-0.5 * (x + x_star)))
+
+    label = f"kinked-exp({x_star:g})"
+    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label=label)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -12,12 +13,12 @@ from mktp2.archimedean import (
     generator_x_sample,
     make_generator,
     property_verdicts,
-    scan_dminus_psi_continuity,
 )
 from mktp2.errors import NumericalError, ValidationError
 from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
 from mktp2.properties import Status, check_mktp2, check_si, rectangle_defect
+from conftest import frank_psi, kinked_exp
 from oracles import bisected_psi, zero_level
 
 GRID = GridConfig()
@@ -165,83 +166,6 @@ def test_nonstrict_kernel_zero_below_curve_and_si_fails():
 
 
 # ---------------------------------------------------------------------------
-# continuity scan
-# ---------------------------------------------------------------------------
-
-
-def test_continuity_scan_declared_and_numeric():
-    assert scan_dminus_psi_continuity(builtin_archimedean("gumbel", alpha=2.0)).status is Status.HOLDS
-    assert scan_dminus_psi_continuity(builtin_archimedean("pi")).status is Status.HOLDS
-
-    w = builtin_archimedean("w")
-    verdict = scan_dminus_psi_continuity(w)
-    assert verdict.status is Status.FAILS
-    assert verdict.witness.points[0] == pytest.approx(1.0)
-
-    # numeric detection: same generator without declared metadata
-    w_numeric = replace(w, d_minus_psi_jumps=None)
-    verdict = scan_dminus_psi_continuity(w_numeric)
-    assert verdict.status is Status.FAILS
-    assert verdict.witness.points[0] == pytest.approx(1.0, abs=5e-3)
-
-
-def _frank_psi_only(theta):
-    c = -np.expm1(-theta)
-    psi = lambda x: -np.log1p(-c * np.exp(-np.asarray(x, dtype=float))) / theta
-    return make_generator(psi=psi, phi_at_zero=np.inf, strict=True, label=f"frank({theta:g})")
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        _frank_psi_only(3.0),
-        replace(builtin_archimedean("gumbel", alpha=4.0), d_minus_psi_jumps=None),
-    ],
-    ids=["frank-psi-theta3", "gumbel-alpha4-undeclared"],
-)
-def test_steep_smooth_dminus_psi_is_not_a_jump(spec):
-    # the D-psi gap shrinks 100-fold over the probe widths: steep, not discontinuous
-    assert scan_dminus_psi_continuity(spec).status is Status.HOLDS
-    table = property_verdicts(spec, GRID, ("si", "mktp2"))
-    assert table["si"].status is Status.HOLDS
-    assert table["mktp2"].status is Status.HOLDS
-
-
-def _pointwise_continuity_scan(spec, tol_jump=1e-3):
-    """Reference: the jump-persistence rule applied one x at a time."""
-    ts = np.linspace(1e-6, 1.0 - 1e-6, 513)
-    xs = np.asarray(spec.phi(ts), dtype=float)
-    for x in np.unique(np.sort(xs[np.isfinite(xs) & (xs > 0.0)])):
-        if x - 1e-3 <= 0.0:
-            continue
-        gaps = [abs(float(spec.d_minus_psi(x + d)) - float(spec.d_minus_psi(x - d))) for d in (1e-3, 1e-4, 1e-5)]
-        if all(g > tol_jump for g in gaps) and gaps[-1] >= 0.1 * gaps[0]:
-            return float(x), gaps[-1]
-    return None
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        replace(builtin_archimedean("w"), d_minus_psi_jumps=None),
-        replace(builtin_archimedean("gumbel", alpha=2.0), d_minus_psi_jumps=None),
-        _frank_psi_only(1.0),
-        _frank_psi_only(5.0),
-    ],
-    ids=["w", "gumbel", "frank1", "frank5"],
-)
-def test_continuity_scan_matches_pointwise_reference(spec):
-    verdict = scan_dminus_psi_continuity(spec)
-    expected = _pointwise_continuity_scan(spec)
-    if expected is None:
-        assert verdict.status is Status.HOLDS
-    else:
-        assert verdict.status is Status.FAILS
-        assert verdict.witness.points[0] == expected[0]
-        assert verdict.witness.defect == pytest.approx(expected[1], rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
@@ -300,6 +224,43 @@ def test_classify_nonstrict_short_circuit():
     assert table["tp2"].status is Status.FAILS
     assert table["mktp2"].status is Status.FAILS
     assert table["dtp2"].status is Status.NOT_APPLICABLE
+
+
+def test_steep_smooth_dminus_psi_reads_si_and_mktp2_holds():
+    # Frank theta = 3, D-psi by finite differences of psi: steep near 0 but continuous
+    table = property_verdicts(frank_psi(3.0), GRID, ("si", "mktp2"))
+    assert table["si"].status is Status.HOLDS
+    assert table["mktp2"].status is Status.HOLDS
+
+
+@pytest.mark.parametrize("x_star", [0.05, 1.0, 5.0])
+def test_dminus_psi_kink_inside_the_sample_fails_log_convexity(x_star):
+    # D-psi jumps at x_star, inside the x-sample phi([margin, 1 - margin])
+    spec = kinked_exp(x_star)
+    xs = generator_x_sample(spec, GRID)
+    assert xs[0] < x_star < xs[-1]
+    table = property_verdicts(spec, GRID, ("si", "mktp2"))
+    assert table["si"] is table["mktp2"]
+    verdict = table["mktp2"]
+    assert verdict.status is Status.FAILS
+    assert verdict.certificate["method"] == "analytic:neg-dminus-psi-log-convexity"
+    assert verdict.witness.kind == "triple"
+    x0, _, x2 = verdict.witness.points
+    assert x0 < x_star < x2
+
+
+def test_make_generator_takes_no_jump_declaration():
+    # a jump of D-psi is read by the -D-psi scan, never declared: neither the
+    # spec nor make_generator has a field for it, and the keyword is refused
+    assert [f.name for f in fields(GeneratorSpec)] == [
+        "label", "phi", "psi", "d_minus_psi", "phi_at_zero", "psi_second", "exact_derivative", "quantile"
+    ]
+    assert list(inspect.signature(make_generator).parameters) == [
+        "phi", "psi", "d_minus_psi", "phi_at_zero", "strict", "psi_second", "label"
+    ]
+    jumps = {"d_minus_psi" + "_jumps": ()}
+    with pytest.raises(TypeError):
+        make_generator(psi=lambda x: np.exp(-np.asarray(x, dtype=float)), **jumps)
 
 
 def _clayton_nonstrict(theta):
@@ -452,7 +413,6 @@ def test_phi_only_nonstrict_keeps_its_dminus_psi_jump():
     # D-psi is -1 on (0, phi(0)) and 0 from phi(0) on
     assert np.allclose(spec.d_minus_psi(np.array([0.25, 0.5, 0.999])), -1.0, rtol=1e-6, atol=0.0)
     assert np.array_equal(spec.d_minus_psi(np.array([0.0, 1.0, 1.5, np.inf])), np.zeros(4))
-    assert scan_dminus_psi_continuity(spec).status is Status.FAILS
     copula = arch_copula(spec)
     table = property_verdicts(spec, GRID, ("si", "mktp2"))
     for prop in ("si", "mktp2"):

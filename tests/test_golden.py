@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, ANALYTIC_FAMILIES, GRID_FAMILIES, REGISTRY_FAMILIES
+from conftest import ALL_FAMILIES, ANALYTIC_FAMILIES, GRID_FAMILIES, REGISTRY_FAMILIES, frank_psi, kinked_exp
 from mktp2.archimedean import make_generator, property_verdicts
 from mktp2.cli import main
 from mktp2.core import as_form
@@ -88,14 +88,8 @@ def _clayton_psi(theta):
     """Clayton's psi and its declared D-psi."""
     psi = lambda x: np.power(1.0 + theta * np.asarray(x, dtype=float), -1.0 / theta)
     d_minus_psi = lambda x: -np.power(1.0 + theta * np.asarray(x, dtype=float), -1.0 / theta - 1.0)
-    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label=f"clayton-psi({theta:g})")
-
-
-def _frank_psi(theta):
-    """Frank's psi; D-psi is left to finite differences."""
-    c = -np.expm1(-theta)
-    psi = lambda x: -np.log1p(-c * np.exp(-np.asarray(x, dtype=float))) / theta
-    return make_generator(psi=psi, phi_at_zero=np.inf, strict=True, label=f"frank-psi({theta:g})")
+    label = f"clayton-psi({theta:g})"
+    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label=label)
 
 
 def _clayton_phi(theta):
@@ -104,25 +98,10 @@ def _clayton_phi(theta):
     return make_generator(phi=phi, label=f"clayton-phi({theta:g})")
 
 
-def kinked_exp(x_star):
-    """psi = e^(-x) with its slope halved from ``x_star`` on, and its declared D-psi,
-    which jumps at ``x_star``: so -D-psi is not log-convex, and SI fails."""
-
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= x_star, np.exp(-x), np.exp(-0.5 * (x + x_star)))
-
-    def d_minus_psi(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= x_star, -np.exp(-x), -0.5 * np.exp(-0.5 * (x + x_star)))
-
-    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label=f"kinked-exp({x_star:g})")
-
-
 USER_GENERATORS = {
     "clayton-psi_theta2": lambda: _clayton_psi(2.0),
-    "frank-psi_theta1": lambda: _frank_psi(1.0),
-    "frank-psi_theta4": lambda: _frank_psi(4.0),
+    "frank-psi_theta1": lambda: frank_psi(1.0),
+    "frank-psi_theta4": lambda: frank_psi(4.0),
     "clayton-phi_theta1": lambda: _clayton_phi(1.0),
     "kinked-exp_x1": lambda: kinked_exp(1.0),
 }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mktp2.grids import bisect, persistent_jumps, runs
+from mktp2.grids import bisect, runs
 
 
 def _runs_loop(mask):
@@ -47,14 +47,3 @@ def test_bisect_matches_loop_reference():
     # scalar brackets, no tolerance: the bracket collapses onto the root
     _, root = bisect(lambda t: float(t) ** 2 >= 2.0, 1.0, 2.0, 0.0, 200)
     assert float(root) == pytest.approx(np.sqrt(2.0), abs=1e-15)
-
-
-def test_persistent_jumps_rule():
-    xs = np.array([0.2, 0.5, 0.8])
-    # a unit step at 0.5, a steep line of slope 120, and nothing
-    step = lambda x: np.where(x >= 0.5, 1.0, 0.0)
-    steep = lambda x: 120.0 * x
-    for fn, expected in ((step, [False, True, False]), (steep, [False, False, False])):
-        gaps, mask = persistent_jumps(lambda d: np.abs(fn(xs + d) - fn(xs - d)))
-        assert gaps.shape == (3, 3)
-        assert mask.tolist() == expected
