@@ -226,11 +226,24 @@ def test_classify_nonstrict_short_circuit():
     assert table["dtp2"].status is Status.NOT_APPLICABLE
 
 
-def test_steep_smooth_dminus_psi_reads_si_and_mktp2_holds():
-    # Frank theta = 3, D-psi by finite differences of psi: steep near 0 but continuous
-    table = property_verdicts(frank_psi(3.0), GRID, ("si", "mktp2"))
-    assert table["si"].status is Status.HOLDS
+@pytest.mark.parametrize(
+    "spec",
+    [
+        frank_psi(1.0),
+        frank_psi(3.0),
+        frank_psi(5.0),
+        builtin_archimedean("gumbel", alpha=2.0),
+        builtin_archimedean("gumbel", alpha=4.0),
+    ],
+    ids=["frank-psi-theta1", "frank-psi-theta3", "frank-psi-theta5", "gumbel-alpha2", "gumbel-alpha4"],
+)
+def test_steep_smooth_dminus_psi_reads_si_and_mktp2_holds(spec):
+    # D-psi steep near 0 (by finite differences of psi for Frank) but continuous:
+    # the -D-psi scan reads no kink
+    table = property_verdicts(spec, GRID, ("si", "mktp2"))
+    assert table["si"] is table["mktp2"]
     assert table["mktp2"].status is Status.HOLDS
+    assert table["mktp2"].certificate["method"] == "analytic:neg-dminus-psi-log-convexity"
 
 
 @pytest.mark.parametrize("x_star", [0.05, 1.0, 5.0])
