@@ -42,13 +42,19 @@ class Copula:
     """A bivariate copula exposed through its CDF and Markov kernel; ``analytic(grid, props)``,
     where set, gives the family's generator- or Pickands-level verdicts of ``props`` by property.
 
+    ``density(u, v)``, where set, declares the copula absolutely continuous:
+    d-TP2 reads it, and :func:`mktp2.sampler.sample` takes it to mean that
+    K(u, [0, v]) is continuous in v, so a copula with a density but no
+    quantile has each draw guessed by secant steps on the kernel.
+
     ``quantile(u, w)``, where set, is a closed form of the kernel's generalized
     inverse inf{v : K(u, [0,v]) >= w} (the conditional distribution method).
     It need not be exact: :func:`mktp2.sampler.sample` takes it only as a guess
-    of the 2^-34 cell its bisection would end in, keeps the guess where the
-    kernel confirms that cell and bisects the draws where it does not.  Where
-    the kernel's float values are monotone in v, a declared quantile changes
-    no sample bit, only the number of kernel evaluations."""
+    of the 2^-34 cell its bisection would end in, in place of the secant's,
+    keeps the guess where the kernel confirms that cell and bisects the draws
+    where it does not.  Where the kernel's float values are monotone in v, a
+    declared quantile changes no sample bit, only the number of kernel
+    evaluations."""
 
     label: str
     cdf: Callable

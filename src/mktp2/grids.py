@@ -150,7 +150,9 @@ def bisect_unit(pred, shape, tol):
     gets the bits :func:`bisect` gives it from ``[0, 1]`` with the same
     ``tol``, with no per-bracket masks.  Its callers are the bisected psi of
     :func:`mktp2.archimedean.make_generator`, the sampler's kernel inversion
-    and the D+A crossings of :mod:`mktp2.extreme_value` (beta_A and t*).
+    of the draws whose guessed cell the kernel does not confirm (every draw
+    of a copula with neither a quantile nor a density) and the D+A crossings
+    of :mod:`mktp2.extreme_value` (beta_A and t*).
     """
     lo, half = np.zeros(shape), 0.5
     while 2.0 * half > tol:

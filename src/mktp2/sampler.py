@@ -8,24 +8,33 @@ generalized inverse to within 2^-34: atoms of the conditional law (kernels
 with jumps, e.g. Marshall-Olkin) receive their mass exactly, and flat
 stretches resolve to their left end.
 
-The cell is found in one of two ways.  Where the copula declares a
-conditional quantile q(u, w) (:attr:`~mktp2.core.Copula.quantile`, the
-conditional distribution method), each draw rounds q down to its cell and
-evaluates the kernel at the cell's two ends: the cell is taken where the
+Each draw's cell comes from a guess of v, where there is one, confirmed by
+the kernel.  A copula that declares a conditional quantile q(u, w)
+(:attr:`~mktp2.core.Copula.quantile`, the conditional distribution method)
+guesses q; one that declares a density but no quantile has a kernel
+continuous in v, and guesses the iterate of ``_SECANT_STEPS`` lockstep secant
+steps on K(u, .) - w (ten kernel evaluations a draw); any other copula
+(kernels that may jump in v, such as arch-w, evc-jump or a generator given
+by phi alone) makes no guess.  Each guess is rounded down to its cell and
+the kernel is evaluated at the cell's two ends: the cell is taken where the
 predicate reads false at L (or L = 0) and true at L + 2^-34 (or
-L + 2^-34 = 1).  Every other draw, and every draw of a copula without a
-quantile, bisects [0, 1] 34 times (:func:`~mktp2.grids.bisect_unit`).  Where
-the float predicate is monotone in v, one cell has false at its bottom and
-true at its top, and the bisection ends in it; so a quantile, even a wrong
-one, changes no bit of the batch, only the number of kernel evaluations: 2
-per confirmed draw against 34.
+L + 2^-34 = 1).  Every other draw, and every draw of a copula with no
+guess, goes into a queue that bisects [0, 1] 34 times
+(:func:`~mktp2.grids.bisect_unit`) for 2^14 draws at a time, and for the
+rest at the end.  Where the float predicate is monotone in v, one cell has
+false at its bottom and true at its top, and the bisection ends in it; so a
+guess, even a wrong one, changes no bit of the batch, only the number of
+kernel evaluations: 2 per confirmed draw (and 10 more for a secant guess)
+against 34.
 
 The kernel runs in its per-axis form (:class:`~mktp2.core.Form`): the draws
-go 2^14 at a time, each chunk's u is prepped once (before any quantile
-work, so a u-prep error comes first), the bisection preps only the
-unconfirmed draws' u again and, at each of its steps, their midpoints in v.
-So the working set stays near 2 MB whatever n is; the (n, 2) result is the
-only array that grows with it.
+go 2^14 at a time, each chunk's u is prepped once before any guess (so a
+u-prep error comes first), the secant preps only its iterates in v, and the
+bisection preps the queued draws' u again and, at each of its steps, their
+midpoints in v.  A copula with no guess queues each whole chunk, which the
+queue bisects at once, so its u is prepped only there.  The working set
+stays near 2 MB whatever n is; the (n, 2) result is the only array that
+grows with it.
 
 The generator is Philox (counter-based, 64-bit, stream-stable across
 platforms), so a (seed, copula, n) triple reproduces a batch bit for bit;
@@ -66,6 +75,10 @@ __all__ = [
 _CELLS = 2**34
 _CELL = 1.0 / _CELLS
 
+# lockstep secant steps on the kernel that guess a draw of a copula with a
+# density and no quantile
+_SECANT_STEPS = 10
+
 # only the (n, 2) result grows with n, by 16 bytes a sample: a million
 # samples peak near 53 MB of RSS (31 MB after import; 71 MB for a Gaussian,
 # which loads SciPy), so the bound keeps a batch under 200 MB
@@ -105,33 +118,112 @@ def sample(copula, n, seed):
         raise ValidationError(f"need 0 <= seed < 2**128, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     kernel = as_form(copula.kernel)
-    quantile = None if copula.quantile is None else as_form(copula.quantile)
+    guess = _guesser(copula, kernel)
     points = np.empty((n, 2))
+    queue = _Queue(kernel, points)
     for start in range(0, n, _CHUNK):
         u, w = rng.random((min(_CHUNK, n - start), 2)).T
         out = points[start : start + u.size]
         out[:, 0] = u
-        pu = kernel.prep_u(u)
-        if quantile is None:
-            out[:, 1] = _bisect(kernel, pu, w)
-            continue
-        # the bottom of the guessed cell, then its top, in one array; a NaN
-        # guess takes the top cell, as 1 does (fmin keeps the number)
-        end = np.asarray(quantile.combine(quantile.prep_u(u), quantile.prep_v(w)), dtype=float)
-        end = np.clip(np.broadcast_to(end, u.shape), 0.0, 1.0)
-        end *= _CELLS
-        np.floor(end, out=end)
-        np.fmin(end, _CELLS - 1, out=end)
-        end *= _CELL
-        # the kernel is evaluated only where the bisection may evaluate it, in (0, 1)
-        confirmed = (end == 0.0) | ~_reaches(kernel, pu, np.where(end == 0.0, 0.5, end), w)
-        end += _CELL
-        confirmed &= (end == 1.0) | _reaches(kernel, pu, np.where(end == 1.0, 0.5, end), w)
-        out[:, 1] = end
-        miss = np.flatnonzero(~confirmed)
-        if miss.size:
-            out[miss, 1] = _bisect(kernel, kernel.prep_u(u[miss]), w[miss])
+        if guess is None:
+            miss = np.arange(u.size)
+        else:
+            pu = kernel.prep_u(u)
+            out[:, 1], confirmed = _confirm(kernel, pu, w, guess(u, pu, w))
+            miss = np.flatnonzero(~confirmed)
+        queue.put(start + miss, w[miss])
+    queue.drain()
     return SampleBatch(points=points, seed=seed, n=n, label=copula.label)
+
+
+def _guesser(copula, kernel):
+    """``guess(u, pu, w)`` of each draw's v, or None where the copula offers none.
+
+    A declared quantile gives the guess.  Else, where the copula has a
+    density, K(u, .) is continuous and the guess is the secant's on it
+    (:func:`_secant`).  A kernel without either may jump in v, and the secant
+    would miss nearly every draw, so those draws all go to the bisection.
+    """
+    if copula.quantile is not None:
+        quantile = as_form(copula.quantile)
+        return lambda u, pu, w: quantile.combine(quantile.prep_u(u), quantile.prep_v(w))
+    if copula.density is not None:
+        return lambda u, pu, w: _secant(kernel, pu, w)
+    return None
+
+
+def _secant(kernel, pu, w):
+    """The root in v of K(u, v) - w after ``_SECANT_STEPS`` lockstep secant steps.
+
+    The steps start from (1, 1 - w) and (w, K(u, w) - w).  Every iterate
+    stays in [2^-34, 1 - 2^-34], where the bisection evaluates the kernel
+    too, and a draw whose step is not finite (equal kernel values, a NaN)
+    keeps its previous iterate.  The kernel is evaluated at w and at every
+    iterate but the last: ten evaluations a draw.
+    """
+    x0, f0 = 1.0, 1.0 - w
+    x1 = np.clip(w, _CELL, 1.0 - _CELL)
+    for _ in range(_SECANT_STEPS):
+        f1 = np.asarray(kernel.combine(pu, kernel.prep_v(x1)), dtype=float) - w
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        x = np.where(np.isfinite(x), np.clip(x, _CELL, 1.0 - _CELL), x1)
+        x0, f0, x1 = x1, f1, x
+    return x1
+
+
+class _Queue:
+    """Draws whose cell no guess confirmed, bisected 2^14 at a time.
+
+    Whatever share of a chunk misses, every bisection but the last runs on a
+    full chunk, so its arrays have the size of the other per-chunk work.  A
+    queued draw keeps its w in the v column of ``points`` until it is
+    bisected, and the queue holds only the draws' rows, in one buffer.
+    """
+
+    def __init__(self, kernel, points):
+        self.kernel, self.points = kernel, points
+        self.rows, self.size = np.empty(2 * _CHUNK, dtype=np.intp), 0
+
+    def put(self, rows, w):
+        self.points[rows, 1] = w
+        self.rows[self.size : self.size + rows.size] = rows
+        self.size += rows.size
+        if self.size >= _CHUNK:
+            self._solve(self.rows[:_CHUNK])
+            self.size -= _CHUNK
+            self.rows[: self.size] = self.rows[_CHUNK : _CHUNK + self.size]
+
+    def drain(self):
+        self._solve(self.rows[: self.size])
+        self.size = 0
+
+    def _solve(self, rows):
+        if rows.size:
+            u, w = self.points[rows, 0], self.points[rows, 1]
+            self.points[rows, 1] = _bisect(self.kernel, self.kernel.prep_u(u), w)
+
+
+def _confirm(kernel, pu, w, guess):
+    """The top of each guess's 2^-34 cell, and where the kernel confirms that cell.
+
+    A guess is rounded down to its cell [L, L + 2^-34]; NaN and values from 1
+    up take the top cell, values below 0 the bottom one.  The cell is
+    confirmed where ``K(u, L) >= w`` reads false (or L = 0) and
+    ``K(u, L + 2^-34) >= w`` true (or L + 2^-34 = 1).
+    """
+    # the bottom of the guessed cell, then its top, in one array; a NaN
+    # guess takes the top cell, as 1 does (fmin keeps the number)
+    end = np.clip(np.broadcast_to(np.asarray(guess, dtype=float), w.shape), 0.0, 1.0)
+    end *= _CELLS
+    np.floor(end, out=end)
+    np.fmin(end, _CELLS - 1, out=end)
+    end *= _CELL
+    # the kernel is evaluated only where the bisection may evaluate it, in (0, 1)
+    confirmed = (end == 0.0) | ~_reaches(kernel, pu, np.where(end == 0.0, 0.5, end), w)
+    end += _CELL
+    confirmed &= (end == 1.0) | _reaches(kernel, pu, np.where(end == 1.0, 0.5, end), w)
+    return end, confirmed
 
 
 def _reaches(kernel, pu, v, w):

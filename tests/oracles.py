@@ -10,6 +10,8 @@ so tests can bound or match the library's answer by it, or test a shape
 (log-concavity, 2-increasingness) that no command reads.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import special
 
@@ -391,6 +393,20 @@ def whole_batch_sample(copula, n, seed):
     take = lambda mid: np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
     _, hi = bisect(take, np.zeros(n), np.ones(n), 1e-10, 200)
     return np.column_stack([u, hi])
+
+
+def counting_form(fn):
+    """``(form, points)``: ``fn`` as a :class:`~mktp2.core.Form` with the same preps and
+    bits, and ``points()``, the number of points its combine has evaluated so far."""
+    form = as_form(fn)
+    count = [0]
+
+    def combine(pu, pv):
+        out = form.combine(pu, pv)
+        count[0] += np.size(out)
+        return out
+
+    return replace(form, combine=combine), lambda: count[0]
 
 
 def bisected_psi(phi, cap):

@@ -13,7 +13,7 @@ from mktp2.errors import NumericalError, ValidationError
 from mktp2.grids import GridConfig
 from mktp2.registry import build
 from mktp2.sampler import MAX_SAMPLES, sample, write_csv
-from oracles import empirical_cdf_distance, marginal_ks, whole_batch_sample
+from oracles import counting_form, empirical_cdf_distance, marginal_ks, whole_batch_sample
 
 GRID = GridConfig()
 
@@ -118,18 +118,32 @@ def test_csv_format(tmp_path):
     assert f"{batch.points[0, 0]:.17g}" in lines[1]
 
 
-def _plain(kernel):
-    """A copula whose kernel is a plain callable, not a per-axis form."""
-    return replace(make_baseline("pi"), label="plain", kernel=kernel)
+def _plain(kernel, density=None):
+    """A copula whose kernel is a plain callable, not a per-axis form.
+
+    It keeps the quantile of Π, a wrong guess for these kernels; given a
+    ``density``, it declares that density and no quantile, so the sampler
+    guesses each draw by the secant on the kernel.
+    """
+    copula = replace(make_baseline("pi"), label="plain", kernel=kernel)
+    return copula if density is None else replace(copula, density=density, quantile=None)
 
 
 def _fgm_kernel(u, v):
     return v * (1.0 + 0.7 * (1.0 - v) * (1.0 - 2.0 * u))
 
 
+def _fgm_density(u, v):
+    return 1.0 + 0.7 * (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
+
+
 def _kernel_with_nan(u, v):
     # NaN on the strip u < 1/4, v > 1/2: a NaN kernel value moves the bracket's bottom
     return np.where((u < 0.25) & (v > 0.5), np.nan, v * v)
+
+
+def _density_with_nan(u, v):
+    return np.where((u < 0.25) & (v > 0.5), np.nan, 2.0 * v)
 
 
 UNREGISTERED = {
@@ -138,6 +152,8 @@ UNREGISTERED = {
     ),
     "plain-fgm": lambda: _plain(_fgm_kernel),
     "nan-strip": lambda: _plain(_kernel_with_nan),
+    "plain-fgm-density": lambda: _plain(_fgm_kernel, _fgm_density),
+    "nan-strip-density": lambda: _plain(_kernel_with_nan, _density_with_nan),
 }
 
 
@@ -170,8 +186,9 @@ def test_strict_zero_denominator_error_names_the_first_offender_in_a_later_chunk
 
 def test_sampler_working_set_does_not_grow_with_the_batch():
     n = 2**18
-    # evc-log bisects every draw; Gumbel guesses each draw's cell by its quantile
-    for family in (("evc-log", None), ("gumbel", {"alpha": 2.0})):
+    # Gumbel guesses each draw's cell by its quantile, evc-log by the secant on
+    # its kernel, and evc-jump, with neither, bisects every draw
+    for family in (("gumbel", {"alpha": 2.0}), ("evc-log", None), ("evc-jump", None)):
         _, _, copula = build(*family)
         tracemalloc.start()
         try:
@@ -219,13 +236,32 @@ def test_closed_form_families_declare_a_quantile():
 
 
 @pytest.mark.parametrize("n", CHUNK_NS)
-@pytest.mark.parametrize("family", QUANTILE_FAMILIES, ids=_family_id)
+@pytest.mark.parametrize("family", REGISTRY_FAMILIES, ids=_family_id)
 def test_quantile_sample_matches_whole_batch_inversion(monkeypatch, family, n):
     copula = build(*family)[2]
     points, fallbacks = _sample_counting_fallbacks(monkeypatch, copula, n, 2024)
     assert points.tobytes() == whole_batch_sample(copula, n, 2024).tobytes()
-    # a quantile the kernel never confirms would bisect every draw unnoticed
-    assert fallbacks <= n // 1000, fallbacks
+    if copula.quantile is not None:
+        # a quantile the kernel never confirms would bisect every draw unnoticed
+        assert fallbacks <= n // 1000, fallbacks
+    elif copula.density is None:
+        assert fallbacks == n
+
+
+@pytest.mark.parametrize("family", ["evc-log", "evc-jump", "arch-w"])
+def test_kernel_points_per_draw(family):
+    # evc-log declares a density, so the secant guesses its draws: 10 kernel
+    # points, 2 to confirm the cell and 34 for each draw it misses; evc-jump
+    # and arch-w declare neither a density nor a quantile and bisect every draw
+    copula = build(family)[2]
+    n = 100_000
+    kernel, points = counting_form(copula.kernel)
+    sample(replace(copula, kernel=kernel), n, 1562337530)
+    per_draw = points() / n
+    if copula.density is None:
+        assert per_draw == 34, per_draw
+    else:
+        assert per_draw <= 14, per_draw
 
 
 def _one_cell_low(copula):
