@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Copula, Form, param_text
 from .errors import NumericalError, ValidationError
-from .grids import DEFAULT_GRID, Rectangle, bisect, bisect_unit
+from .grids import DEFAULT_GRID, Rectangle, crossing
 from .properties import (
     PROPERTIES,
     Status,
@@ -121,11 +121,12 @@ def _fd_d_minus(psi):
 
 
 def _inverse_d_minus(phi, psi, cap):
-    """D-psi(x) = 1 / phi'(psi(x)) by the inverse-function rule, for a psi bisected from phi.
+    """D-psi(x) = 1 / phi'(psi(x)) by the inverse-function rule, for a psi searched from phi.
 
     phi' is a central difference of the given phi with step 1e-6 t, so each
-    point costs one bisection of psi.  D-psi is 0 at x >= phi(0) and wherever
-    psi(x) = 0, which keeps the jump of a non-strict generator at phi(0).
+    point costs one crossing search of psi.  D-psi is 0 at x >= phi(0) and
+    wherever psi(x) = 0, which keeps the jump of a non-strict generator at
+    phi(0).
     """
 
     def d_minus(x):
@@ -140,14 +141,6 @@ def _inverse_d_minus(phi, psi, cap):
         return out
 
     return d_minus
-
-
-def _bisect_increasing(fn, target, lo, hi, tol=1e-12, iters=200):
-    """Solve fn(t) = target, fn non-decreasing with fn(lo) <= target <= fn(hi), by bisection."""
-    target = np.asarray(target, dtype=float)
-    take = lambda mid: np.asarray(fn(mid), dtype=float) >= target
-    lo, hi = bisect(take, np.full_like(target, lo), np.full_like(target, hi), tol, iters)
-    return 0.5 * (lo + hi)
 
 
 def _validate_decreasing_convex(fn, xs, name):
@@ -186,11 +179,12 @@ def make_generator(
 ):
     """Build a :class:`GeneratorSpec` from closed forms of phi and/or psi.
 
-    Whichever of the pair is missing is produced by monotone bisection
-    inversion (tolerance 1e-12).  A missing D-psi is 1 / phi'(psi(x)) when
-    psi is the bisected one, else a one-sided finite difference of psi.  The
-    supplied function is validated as convex and non-increasing on a
-    1000-point grid.  A declared ``phi_at_zero`` overrides detection, which
+    Whichever of the pair is missing is the exact inverse of the other: the
+    least double where it reaches the level, by one
+    :func:`~mktp2.grids.crossing` search a point.  A missing D-psi is
+    1 / phi'(psi(x)) when psi is the searched one, else a one-sided finite
+    difference of psi.  The supplied function is validated as convex and
+    non-increasing on a 1000-point grid.  A declared ``phi_at_zero`` overrides detection, which
     matters for co-generators that underflow to zero in floating point; it
     decides strictness (phi(0) = inf), and a declared ``strict`` must agree
     with it.  psi'' is never derived: without a declared ``psi_second``,
@@ -219,9 +213,7 @@ def make_generator(
             if float(psi(1e8)) > 0.0:
                 phi_at_zero = np.inf
             else:
-                phi_at_zero = float(
-                    _bisect_increasing(lambda x: -np.asarray(psi(x), dtype=float), np.asarray(0.0), 0.0, 1e8)
-                )
+                phi_at_zero = float(crossing(lambda x: np.asarray(psi(x), dtype=float) <= 0.0, 0.0, 1e8)[1])
 
     phi_at_zero = float(phi_at_zero)
     if not phi_at_zero > 0.0:
@@ -235,18 +227,22 @@ def make_generator(
 
         def psi(x, _phi=phi, _cap=cap):
             x = np.asarray(x, dtype=float)
-            # phi decreasing: psi(x) solves phi(t) = x; 0 beyond phi(0)
-            lo, half = bisect_unit(lambda s: np.asarray(_phi(s), dtype=float) <= x, x.shape, 1e-12)
-            out = np.where(x >= _cap, 0.0, lo + half)
+            # phi decreasing: psi(x) is the least t with phi(t) <= x; 0 beyond
+            # phi(0).  The search reaches subnormal t, where phi may overflow
+            with np.errstate(over="ignore", divide="ignore"):
+                reached = lambda s: np.asarray(_phi(s), dtype=float) <= x
+                _, t = crossing(reached, np.zeros_like(x), np.ones_like(x))
+            out = np.where(x >= _cap, 0.0, t)
             return np.where(x <= 0.0, 1.0, out)
 
         if d_minus_psi is None:
             d_minus_psi = _inverse_d_minus(phi, psi, cap)
 
     if phi is None:
-        # invert in log space, expanding each point's bracket until psi is below
-        # its own level (psi = 0 beyond a finite phi(0) stops the growth), so
-        # that phi at a point does not depend on the other points of the call
+        # phi(t) is the least x with psi(x) <= t, searched from [0, hi] where
+        # each point's hi grows until psi is below its own level (psi = 0 beyond
+        # a finite phi(0) stops the growth), so that phi at a point does not
+        # depend on the other points of the call
         def phi(t, _psi=psi, _at_zero=phi_at_zero):
             t = np.asarray(t, dtype=float)
             tt = np.clip(t, 1e-300, 1.0)
@@ -255,15 +251,8 @@ def make_generator(
             while np.any(grow):
                 hi = np.where(grow, 16.0 * hi, hi)
                 grow &= (np.asarray(_psi(hi), dtype=float) > tt) & (hi < 1e290)
-            s = _bisect_increasing(
-                lambda y: -np.asarray(_psi(np.exp(y)), dtype=float),
-                -tt,
-                np.log(1e-300),
-                np.log(hi),
-                tol=1e-13,
-                iters=300,
-            )
-            out = np.where(t <= 0.0, _at_zero, np.exp(s))
+            _, x = crossing(lambda y: np.asarray(_psi(y), dtype=float) <= tt, np.zeros_like(tt), hi)
+            out = np.where(t <= 0.0, _at_zero, x)
             return np.where(t >= 1.0, 0.0, out)
 
     if d_minus_psi is None:

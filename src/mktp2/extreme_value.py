@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import Copula, Form, param_text
 from .errors import SearchFailed, ValidationError
-from .grids import DEFAULT_GRID, Rectangle, bisect, bisect_unit, runs
+from .grids import DEFAULT_GRID, Rectangle, crossing, runs
 from .properties import PROPERTIES, Status, Verdict, Witness, _require_known, check_dtp2, check_mktp2, rectangle_defect
 
 __all__ = [
@@ -116,7 +116,8 @@ def validate_pickands(
     what A'' and the jumps decide is told at :class:`PickandsSpec`.  Enforces
     A(0) = A(1) = 1, the envelope max(1-t, t) <= A <= 1, convexity, and
     -1 <= D+A <= 1 non-decreasing.  A missing ``t_star`` is
-    inf{t : D+A(t) > -1}, bisected on the declared D+A to within 2^-53.
+    inf{t : D+A(t) > -1}, the first double where the declared D+A exceeds -1
+    (:func:`_first_crossing`).
     """
     if not callable(d_plus_A):
         raise ValidationError("d_plus_A must be a callable giving the right derivative D+A")
@@ -592,13 +593,13 @@ def _witness_from_rect(spec, rect):
 
 def _first_crossing(d_plus_A, reached):
     """inf{t in [0, 1] : reached(D+A(t))} for a monotone ``reached`` of the
-    non-decreasing D+A, from one :func:`bisect_unit` to width 2^-53: 0.0 when
-    ``reached`` holds at t = 0, else the top of the final cell."""
+    non-decreasing D+A: 0.0 when ``reached`` holds at t = 0, else the first
+    double where it holds, by one :func:`~mktp2.grids.crossing` search (1.0
+    where it holds nowhere below 1)."""
     pred = lambda t: reached(np.asarray(d_plus_A(t), dtype=float))
     if pred(0.0):
         return 0.0
-    lo, half = bisect_unit(pred, (), 2.0**-53)
-    return float(lo + 2.0 * half)
+    return float(crossing(pred, 0.0, 1.0)[1])
 
 
 def beta_sup_argmin(spec):
@@ -689,8 +690,7 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
     # smallest t with F >= y - eps (F non-decreasing and continuous there)
     t_band = t_l
     if float(cap_function(spec, t_l)) < y - eps:
-        _, hi = bisect(lambda t: float(cap_function(spec, t)) >= y - eps, t_l, t_r - 1e-9, 0.0, 200)
-        t_band = float(hi)
+        t_band = float(crossing(lambda t: float(cap_function(spec, t)) >= y - eps, t_l, t_r - 1e-9)[1])
 
     u1 = _JUMP_ANCHOR_U ** (2.0 * t_r)
     v2 = float(contour(t_r, u1))
@@ -763,10 +763,8 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
 
     # full plateau: largest t with F(t) <= c (F is non-decreasing)
     if float(cap_function(spec, 1.0 - 1e-12)) > c + grid.tol_eq:
-        lo, _ = bisect(
-            lambda t: not float(cap_function(spec, t)) <= c + grid.tol_eq, t2, 1.0 - 1e-12, 0.0, 200
-        )
-        t2 = float(lo)
+        beyond = lambda t: not float(cap_function(spec, t)) <= c + grid.tol_eq
+        t2 = float(crossing(beyond, t2, 1.0 - 1e-12)[0])
 
     # bullet (ii): admissible s upper bound from the contour-slope inequality
     q = (1.0 - t2) / t2 * t1 / (1.0 - t1)
@@ -774,10 +772,8 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
     # bullet (iii): A(s) - (a s + b) <= 1/2, monotone in s beyond the plateau
     s_iii = 1.0 - 1e-12
     if float(spec.A(s_iii)) - (a_slope * s_iii + b_icept) > 0.5:
-        lo, _ = bisect(
-            lambda t: not float(spec.A(t)) - (a_slope * t + b_icept) <= 0.5, t2, s_iii, 0.0, 200
-        )
-        s_iii = float(lo)
+        beyond = lambda t: not float(spec.A(t)) - (a_slope * t + b_icept) <= 0.5
+        s_iii = float(crossing(beyond, t2, s_iii)[0])
     s = 0.5 * (t2 + min(s_ii, s_iii))
     if not t2 < s < 1.0:
         raise SearchFailed("no admissible extension point", t2=t2, s_ii=s_ii, s_iii=s_iii)

@@ -114,52 +114,27 @@ def _logit(p):
 DEFAULT_GRID = GridConfig()
 
 
-def bisect(pred, lo, hi, tol, iters):
-    """Vectorized bisection of a monotone predicate; returns the final ``(lo, hi)``.
+def crossing(pred, lo, hi):
+    """The adjacent doubles ``(a, b)`` in ``[lo, hi]`` where a monotone ``pred`` turns true.
 
-    Where ``pred(mid)`` is true ``hi`` moves to the midpoint, elsewhere ``lo``
-    does.  A bracket stops moving once it is at most ``tol`` wide (with
-    ``tol = 0``: collapsed, so further steps would change nothing), so each
-    bracket's result depends only on its own point, never on the others
-    bisected with it; the loop stops when every bracket has stopped or after
-    ``iters`` steps.  Brackets may differ in width and stop at different
-    steps: its callers are the jump and plateau witness searches of
-    :mod:`mktp2.extreme_value` and :func:`mktp2.archimedean._bisect_increasing`.
-    Brackets that all start at ``[0, 1]`` halve in lockstep and take
-    :func:`bisect_unit` instead.
+    Needs ``0 <= lo <= hi`` with ``pred`` false at ``lo`` and true at ``hi``
+    (neither end is evaluated); then ``pred(a)`` is false, ``pred(b)`` true
+    and ``b`` is the double after ``a``.  A ``pred`` false everywhere inside
+    ends the pair at ``hi``; one true everywhere inside starts it at ``lo``.  A non-negative double orders as its
+    bits read as an int64, so the search bisects those integer keys: at most
+    63 steps from any bracket, each evaluating ``pred`` once on every point.
+    Brackets are vectorized, and each one's result depends only on its own
+    point, never on the others searched with it; scalar brackets give scalars.
     """
-    moving = True
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        take = pred(mid)
-        hi = np.where(moving & take, mid, hi)
-        lo = np.where(moving & np.logical_not(take), mid, lo)
-        moving = hi - lo > tol
-        if not np.any(moving):
-            break
-    return lo, hi
-
-
-def bisect_unit(pred, shape, tol):
-    """Bisection of ``[0, 1]`` at every point of ``shape`` in lockstep; returns ``(lo, half)``.
-
-    Where ``pred(mid)`` is true the bracket keeps its lower half, elsewhere
-    (a NaN included) its upper half.  Every bracket is ``[lo, lo + 2 * half]``
-    and halves at each step, until its width is at most ``tol``.  ``lo`` and
-    the width are dyadic, so ``lo + half`` is the exact midpoint: each point
-    gets the bits :func:`bisect` gives it from ``[0, 1]`` with the same
-    ``tol``, with no per-bracket masks.  Its callers are the bisected psi of
-    :func:`mktp2.archimedean.make_generator`, the sampler's kernel inversion
-    of the draws whose guessed cell the kernel does not confirm (every draw
-    of a copula with neither a quantile nor a density) and the D+A crossings
-    of :mod:`mktp2.extreme_value` (beta_A and t*).
-    """
-    lo, half = np.zeros(shape), 0.5
-    while 2.0 * half > tol:
-        mid = lo + half
-        lo = np.where(pred(mid), lo, mid)
-        half *= 0.5
-    return lo, half
+    # -0.0 + 0.0 is 0.0, whose key is 0
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float) + 0.0, np.asarray(hi, dtype=float) + 0.0)
+    a, b = lo.view(np.int64), hi.view(np.int64)
+    while np.any(wide := b - a > 1):
+        mid = a + (b - a) // 2
+        take = wide & pred(mid.view(float)[()])
+        b = np.where(take, mid, b)
+        a = np.where(wide & ~take, mid, a)
+    return a.view(float)[()], b.view(float)[()]
 
 
 def runs(mask):

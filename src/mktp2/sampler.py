@@ -19,10 +19,10 @@ by phi alone) makes no guess.  Each guess is rounded down to its cell and
 the kernel is evaluated at the cell's two ends: the cell is taken where the
 predicate reads false at L (or L = 0) and true at L + 2^-34 (or
 L + 2^-34 = 1).  Every other draw, and every draw of a copula with no
-guess, goes into a queue that bisects [0, 1] 34 times
-(:func:`~mktp2.grids.bisect_unit`) for 2^14 draws at a time, and for the
-rest at the end.  Where the float predicate is monotone in v, one cell has
-false at its bottom and true at its top, and the bisection ends in it; so a
+guess, goes into a queue that bisects [0, 1] 34 times in lockstep
+(``_bisect``) for 2^14 draws at a time, and for the rest at the end.
+Where the float predicate is monotone in v, one cell has false at its
+bottom and true at its top, and the bisection ends in it; so a
 guess, even a wrong one, changes no bit of the batch, only the number of
 kernel evaluations: 2 per confirmed draw (and 10 more for a secant guess)
 against 34.
@@ -60,7 +60,6 @@ import numpy as np
 
 from .core import _CHUNK, as_form
 from .errors import ValidationError
-from .grids import bisect_unit
 
 __all__ = [
     "MAX_SAMPLES",
@@ -232,9 +231,19 @@ def _reaches(kernel, pu, v, w):
 
 
 def _bisect(kernel, pu, w):
-    """The top of the 2^-34 cell where ``K(u, .) >= w`` turns true, by bisection of [0, 1]."""
-    lo, half = bisect_unit(lambda mid: _reaches(kernel, pu, mid, w), w.shape, _CELL)
-    return lo + 2.0 * half
+    """The top of the 2^-34 cell where ``K(u, .) >= w`` turns true, by bisection of [0, 1].
+
+    Every draw's bracket is ``[lo, lo + width]``, with one dyadic width for
+    all, so ``lo + width / 2`` is the exact midpoint; where the predicate
+    holds there the bracket keeps its lower half, elsewhere (a NaN included)
+    its upper half, until the width is ``_CELL``.
+    """
+    lo, width = np.zeros(w.shape), 1.0
+    while width > _CELL:
+        width *= 0.5
+        mid = lo + width
+        lo = np.where(_reaches(kernel, pu, mid, w), lo, mid)
+    return lo + width
 
 
 def _words(data):

@@ -19,7 +19,7 @@ from mktp2.archimedean import GeneratorSpec
 from mktp2.core import as_form
 from mktp2.errors import DomainError, ValidationError
 from mktp2.extreme_value import PickandsSpec, h_map
-from mktp2.grids import DEFAULT_GRID, bisect
+from mktp2.grids import DEFAULT_GRID
 from mktp2.properties import (
     Status,
     Verdict,
@@ -382,16 +382,20 @@ def whole_batch_sample(copula, n, seed):
     """The points of ``sampler.sample(copula, n, seed)`` by one whole-batch inversion.
 
     All n draws come from one Philox call, u is prepped once for the batch,
-    and :func:`mktp2.grids.bisect` runs n brackets of [0, 1] to width 1e-10
-    (34 steps); the result is the (n, 2) array of u and each bracket's top.
+    and a plain loop bisects n brackets of [0, 1] to width 1e-10 (34 steps);
+    the result is the (n, 2) array of u and each bracket's top.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.random((n, 2))
     u, w = draws[:, 0], draws[:, 1]
     kernel = as_form(copula.kernel)
     pu = kernel.prep_u(u)
-    take = lambda mid: np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
-    _, hi = bisect(take, np.zeros(n), np.ones(n), 1e-10, 200)
+    lo, hi = np.zeros(n), np.ones(n)
+    while np.max(hi - lo, initial=0.0) > 1e-10:
+        mid = 0.5 * (lo + hi)
+        take = np.asarray(kernel.combine(pu, kernel.prep_v(mid)), dtype=float) >= w
+        hi = np.where(take, mid, hi)
+        lo = np.where(take, lo, mid)
     return np.column_stack([u, hi])
 
 
@@ -408,20 +412,3 @@ def counting_form(fn):
 
     return replace(form, combine=combine), lambda: count[0]
 
-
-def bisected_psi(phi, cap):
-    """The psi of a phi-only ``archimedean.make_generator`` by :func:`mktp2.grids.bisect`.
-
-    psi(x) solves phi(t) = x on [0, 1], bisected to width 1e-12 (40 steps),
-    and is the bracket's midpoint; it is 1 at x <= 0 and 0 at x >= ``cap``,
-    the generator's phi(0).
-    """
-
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        take = lambda s: -np.asarray(phi(s), dtype=float) >= -x
-        lo, hi = bisect(take, np.zeros_like(x), np.ones_like(x), 1e-12, 200)
-        out = np.where(x >= cap, 0.0, 0.5 * (lo + hi))
-        return np.where(x <= 0.0, 1.0, out)
-
-    return psi

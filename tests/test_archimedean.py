@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
 from mktp2.properties import Status, check_mktp2, check_si, rectangle_defect
 from conftest import frank_psi, kinked_exp
-from oracles import bisected_psi, zero_level
+from oracles import zero_level
 
 GRID = GridConfig()
 
@@ -85,18 +86,26 @@ PHI_ONLY = {
 }
 
 
-@pytest.mark.parametrize("phi", list(PHI_ONLY))
-def test_phi_only_psi_matches_grids_bisect(phi):
-    # psi bisects [0, 1] in lockstep, so it keeps the bits of grids.bisect
-    spec = make_generator(phi=PHI_ONLY[phi])
-    cap = spec.phi_at_zero
-    psi = bisected_psi(PHI_ONLY[phi], cap)
+@pytest.mark.parametrize("name", list(PHI_ONLY))
+def test_phi_only_psi_is_the_exact_crossing(name):
+    # psi(x) is the least double t with phi(t) <= x, so the double below t has phi(t) > x
+    phi = PHI_ONLY[name]
     rng = np.random.default_rng(19)
-    beyond = [cap, 2.0 * cap, np.inf] if math.isfinite(cap) else [np.inf, 1e300]
-    edges = np.array([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-15, 1e-12, np.nan, *beyond])
-    for xs in (edges, rng.exponential(1.0, 500), rng.uniform(0.0, 3.0, (7, 9)), np.asarray(0.3)):
-        got, want = np.asarray(spec.psi(xs)), np.asarray(psi(xs))
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), xs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = make_generator(phi=phi)
+        cap = spec.phi_at_zero
+        beyond = [cap, 2.0 * cap, np.inf] if math.isfinite(cap) else [np.inf, 1e300]
+        edges = np.array([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-15, 1e-12, np.nan, *beyond])
+        for xs in (edges, rng.exponential(1.0, 500), rng.uniform(0.0, 3.0, (7, 9)), np.asarray(0.3)):
+            got = np.asarray(spec.psi(xs))
+            assert got.shape == xs.shape and np.all((got >= 0.0) & (got <= 1.0)), xs
+            assert np.all(got[xs <= 0.0] == 1.0) and np.all(got[xs >= cap] == 0.0), xs
+            inside = (xs > 0.0) & (xs < cap)
+            t, x = got[inside], xs[inside]
+            with np.errstate(divide="ignore"):
+                below = phi(np.nextafter(t, 0.0))
+            assert np.all(phi(t) <= x) and np.all(x < below), xs
 
 
 def test_make_generator_from_psi_strict():
@@ -293,7 +302,7 @@ def test_nonstrict_fails_witnesses_reevaluate(theta):
         # phi inverts psi up to its finite phi(0), near either end of (0, 1)
         ts = np.array([1e-6, 1.1e-6, 1.0 - 1e-6, 1.0 - 1e-9])
         assert np.max(np.abs(spec.psi(spec.phi(ts)) - ts)) <= 1e-13
-        assert float(spec.phi(0.0)) == spec.phi_at_zero
+        assert float(spec.phi(0.0)) == spec.phi_at_zero == -1.0 / theta
     copula = arch_copula(spec)
     table = property_verdicts(spec, GRID)
     for prop in ("ltd", "si", "tp2", "mktp2"):
@@ -407,10 +416,14 @@ def test_classification_invariant_under_generator_scaling():
 
 @pytest.mark.parametrize("theta", [0.5, 2.0, 8.0])
 def test_phi_only_clayton_is_si_and_mktp2(theta):
-    # D-psi of the bisected psi is 1 / phi'(psi(x)); Clayton theta > 0 is SI,
+    # D-psi of the searched psi is 1 / phi'(psi(x)); Clayton theta > 0 is SI,
     # and SI <-> MK-TP2 for Archimedean copulas
     spec = make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -theta) - 1.0) / theta)
     assert spec.strict and not spec.exact_derivative
+    # psi is the exact inverse of phi out to where t^-theta is huge
+    far = np.array([0.5, 10.0, 1e6, 1e12, 1e20, 1e30])
+    want = np.power(1.0 + theta * far, -1.0 / theta)
+    assert np.all(np.abs(spec.psi(far) - want) <= 4.0 * np.spacing(want))
     xs = generator_x_sample(spec, GRID)
     exact = -np.power(1.0 + theta * xs, -1.0 / theta - 1.0)
     assert np.max(np.abs(spec.d_minus_psi(xs) / exact - 1.0)) <= 1e-8

@@ -9,6 +9,7 @@ import pytest
 
 from mktp2 import extreme_value
 from mktp2.archimedean import arch_copula, builtin_archimedean
+from mktp2.cli import main
 from mktp2.errors import SearchFailed, ValidationError
 from mktp2.extreme_value import (
     beta_sup_argmin,
@@ -608,6 +609,28 @@ def test_constant_witness_jump_example():
     spec = builtin_pickands("jump-example")
     witness = construct_witness_constant(spec, 0.125, 0.25, 7.0 / 16.0, GRID)
     assert kernel_cross_ratio(spec, witness.rectangle()) < 1.0 - 1e-6
+
+
+def test_evc_jump_witness_searches_take_at_most_63_cap_evaluations(monkeypatch, capsys):
+    # each search ends on two adjacent doubles, where 63 halvings of their integer keys end
+    calls, searches = [0], []
+    cap, search = extreme_value.cap_function, extreme_value.crossing
+
+    def counted_cap(spec, t):
+        calls[0] += 1
+        return cap(spec, t)
+
+    def counted_search(pred, lo, hi):
+        before = calls[0]
+        out = search(pred, lo, hi)
+        searches.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(extreme_value, "cap_function", counted_cap)
+    monkeypatch.setattr(extreme_value, "crossing", counted_search)
+    assert main(["witness", "--family", "evc-jump", "--property", "mktp2"]) == 0
+    capsys.readouterr()
+    assert searches and max(searches) <= 63, searches
 
 
 def test_constant_witness_synthetic_plateau():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mktp2.grids import bisect, runs
+from mktp2.grids import crossing, runs
 
 
 def _runs_loop(mask):
@@ -30,20 +30,31 @@ def test_runs_matches_loop_reference(seed):
     assert runs(np.zeros(4, dtype=bool)) == []
 
 
-def test_bisect_matches_loop_reference():
-    target = np.linspace(0.05, 0.95, 9)
-    fn = lambda t: t**3
-    lo, hi = np.zeros_like(target), np.ones_like(target)
-    ref_lo, ref_hi = lo.copy(), hi.copy()
-    for _ in range(200):
-        mid = 0.5 * (ref_lo + ref_hi)
-        take = fn(mid) >= target
-        ref_hi = np.where(take, mid, ref_hi)
-        ref_lo = np.where(take, ref_lo, mid)
-        if np.max(ref_hi - ref_lo) <= 1e-12:
-            break
-    got_lo, got_hi = bisect(lambda t: fn(t) >= target, lo, hi, 1e-12, 200)
-    assert np.array_equal(got_lo, ref_lo) and np.array_equal(got_hi, ref_hi)
-    # scalar brackets, no tolerance: the bracket collapses onto the root
-    _, root = bisect(lambda t: float(t) ** 2 >= 2.0, 1.0, 2.0, 0.0, 200)
-    assert float(root) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+@pytest.mark.parametrize("hi", [1.0, 1e8, np.finfo(float).max])
+@pytest.mark.parametrize("level", [5e-324, 1e-150, 0.3, 1.0])
+def test_crossing_ends_on_adjacent_doubles(hi, level):
+    calls = []
+
+    def pred(t):
+        calls.append(t)
+        return np.sqrt(t) >= level
+
+    a, b = crossing(pred, 0.0, hi)
+    assert len(calls) <= 63
+    assert isinstance(a, float) and isinstance(b, float)
+    assert np.nextafter(a, np.inf) == b
+    assert not pred(a) and pred(b)
+
+
+def test_crossing_of_a_batch_gives_each_bracket_its_own_bits():
+    target = np.array([1e-300, 0.05, 0.5, 0.95, 2.0, 1e6])
+    lo = np.array([0.0, 0.0, 0.25, -0.0, 1.0, 0.0])
+    hi = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 1e100])
+    fn = lambda t: t * t * t
+    a, b = crossing(lambda t: fn(t) >= target, lo, hi)
+    assert a.shape == b.shape == target.shape
+    for k in range(len(target)):
+        alone = crossing(lambda t: fn(t) >= target[k], lo[k], hi[k])
+        assert (a[k].hex(), b[k].hex()) == (alone[0].hex(), alone[1].hex()), k
+    assert np.array_equal(np.nextafter(a, np.inf), b)
+    assert not np.any(fn(a) >= target) and np.all(fn(b) >= target)

@@ -214,13 +214,13 @@ def _family_id(family):
 def _sample_counting_fallbacks(monkeypatch, copula, n, seed):
     """``sample(copula, n, seed).points`` and the number of draws that went to the bisection,
     with every warning raised as an error."""
-    fallbacks, bisect_unit = [], sampler.bisect_unit
+    fallbacks, bisect = [], sampler._bisect
 
-    def counted(pred, shape, tol):
-        fallbacks.append(shape[0])
-        return bisect_unit(pred, shape, tol)
+    def counted(kernel, pu, w):
+        fallbacks.append(w.shape[0])
+        return bisect(kernel, pu, w)
 
-    monkeypatch.setattr(sampler, "bisect_unit", counted)
+    monkeypatch.setattr(sampler, "_bisect", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         points = sample(copula, n, seed).points
