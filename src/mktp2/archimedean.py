@@ -143,6 +143,18 @@ def _inverse_d_minus(phi, psi, cap):
     return d_minus
 
 
+def _least_at_most(f, level, top):
+    """The least double x in (0, top] with f(x) <= level, for a non-increasing f
+    above the level at 0: one :func:`~mktp2.grids.crossing` search a point,
+    ``top`` where no double qualifies and NaN where the level is NaN.  The
+    search evaluates f at neither end, so a top of +inf never reaches f; it
+    reaches subnormal and huge x, where f may overflow."""
+    below = lambda s: np.asarray(f(s), dtype=float) <= level
+    with np.errstate(over="ignore", divide="ignore"):
+        _, x = crossing(below, np.zeros_like(level), np.full_like(level, top))
+    return np.where(np.isnan(level), np.nan, x)
+
+
 def _validate_decreasing_convex(fn, xs, name):
     ys = np.asarray(fn(xs), dtype=float)
     finite = np.isfinite(ys)
@@ -179,9 +191,12 @@ def make_generator(
 ):
     """Build a :class:`GeneratorSpec` from closed forms of phi and/or psi.
 
-    Whichever of the pair is missing is the exact inverse of the other: the
-    least double where it reaches the level, by one
-    :func:`~mktp2.grids.crossing` search a point.  A missing D-psi is
+    Whichever of the pair is missing is the exact inverse of the other, by
+    one :func:`~mktp2.grids.crossing` search a point: psi(x) is the least t
+    in [0, 1] with phi(t) <= x, and phi(t) the least x in [0, +inf] with
+    psi(x) <= t, +inf where psi stays above t at every finite double.  A NaN
+    argument gives NaN.  A psi-only finite phi(0) is the least x in [0, 1e8]
+    with psi(x) = 0.  A missing D-psi is
     1 / phi'(psi(x)) when psi is the searched one, else a one-sided finite
     difference of psi.  The supplied function is validated as convex and
     non-increasing on a 1000-point grid.  A declared ``phi_at_zero`` overrides detection, which
@@ -213,7 +228,7 @@ def make_generator(
             if float(psi(1e8)) > 0.0:
                 phi_at_zero = np.inf
             else:
-                phi_at_zero = float(crossing(lambda x: np.asarray(psi(x), dtype=float) <= 0.0, 0.0, 1e8)[1])
+                phi_at_zero = float(_least_at_most(psi, 0.0, 1e8))
 
     phi_at_zero = float(phi_at_zero)
     if not phi_at_zero > 0.0:
@@ -227,32 +242,16 @@ def make_generator(
 
         def psi(x, _phi=phi, _cap=cap):
             x = np.asarray(x, dtype=float)
-            # phi decreasing: psi(x) is the least t with phi(t) <= x; 0 beyond
-            # phi(0).  The search reaches subnormal t, where phi may overflow
-            with np.errstate(over="ignore", divide="ignore"):
-                reached = lambda s: np.asarray(_phi(s), dtype=float) <= x
-                _, t = crossing(reached, np.zeros_like(x), np.ones_like(x))
-            out = np.where(x >= _cap, 0.0, t)
+            out = np.where(x >= _cap, 0.0, _least_at_most(_phi, x, 1.0))
             return np.where(x <= 0.0, 1.0, out)
 
         if d_minus_psi is None:
             d_minus_psi = _inverse_d_minus(phi, psi, cap)
 
     if phi is None:
-        # phi(t) is the least x with psi(x) <= t, searched from [0, hi] where
-        # each point's hi grows until psi is below its own level (psi = 0 beyond
-        # a finite phi(0) stops the growth), so that phi at a point does not
-        # depend on the other points of the call
         def phi(t, _psi=psi, _at_zero=phi_at_zero):
             t = np.asarray(t, dtype=float)
-            tt = np.clip(t, 1e-300, 1.0)
-            hi = np.ones_like(tt)
-            grow = np.asarray(_psi(hi), dtype=float) > tt
-            while np.any(grow):
-                hi = np.where(grow, 16.0 * hi, hi)
-                grow &= (np.asarray(_psi(hi), dtype=float) > tt) & (hi < 1e290)
-            _, x = crossing(lambda y: np.asarray(_psi(y), dtype=float) <= tt, np.zeros_like(tt), hi)
-            out = np.where(t <= 0.0, _at_zero, x)
+            out = np.where(t <= 0.0, _at_zero, _least_at_most(_psi, t, np.inf))
             return np.where(t >= 1.0, 0.0, out)
 
     if d_minus_psi is None:
@@ -547,24 +546,12 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
                 f"{spec.label}: phi is finite and positive at {len(xs)} of {_X_SAMPLE_POINTS} "
                 "t-grid points; the generator leaves the double range"
             )
-        tp2 = _tag_analytic(
-            _log_convexity(spec.psi, xs, grid.tol_eq, grid.tol_strict),
-            "psi-log-convexity",
-        )
-        mktp2 = _tag_analytic(
-            _log_convexity(
-                lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float),
-                xs,
-                grid.tol_eq,
-                grid.tol_strict,
-            ),
-            "neg-dminus-psi-log-convexity",
-        )
+        tol = (grid.tol_eq, grid.tol_strict)
+        tp2 = _tag_analytic(log_convexity_test(spec.psi, xs, *tol), "psi-log-convexity")
+        neg_d = lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float)
+        mktp2 = _tag_analytic(log_convexity_test(neg_d, xs, *tol), "neg-dminus-psi-log-convexity")
         if spec.psi_second is not None:
-            dtp2 = _tag_analytic(
-                _log_convexity(spec.psi_second, xs, grid.tol_eq, grid.tol_strict),
-                "psi-second-log-convexity",
-            )
+            dtp2 = _tag_analytic(log_convexity_test(spec.psi_second, xs, *tol), "psi-second-log-convexity")
         else:
             dtp2 = Verdict(
                 Status.NOT_APPLICABLE,
@@ -587,24 +574,6 @@ def _tag_analytic(verdict, name):
     return replace(
         verdict, certificate={"method": f"analytic:{name}", "scan": verdict.certificate}
     )
-
-
-def _log_convexity(f, xs, tol_eq, tol_strict):
-    """:func:`log_convexity_test` of ``f`` on ``xs``, inconclusive where f is 0 or +inf there.
-
-    The scans run on strict generators only, whose psi and -D-psi are finite
-    and positive at every x > 0, so such a value has left the double range
-    (psi'' does at Gumbel alpha >= 100); its log cannot be scanned.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        ys = np.asarray(f(xs), dtype=float)
-    out = (ys == 0.0) | (ys == np.inf)
-    if np.any(out):
-        k = int(np.argmax(out))
-        cert = {"method": "midpoint-chord", "n_points": int(len(xs)), "tol_eq": tol_eq, "tol_strict": tol_strict}
-        note = f"the scanned function is {ys[k]:.6g} at x={xs[k]:.6g}, where its log is not finite"
-        return Verdict(Status.INCONCLUSIVE, None, cert, note)
-    return log_convexity_test(lambda _: ys, xs, tol_eq, tol_strict)
 
 
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):

@@ -780,32 +780,39 @@ def check_dtp2(copula, grid=DEFAULT_GRID, region=None):
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_scan(f, points, orient, tol_eq, tol_strict):
+def log_convexity_test(f, points, tol_eq=1e-12, tol_strict=1e-9):
+    """Midpoint test of convexity of log f on consecutive triples of the sample.
+
+    f is evaluated once.  A value of 0, +inf or NaN has no finite log, so the
+    verdict is inconclusive, with a note naming the first such point (psi''
+    of Gumbel alpha >= 100 leaves the double range); a negative value,
+    checked after those, raises :class:`DomainError`.
+    """
     xs = np.asarray(points, dtype=float)
     if xs.ndim != 1 or len(xs) < 3:
         raise ValidationError("need a sorted sample of at least 3 points")
-    if np.any(np.diff(xs) <= 0.0):
-        raise ValidationError("sample points must be strictly increasing")
-    ys = np.asarray(f(xs), dtype=float)
-    bad = ~(ys > 0.0)
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    # an infinite point makes a chord NaN, and a NaN defect would read as holds
+    if not np.all(np.isfinite(xs)) or np.any(np.diff(xs) <= 0.0):
+        raise ValidationError("sample points must be finite and strictly increasing")
+    with np.errstate(over="ignore", divide="ignore"):
+        ys = np.asarray(f(xs), dtype=float)
+    cert = {"method": "midpoint-chord", "n_points": int(len(xs)), "tol_eq": tol_eq, "tol_strict": tol_strict}
+    lost = (ys == 0.0) | (ys == np.inf) | np.isnan(ys)
+    if np.any(lost):
+        k = int(np.argmax(lost))
+        note = f"the scanned function is {ys[k]:.6g} at x={xs[k]:.6g}, where its log is not finite"
+        return Verdict(Status.INCONCLUSIVE, None, cert, note)
+    if np.any(negative := ys < 0.0):
+        k = int(np.argmax(negative))
         raise DomainError(f"function must be positive on the sample; f({xs[k]:.6g}) = {ys[k]:.6g}")
     logs = np.log(ys)
     x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
     l0, l1, l2 = logs[:-2], logs[1:-1], logs[2:]
-    chord = l0 + (l2 - l0) * (x1 - x0) / (x2 - x0)
-    defect = orient * (l1 - chord)
+    defect = l1 - (l0 + (l2 - l0) * (x1 - x0) / (x2 - x0))
     k = int(np.argmax(defect))
     points, values = (float(x0[k]), float(x1[k]), float(x2[k])), tuple(float(y) for y in ys[k : k + 3])
     witness = Witness(points, values, float(defect[k]), "triple")
-    cert = {"method": "midpoint-chord", "n_points": int(len(xs)), "tol_eq": tol_eq, "tol_strict": tol_strict}
     return _verdict(float(defect[k]), witness, cert, tol_eq, tol_strict, "defect inside the tolerance band")
-
-
-def log_convexity_test(f, points, tol_eq=1e-12, tol_strict=1e-9):
-    """Midpoint test of convexity of log f on consecutive triples of the sample."""
-    return _midpoint_scan(f, points, +1.0, tol_eq, tol_strict)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from mktp2.properties import (
     _TABLE,
     _dyadic_spans,
     _grid_eval,
-    _midpoint_scan,
     _non_finite_note,
     _rectangle_witness,
     _require_known,
@@ -292,8 +291,27 @@ def reference_rectangle_defect(copula, prop, rect):
 
 
 def log_concavity_test(f, points, tol_eq=1e-12, tol_strict=1e-9):
-    """Mirror of ``properties.log_convexity_test`` with the reversed inequality."""
-    return _midpoint_scan(f, points, -1.0, tol_eq, tol_strict)
+    """Midpoint test of concavity of log f on consecutive triples: the defect of
+    a triple is how far log f(x1) lies below the chord of log f over (x0, x2),
+    and the largest one is banded by ``tol_eq`` and ``tol_strict``."""
+    xs = np.asarray(points, dtype=float)
+    ys = np.asarray(f(xs), dtype=float)
+    if not np.all(ys > 0.0):
+        raise DomainError("function must be positive on the sample")
+    logs = np.log(ys)
+    defects = [
+        float(logs[k] + (logs[k + 2] - logs[k]) * (xs[k + 1] - xs[k]) / (xs[k + 2] - xs[k]) - logs[k + 1])
+        for k in range(len(xs) - 2)
+    ]
+    k = int(np.argmax(defects))
+    defect = defects[k]
+    witness = Witness(tuple(float(x) for x in xs[k : k + 3]), tuple(float(y) for y in ys[k : k + 3]), defect, "triple")
+    cert = {"method": "midpoint-chord", "n_points": len(xs), "tol_eq": tol_eq, "tol_strict": tol_strict}
+    if defect > tol_strict:
+        return Verdict(Status.FAILS, witness, cert)
+    if defect > tol_eq:
+        return Verdict(Status.INCONCLUSIVE, witness, cert)
+    return Verdict(Status.HOLDS, None, cert)
 
 
 def two_increasing_test(g, u_axis, v_axis, grid=DEFAULT_GRID, mask=None):

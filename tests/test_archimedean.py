@@ -99,13 +99,59 @@ def test_phi_only_psi_is_the_exact_crossing(name):
         edges = np.array([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-15, 1e-12, np.nan, *beyond])
         for xs in (edges, rng.exponential(1.0, 500), rng.uniform(0.0, 3.0, (7, 9)), np.asarray(0.3)):
             got = np.asarray(spec.psi(xs))
-            assert got.shape == xs.shape and np.all((got >= 0.0) & (got <= 1.0)), xs
+            nan = np.isnan(xs)
+            assert got.shape == xs.shape and np.array_equal(np.isnan(got), nan), xs
+            assert np.all((got[~nan] >= 0.0) & (got[~nan] <= 1.0)), xs
             assert np.all(got[xs <= 0.0] == 1.0) and np.all(got[xs >= cap] == 0.0), xs
             inside = (xs > 0.0) & (xs < cap)
             t, x = got[inside], xs[inside]
             with np.errstate(divide="ignore"):
                 below = phi(np.nextafter(t, 0.0))
             assert np.all(phi(t) <= x) and np.all(x < below), xs
+
+
+PSI_ONLY = {
+    "clayton-2": lambda x: np.power(1.0 + 2.0 * np.asarray(x, dtype=float), -0.5),
+    "exp": lambda x: np.exp(-np.asarray(x, dtype=float)),
+    "harmonic": lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
+    "linear": lambda x: np.maximum(1.0 - np.asarray(x, dtype=float), 0.0),
+    "clayton-minus-half": lambda x: np.square(np.maximum(1.0 - 0.5 * np.asarray(x, dtype=float), 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(PSI_ONLY))
+def test_psi_only_phi_is_the_exact_crossing(name):
+    # phi(t) is the least double x with psi(x) <= t, so the double below x has psi(x) > t
+    psi = PSI_ONLY[name]
+    rng = np.random.default_rng(23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = make_generator(psi=psi)
+        cap = spec.phi_at_zero
+        edges = np.array([0.0, -0.0, -1.0, 5e-324, 1e-310, 1e-300, 1e-15, 1e-12, np.nan, 1.0, 2.0, np.inf])
+        for ts in (edges, rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 1.2, (7, 9)), np.asarray(0.3)):
+            got = np.asarray(spec.phi(ts))
+            nan = np.isnan(ts)
+            assert got.shape == ts.shape and np.array_equal(np.isnan(got), nan), ts
+            assert np.all((got[~nan] >= 0.0) & (got[~nan] <= cap)), ts
+            assert np.all(got[ts <= 0.0] == cap) and np.all(got[ts >= 1.0] == 0.0), ts
+            inside = (ts > 0.0) & (ts < 1.0)
+            x, t = got[inside], ts[inside]
+            with np.errstate(over="ignore"):
+                at, below = psi(x), psi(np.nextafter(x, 0.0))
+            assert np.all(at <= t) and np.all(t < below), ts
+
+
+def test_psi_only_phi_reaches_every_double():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clayton = make_generator(psi=PSI_ONLY["clayton-2"])
+        want = (1e-150**-2.0 - 1.0) / 2.0
+        assert abs(float(clayton.phi(1e-150)) - want) <= 4.0 * np.spacing(want)
+        # psi = 1/(1+x) stays above 1e-310 at every finite double
+        harmonic = make_generator(psi=PSI_ONLY["harmonic"])
+        assert abs(float(harmonic.phi(1e-300)) - 1e300) <= 4.0 * np.spacing(1e300)
+        assert float(harmonic.phi(1e-310)) == np.inf
 
 
 def test_make_generator_from_psi_strict():

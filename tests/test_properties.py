@@ -135,6 +135,20 @@ def test_log_convexity_cases():
     with pytest.raises(DomainError):
         log_convexity_test(lambda x: 1.0 - x, xs)
 
+    # no finite log at one point: 0, +inf and NaN read inconclusive there, a negative value is a domain error
+    for lost in (0.0, np.inf, np.nan):
+        verdict = log_convexity_test(lambda x: np.where(x == xs[7], lost, np.exp(x)), xs)
+        assert verdict.status is Status.INCONCLUSIVE and verdict.witness is None
+        assert verdict.note == f"the scanned function is {lost:.6g} at x={xs[7]:.6g}, where its log is not finite"
+    with pytest.raises(DomainError):
+        log_convexity_test(lambda x: np.where(x == xs[7], -1.0, np.exp(x)), xs)
+    # log(1 + exp(-x^2)) is concave at 0; an infinite sample point is no sample
+    bump = lambda x: 1.0 + np.exp(-x * x)
+    assert log_convexity_test(bump, [-2.0, -1.0, 0.0, 1.0]).status is Status.FAILS
+    for points in ([-np.inf, -1.0, 0.0, 1.0], [-1.0, 0.0, 1.0, np.inf], [-1.0, np.nan, 0.0, 1.0]):
+        with pytest.raises(ValidationError):
+            log_convexity_test(bump, points)
+
 
 def test_log_concavity_cases():
     xs = np.linspace(0.05, 0.95, 501)
