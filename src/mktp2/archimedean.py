@@ -15,7 +15,9 @@ LTD) iff psi is log-convex, and it is MK-TP2 (equally, SI) iff -D-psi is
 log-convex.  A log-convex function is continuous, so the second scan also
 reads a jump of D-psi as a violation; no separate test looks for jumps.
 Both log-convexity scans sample x = phi(t) over an interior t-grid so the
-test concentrates where the copula lives, and see nothing outside it.
+test concentrates where the copula lives, and see nothing outside it.  A
+triple on which -D-psi or psi'' fails maps to a rectangle whose SI, MK-TP2
+or d-TP2 defect re-evaluates from the copula alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .properties import (
     Status,
     Verdict,
     Witness,
+    _band,
     _require_known,
     check_pqd,
     log_convexity_test,
@@ -498,37 +501,109 @@ def generator_x_sample(spec, grid=DEFAULT_GRID):
     return np.unique(xs)
 
 
-def _nonstrict_witnesses(spec):
-    """LTD, SI, TP2 and MK-TP2 witnesses, by property, on one rectangle [a, c]^2,
-    a = psi(3/4 phi(0)) and c = psi(1/8 phi(0)); each re-evaluates through :func:`rectangle_defect`.
+# the top edge of the SI and MK-TP2 rectangles: K(u, 1 - 2^-53) rounds to 1, so the
+# MK-TP2 cross defect of the rectangle is the SI defect of its bottom edge
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
+def _rectangle_witnesses(copula, rects):
+    """The witness of each property on its rectangle, ``{prop: rect} -> {prop: Witness}``:
+    each re-evaluates through :func:`rectangle_defect`, so ``check --rect``
+    reproduces it bit for bit."""
+    witnesses = {}
+    for prop, rect in rects.items():
+        defect, values = rectangle_defect(copula, prop, rect)
+        witnesses[prop] = Witness(points=rect.as_tuple(), values=values, defect=defect, kind="rectangle")
+    return witnesses
+
+
+def _nonstrict_rectangle(spec):
+    """One rectangle [a, c]^2 that refutes LTD, SI, TP2 and MK-TP2, a = psi(3/4 phi(0))
+    and c = psi(1/8 phi(0)).
 
     2 phi(a) lies beyond phi(0), so C and K vanish at (a, a) but not at the
     other three corners; at v = a the rectangle also breaks LTD and SI.
     """
     a = float(spec.psi(0.75 * spec.phi_at_zero))
     c = float(spec.psi(0.125 * spec.phi_at_zero))
-    rect = Rectangle(a, c, a, c)
-    copula = arch_copula(spec)
-    witnesses = {}
-    for prop in ("ltd", "si", "tp2", "mktp2"):
-        defect, values = rectangle_defect(copula, prop, rect)
-        witnesses[prop] = Witness(points=rect.as_tuple(), values=values, defect=defect, kind="rectangle")
-    return witnesses
+    return Rectangle(a, c, a, c)
+
+
+def _kernel_rectangles(spec, triple):
+    """SI and MK-TP2 rectangles of a -D-psi triple (x0, x1, x2), one for each
+    spacing d, x1 - x0 and then x2 - x1: (psi(x1), psi(x1 - d), psi(d), 1 - 2^-53).
+
+    With f = -D-psi, phi(u2) + phi(v1) = x1 and phi(u1) + phi(v1) = x1 + d, so
+    K(u2, v1) - K(u1, v1) = f(x1)/f(x1 - d) - f(x1 + d)/f(x1), positive where log f
+    lies above its chord over (x1 - d, x1 + d); at even spacing that is the
+    triple's own failure.  Uneven spacing moves the outer point, so the
+    spacing x2 - x1 is the second candidate, unless psi(x1 - d) is 1 there
+    (d at or near x1).  psi is convex, so 1 - psi(d) >= psi(x1 - d) - psi(x1)
+    and v1 < 1 wherever u1 < u2.
+    """
+    x0, x1, x2 = triple
+    u1 = float(spec.psi(x1))
+    for d in dict.fromkeys((x1 - x0, x2 - x1)):
+        u2 = float(spec.psi(x1 - d)) if d < x1 else 1.0
+        if u2 < 1.0:
+            yield Rectangle(u1, u2, float(spec.psi(d)), _BELOW_ONE)
+
+
+def _density_rectangle(spec, triple):
+    """The d-TP2 rectangle of a psi'' triple (x0, x1, x2): with d = min(x1 - x0, x2 - x1),
+    a2 = (x1 - d)/2 and a1 = a2 + d, the square (psi(a1), psi(a2))^2.
+
+    Its corners sum to phi(u1) + phi(v1) = x1 + d, phi(u2) + phi(v2) = x1 - d and
+    x1 off the diagonal, and the D-psi factors of the density cancel in the
+    cross ratio, which is g(x1)^2 / (g(x1 - d) g(x1 + d)) with g = psi''.
+    """
+    x0, x1, x2 = triple
+    d = min(x1 - x0, x2 - x1)
+    a2 = 0.5 * (x1 - d)
+    u1, u2 = float(spec.psi(a2 + d)), float(spec.psi(a2))
+    return Rectangle(u1, u2, u1, u2)
+
+
+def _confirmed(verdict, copula, rects, props, grid):
+    """``{prop: verdict}`` for the props that share a failing triple verdict, each with its
+    rectangle witness on the first of ``rects`` where every one of them fails.
+
+    Where no rectangle does, all of them read inconclusive, with no witness
+    and a note naming the triple, its defect and the best rectangle's.
+    """
+    best = -np.inf
+    for rect in rects:
+        found = _rectangle_witnesses(copula, dict.fromkeys(props, rect))
+        defect = min(w.defect for w in found.values())
+        if _band(defect, grid.tol_eq, grid.tol_strict) is Status.FAILS:
+            return {p: replace(verdict, witness=w) for p, w in found.items()}
+        best = max(best, defect)
+    x0, x1, x2 = verdict.witness.points
+    note = (
+        f"the triple ({x0:.6g}, {x1:.6g}, {x2:.6g}) breaks log-convexity by {verdict.witness.defect:.3g}, "
+        f"but no rectangle built from it re-evaluates above tol_strict (best defect {best:.3g})"
+    )
+    return dict.fromkeys(props, Verdict(Status.INCONCLUSIVE, None, verdict.certificate, note))
 
 
 def classify_archimedean(spec, grid=DEFAULT_GRID):
     """Generator-level verdicts of LTD, SI, TP2, MK-TP2 and D-TP2, keyed by property.
 
     TP2 <-> LTD and MK-TP2 <-> SI are exact equivalences at generator level,
-    so each pair is one verdict under both keys.  Non-strict generators
-    short-circuit: their copulas vanish on an interior region, which already
-    refutes LTD/TP2/SI/MK-TP2 on one rectangle; each pair shares its status,
-    certificate and note, and each property gets its own witness.  Strict
-    generators run the two log-convexity scans, of psi and of -D-psi, on the
-    x-sample of :func:`generator_x_sample`; a jump of D-psi inside it breaks
-    the log-convexity of -D-psi there, one outside it is not seen.  The
-    d-TP2 criterion, log-convexity of psi'', runs only on a declared
-    ``psi_second``, at the grid tolerances.
+    so each pair shares its status, certificate and note.  Non-strict
+    generators short-circuit: their copulas vanish on an interior region,
+    which refutes LTD/TP2/SI/MK-TP2 on one rectangle, and each property gets
+    its own witness there.  Strict generators run the two log-convexity
+    scans, of psi and of -D-psi, on the x-sample of
+    :func:`generator_x_sample`; a jump of D-psi inside it breaks the
+    log-convexity of -D-psi there, one outside it is not seen.  The d-TP2
+    criterion, log-convexity of psi'', runs only on a declared
+    ``psi_second``, at the grid tolerances.  A failing -D-psi or psi''
+    triple is turned into a rectangle (:func:`_kernel_rectangles`,
+    :func:`_density_rectangle`) whose witness re-evaluates through
+    :func:`rectangle_defect`; where that rectangle's defect is not above
+    ``tol_strict`` the verdict reads inconclusive instead.  A failing psi
+    triple (LTD and TP2) is kept as it is.
     """
     if not spec.strict:
         note = "non-strict generator: copula vanishes on an interior region"
@@ -565,7 +640,18 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
         mktp2 = replace(mktp2, certificate=derived)
     table = {"ltd": tp2, "si": mktp2, "tp2": tp2, "mktp2": mktp2, "dtp2": dtp2}
     if not spec.strict:
-        table.update({p: replace(table[p], witness=w) for p, w in _nonstrict_witnesses(spec).items()})
+        rect = _nonstrict_rectangle(spec)
+        found = _rectangle_witnesses(arch_copula(spec), dict.fromkeys(("ltd", "si", "tp2", "mktp2"), rect))
+        table.update({p: replace(table[p], witness=w) for p, w in found.items()})
+        return table
+    if Status.FAILS in (mktp2.status, dtp2.status):
+        copula = arch_copula(spec)
+        if mktp2.status is Status.FAILS:
+            rects = _kernel_rectangles(spec, mktp2.witness.points)
+            table.update(_confirmed(mktp2, copula, rects, ("si", "mktp2"), grid))
+        if dtp2.status is Status.FAILS:
+            rects = [_density_rectangle(spec, dtp2.witness.points)]
+            table.update(_confirmed(dtp2, copula, rects, ("dtp2",), grid))
     return table
 
 

@@ -180,10 +180,12 @@ def cmd_witness(args):
     report = _report_skeleton(copula.label, params, grid)
 
     # a family verdict that holds or does not apply settles it, and one whose
-    # witness is a rectangle is printed as it is; anything else, and every
-    # copula without analytic verdicts, is searched.  The search's verdict
-    # replaces the family's only where it is no more favourable, so witness
-    # never reports more favourably than classify
+    # witness is a rectangle is printed as it is: every Archimedean fails but
+    # the LTD and TP2 of a strict generator (a psi triple), and each rectangle
+    # the Pickands tree builds or its grid scan finds.  Anything else, and
+    # every copula without analytic verdicts, is searched.  The search's
+    # verdict replaces the family's only where it is no more favourable, so
+    # witness never reports more favourably than classify
     verdict = None if copula.analytic is None else _verdicts(copula, grid, (prop,))[prop]
     settled = verdict is not None and verdict.status in (Status.HOLDS, Status.NOT_APPLICABLE)
     shown = verdict is not None and verdict.witness is not None and verdict.witness.kind == "rectangle"

@@ -97,17 +97,29 @@ def frank_psi(theta):
     return make_generator(psi=psi, phi_at_zero=np.inf, strict=True, label=f"frank-psi({theta:g})")
 
 
-def kinked_exp(x_star):
-    """psi = e^(-x) with its slope halved from ``x_star`` on, and its declared D-psi,
-    which jumps at ``x_star``: so -D-psi is not log-convex, and SI fails."""
+def kinked_exp(x_star, slope=0.5, second=False):
+    """psi = e^(-x) with its slope multiplied by ``slope`` from ``x_star`` on, and its
+    declared D-psi, which jumps at ``x_star``: so -D-psi is not log-convex, and SI fails.
+    With ``second``, psi'' is declared too, and it jumps there as well."""
 
     def psi(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x <= x_star, np.exp(-x), np.exp(-0.5 * (x + x_star)))
+        return np.where(x <= x_star, np.exp(-x), np.exp(-(slope * x + (1.0 - slope) * x_star)))
 
     def d_minus_psi(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x <= x_star, -np.exp(-x), -0.5 * np.exp(-0.5 * (x + x_star)))
+        return np.where(x <= x_star, -np.exp(-x), -slope * np.exp(-(slope * x + (1.0 - slope) * x_star)))
 
-    label = f"kinked-exp({x_star:g})"
-    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label=label)
+    def psi_second(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= x_star, np.exp(-x), slope * slope * np.exp(-(slope * x + (1.0 - slope) * x_star)))
+
+    label = f"kinked-exp({x_star:g})" if slope == 0.5 else f"kinked-exp({x_star:g}, slope={slope:g})"
+    return make_generator(
+        psi=psi,
+        d_minus_psi=d_minus_psi,
+        phi_at_zero=np.inf,
+        strict=True,
+        psi_second=psi_second if second else None,
+        label=label,
+    )

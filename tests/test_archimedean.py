@@ -18,7 +18,7 @@ from mktp2.archimedean import (
 from mktp2.errors import NumericalError, ValidationError
 from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
-from mktp2.properties import Status, check_mktp2, check_si, rectangle_defect
+from mktp2.properties import Status, check_mktp2, check_si, log_convexity_test, rectangle_defect
 from conftest import frank_psi, kinked_exp
 from oracles import zero_level
 
@@ -236,40 +236,53 @@ def test_classify_gumbel_all_hold(alpha):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, rectangles",
     [
-        lambda: builtin_archimedean("gumbel", alpha=2.0),
-        lambda: builtin_archimedean("spreeuw"),
-        lambda: builtin_archimedean("w"),
-        lambda: make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -2.0) - 1.0) / 2.0),
+        (lambda: builtin_archimedean("gumbel", alpha=2.0), ()),
+        (lambda: builtin_archimedean("spreeuw"), ("si", "mktp2", "dtp2")),
+        (lambda: builtin_archimedean("w"), ("ltd", "si", "tp2", "mktp2")),
+        (lambda: make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -2.0) - 1.0) / 2.0), ()),
+        (lambda: kinked_exp(1.0), ("si", "mktp2")),
     ],
-    ids=["gumbel", "spreeuw", "w", "phi-only-clayton"],
+    ids=["gumbel", "spreeuw", "w", "phi-only-clayton", "kinked-exp"],
 )
-def test_classify_shares_each_equivalence_pair(make):
+def test_classify_shares_each_equivalence_pair(make, rectangles):
     spec = make()
     table = classify_archimedean(spec, GRID)
     assert list(table) == ["ltd", "si", "tp2", "mktp2", "dtp2"]
-    if spec.strict:
-        assert table["ltd"] is table["tp2"]
-        assert table["si"] is table["mktp2"]
-        return
-    # a non-strict pair shares its verdict but for the witness, which each
+    # each pair shares its verdict but for a rectangle witness, which each
     # property reads from its own quantity of the one rectangle
-    copula = arch_copula(spec)
     for pair in (("ltd", "tp2"), ("si", "mktp2")):
         first, second = (table[p] for p in pair)
         assert (first.status, first.certificate, first.note) == (second.status, second.certificate, second.note)
-        for prop in pair:
-            witness = table[prop].witness
-            assert rectangle_defect(copula, prop, witness.rectangle()) == (witness.defect, witness.values), prop
+        if pair[0] not in rectangles:
+            assert first is second
+    copula = arch_copula(spec)
+    for prop, verdict in table.items():
+        witness = verdict.witness
+        if prop not in rectangles:
+            assert witness is None or witness.kind == "triple", prop
+            continue
+        assert (verdict.status, witness.kind) == (Status.FAILS, "rectangle"), prop
+        assert rectangle_defect(copula, prop, witness.rectangle()) == (witness.defect, witness.values), prop
 
 
 def test_classify_spreeuw_tp2_but_not_mktp2():
-    table = classify_archimedean(builtin_archimedean("spreeuw"), GRID)
+    spec = builtin_archimedean("spreeuw")
+    table = classify_archimedean(spec, GRID)
     assert table["tp2"].status is Status.HOLDS
-    assert table["mktp2"].status is Status.FAILS
-    x0, x1, x2 = table["mktp2"].witness.points
-    assert 0.0 < x0 < x1 < x2
+    copula = arch_copula(spec)
+    for prop in ("si", "mktp2"):
+        witness = table[prop].witness
+        assert table[prop].status is Status.FAILS
+        assert rectangle_defect(copula, prop, witness.rectangle())[0] > GRID.tol_strict
+        # the kernel reads -D-psi at phi(u2) < phi(u1) < phi(u1) + phi(v1), all three
+        # below 0.9, where log(-D-psi) = -asinh(x)/10 - log(1 + x^2)/2 - log 10 is
+        # strictly concave: its second derivative x/(10 s^3) - (1 - x^2)/s^4, with
+        # s^2 = 1 + x^2, is negative on [0, 0.93]
+        u1, u2, v1, _ = witness.points
+        x_u1, x_u2, x_v1 = (float(spec.phi(p)) for p in (u1, u2, v1))
+        assert 0.0 < x_u2 < x_u1 < x_u1 + x_v1 < 0.9
 
 
 def test_classify_nonstrict_short_circuit():
@@ -308,13 +321,60 @@ def test_dminus_psi_kink_inside_the_sample_fails_log_convexity(x_star):
     xs = generator_x_sample(spec, GRID)
     assert xs[0] < x_star < xs[-1]
     table = property_verdicts(spec, GRID, ("si", "mktp2"))
-    assert table["si"] is table["mktp2"]
-    verdict = table["mktp2"]
-    assert verdict.status is Status.FAILS
-    assert verdict.certificate["method"] == "analytic:neg-dminus-psi-log-convexity"
-    assert verdict.witness.kind == "triple"
-    x0, _, x2 = verdict.witness.points
-    assert x0 < x_star < x2
+    copula = arch_copula(spec)
+    for prop in ("si", "mktp2"):
+        verdict = table[prop]
+        assert verdict.status is Status.FAILS
+        assert verdict.certificate["method"] == "analytic:neg-dminus-psi-log-convexity"
+        assert rectangle_defect(copula, prop, verdict.witness.rectangle())[0] > GRID.tol_strict
+        # the kernel reads -D-psi at phi(u2) and phi(u1) + phi(v1), either side of the jump
+        u1, u2, v1, _ = verdict.witness.points
+        assert float(spec.phi(u2)) < x_star < float(spec.phi(u1)) + float(spec.phi(v1))
+
+
+def test_a_triple_no_rectangle_confirms_reads_inconclusive():
+    # -D-psi drops by a factor 100 at x* = 5.81, near the far end of the x-sample
+    # phi([0.001, 0.999]), where it is coarse, and the midpoint test fails by
+    # 1.8; but an SI or MK-TP2 defect is at most 1, as the kernel lies in
+    # [0, 1], so at tol_strict = 1 no rectangle can confirm the triple
+    spec = kinked_exp(5.81, slope=0.01)
+    grid = GridConfig(margin=0.001, tol_strict=1.0)
+    neg_d = lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float)
+    triple = log_convexity_test(neg_d, generator_x_sample(spec, grid), grid.tol_eq, grid.tol_strict)
+    assert triple.status is Status.FAILS
+    table = classify_archimedean(spec, grid)
+    si, mktp2 = table["si"], table["mktp2"]
+    assert (si.status, si.witness, si.certificate) == (Status.INCONCLUSIVE, None, mktp2.certificate)
+    assert (mktp2.status, mktp2.witness, mktp2.note) == (Status.INCONCLUSIVE, None, si.note)
+    x0, x1, x2 = triple.witness.points
+    named = f"the triple ({x0:.6g}, {x1:.6g}, {x2:.6g}) breaks log-convexity by {triple.witness.defect:.3g}"
+    assert si.note.startswith(named), si.note
+    # at the default tol_strict the rectangle of the second spacing confirms it
+    table = classify_archimedean(spec, replace(grid, tol_strict=GRID.tol_strict))
+    assert table["si"].status is Status.FAILS
+    assert table["si"].witness.defect > GRID.tol_strict
+
+
+def test_a_psi_second_square_that_misses_the_jump_reads_inconclusive():
+    # psi'' drops by a factor 1e4 at x* = 5.8, which lies further past the
+    # triple's middle point x1 than the spacing d below x1: the square's corner
+    # sums x1 - d, x1 and x1 + d all lie below x*, where psi'' = e^-x and the
+    # cross ratio is 1, so d-TP2 reads inconclusive.  SI and MK-TP2 still fail
+    # on the second spacing, which reaches past x*
+    spec = kinked_exp(5.8, slope=0.01, second=True)
+    grid = GridConfig(margin=0.001)
+    table = classify_archimedean(spec, grid)
+    dtp2 = table["dtp2"]
+    assert (dtp2.status, dtp2.witness) == (Status.INCONCLUSIVE, None)
+    assert dtp2.certificate["method"] == "analytic:psi-second-log-convexity"
+    assert dtp2.note.startswith("the triple (") and "tol_strict" in dtp2.note
+    copula = arch_copula(spec)
+    for prop in ("si", "mktp2"):
+        witness = table[prop].witness
+        assert table[prop].status is Status.FAILS
+        assert rectangle_defect(copula, prop, witness.rectangle()) == (witness.defect, witness.values)
+        u1, u2, v1, _ = witness.points
+        assert float(spec.phi(u2)) < 5.8 < float(spec.phi(u1)) + float(spec.phi(v1))
 
 
 def test_make_generator_takes_no_jump_declaration():

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ANALYTIC_FAMILIES
+from conftest import ANALYTIC_FAMILIES, kinked_exp
 from mktp2 import cli, extreme_value
+from mktp2.archimedean import arch_copula
 from mktp2.cli import main
 from mktp2.errors import NumericalError, SearchFailed
 from mktp2.grids import GridConfig
@@ -143,6 +144,40 @@ def test_witness_exits_three_without_a_search_where_the_family_verdict_settles(c
         assert (code, out) == (3, ""), prop
         status, method = table[prop].status.value, table[prop].certificate["method"]
         assert err.startswith(f"no witness: {prop} {status} by {method} for {copula.label}"), err
+
+
+@pytest.mark.parametrize("prop", ["si", "mktp2", "dtp2"])
+def test_spreeuw_witness_is_built_from_the_triple_without_a_search(capsys, validator, monkeypatch, prop):
+    # the generator-level triple maps to a rectangle, which witness prints as it
+    # is and check --rect reads back bit for bit
+    monkeypatch.setattr(cli, "counterexample_search", _no_search)
+    (entry,) = run_report(capsys, validator, "witness", "--family", "spreeuw", "--property", prop)["results"]
+    assert (entry["status"], entry["witness"]["kind"]) == ("fails", "rectangle")
+    rect = ",".join(repr(p) for p in entry["witness"]["points"])
+    argv = ("check", "--family", "spreeuw", "--property", prop, "--rect", rect)
+    redo = result_map(run_report(capsys, validator, *argv))[prop]
+    assert redo["status"] == "fails"
+    assert redo["witness"] == entry["witness"]
+
+
+def test_witness_searches_where_no_rectangle_confirms_the_triple(capsys, monkeypatch):
+    # at tol_strict = 1 no kernel defect can fail, so the failing -D-psi triple
+    # reads inconclusive and witness searches the grid
+    spec = kinked_exp(5.81, slope=0.01)
+    monkeypatch.setattr(cli, "build", lambda name, params: (None, spec, arch_copula(spec)))
+    searched = []
+    search = cli.counterexample_search
+
+    def recording(copula, prop, grid):
+        searched.append(prop)
+        return search(copula, prop, grid)
+
+    monkeypatch.setattr(cli, "counterexample_search", recording)
+    argv = ("--family", "kinked", "--property", "si", "--margin", "0.001", "--tol-strict", "1")
+    code, out, _ = run_cli(capsys, "witness", *argv)
+    assert (code, searched) == (0, ["si"])
+    (entry,) = json.loads(out)["results"]
+    assert (entry["status"], entry["certificate"]["method"]) == ("inconclusive", "search:si")
 
 
 @pytest.mark.parametrize("prop", ["pqd", "ltd"])
