@@ -123,3 +123,18 @@ def kinked_exp(x_star, slope=0.5, second=False):
         psi_second=psi_second if second else None,
         label=label,
     )
+
+
+def quadratic_exp():
+    """psi = (1 - x/2)^2 on [0, 1] and e^(-2(x - 1))/4 beyond, with its declared D-psi:
+    strict and convex, but log-concave on [0, 1], so LTD and TP2 fail there."""
+
+    def psi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= 1.0, np.square(1.0 - 0.5 * np.minimum(x, 1.0)), 0.25 * np.exp(-2.0 * (x - 1.0)))
+
+    def d_minus_psi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= 1.0, 0.5 * np.minimum(x, 1.0) - 1.0, -0.5 * np.exp(-2.0 * (x - 1.0)))
+
+    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label="quadratic-exp")

@@ -19,7 +19,7 @@ from mktp2.errors import NumericalError, ValidationError
 from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
 from mktp2.properties import Status, check_mktp2, check_si, log_convexity_test, rectangle_defect
-from conftest import frank_psi, kinked_exp
+from conftest import frank_psi, kinked_exp, quadratic_exp
 from oracles import zero_level
 
 GRID = GridConfig()
@@ -243,8 +243,9 @@ def test_classify_gumbel_all_hold(alpha):
         (lambda: builtin_archimedean("w"), ("ltd", "si", "tp2", "mktp2")),
         (lambda: make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -2.0) - 1.0) / 2.0), ()),
         (lambda: kinked_exp(1.0), ("si", "mktp2")),
+        (quadratic_exp, ("si", "mktp2")),
     ],
-    ids=["gumbel", "spreeuw", "w", "phi-only-clayton", "kinked-exp"],
+    ids=["gumbel", "spreeuw", "w", "phi-only-clayton", "kinked-exp", "quadratic-exp"],
 )
 def test_classify_shares_each_equivalence_pair(make, rectangles):
     spec = make()
