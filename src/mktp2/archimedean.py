@@ -16,8 +16,8 @@ log-convex.  A log-convex function is continuous, so the second scan also
 reads a jump of D-psi as a violation; no separate test looks for jumps.
 Both log-convexity scans sample x = phi(t) over an interior t-grid so the
 test concentrates where the copula lives, and see nothing outside it.  A
-triple on which -D-psi or psi'' fails maps to a rectangle whose SI, MK-TP2
-or d-TP2 defect re-evaluates from the copula alone.
+triple on which psi, -D-psi or psi'' fails maps to a rectangle whose LTD and
+TP2, SI and MK-TP2, or d-TP2 defects re-evaluate from the copula alone.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ from .properties import (
     PROPERTIES,
     Status,
     Verdict,
-    Witness,
     _band,
     _require_known,
     check_pqd,
     log_convexity_test,
-    rectangle_defect,
+    rectangle_witness,
 )
 
 __all__ = [
@@ -501,20 +500,10 @@ def generator_x_sample(spec, grid=DEFAULT_GRID):
     return np.unique(xs)
 
 
-# the top edge of the SI and MK-TP2 rectangles: K(u, 1 - 2^-53) rounds to 1, so the
-# MK-TP2 cross defect of the rectangle is the SI defect of its bottom edge
+# the top edge of the chord rectangles: C(u, 1 - 2^-53) rounds to u and K(u, 1 - 2^-53)
+# to 1, so the TP2 and MK-TP2 cross defects of the rectangle are the LTD and SI
+# defects of its bottom edge, up to rounding
 _BELOW_ONE = 1.0 - 2.0**-53
-
-
-def _rectangle_witnesses(copula, rects):
-    """The witness of each property on its rectangle, ``{prop: rect} -> {prop: Witness}``:
-    each re-evaluates through :func:`rectangle_defect`, so ``check --rect``
-    reproduces it bit for bit."""
-    witnesses = {}
-    for prop, rect in rects.items():
-        defect, values = rectangle_defect(copula, prop, rect)
-        witnesses[prop] = Witness(points=rect.as_tuple(), values=values, defect=defect, kind="rectangle")
-    return witnesses
 
 
 def _nonstrict_rectangle(spec):
@@ -529,29 +518,31 @@ def _nonstrict_rectangle(spec):
     return Rectangle(a, c, a, c)
 
 
-def _kernel_rectangles(spec, triple):
-    """SI and MK-TP2 rectangles of a -D-psi triple (x0, x1, x2), one for each
-    spacing d, x1 - x0 and then x2 - x1: (psi(x1), psi(x1 - d), psi(d), 1 - 2^-53).
+def _chord_rectangles(spec, triple):
+    """Rectangles of a psi or -D-psi triple (x0, x1, x2), one for each spacing d,
+    x1 - x0, x2 - x1 and then x1/2: (psi(x1), psi(x1 - d), psi(d), 1 - 2^-53).
 
-    With f = -D-psi, phi(u2) + phi(v1) = x1 and phi(u1) + phi(v1) = x1 + d, so
-    K(u2, v1) - K(u1, v1) = f(x1)/f(x1 - d) - f(x1 + d)/f(x1), positive where log f
-    lies above its chord over (x1 - d, x1 + d); at even spacing that is the
-    triple's own failure.  Uneven spacing moves the outer point, so the
-    spacing x2 - x1 is the second candidate, unless psi(x1 - d) is 1 there
-    (d at or near x1).  psi is convex, so 1 - psi(d) >= psi(x1 - d) - psi(x1)
-    and v1 < 1 wherever u1 < u2.
+    phi(u2) + phi(v1) = x1 and phi(u1) + phi(v1) = x1 + d, so with f = -D-psi the
+    SI defect K(u2, v1) - K(u1, v1) is f(x1)/f(x1 - d) - f(x1 + d)/f(x1), and with
+    f = psi the LTD defect C(u2, v1)/u2 - C(u1, v1)/u1 is the same expression and
+    the TP2 cross defect f(x1)^2 - f(x1 - d) f(x1 + d).  Each is positive where
+    log f lies above its chord over (x1 - d, x1 + d); at even spacing that is the
+    triple's own failure.  Uneven spacing moves the outer point, so the spacing
+    x2 - x1 is the second candidate, unless psi(x1 - d) is 1 there (d at or near
+    x1), and x1/2, which stays below x1, the third.  psi is convex, so
+    1 - psi(d) >= psi(x1 - d) - psi(x1) and v1 < 1 wherever u1 < u2.
     """
     x0, x1, x2 = triple
     u1 = float(spec.psi(x1))
-    for d in dict.fromkeys((x1 - x0, x2 - x1)):
+    for d in dict.fromkeys((x1 - x0, x2 - x1, 0.5 * x1)):
         u2 = float(spec.psi(x1 - d)) if d < x1 else 1.0
         if u2 < 1.0:
             yield Rectangle(u1, u2, float(spec.psi(d)), _BELOW_ONE)
 
 
-def _density_rectangle(spec, triple):
-    """The d-TP2 rectangle of a psi'' triple (x0, x1, x2): with d = min(x1 - x0, x2 - x1),
-    a2 = (x1 - d)/2 and a1 = a2 + d, the square (psi(a1), psi(a2))^2.
+def _density_rectangles(spec, triple):
+    """The d-TP2 rectangle of a psi'' triple (x0, x1, x2), in a list of one: with
+    d = min(x1 - x0, x2 - x1), a2 = (x1 - d)/2 and a1 = a2 + d, the square (psi(a1), psi(a2))^2.
 
     Its corners sum to phi(u1) + phi(v1) = x1 + d, phi(u2) + phi(v2) = x1 - d and
     x1 off the diagonal, and the D-psi factors of the density cancel in the
@@ -561,7 +552,22 @@ def _density_rectangle(spec, triple):
     d = min(x1 - x0, x2 - x1)
     a2 = 0.5 * (x1 - d)
     u1, u2 = float(spec.psi(a2 + d)), float(spec.psi(a2))
-    return Rectangle(u1, u2, u1, u2)
+    return [Rectangle(u1, u2, u1, u2)]
+
+
+# the generator-level criteria: the certificate method, the scanned function of
+# the spec (None where it is not declared), the properties it decides and the
+# map from a failing triple to the rectangles that may confirm it
+_CRITERIA = (
+    ("psi-log-convexity", lambda spec: spec.psi, ("ltd", "tp2"), _chord_rectangles),
+    (
+        "neg-dminus-psi-log-convexity",
+        lambda spec: lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float),
+        ("si", "mktp2"),
+        _chord_rectangles,
+    ),
+    ("psi-second-log-convexity", lambda spec: spec.psi_second, ("dtp2",), _density_rectangles),
+)
 
 
 def _confirmed(verdict, copula, rects, props, grid):
@@ -573,7 +579,7 @@ def _confirmed(verdict, copula, rects, props, grid):
     """
     best = -np.inf
     for rect in rects:
-        found = _rectangle_witnesses(copula, dict.fromkeys(props, rect))
+        found = {p: rectangle_witness(copula, p, rect) for p in props}
         defect = min(w.defect for w in found.values())
         if _band(defect, grid.tol_eq, grid.tol_strict) is Status.FAILS:
             return {p: replace(verdict, witness=w) for p, w in found.items()}
@@ -593,73 +599,48 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
     so each pair shares its status, certificate and note.  Non-strict
     generators short-circuit: their copulas vanish on an interior region,
     which refutes LTD/TP2/SI/MK-TP2 on one rectangle, and each property gets
-    its own witness there.  Strict generators run the two log-convexity
-    scans, of psi and of -D-psi, on the x-sample of
-    :func:`generator_x_sample`; a jump of D-psi inside it breaks the
-    log-convexity of -D-psi there, one outside it is not seen.  The d-TP2
-    criterion, log-convexity of psi'', runs only on a declared
-    ``psi_second``, at the grid tolerances.  A failing -D-psi or psi''
-    triple is turned into a rectangle (:func:`_kernel_rectangles`,
-    :func:`_density_rectangle`) whose witness re-evaluates through
-    :func:`rectangle_defect`; where that rectangle's defect is not above
-    ``tol_strict`` the verdict reads inconclusive instead.  A failing psi
-    triple (LTD and TP2) is kept as it is.
+    its own witness there.  Strict generators run the criteria of
+    :data:`_CRITERIA`, log-convexity of psi, of -D-psi and of a declared psi'',
+    on the x-sample of :func:`generator_x_sample`, at the grid tolerances; a
+    jump of D-psi inside it breaks the log-convexity of -D-psi there, one
+    outside it is not seen.  A failing triple is turned into rectangles
+    (:func:`_chord_rectangles`, :func:`_density_rectangles`) and the first on
+    which its properties all fail gives their witnesses, which re-evaluate
+    through :func:`rectangle_defect`; where none does, the verdicts read
+    inconclusive instead.
     """
+    # the SI and MK-TP2 verdicts read D-psi; say so where it was derived, not declared
+    derived = {} if spec.exact_derivative else {"derivative": "finite-difference"}
     if not spec.strict:
         note = "non-strict generator: copula vanishes on an interior region"
-        tp2 = mktp2 = Verdict(Status.FAILS, None, {"method": "analytic:non-strict"}, note)
-        dtp2 = Verdict(
-            Status.NOT_APPLICABLE,
-            None,
-            {"method": "analytic:non-strict"},
-            "non-strict copulas carry a singular part",
-        )
-    else:
-        xs = generator_x_sample(spec, grid)
-        if len(xs) < 3:
-            raise NumericalError(
-                f"{spec.label}: phi is finite and positive at {len(xs)} of {_X_SAMPLE_POINTS} "
-                "t-grid points; the generator leaves the double range"
-            )
-        tol = (grid.tol_eq, grid.tol_strict)
-        tp2 = _tag_analytic(log_convexity_test(spec.psi, xs, *tol), "psi-log-convexity")
-        neg_d = lambda x: -np.asarray(spec.d_minus_psi(x), dtype=float)
-        mktp2 = _tag_analytic(log_convexity_test(neg_d, xs, *tol), "neg-dminus-psi-log-convexity")
-        if spec.psi_second is not None:
-            dtp2 = _tag_analytic(log_convexity_test(spec.psi_second, xs, *tol), "psi-second-log-convexity")
-        else:
-            dtp2 = Verdict(
-                Status.NOT_APPLICABLE,
-                None,
-                {"method": "psi-second-log-convexity"},
-                "co-generator not declared twice-differentiable",
-            )
-    if not spec.exact_derivative:
-        # the verdict read D-psi, and D-psi was derived, not declared
-        derived = {**mktp2.certificate, "derivative": "finite-difference"}
-        mktp2 = replace(mktp2, certificate=derived)
-    table = {"ltd": tp2, "si": mktp2, "tp2": tp2, "mktp2": mktp2, "dtp2": dtp2}
-    if not spec.strict:
-        rect = _nonstrict_rectangle(spec)
-        found = _rectangle_witnesses(arch_copula(spec), dict.fromkeys(("ltd", "si", "tp2", "mktp2"), rect))
-        table.update({p: replace(table[p], witness=w) for p, w in found.items()})
+        cert = {"method": "analytic:non-strict"}
+        rect, copula = _nonstrict_rectangle(spec), arch_copula(spec)
+        certs = {"ltd": cert, "si": {**cert, **derived}, "tp2": cert, "mktp2": {**cert, **derived}}
+        table = {p: Verdict(Status.FAILS, rectangle_witness(copula, p, rect), c, note) for p, c in certs.items()}
+        table["dtp2"] = Verdict(Status.NOT_APPLICABLE, None, cert, "non-strict copulas carry a singular part")
         return table
-    if Status.FAILS in (mktp2.status, dtp2.status):
-        copula = arch_copula(spec)
-        if mktp2.status is Status.FAILS:
-            rects = _kernel_rectangles(spec, mktp2.witness.points)
-            table.update(_confirmed(mktp2, copula, rects, ("si", "mktp2"), grid))
-        if dtp2.status is Status.FAILS:
-            rects = [_density_rectangle(spec, dtp2.witness.points)]
-            table.update(_confirmed(dtp2, copula, rects, ("dtp2",), grid))
-    return table
-
-
-def _tag_analytic(verdict, name):
-    """Mark a criterion verdict as an analytic equivalence, keeping scan details."""
-    return replace(
-        verdict, certificate={"method": f"analytic:{name}", "scan": verdict.certificate}
-    )
+    xs = generator_x_sample(spec, grid)
+    if len(xs) < 3:
+        raise NumericalError(
+            f"{spec.label}: phi is finite and positive at {len(xs)} of {_X_SAMPLE_POINTS} "
+            "t-grid points; the generator leaves the double range"
+        )
+    table, copula = {}, None
+    for method, scanned, props, rectangles in _CRITERIA:
+        f = scanned(spec)
+        if f is None:
+            note = "co-generator not declared twice-differentiable"
+            table.update(dict.fromkeys(props, Verdict(Status.NOT_APPLICABLE, None, {"method": method}, note)))
+            continue
+        scan = log_convexity_test(f, xs, grid.tol_eq, grid.tol_strict)
+        cert = {"method": f"analytic:{method}", "scan": scan.certificate, **(derived if "si" in props else {})}
+        verdict = replace(scan, certificate=cert)
+        if verdict.status is not Status.FAILS:
+            table.update(dict.fromkeys(props, verdict))
+            continue
+        copula = copula or arch_copula(spec)
+        table.update(_confirmed(verdict, copula, rectangles(spec, verdict.witness.points), props, grid))
+    return {p: table[p] for p in ("ltd", "si", "tp2", "mktp2", "dtp2")}
 
 
 def property_verdicts(spec, grid=DEFAULT_GRID, props=PROPERTIES):

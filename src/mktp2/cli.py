@@ -27,12 +27,11 @@ from .grids import GridConfig, Rectangle
 from .properties import (
     PROPERTIES,
     Status,
-    Witness,
     _band,
     _grid_eval,
     counterexample_search,
     property_verdicts,
-    rectangle_defect,
+    rectangle_witness,
 )
 from .registry import build, family_names
 from .sampler import sample, write_csv, write_grid_csv
@@ -150,15 +149,15 @@ def cmd_check(args):
     prop = args.property
     if args.rect:
         rect = _parse_rect(args.rect)
-        defect, values = rectangle_defect(copula, prop, rect)
-        status = _band(defect, grid.tol_eq, grid.tol_strict)
+        witness = rectangle_witness(copula, prop, rect)
+        status = _band(witness.defect, grid.tol_eq, grid.tol_strict)
         report["results"].append(
             {
                 "property": prop,
                 "status": status.value,
                 "method": "rectangle",
                 "certificate": {"method": "rectangle", "rect": list(rect.as_tuple())},
-                "witness": Witness(rect.as_tuple(), values, defect, "rectangle").describe(),
+                "witness": witness.describe(),
             }
         )
     else:
@@ -180,10 +179,9 @@ def cmd_witness(args):
     report = _report_skeleton(copula.label, params, grid)
 
     # a family verdict that holds or does not apply settles it, and one whose
-    # witness is a rectangle is printed as it is: every Archimedean fails but
-    # the LTD and TP2 of a strict generator (a psi triple), and each rectangle
-    # the Pickands tree builds or its grid scan finds.  Anything else, and
-    # every copula without analytic verdicts, is searched.  The search's
+    # witness is a rectangle is printed as it is: every Archimedean fails, and
+    # each rectangle the Pickands tree builds or its grid scan finds.  Anything
+    # else, and every copula without analytic verdicts, is searched.  The search's
     # verdict replaces the family's only where it is no more favourable, so
     # witness never reports more favourably than classify
     verdict = None if copula.analytic is None else _verdicts(copula, grid, (prop,))[prop]

@@ -33,7 +33,17 @@ import numpy as np
 from .core import Copula, Form, param_text
 from .errors import SearchFailed, ValidationError
 from .grids import DEFAULT_GRID, Rectangle, crossing, runs
-from .properties import PROPERTIES, Status, Verdict, Witness, _require_known, check_dtp2, check_mktp2, rectangle_defect
+from .properties import (
+    PROPERTIES,
+    Status,
+    Verdict,
+    Witness,
+    _require_known,
+    check_dtp2,
+    check_mktp2,
+    rectangle_defect,
+    rectangle_witness,
+)
 
 __all__ = [
     "PickandsSpec",
@@ -585,12 +595,6 @@ def kernel_cross_ratio(spec, rect):
 # ---------------------------------------------------------------------------
 
 
-def _witness_from_rect(spec, rect):
-    """The witness of ``rect`` from one :func:`rectangle_defect` of its kernel corners."""
-    defect, k = rectangle_defect(evc_copula(spec), "mktp2", rect)
-    return Witness(rect.as_tuple(), k, defect, "rectangle")
-
-
 def _first_crossing(d_plus_A, reached):
     """inf{t in [0, 1] : reached(D+A(t))} for a monotone ``reached`` of the
     non-decreasing D+A: 0.0 when ``reached`` holds at t = 0, else the first
@@ -646,7 +650,7 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID):
         if u2 <= u1 or u2 >= 1.0:
             n *= 2
             continue
-        witness = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
+        witness = rectangle_witness(evc_copula(spec), "mktp2", Rectangle(u1, u2, v1, v2))
         if witness.defect > grid.tol_strict:
             return witness
         last_defect = witness.defect
@@ -713,7 +717,7 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
         v1 = v2 - (v2 - v_star) * 0.5**j
         if not v_star < v1 < v2:
             continue
-        witness = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
+        witness = rectangle_witness(evc_copula(spec), "mktp2", Rectangle(u1, u2, v1, v2))
         if witness.defect > grid.tol_strict:
             return witness
         last_defect = witness.defect
@@ -790,7 +794,7 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
     u2 = float(np.power(u1, 0.5 * (e_lo + e_hi)))
     v1 = float(contour(t1, u2))
     v2 = float(contour(s, u1))
-    witness = _witness_from_rect(spec, Rectangle(u1, u2, v1, v2))
+    witness = rectangle_witness(evc_copula(spec), "mktp2", Rectangle(u1, u2, v1, v2))
     if not witness.defect > grid.tol_strict:
         raise SearchFailed("constructed rectangle does not violate", defect=witness.defect, s=s, u1=u1)
     return witness

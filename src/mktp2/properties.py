@@ -38,6 +38,7 @@ __all__ = [
     "counterexample_search",
     "property_verdicts",
     "rectangle_defect",
+    "rectangle_witness",
 ]
 
 
@@ -57,7 +58,9 @@ class Witness:
     ``rectangle`` (u1, u2, v1, v2) for rectangle tests, ``triple``
     (x0, x1, x2) for midpoint tests and ``ratio-pair`` (t1, t2) for the
     extreme-value monotone-ratio test.  Only the first three have a :meth:`rectangle` form.  ``defect`` is oriented
-    so that positive means violation.
+    so that positive means violation.  A ``triple`` comes only from
+    :func:`log_convexity_test` and never reaches a report: a classifier maps
+    it to a rectangle, or reads inconclusive with no witness.
     """
 
     points: tuple
@@ -917,3 +920,10 @@ def rectangle_defect(copula, prop, rect):
         defect, witness_at = (check.scan or _adjacent_cross_defect)(block, 0, us, vs)
     d = float(defect.flat[0])
     return d, witness_at(0, d).values
+
+
+def rectangle_witness(copula, prop, rect):
+    """The ``rectangle`` witness of ``prop`` on ``rect``, from one :func:`rectangle_defect`,
+    so ``check --rect`` reproduces it bit for bit."""
+    defect, values = rectangle_defect(copula, prop, rect)
+    return Witness(rect.as_tuple(), values, defect, "rectangle")

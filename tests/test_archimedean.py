@@ -243,7 +243,7 @@ def test_classify_gumbel_all_hold(alpha):
         (lambda: builtin_archimedean("w"), ("ltd", "si", "tp2", "mktp2")),
         (lambda: make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -2.0) - 1.0) / 2.0), ()),
         (lambda: kinked_exp(1.0), ("si", "mktp2")),
-        (quadratic_exp, ("si", "mktp2")),
+        (quadratic_exp, ("ltd", "si", "tp2", "mktp2")),
     ],
     ids=["gumbel", "spreeuw", "w", "phi-only-clayton", "kinked-exp", "quadratic-exp"],
 )
@@ -262,7 +262,7 @@ def test_classify_shares_each_equivalence_pair(make, rectangles):
     for prop, verdict in table.items():
         witness = verdict.witness
         if prop not in rectangles:
-            assert witness is None or witness.kind == "triple", prop
+            assert witness is None, prop
             continue
         assert (verdict.status, witness.kind) == (Status.FAILS, "rectangle"), prop
         assert rectangle_defect(copula, prop, witness.rectangle()) == (witness.defect, witness.values), prop
@@ -354,6 +354,44 @@ def test_a_triple_no_rectangle_confirms_reads_inconclusive():
     table = classify_archimedean(spec, replace(grid, tol_strict=GRID.tol_strict))
     assert table["si"].status is Status.FAILS
     assert table["si"].witness.defect > GRID.tol_strict
+
+
+def kinked_clayton(theta=4.0, slope=0.01):
+    """Clayton's psi with the slope of its argument multiplied by ``slope`` from
+    x* = (slope^-theta - 1)/theta on, where psi = slope, and its declared D-psi, which
+    jumps there."""
+    x_star = (slope**-theta - 1.0) / theta
+    arg = lambda x: np.where(x <= x_star, x, x_star + slope * (x - x_star))
+
+    def psi(x):
+        return np.power(1.0 + theta * arg(np.asarray(x, dtype=float)), -1.0 / theta)
+
+    def d_minus_psi(x):
+        x = np.asarray(x, dtype=float)
+        return -np.where(x <= x_star, 1.0, slope) * np.power(1.0 + theta * arg(x), -1.0 / theta - 1.0)
+
+    return make_generator(psi=psi, d_minus_psi=d_minus_psi, phi_at_zero=np.inf, strict=True, label="kinked-clayton")
+
+
+def test_the_half_spacing_confirms_a_jump_past_both_spacings():
+    # -D-psi drops by a factor 100 at x* = 2.5e7.  The failing triple has x1 = 2.1e7
+    # below x* and its second spacing x2 - x1 above x1, so the first spacing's
+    # rectangle, whose corner sums x1 - d, x1 and x1 + d all lie below x*, reads
+    # a negative defect; the spacing x1/2 reaches past x*
+    spec = kinked_clayton()
+    x_star = (0.01**-4.0 - 1.0) / 4.0
+    table = classify_archimedean(spec, GRID)
+    copula = arch_copula(spec)
+    for prop in ("si", "mktp2"):
+        verdict = table[prop]
+        witness = verdict.witness
+        assert (verdict.status, witness.kind) == (Status.FAILS, "rectangle"), prop
+        assert witness.defect > 0.4
+        assert rectangle_defect(copula, prop, witness.rectangle()) == (witness.defect, witness.values)
+        u1, u2, v1, _ = witness.points
+        x1 = float(spec.phi(u1))
+        assert float(spec.phi(v1)) == pytest.approx(0.5 * x1, rel=1e-12)
+        assert float(spec.phi(u2)) < x_star < x1 + float(spec.phi(v1))
 
 
 def test_a_psi_second_square_that_misses_the_jump_reads_inconclusive():

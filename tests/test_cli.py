@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ANALYTIC_FAMILIES, kinked_exp
+from conftest import ANALYTIC_FAMILIES, kinked_exp, quadratic_exp
 from mktp2 import cli, extreme_value
 from mktp2.archimedean import arch_copula
 from mktp2.cli import main
@@ -86,6 +86,15 @@ def test_witness_evc_log_rectangle(capsys, validator):
     assert entry["witness"]["defect"] > 1e-9
 
 
+def test_schema_rejects_a_triple_witness(capsys, validator):
+    # a midpoint triple has no rectangle form to re-check, so no report carries one
+    argv = ("check", "--family", "pi", "--property", "tp2", "--rect", "0.2,0.4,0.3,0.6")
+    report = run_report(capsys, validator, *argv)
+    report["results"][0]["witness"]["kind"] = "triple"
+    with pytest.raises(pytest.importorskip("jsonschema").ValidationError, match="triple"):
+        validator(report)
+
+
 def test_witness_round_trip_through_check(capsys, validator):
     report = run_report(capsys, validator, "witness", "--family", "evc-log", "--property", "mktp2")
     entry = result_map(report)["mktp2"]
@@ -158,6 +167,22 @@ def test_spreeuw_witness_is_built_from_the_triple_without_a_search(capsys, valid
     redo = result_map(run_report(capsys, validator, *argv))[prop]
     assert redo["status"] == "fails"
     assert redo["witness"] == entry["witness"]
+
+
+@pytest.mark.parametrize("prop", ["ltd", "tp2"])
+def test_psi_triple_witness_is_a_rectangle_without_a_search(capsys, validator, monkeypatch, prop):
+    # psi = (1 - x/2)^2 is log-concave on [0, 1], and its failing psi triple maps
+    # to a chord rectangle, which witness prints as it is and check --rect reads
+    # back bit for bit
+    spec = quadratic_exp()
+    monkeypatch.setattr(cli, "build", lambda name, params: (None, spec, arch_copula(spec)))
+    monkeypatch.setattr(cli, "counterexample_search", _no_search)
+    argv = ("--family", "quadratic-exp", "--property", prop)
+    (entry,) = run_report(capsys, validator, "witness", *argv)["results"]
+    assert (entry["status"], entry["witness"]["kind"]) == ("fails", "rectangle")
+    rect = ",".join(repr(p) for p in entry["witness"]["points"])
+    redo = result_map(run_report(capsys, validator, "check", *argv, "--rect", rect))[prop]
+    assert (redo["status"], redo["witness"]) == ("fails", entry["witness"])
 
 
 def test_witness_searches_where_no_rectangle_confirms_the_triple(capsys, monkeypatch):
