@@ -500,9 +500,9 @@ def generator_x_sample(spec, grid=DEFAULT_GRID):
     return np.unique(xs)
 
 
-# the top edge of the chord rectangles: C(u, 1 - 2^-53) rounds to u and K(u, 1 - 2^-53)
-# to 1, so the TP2 and MK-TP2 cross defects of the rectangle are the LTD and SI
-# defects of its bottom edge, up to rounding
+# the top edge of the chord rectangles: C(u, 1 - 2^-53) is u up to rounding and
+# K(u, 1 - 2^-53) rounds to 1, so the MK-TP2 cross defect of the rectangle is the SI
+# defect of its bottom edge, and the TP2 cross defect u1 u2 times its LTD defect
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
