@@ -97,6 +97,16 @@ def frank_psi(theta):
     return make_generator(psi=psi, phi_at_zero=np.inf, strict=True, label=f"frank-psi({theta:g})")
 
 
+def clayton_nonstrict(theta):
+    """Clayton's generator for theta in (-1, 0) from psi alone: psi vanishes beyond
+    phi(0) = -1/theta, which is searched, and D-psi is a finite difference of psi."""
+
+    def psi(x):
+        return np.power(np.maximum(1.0 + theta * np.asarray(x, dtype=float), 0.0), -1.0 / theta)
+
+    return make_generator(psi=psi, label=f"clayton(theta={theta})")
+
+
 def kinked_exp(x_star, slope=0.5, second=False):
     """psi = e^(-x) with its slope multiplied by ``slope`` from ``x_star`` on, and its
     declared D-psi, which jumps at ``x_star``: so -D-psi is not log-convex, and SI fails.

@@ -19,7 +19,7 @@ from mktp2.errors import NumericalError, ValidationError
 from mktp2.extreme_value import builtin_pickands, evc_copula
 from mktp2.grids import GridConfig
 from mktp2.properties import Status, check_mktp2, check_si, log_convexity_test, rectangle_defect
-from conftest import frank_psi, kinked_exp, quadratic_exp
+from conftest import clayton_nonstrict, frank_psi, kinked_exp, quadratic_exp
 from oracles import zero_level
 
 GRID = GridConfig()
@@ -430,18 +430,9 @@ def test_make_generator_takes_no_jump_declaration():
         make_generator(psi=lambda x: np.exp(-np.asarray(x, dtype=float)), **jumps)
 
 
-def _clayton_nonstrict(theta):
-    """Clayton co-generator for theta in (-1, 0): psi vanishes beyond -1/theta."""
-
-    def psi(x):
-        return np.power(np.maximum(1.0 + theta * np.asarray(x, dtype=float), 0.0), -1.0 / theta)
-
-    return make_generator(psi=psi, label=f"clayton(theta={theta})")
-
-
 @pytest.mark.parametrize("theta", [None, -0.3, -0.5, -0.9], ids=lambda t: "w" if t is None else f"clayton{t}")
 def test_nonstrict_fails_witnesses_reevaluate(theta):
-    spec = builtin_archimedean("w") if theta is None else _clayton_nonstrict(theta)
+    spec = builtin_archimedean("w") if theta is None else clayton_nonstrict(theta)
     assert not spec.strict
     if theta is not None:
         # phi inverts psi up to its finite phi(0), near either end of (0, 1)

@@ -42,7 +42,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALL_FAMILIES, ANALYTIC_FAMILIES, GRID_FAMILIES, REGISTRY_FAMILIES, frank_psi, kinked_exp, quadratic_exp
+from conftest import (
+    ALL_FAMILIES,
+    ANALYTIC_FAMILIES,
+    GRID_FAMILIES,
+    REGISTRY_FAMILIES,
+    clayton_nonstrict,
+    frank_psi,
+    kinked_exp,
+    quadratic_exp,
+)
 from mktp2.archimedean import make_generator, property_verdicts
 from mktp2.cli import main
 from mktp2.core import as_form
@@ -105,6 +114,7 @@ USER_GENERATORS = {
     "clayton-phi_theta1": lambda: _clayton_phi(1.0),
     "kinked-exp_x1": lambda: kinked_exp(1.0),
     "quadratic-exp": quadratic_exp,
+    "clayton-nonstrict_theta-0.1": lambda: clayton_nonstrict(-0.1),
 }
 
 
