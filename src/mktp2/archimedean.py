@@ -35,11 +35,10 @@ from .properties import (
     PROPERTIES,
     Status,
     Verdict,
-    _band,
     _require_known,
     check_pqd,
+    confirming_witnesses,
     log_convexity_test,
-    rectangle_witness,
 )
 
 __all__ = [
@@ -506,16 +505,20 @@ def generator_x_sample(spec, grid=DEFAULT_GRID):
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
-def _nonstrict_rectangle(spec):
-    """One rectangle [a, c]^2 that refutes LTD, SI, TP2 and MK-TP2, a = psi(3/4 phi(0))
-    and c = psi(1/8 phi(0)).
+def _nonstrict_rectangles(spec):
+    """Squares [a, c]^2 that refute LTD, SI, TP2 and MK-TP2 of a non-strict generator,
+    a = psi(s phi(0)) and c = psi(r phi(0)) for (s, r) = (3/4, 1/8), (5/8, 1/16)
+    and (9/16, 1/32), where a is positive.
 
     2 phi(a) lies beyond phi(0), so C and K vanish at (a, a) but not at the
-    other three corners; at v = a the rectangle also breaks LTD and SI.
+    other three corners; at v = a the square also breaks LTD and SI.  Its
+    defects grow with psi((s + r) phi(0)) = C(a, c), so each later square,
+    with s + r nearer 1/2, reads more of a psi that is flat near phi(0).
     """
-    a = float(spec.psi(0.75 * spec.phi_at_zero))
-    c = float(spec.psi(0.125 * spec.phi_at_zero))
-    return Rectangle(a, c, a, c)
+    for s, r in ((0.75, 0.125), (0.625, 0.0625), (0.5625, 0.03125)):
+        a, c = float(spec.psi(s * spec.phi_at_zero)), float(spec.psi(r * spec.phi_at_zero))
+        if a > 0.0:
+            yield Rectangle(a, c, a, c)
 
 
 def _chord_rectangles(spec, triple):
@@ -570,24 +573,19 @@ _CRITERIA = (
 )
 
 
-def _confirmed(verdict, copula, rects, props, grid):
-    """``{prop: verdict}`` for the props that share a failing triple verdict, each with its
-    rectangle witness on the first of ``rects`` where every one of them fails.
+def _confirmed(verdict, claim, copula, rects, props, grid):
+    """``{prop: verdict}`` for the props that share a failing verdict, each with its
+    witness from :func:`~mktp2.properties.confirming_witnesses` on ``rects``.
 
-    Where no rectangle does, all of them read inconclusive, with no witness
-    and a note naming the triple, its defect and the best rectangle's.
+    Where no rectangle confirms them, all of them read inconclusive, with no
+    witness and a note that names the ``claim`` and the best rectangle's defect.
     """
-    best = -np.inf
-    for rect in rects:
-        found = {p: rectangle_witness(copula, p, rect) for p in props}
-        defect = min(w.defect for w in found.values())
-        if _band(defect, grid.tol_eq, grid.tol_strict) is Status.FAILS:
-            return {p: replace(verdict, witness=w) for p, w in found.items()}
-        best = max(best, defect)
-    x0, x1, x2 = verdict.witness.points
+    found, defects = confirming_witnesses(copula, props, rects, grid)
+    if found:
+        return {p: replace(verdict, witness=w) for p, w in found.items()}
     note = (
-        f"the triple ({x0:.6g}, {x1:.6g}, {x2:.6g}) breaks log-convexity by {verdict.witness.defect:.3g}, "
-        f"but no rectangle built from it re-evaluates above tol_strict (best defect {best:.3g})"
+        f"{claim}, but no rectangle built from it re-evaluates above tol_strict "
+        f"(best defect {max(defects, default=-np.inf):.3g})"
     )
     return dict.fromkeys(props, Verdict(Status.INCONCLUSIVE, None, verdict.certificate, note))
 
@@ -598,27 +596,30 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
     TP2 <-> LTD and MK-TP2 <-> SI are exact equivalences at generator level,
     so each pair shares its status, certificate and note.  Non-strict
     generators short-circuit: their copulas vanish on an interior region,
-    which refutes LTD/TP2/SI/MK-TP2 on one rectangle, and each property gets
-    its own witness there.  Strict generators run the criteria of
+    which refutes LTD/TP2/SI/MK-TP2 on the squares of
+    :func:`_nonstrict_rectangles`.  Strict generators run the criteria of
     :data:`_CRITERIA`, log-convexity of psi, of -D-psi and of a declared psi'',
     on the x-sample of :func:`generator_x_sample`, at the grid tolerances; a
     jump of D-psi inside it breaks the log-convexity of -D-psi there, one
     outside it is not seen.  A failing triple is turned into rectangles
-    (:func:`_chord_rectangles`, :func:`_density_rectangles`) and the first on
-    which its properties all fail gives their witnesses, which re-evaluate
-    through :func:`rectangle_defect`; where none does, the verdicts read
-    inconclusive instead.
+    (:func:`_chord_rectangles`, :func:`_density_rectangles`).  Either way
+    each pair's rectangles go through
+    :func:`~mktp2.properties.confirming_witnesses`: the first on which both
+    properties fail gives each its own witness, which re-evaluates above
+    ``tol_strict`` through :func:`rectangle_defect`; where none does, the
+    pair reads inconclusive instead.
     """
     # the SI and MK-TP2 verdicts read D-psi; say so where it was derived, not declared
     derived = {} if spec.exact_derivative else {"derivative": "finite-difference"}
     if not spec.strict:
         note = "non-strict generator: copula vanishes on an interior region"
         cert = {"method": "analytic:non-strict"}
-        rect, copula = _nonstrict_rectangle(spec), arch_copula(spec)
-        certs = {"ltd": cert, "si": {**cert, **derived}, "tp2": cert, "mktp2": {**cert, **derived}}
-        table = {p: Verdict(Status.FAILS, rectangle_witness(copula, p, rect), c, note) for p, c in certs.items()}
+        table, copula = {}, arch_copula(spec)
+        for props, c in ((("ltd", "tp2"), cert), (("si", "mktp2"), {**cert, **derived})):
+            verdict = Verdict(Status.FAILS, None, c, note)
+            table.update(_confirmed(verdict, note, copula, _nonstrict_rectangles(spec), props, grid))
         table["dtp2"] = Verdict(Status.NOT_APPLICABLE, None, cert, "non-strict copulas carry a singular part")
-        return table
+        return {p: table[p] for p in ("ltd", "si", "tp2", "mktp2", "dtp2")}
     xs = generator_x_sample(spec, grid)
     if len(xs) < 3:
         raise NumericalError(
@@ -639,7 +640,9 @@ def classify_archimedean(spec, grid=DEFAULT_GRID):
             table.update(dict.fromkeys(props, verdict))
             continue
         copula = copula or arch_copula(spec)
-        table.update(_confirmed(verdict, copula, rectangles(spec, verdict.witness.points), props, grid))
+        x0, x1, x2 = verdict.witness.points
+        claim = f"the triple ({x0:.6g}, {x1:.6g}, {x2:.6g}) breaks log-convexity by {verdict.witness.defect:.3g}"
+        table.update(_confirmed(verdict, claim, copula, rectangles(spec, verdict.witness.points), props, grid))
     return {p: table[p] for p in ("ltd", "si", "tp2", "mktp2", "dtp2")}
 
 

@@ -17,9 +17,10 @@ by a short tree on the right derivative of A at 0:
     t -> t(1-t) F'(t)/F(t) non-increasing where A'' is declared.
 
 The witness constructors return rectangles that are re-checkable through the
-kernel alone: each accepts a rectangle only when its ``rectangle_defect``
-K12*K21 - K11*K22 is above ``tol_strict`` (the banding rule of the grid scans),
-so its cross ratio K11*K22 / (K12*K21) falls below one.
+kernel alone: each generates candidate rectangles and takes the first that
+``confirming_witnesses`` accepts, whose ``rectangle_defect`` K12*K21 - K11*K22
+is above ``tol_strict`` (the banding rule of the grid scans), so its cross
+ratio K11*K22 / (K12*K21) falls below one.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .properties import (
     _require_known,
     check_dtp2,
     check_mktp2,
+    confirming_witnesses,
     rectangle_defect,
-    rectangle_witness,
 )
 
 __all__ = [
@@ -643,23 +644,23 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID):
     u1 = float(np.exp(gamma / 2.0))
     v1 = u1**beta
     v2 = u1**alpha
-    n = int(np.ceil(1.0 / (1.0 - u1))) + 1
-    last_defect = None
-    for _ in range(_MAX_DOUBLINGS):
-        u2 = 1.0 - 1.0 / n
-        if u2 <= u1 or u2 >= 1.0:
+
+    def candidates():
+        n = int(np.ceil(1.0 / (1.0 - u1))) + 1
+        for _ in range(_MAX_DOUBLINGS):
+            u2 = 1.0 - 1.0 / n
             n *= 2
-            continue
-        witness = rectangle_witness(evc_copula(spec), "mktp2", Rectangle(u1, u2, v1, v2))
-        if witness.defect > grid.tol_strict:
-            return witness
-        last_defect = witness.defect
-        n *= 2
+            if u1 < u2 < 1.0:
+                yield Rectangle(u1, u2, v1, v2)
+
+    found, defects = confirming_witnesses(evc_copula(spec), ("mktp2",), candidates(), grid)
+    if found:
+        return found["mktp2"]
     raise SearchFailed(
         "no violating rectangle within the doubling budget",
         beta_A=beta,
         gamma_alpha=gamma,
-        last_defect=last_defect,
+        last_defect=defects[-1] if defects else None,
     )
 
 
@@ -712,21 +713,17 @@ def construct_witness_jump(spec, t_l, t_r, grid=DEFAULT_GRID):
         raise SearchFailed("could not fit a band rectangle", t_band=t_band, u1=u1, v2=v2)
 
     u2 = 0.5 * (u1 + u_star)
-    last_defect = None
-    for j in range(1, _MAX_SHRINK):
-        v1 = v2 - (v2 - v_star) * 0.5**j
-        if not v_star < v1 < v2:
-            continue
-        witness = rectangle_witness(evc_copula(spec), "mktp2", Rectangle(u1, u2, v1, v2))
-        if witness.defect > grid.tol_strict:
-            return witness
-        last_defect = witness.defect
+    v1s = (v2 - (v2 - v_star) * 0.5**j for j in range(1, _MAX_SHRINK))
+    candidates = (Rectangle(u1, u2, v1, v2) for v1 in v1s if v_star < v1 < v2)
+    found, defects = confirming_witnesses(evc_copula(spec), ("mktp2",), candidates, grid)
+    if found:
+        return found["mktp2"]
     raise SearchFailed(
         "jump data appear inconsistent: no violating rectangle found",
         t_r=t_r,
         y=y,
         delta=delta,
-        last_defect=last_defect,
+        last_defect=defects[-1] if defects else None,
     )
 
 
@@ -794,10 +791,10 @@ def construct_witness_constant(spec, t1, t2, c, grid=DEFAULT_GRID):
     u2 = float(np.power(u1, 0.5 * (e_lo + e_hi)))
     v1 = float(contour(t1, u2))
     v2 = float(contour(s, u1))
-    witness = rectangle_witness(evc_copula(spec), "mktp2", Rectangle(u1, u2, v1, v2))
-    if not witness.defect > grid.tol_strict:
-        raise SearchFailed("constructed rectangle does not violate", defect=witness.defect, s=s, u1=u1)
-    return witness
+    found, defects = confirming_witnesses(evc_copula(spec), ("mktp2",), [Rectangle(u1, u2, v1, v2)], grid)
+    if not found:
+        raise SearchFailed("constructed rectangle does not violate", defect=defects[0], s=s, u1=u1)
+    return found["mktp2"]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "property_verdicts",
     "rectangle_defect",
     "rectangle_witness",
+    "confirming_witnesses",
 ]
 
 
@@ -927,3 +928,22 @@ def rectangle_witness(copula, prop, rect):
     so ``check --rect`` reproduces it bit for bit."""
     defect, values = rectangle_defect(copula, prop, rect)
     return Witness(rect.as_tuple(), values, defect, "rectangle")
+
+
+def confirming_witnesses(copula, props, rects, grid=DEFAULT_GRID):
+    """``(found, defects)``: the :func:`rectangle_witness` of each of ``props`` on the
+    first of ``rects`` where all of them fail by :func:`_band`, keyed by property,
+    or None where no rectangle does; and the smallest defect of each rectangle
+    tried, in order.
+
+    The one place a constructed rectangle becomes a ``fails`` witness: the
+    generator- and Pickands-level classifiers take theirs from here, so every
+    one re-evaluates above ``tol_strict`` through :func:`rectangle_defect`.
+    """
+    defects = []
+    for rect in rects:
+        found = {p: rectangle_witness(copula, p, rect) for p in props}
+        defects.append(min(w.defect for w in found.values()))
+        if _band(defects[-1], grid.tol_eq, grid.tol_strict) is Status.FAILS:
+            return found, defects
+    return None, defects

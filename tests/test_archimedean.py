@@ -244,8 +244,9 @@ def test_classify_gumbel_all_hold(alpha):
         (lambda: make_generator(phi=lambda t: (np.power(np.asarray(t, dtype=float), -2.0) - 1.0) / 2.0), ()),
         (lambda: kinked_exp(1.0), ("si", "mktp2")),
         (quadratic_exp, ("ltd", "si", "tp2", "mktp2")),
+        (lambda: clayton_nonstrict(-0.1), ("ltd", "si", "tp2", "mktp2")),
     ],
-    ids=["gumbel", "spreeuw", "w", "phi-only-clayton", "kinked-exp", "quadratic-exp"],
+    ids=["gumbel", "spreeuw", "w", "phi-only-clayton", "kinked-exp", "quadratic-exp", "nonstrict-clayton"],
 )
 def test_classify_shares_each_equivalence_pair(make, rectangles):
     spec = make()
@@ -266,6 +267,7 @@ def test_classify_shares_each_equivalence_pair(make, rectangles):
             continue
         assert (verdict.status, witness.kind) == (Status.FAILS, "rectangle"), prop
         assert rectangle_defect(copula, prop, witness.rectangle()) == (witness.defect, witness.values), prop
+        assert witness.defect > GRID.tol_strict, prop
 
 
 def test_classify_spreeuw_tp2_but_not_mktp2():
@@ -430,7 +432,7 @@ def test_make_generator_takes_no_jump_declaration():
         make_generator(psi=lambda x: np.exp(-np.asarray(x, dtype=float)), **jumps)
 
 
-@pytest.mark.parametrize("theta", [None, -0.3, -0.5, -0.9], ids=lambda t: "w" if t is None else f"clayton{t}")
+@pytest.mark.parametrize("theta", [None, -0.1, -0.3, -0.5, -0.9], ids=lambda t: "w" if t is None else f"clayton{t}")
 def test_nonstrict_fails_witnesses_reevaluate(theta):
     spec = builtin_archimedean("w") if theta is None else clayton_nonstrict(theta)
     assert not spec.strict
@@ -446,6 +448,43 @@ def test_nonstrict_fails_witnesses_reevaluate(theta):
         assert verdict.status is Status.FAILS
         defect, _ = rectangle_defect(copula, prop, verdict.witness.rectangle())
         assert defect > GRID.tol_strict, prop
+
+
+def test_nonstrict_flat_psi_reads_inconclusive():
+    # psi = (1 - x/50)^50 is so flat near phi(0) = 50 that no square built from
+    # the zero region re-evaluates above tol_strict: C(a, c) <= psi(19/32 phi(0)) = 2.5e-20
+    table = classify_archimedean(clayton_nonstrict(-0.02), GRID)
+    for prop in ("ltd", "si", "tp2", "mktp2"):
+        verdict = table[prop]
+        assert (verdict.status, verdict.witness) == (Status.INCONCLUSIVE, None), prop
+        assert verdict.note.startswith("non-strict generator: copula vanishes on an interior region, but no rect")
+        assert "(best defect " in verdict.note
+    assert table["dtp2"].status is Status.NOT_APPLICABLE
+
+
+def test_nonstrict_w_tp2_witness_clears_a_coarse_tol_strict():
+    # the first square's TP2 defect is C(1/4, 7/8)^2 = 1/64 = 0.015625, so at
+    # tol_strict = 0.02 the (ltd, tp2) pair moves to the second square
+    grid = GridConfig(tol_strict=0.02)
+    spec = builtin_archimedean("w")
+    tp2 = classify_archimedean(spec, grid)["tp2"]
+    assert tp2.status is Status.FAILS
+    assert tp2.witness.points == (0.375, 0.9375, 0.375, 0.9375)
+    assert rectangle_defect(arch_copula(spec), "tp2", tp2.witness.rectangle())[0] > 0.02
+
+
+@pytest.mark.parametrize(
+    "theta, tol_strict",
+    [(t, 1e-9) for t in (-0.9, -0.5, -0.3, -0.1, -0.05, -0.02)] + [(None, 1e-9), (None, 0.02)],
+    ids=lambda p: "w" if p is None else str(p),
+)
+def test_no_nonstrict_fails_witness_at_or_below_tol_strict(theta, tol_strict):
+    grid = GridConfig(tol_strict=tol_strict)
+    spec = builtin_archimedean("w") if theta is None else clayton_nonstrict(theta)
+    copula = arch_copula(spec)
+    for prop, verdict in classify_archimedean(spec, grid).items():
+        if verdict.status is Status.FAILS:
+            assert rectangle_defect(copula, prop, verdict.witness.rectangle())[0] > tol_strict, prop
 
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0])

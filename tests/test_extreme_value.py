@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mktp2 import extreme_value
+from mktp2 import extreme_value, properties
 from mktp2.archimedean import arch_copula, builtin_archimedean
 from mktp2.cli import main
 from mktp2.errors import SearchFailed, ValidationError
@@ -593,6 +593,28 @@ def test_jump_witness_marshall_olkin():
     assert ratio < 1.0 - 1e-6
     # the limiting ratio is y/(y + jump) = 0.5/(0.5 + 0.5)
     assert ratio == pytest.approx(0.5, abs=1e-6)
+
+
+CONSTRUCTIONS = [
+    (construct_witness_gradient, ("tawn-symmetric", {"theta": 0.2}), (), "last_defect"),
+    (construct_witness_jump, ("marshall-olkin", {"alpha": 0.5, "beta": 0.5}), (0.25, 0.5), "last_defect"),
+    (construct_witness_constant, ("jump-example", {}), (0.125, 0.25, 7.0 / 16.0), "defect"),
+]
+
+
+@pytest.mark.parametrize("construct, family, args, key", CONSTRUCTIONS, ids=["gradient", "jump", "constant"])
+def test_construction_reports_the_last_candidate_it_tried(monkeypatch, construct, family, args, key):
+    # at a tol_strict no kernel defect can clear, every candidate is tried and
+    # refused, on the one copula the construction builds
+    spec = builtin_pickands(family[0], **family[1])
+    built, tried = [], []
+    monkeypatch.setattr(extreme_value, "evc_copula", lambda s: built.append(s) or evc_copula(s))
+    witness_of = properties.rectangle_witness
+    monkeypatch.setattr(properties, "rectangle_witness", lambda c, p, r: tried.append(r) or witness_of(c, p, r))
+    with pytest.raises(SearchFailed) as failed:
+        construct(spec, *args, GridConfig(tol_strict=1.0))
+    assert built == [spec] and tried
+    assert failed.value.diagnostics[key] == rectangle_defect(evc_copula(spec), "mktp2", tried[-1])[0]
 
 
 def test_jump_witness_preconditions():
