@@ -495,8 +495,7 @@ def generator_x_sample(spec, grid=DEFAULT_GRID):
     where it is a finite normal double (a subnormal phi(t) has lost its digits)."""
     ts = np.linspace(grid.margin, 1.0 - grid.margin, _X_SAMPLE_POINTS)
     xs = np.asarray(spec.phi(ts), dtype=float)
-    xs = np.sort(xs[np.isfinite(xs) & (xs >= np.finfo(float).tiny)])
-    return np.unique(xs)
+    return np.unique(xs[np.isfinite(xs) & (xs >= np.finfo(float).tiny)])
 
 
 # the top edge of the chord rectangles: C(u, 1 - 2^-53) is u up to rounding and
@@ -583,10 +582,8 @@ def _confirmed(verdict, claim, copula, rects, props, grid):
     found, defects = confirming_witnesses(copula, props, rects, grid)
     if found:
         return {p: replace(verdict, witness=w) for p, w in found.items()}
-    note = (
-        f"{claim}, but no rectangle built from it re-evaluates above tol_strict "
-        f"(best defect {max(defects, default=-np.inf):.3g})"
-    )
+    best = max(defects, default=-np.inf)
+    note = f"{claim}, but no rectangle built from it re-evaluates above tol_strict (best defect {best:.3g})"
     return dict.fromkeys(props, Verdict(Status.INCONCLUSIVE, None, verdict.certificate, note))
 
 

@@ -644,16 +644,10 @@ def construct_witness_gradient(spec, grid=DEFAULT_GRID):
     u1 = float(np.exp(gamma / 2.0))
     v1 = u1**beta
     v2 = u1**alpha
-
-    def candidates():
-        n = int(np.ceil(1.0 / (1.0 - u1))) + 1
-        for _ in range(_MAX_DOUBLINGS):
-            u2 = 1.0 - 1.0 / n
-            n *= 2
-            if u1 < u2 < 1.0:
-                yield Rectangle(u1, u2, v1, v2)
-
-    found, defects = confirming_witnesses(evc_copula(spec), ("mktp2",), candidates(), grid)
+    n = int(np.ceil(1.0 / (1.0 - u1))) + 1
+    u2s = (1.0 - 1.0 / (n * 2**k) for k in range(_MAX_DOUBLINGS))
+    candidates = (Rectangle(u1, u2, v1, v2) for u2 in u2s if u1 < u2 < 1.0)
+    found, defects = confirming_witnesses(evc_copula(spec), ("mktp2",), candidates, grid)
     if found:
         return found["mktp2"]
     raise SearchFailed(

@@ -89,11 +89,11 @@ class GridConfig:
             return 1.0 / (1.0 + np.exp(-s))
         return np.linspace(lo, hi, n)
 
-    def u_axis(self, lo=None, hi=None):
-        return self.axis(self.n_u, lo, hi)
+    def u_axis(self):
+        return self.axis(self.n_u)
 
-    def v_axis(self, lo=None, hi=None):
-        return self.axis(self.n_v, lo, hi)
+    def v_axis(self):
+        return self.axis(self.n_v)
 
     def describe(self):
         """JSON-ready summary, embedded in verdict certificates."""

@@ -272,11 +272,6 @@ def _non_finite_note(name, values, us, vs):
     return f"non-finite {name} value at (u, v) = ({us[i]:.6g}, {vs[j]:.6g})"
 
 
-def _certificate(method, grid, region=None, **extra):
-    region = {} if region is None else {"region": list(region.as_tuple())}
-    return {"method": method, "grid": grid.describe(), **region, **extra}
-
-
 # ---------------------------------------------------------------------------
 # block scans: each returns the defects of one row block and their witnesses
 # ---------------------------------------------------------------------------
@@ -709,7 +704,7 @@ def _refine_rectangle(copula, witness, grid):
     return _scan(copula, ("mktp2",), us, vs, grid)["mktp2"]
 
 
-def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
+def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES):
     """Grid verdicts of ``props`` for one copula, keyed by property.
 
     Each grid quantity (``cdf``, ``kernel``, ``density``) is evaluated once
@@ -719,8 +714,8 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
     grid is held whole, for the MK-TP2 span sweep, in a private map of its
     own (:func:`_grid_buffer`, 8 MB at 1024²) that tracemalloc does not
     see, and at 1024² tracemalloc reads a peak of 1.3-2.6 MB besides it
-    (W, Pi, FGM, Gaussian, Gumbel, Marshall-Olkin).  ``region`` restricts the
-    scan to a rectangle.  MK-TP2 first tries :func:`_kernel_tp2_certified`
+    (W, Pi, FGM, Gaussian, Gumbel, Marshall-Olkin).  MK-TP2 first tries
+    :func:`_kernel_tp2_certified`
     and runs the span sweep only when that does not prove ``holds``; a
     ``fails`` MK-TP2 witness is refined on a finer local window.  A
     non-finite grid value, or a NaN defect where the scan does not fail,
@@ -728,15 +723,13 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
     ``dtp2`` not applicable.
     """
     _require_known(props)
-    u1, u2, v1, v2 = (None,) * 4 if region is None else region.as_tuple()
-    us, vs = grid.u_axis(u1, u2), grid.v_axis(v1, v2)
-    found = _scan(copula, props, us, vs, grid, certify=True)
+    found = _scan(copula, props, grid.u_axis(), grid.v_axis(), grid, certify=True)
     out = {}
     for prop in PROPERTIES:
         if prop not in props:
             continue
         check = _TABLE[prop]
-        cert = _certificate(check.method, grid, region, **check.extra)
+        cert = {"method": check.method, "grid": grid.describe(), **check.extra}
         if prop not in found:
             note = f"{copula.label} exposes no density (not absolutely continuous)"
             out[prop] = Verdict(Status.NOT_APPLICABLE, None, cert, note=note)
@@ -746,37 +739,37 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES, region=None):
     return out
 
 
-def check_pqd(copula, grid=DEFAULT_GRID, region=None):
+def check_pqd(copula, grid=DEFAULT_GRID):
     """C(u,v) >= uv on the interior grid."""
-    return property_verdicts(copula, grid, ("pqd",), region)["pqd"]
+    return property_verdicts(copula, grid, ("pqd",))["pqd"]
 
 
-def check_ltd(copula, grid=DEFAULT_GRID, region=None):
+def check_ltd(copula, grid=DEFAULT_GRID):
     """u -> C(u,v)/u non-increasing for every grid v."""
-    return property_verdicts(copula, grid, ("ltd",), region)["ltd"]
+    return property_verdicts(copula, grid, ("ltd",))["ltd"]
 
 
-def check_si(copula, grid=DEFAULT_GRID, region=None):
+def check_si(copula, grid=DEFAULT_GRID):
     """u -> K(u,[0,v]) non-increasing for every grid v."""
-    return property_verdicts(copula, grid, ("si",), region)["si"]
+    return property_verdicts(copula, grid, ("si",))["si"]
 
 
-def check_tp2(copula, grid=DEFAULT_GRID, region=None):
+def check_tp2(copula, grid=DEFAULT_GRID):
     """TP2 of the copula itself: adjacent-cell cross products of the CDF (adjacent
     quadruples generate grid TP2 for these smooth, a.e.-positive surfaces)."""
-    return property_verdicts(copula, grid, ("tp2",), region)["tp2"]
+    return property_verdicts(copula, grid, ("tp2",))["tp2"]
 
 
-def check_mktp2(copula, grid=DEFAULT_GRID, region=None):
+def check_mktp2(copula, grid=DEFAULT_GRID):
     """TP2 of the Markov kernel over adjacent cells and dyadic index spans: kernels
     may jump, and jump-driven violations are invisible to adjacent quadruples
     alone.  Rectangles with K(u2,[0,v1]) ~ 0 are skipped (zero-region reduction)."""
-    return property_verdicts(copula, grid, ("mktp2",), region)["mktp2"]
+    return property_verdicts(copula, grid, ("mktp2",))["mktp2"]
 
 
-def check_dtp2(copula, grid=DEFAULT_GRID, region=None):
+def check_dtp2(copula, grid=DEFAULT_GRID):
     """TP2 of the density; not applicable when the family has no density."""
-    return property_verdicts(copula, grid, ("dtp2",), region)["dtp2"]
+    return property_verdicts(copula, grid, ("dtp2",))["dtp2"]
 
 
 # ---------------------------------------------------------------------------
@@ -931,15 +924,10 @@ def rectangle_witness(copula, prop, rect):
 
 
 def confirming_witnesses(copula, props, rects, grid=DEFAULT_GRID):
-    """``(found, defects)``: the :func:`rectangle_witness` of each of ``props`` on the
-    first of ``rects`` where all of them fail by :func:`_band`, keyed by property,
-    or None where no rectangle does; and the smallest defect of each rectangle
-    tried, in order.
-
-    The one place a constructed rectangle becomes a ``fails`` witness: the
-    generator- and Pickands-level classifiers take theirs from here, so every
-    one re-evaluates above ``tol_strict`` through :func:`rectangle_defect`.
-    """
+    """``(found, defects)``: ``{prop: rectangle_witness}`` of ``props`` on the first of
+    ``rects`` where all of them fail by :func:`_band` (None where none does), and the
+    smallest defect of each rectangle tried.  The one place a constructed rectangle
+    becomes a ``fails`` witness, for the generator- and Pickands-level classifiers."""
     defects = []
     for rect in rects:
         found = {p: rectangle_witness(copula, p, rect) for p in props}

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 import warnings
@@ -26,10 +27,12 @@ from mktp2.properties import (
     check_pqd,
     check_si,
     check_tp2,
+    confirming_witnesses,
     counterexample_search,
     log_convexity_test,
     property_verdicts,
     rectangle_defect,
+    rectangle_witness,
 )
 from mktp2.registry import build
 
@@ -100,11 +103,8 @@ def test_mktp2_verdicts():
     log_spec = builtin_pickands("log-example")
     verdict = check_mktp2(evc_copula(log_spec), GRID)
     assert verdict.status is Status.FAILS
-    # the restricted scan confirms the known violating window
-    local = check_mktp2(
-        evc_copula(log_spec), GridConfig(n_u=200, n_v=200), region=Rectangle(0.9, 0.95, 0.5, 0.6)
-    )
-    assert local.status is Status.FAILS
+    # the known violating window re-evaluates above tol_strict
+    assert rectangle_defect(evc_copula(log_spec), "mktp2", Rectangle(0.9, 0.95, 0.5, 0.6))[0] > GRID.tol_strict
 
 
 def test_dtp2_verdicts():
@@ -362,6 +362,23 @@ def test_rectangle_defect_matches_direct_evaluation():
     k = [cop.kernel(u, v) for u, v in [(0.2, 0.3), (0.2, 0.7), (0.4, 0.3), (0.4, 0.7)]]
     assert values == tuple(k)
     assert defect == pytest.approx(k[1] * k[2] - k[0] * k[3], abs=1e-15)
+
+
+def test_confirming_witnesses_take_the_first_rectangle_all_props_fail_on():
+    # W's first non-strict square has LTD defect 1/7 but TP2 defect 1/64 = 0.015625
+    copula = arch_copula(builtin_archimedean("w"))
+    squares = [Rectangle(0.25, 0.875, 0.25, 0.875), Rectangle(0.375, 0.9375, 0.375, 0.9375)]
+    found, defects = confirming_witnesses(copula, ("ltd", "tp2"), squares, GridConfig(tol_strict=0.02))
+    assert defects == [0.015625, 0.09765625]
+    assert found == {p: rectangle_witness(copula, p, squares[1]) for p in ("ltd", "tp2")}
+    found, defects = confirming_witnesses(copula, ("ltd", "tp2"), iter(squares), GridConfig(tol_strict=0.1))
+    assert (found, defects) == (None, [0.015625, 0.09765625])
+
+
+def test_grid_checks_take_no_region():
+    checks = (check_pqd, check_ltd, check_si, check_tp2, check_mktp2, check_dtp2)
+    assert [list(inspect.signature(fn).parameters) for fn in checks] == [["copula", "grid"]] * 6
+    assert list(inspect.signature(property_verdicts).parameters) == ["copula", "grid", "props"]
 
 
 def _bits(x):
