@@ -52,11 +52,11 @@ from conftest import (
     kinked_exp,
     quadratic_exp,
 )
-from mktp2.archimedean import make_generator, property_verdicts
+from mktp2.archimedean import arch_copula, make_generator, property_verdicts
 from mktp2.cli import main
 from mktp2.core import as_form
 from mktp2.grids import GridConfig
-from mktp2.properties import PROPERTIES, _grid_eval
+from mktp2.properties import PROPERTIES, Witness, _grid_eval, rectangle_defect
 from mktp2.registry import build
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -280,6 +280,39 @@ def test_edge_witness_outcomes_match_golden():
 
 def test_user_generator_verdicts_match_golden():
     assert _user_generator_tables() == json.loads(USER_GENERATORS_PATH.read_text())
+
+
+# (path, family) of every classify and witness golden report
+REPORTS = [(_golden_path(*s), s[:2]) for s in [(*f, GRID) for f in ALL_FAMILIES] + EDGE_SETTINGS]
+REPORTS += [(_witness_path(*f), f) for f in WITNESS_FAMILIES]
+
+
+def _assert_fails_witnesses_reevaluate(copula, tol_strict, table):
+    """Each ``fails`` entry of ``table`` whose witness has a rectangle form (point, line or
+    rectangle) re-evaluates through ``rectangle_defect`` to its recorded defect and
+    values, bit for bit, and its defect is above ``tol_strict``."""
+    for prop, entry in table.items():
+        recorded = entry["witness"]
+        if entry["status"] != "fails" or recorded["kind"] not in ("point", "line", "rectangle"):
+            continue
+        rect = Witness(tuple(recorded["points"]), (), 0.0, recorded["kind"]).rectangle()
+        defect, values = rectangle_defect(copula, prop, rect)
+        assert [x.hex() for x in (defect, *values)] == [x.hex() for x in (recorded["defect"], *recorded["values"])]
+        assert defect > tol_strict, prop
+
+
+@pytest.mark.parametrize("path, family", REPORTS, ids=[path.stem for path, _ in REPORTS])
+def test_report_fails_witnesses_reevaluate(path, family):
+    report = json.loads(path.read_text())
+    table = {entry["property"]: entry for entry in report["results"]}
+    _assert_fails_witnesses_reevaluate(build(*family)[2], report["grid"]["tol_strict"], table)
+
+
+@pytest.mark.parametrize("key", USER_GENERATORS)
+def test_user_generator_fails_witnesses_reevaluate(key):
+    table = json.loads(USER_GENERATORS_PATH.read_text())[key]
+    grid = GridConfig(int(GRID), int(GRID))
+    _assert_fails_witnesses_reevaluate(arch_copula(USER_GENERATORS[key]()), grid.tol_strict, table)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=_family_ids)
