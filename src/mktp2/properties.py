@@ -715,12 +715,11 @@ def property_verdicts(copula, grid=DEFAULT_GRID, props=PROPERTIES):
     own (:func:`_grid_buffer`, 8 MB at 1024²) that tracemalloc does not
     see, and at 1024² tracemalloc reads a peak of 1.3-2.6 MB besides it
     (W, Pi, FGM, Gaussian, Gumbel, Marshall-Olkin).  MK-TP2 first tries
-    :func:`_kernel_tp2_certified`
-    and runs the span sweep only when that does not prove ``holds``; a
-    ``fails`` MK-TP2 witness is refined on a finer local window.  A
-    non-finite grid value, or a NaN defect where the scan does not fail,
-    makes a verdict ``inconclusive``; a copula without a density makes
-    ``dtp2`` not applicable.
+    :func:`_kernel_tp2_certified` and runs the span sweep only when that
+    does not prove ``holds``; a ``fails`` MK-TP2 witness is refined on a
+    finer local window.  A non-finite grid value, or a NaN defect where the
+    scan does not fail, makes a verdict ``inconclusive``; a copula without a
+    density makes ``dtp2`` not applicable.
     """
     _require_known(props)
     found = _scan(copula, props, grid.u_axis(), grid.v_axis(), grid, certify=True)
@@ -923,7 +922,7 @@ def rectangle_witness(copula, prop, rect):
     return Witness(rect.as_tuple(), values, defect, "rectangle")
 
 
-def confirming_witnesses(copula, props, rects, grid=DEFAULT_GRID):
+def confirming_witnesses(copula, props, rects, grid):
     """``(found, defects)``: ``{prop: rectangle_witness}`` of ``props`` on the first of
     ``rects`` where all of them fail by :func:`_band` (None where none does), and the
     smallest defect of each rectangle tried.  The one place a constructed rectangle

@@ -97,14 +97,16 @@ def frank_psi(theta):
     return make_generator(psi=psi, phi_at_zero=np.inf, strict=True, label=f"frank-psi({theta:g})")
 
 
-def clayton_nonstrict(theta):
+def clayton_nonstrict(theta, declared=False):
     """Clayton's generator for theta in (-1, 0) from psi alone: psi vanishes beyond
-    phi(0) = -1/theta, which is searched, and D-psi is a finite difference of psi."""
+    phi(0) = -1/theta, which is searched (where psi underflows to 0 first, below
+    -1/theta), or with ``declared``, declared; D-psi is a finite difference of psi."""
 
     def psi(x):
         return np.power(np.maximum(1.0 + theta * np.asarray(x, dtype=float), 0.0), -1.0 / theta)
 
-    return make_generator(psi=psi, label=f"clayton(theta={theta})")
+    phi_at_zero = -1.0 / theta if declared else None
+    return make_generator(psi=psi, phi_at_zero=phi_at_zero, label=f"clayton(theta={theta})")
 
 
 def kinked_exp(x_star, slope=0.5, second=False):

@@ -25,7 +25,14 @@ from mktp2.extreme_value import (
     kernel_cross_ratio,
 )
 from mktp2.grids import GridConfig, Rectangle
-from mktp2.properties import Status, check_mktp2, check_tp2, log_convexity_test, property_verdicts, rectangle_defect
+from mktp2.properties import (
+    Status,
+    check_mktp2,
+    check_tp2,
+    log_convexity_test,
+    property_verdicts,
+    rectangle_defect,
+)
 from mktp2.registry import build
 from mktp2.sampler import sample
 from oracles import (

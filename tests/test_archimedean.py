@@ -432,7 +432,9 @@ def test_make_generator_takes_no_jump_declaration():
         make_generator(psi=lambda x: np.exp(-np.asarray(x, dtype=float)), **jumps)
 
 
-@pytest.mark.parametrize("theta", [None, -0.1, -0.3, -0.5, -0.9], ids=lambda t: "w" if t is None else f"clayton{t}")
+@pytest.mark.parametrize(
+    "theta", [None, -0.1, -0.3, -0.5, -0.9], ids=lambda t: "w" if t is None else f"clayton{t}"
+)
 def test_nonstrict_fails_witnesses_reevaluate(theta):
     spec = builtin_archimedean("w") if theta is None else clayton_nonstrict(theta)
     assert not spec.strict
@@ -450,10 +452,14 @@ def test_nonstrict_fails_witnesses_reevaluate(theta):
         assert defect > GRID.tol_strict, prop
 
 
-def test_nonstrict_flat_psi_reads_inconclusive():
+@pytest.mark.parametrize(
+    "theta, declared", [(-0.02, False), (-0.001, True)], ids=["clayton-0.02", "declared-0.001"]
+)
+def test_nonstrict_flat_psi_reads_inconclusive(theta, declared):
     # psi = (1 - x/50)^50 is so flat near phi(0) = 50 that no square built from
-    # the zero region re-evaluates above tol_strict: C(a, c) <= psi(19/32 phi(0)) = 2.5e-20
-    table = classify_archimedean(clayton_nonstrict(-0.02), GRID)
+    # the zero region re-evaluates above tol_strict: C(a, c) <= psi(19/32 phi(0)) = 2.5e-20.
+    # With phi(0) = 1000 declared, psi(s phi(0)) underflows to 0 for every s: no square is built
+    table = classify_archimedean(clayton_nonstrict(theta, declared), GRID)
     for prop in ("ltd", "si", "tp2", "mktp2"):
         verdict = table[prop]
         assert (verdict.status, verdict.witness) == (Status.INCONCLUSIVE, None), prop
